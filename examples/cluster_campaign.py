@@ -1,17 +1,20 @@
 """A distributed validation campaign on a localhost cluster.
 
 The same declarative ScenarioMatrix the pool path sweeps is dispatched
-here over the real socket transport: a coordinator serves shards to N
-worker processes, per-shard SessionReports stream back as they finish
-(out of order) and render live through the on_result hook, and the
-final CampaignReport is reassembled deterministically — byte-identical
-to a serial run of the same matrix, which this script verifies.
+here over the real socket transport: an ephemeral campaign service
+serves shards to N worker processes over HMAC-authenticated JSON
+frames, per-shard SessionReports stream back as they finish (out of
+order) and render live through the on_result hook, and the final
+CampaignReport is reassembled deterministically — byte-identical to a
+serial run of the same matrix, which this script verifies.
 
-To spread the same campaign over real machines, replace the launcher
-with the CLI:
+To spread the same campaign over real machines, run a persistent
+service and its workers with the service CLI:
 
-    python -m repro.netdebug.cluster coordinator --listen 0.0.0.0:47815 ...
-    python -m repro.netdebug.cluster worker --connect host:47815 --slots 4
+    export REPRO_SERVICE_SECRET=...
+    python -m repro.netdebug.service serve --listen 0.0.0.0:47816
+    python -m repro.netdebug.service worker --connect host:47816
+    python -m repro.netdebug.service submit --connect host:47816 ...
 """
 
 import argparse
@@ -24,8 +27,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=2,
                         help="local worker processes to launch")
-    parser.add_argument("--slots", type=int, default=1,
-                        help="concurrent shards per worker")
     parser.add_argument("--count", type=int, default=8,
                         help="packets per scenario")
     # parse_known_args: stay runnable under test harnesses (runpy) that
@@ -42,13 +43,11 @@ def main() -> None:
     )
 
     print(f"dispatching {len(matrix.expand())} scenario shards to "
-          f"{args.workers} socket-connected workers "
-          f"({args.slots} slot(s) each)...\n")
+          f"{args.workers} socket-connected workers...\n")
     printer = ProgressPrinter()
     report = run_cluster_campaign(
         matrix,
         workers=args.workers,
-        slots=args.slots,
         name="cluster-sweep",
         on_result=printer,
         timeout=300,

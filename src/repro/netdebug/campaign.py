@@ -434,7 +434,7 @@ _ARTIFACT_EPOCHS: list[int] = []
 _ARTIFACT_EPOCH_WINDOW = 4
 #: Epoch tokens only need to *differ* between campaigns that could ever
 #: reach the same worker cache. Mixing the coordinator PID in covers the
-#: cluster case, where a long-lived external worker outlives coordinator
+#: service case, where a long-lived worker outlives coordinator
 #: processes whose plain counters would both start at 1.
 _EPOCH_COUNTER = itertools.count((os.getpid() & 0xFFFFFF) << 32 | 1)
 
@@ -613,13 +613,7 @@ def _grade_sla(scenario: "Scenario", report: SessionReport,
 
 
 def _run_shard(job: tuple) -> "ScenarioResult":
-    # Tolerant unpack: jobs grew an engine element, then an
-    # oracle-factory element; older tuples (e.g. from a coordinator one
-    # minor version behind) default to closures / the scenario's named
-    # oracle.
-    epoch, scenario, faults, keep_suite, *rest = job
-    engine = rest[0] if rest else "closure"
-    oracle_factory = rest[1] if len(rest) > 1 else None
+    epoch, scenario, faults, keep_suite, engine, oracle_factory = job
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(
         epoch, scenario.program, scenario.target, scenario.setup, engine
@@ -723,9 +717,7 @@ def _suite_name(scenario: Scenario) -> str:
 
 
 def _replay_shard(job: tuple) -> "ScenarioResult":
-    epoch, scenario, faults, directory, times_ns, *rest = job
-    engine = rest[0] if rest else "closure"
-    ports = rest[1] if len(rest) > 1 else None
+    epoch, scenario, faults, directory, times_ns, engine, ports = job
     suite = RegressionSuite.load(directory, _suite_name(scenario))
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(
@@ -1007,8 +999,8 @@ class ShardExecutor:
     ``on_result(result)`` as each shard completes (streaming ingest).
     :func:`run_campaign` owns expansion, progress accounting, record
     artifacts and deterministic reassembly, so the local pool and the
-    distributed cluster (:class:`repro.netdebug.cluster.ClusterExecutor`)
-    share everything except raw dispatch.
+    cluster (:class:`repro.netdebug.cluster.ClusterExecutor`, an
+    ephemeral campaign service) share everything except raw dispatch.
     """
 
     def execute(
@@ -1143,6 +1135,24 @@ def _execute(
     return executor.execute(jobs, shard_fn, on_result=ingest)
 
 
+def _shard_jobs(
+    scenarios: list[Scenario],
+    faults: dict,
+    record: bool = False,
+    engine: str = "closure",
+    oracle_factory: OracleFactory | None = None,
+) -> list[tuple]:
+    """:func:`_run_shard` job tuples for ``scenarios`` under one fresh
+    campaign epoch — what every executor, and the campaign service,
+    dispatches."""
+    epoch = next(_EPOCH_COUNTER)
+    return [
+        (epoch, scenario, faults[scenario.fault], record, engine,
+         oracle_factory)
+        for scenario in scenarios
+    ]
+
+
 def _require_known_engine(engine: str) -> None:
     if engine not in ENGINES:
         raise NetDebugError(
@@ -1169,8 +1179,8 @@ def run_campaign(
     one compiled artifact per program/target); passing ``executor``
     overrides dispatch entirely — e.g.
     :class:`repro.netdebug.cluster.ClusterExecutor` to fan shards out
-    to socket-connected workers on other hosts. Either way the final
-    report is byte-identical to the serial run.
+    to service workers over sockets. Either way the final report is
+    byte-identical to the serial run.
 
     ``on_result`` is the streaming-ingest hook: called as
     ``on_result(scenario_key, report, progress)`` the moment each shard
@@ -1187,8 +1197,10 @@ def run_campaign(
 
     ``oracle_factory`` overrides the matrix's named ``oracle`` with an
     arbitrary factory (called per shard as ``factory(program,
-    num_ports=...)``). It rides the job frame to every worker, so it
-    must be picklable — a module-level class or function. Sharding is
+    num_ports=...)``). Pool workers receive it pickled, so it must be a
+    module-level class or function; the cluster executor sends it by
+    name, so there it must be an :data:`~repro.netdebug.oracle.ORACLES`
+    entry. Sharding is
     per *scenario cell*, each cell's packets staying on one shard in
     arrival order, which is exactly the state boundary stateful oracles
     need.
@@ -1241,14 +1253,9 @@ def run_campaign(
                         "callable; recorded campaigns must be fully "
                         "declarative to replay from JSON"
                     )
-    epoch = next(_EPOCH_COUNTER)
-    jobs = [
-        (
-            epoch, scenario, matrix.faults[scenario.fault], record,
-            engine, oracle_factory,
-        )
-        for scenario in run_scenarios
-    ]
+    jobs = _shard_jobs(
+        run_scenarios, matrix.faults, record, engine, oracle_factory
+    )
     results = _execute(
         jobs, _run_shard, workers, executor,
         _streaming_ingest(on_result, len(jobs)),
@@ -1461,9 +1468,9 @@ def replay_campaign(
     and expectations from the per-scenario regression suites (suites
     with truncated pcap captures are rejected at load). ``executor``
     and ``on_result`` behave exactly as in :func:`run_campaign` —
-    replay shards ride the same dispatch/reassembly seam (a cluster
-    replays an archived campaign the way it runs a live one, reading
-    artifacts from a shared filesystem path). With a warm artifact
+    replay shards ride the same dispatch/reassembly seam (the cluster
+    executor, which runs live shards only, refuses them). With a warm
+    artifact
     cache replay skips recompilation entirely (see
     :mod:`repro.target.artifact_cache`).
     """

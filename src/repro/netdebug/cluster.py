@@ -1,40 +1,42 @@
-"""Distributed, streaming campaign execution over a worker fleet.
+"""Service workers, and the one-shot cluster launcher built on them.
 
 The campaign engine (:mod:`repro.netdebug.campaign`) tops out at one
 host's cores; the validation methodology only pays off when the
 (program × target × fault × workload) matrix is big enough to surface
-rare platform deviations. This module lifts shard dispatch onto a
-socket transport (:mod:`repro.netdebug.transport`):
+rare platform deviations. Shards therefore run on **service workers**
+(:func:`service_worker_main`): processes, on this host or any other,
+that connect to a campaign service (:mod:`repro.netdebug.service`)
+over the JSON + HMAC wire (:mod:`repro.netdebug.transport`), declare
+capability tags, execute shards with the same per-process artifact
+cache the pool path uses, and stream each result back the moment it
+completes. A worker keeps finished results in a ledger until they are
+acked, so a dropped connection resumes under the same session instead
+of losing work.
 
-* A **coordinator** owns the expanded job list and serves shards to
-  every connected worker, keeping up to ``slots`` shards outstanding
-  per worker (credit-based pipelining).
-* **Workers** — on this host or any other — connect, execute shards
-  with the same per-process artifact cache the pool path uses, and
-  stream each :class:`ScenarioResult` back the moment it completes.
-* **Streaming ingest**: results arrive out of order and fire the
-  ``on_result(scenario_key, report, progress)`` hook immediately, so a
-  long campaign renders progressively; the final report is reassembled
-  deterministically (:func:`repro.netdebug.campaign.assemble_report`),
-  making serial, pooled and distributed runs **byte-identical**.
-* **Fault tolerance**: a worker crash or disconnect mid-shard requeues
-  its outstanding shards on the surviving workers; each shard has a
-  retry budget, and exhausting it (or losing every worker, or a shard
-  raising remotely) raises a :class:`ClusterError` naming the shard.
+The **one-shot cluster** (:class:`ClusterExecutor`,
+:func:`run_cluster_campaign`, the ``local`` CLI verb) is an ephemeral
+service: an in-process :class:`~repro.netdebug.service.CampaignService`
+on ``127.0.0.1:0`` keyed with a fresh random secret, N forked service
+workers, one campaign, then teardown. It shares the service's one
+scheduler, worker loop and codec, so:
 
-CLI (one coordinator, any number of workers, any hosts)::
+* **Streaming ingest**: results fire the ``on_result(scenario_key,
+  report, progress)`` hook as they land, and the final report is
+  reassembled deterministically
+  (:func:`repro.netdebug.campaign.assemble_report`), making serial,
+  pooled, clustered and service runs **byte-identical**.
+* **Fault tolerance**: a worker crash mid-shard requeues its
+  outstanding shards on the survivors; each shard has a retry budget,
+  and exhausting it, losing every worker, or a shard raising remotely
+  raises a :class:`ClusterError` naming the shard.
 
-    python -m repro.netdebug.cluster coordinator --listen 0.0.0.0:47815 \\
-        --programs strict_parser,acl_firewall --targets reference,sdnet \\
+CLI::
+
+    python -m repro.netdebug.cluster local --workers 2 --baseline \\
         --out campaign.json
-    python -m repro.netdebug.cluster worker --connect host:47815 --slots 4
 
-``coordinator --baseline`` runs the committed golden-baseline matrix
-(:func:`repro.netdebug.diffing.baseline_matrix`), which is what the
-``cluster-smoke`` CI job diffs against ``baselines/campaign.json``.
-The ``local`` subcommand (and :func:`run_cluster_campaign`) launches a
-localhost coordinator plus N worker processes in one call — the
-convenience path tests, benchmarks and CI use.
+For a fleet spanning hosts, run ``python -m repro.netdebug.service
+serve`` / ``worker`` / ``submit`` instead.
 """
 
 from __future__ import annotations
@@ -47,34 +49,27 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from ..exceptions import ClusterError
+from ..exceptions import ClusterError, NetDebugError
 from .campaign import (
-    CampaignProgress,
     CampaignReport,
     ScenarioMatrix,
-    ScenarioResult,
     ShardExecutor,
     _pool_context,
-    _replay_shard,
     _run_shard,
     run_campaign,
 )
-from .report import SessionReport
-from .transport import (
-    Channel,
-    decode_job,
-    require_cache_version,
-    stamp_cache_version,
+from .cli import (
+    ProgressPrinter,
+    add_matrix_args,
+    finish_report,
+    matrix_from_args,
 )
+from .transport import Channel, decode_job, require_cache_version
 
 __all__ = [
-    "SHARD_FUNCTIONS",
     "DEFAULT_RETRY_BUDGET",
-    "Coordinator",
-    "worker_main",
     "service_worker_main",
     "normalize_tags",
     "tags_eligible",
@@ -84,399 +79,21 @@ __all__ = [
     "main",
 ]
 
-#: Wire names for the shard functions a coordinator may dispatch. The
-#: protocol ships *names*, never code: a worker only ever executes the
-#: shard kernels its own build registers here.
-SHARD_FUNCTIONS = {
-    "run": _run_shard,
-    "replay": _replay_shard,
-}
-
-#: Re-dispatches allowed per shard after its first loss (so a shard is
-#: attempted at most ``1 + budget`` times before ClusterError).
+#: Re-dispatches allowed per shard after losing it to a worker failure
+#: (so a shard is lost at most ``1 + budget`` times before ClusterError).
 DEFAULT_RETRY_BUDGET = 2
 
 _CRASH_EXIT = 17
 
 
-def _fn_name_for(shard_fn) -> str:
-    for name, fn in SHARD_FUNCTIONS.items():
-        if fn is shard_fn:
-            return name
-    raise ClusterError(
-        "cluster executor can only dispatch registered shard functions "
-        f"({sorted(SHARD_FUNCTIONS)}), got {shard_fn!r}"
-    )
-
-
 # ---------------------------------------------------------------------------
-# Coordinator
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Worker:
-    """Coordinator-side record of one connected worker."""
-
-    name: str
-    channel: Channel
-    slots: int = 1
-    outstanding: set = dc_field(default_factory=set)
-    dead: bool = False
-
-
-class Coordinator:
-    """Serves shard jobs to socket-connected workers, streaming results.
-
-    One instance runs one campaign (:meth:`run`). All mutable state is
-    guarded by a single condition variable; per-worker sender threads
-    pull from the shared pending deque (so a fast worker naturally
-    takes more shards) and per-worker receiver threads ingest results
-    and detect death. ``port=0`` binds an ephemeral port — read
-    :attr:`address` for what to hand the workers.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
-        timeout: float | None = None,
-    ):
-        if retry_budget < 0:
-            raise ClusterError("retry budget must be >= 0")
-        self.retry_budget = retry_budget
-        self.timeout = timeout
-        self._listener = socket.create_server((host, port))
-        self._cond = threading.Condition()
-        self._ingest_lock = threading.Lock()
-        self._ingest_inflight = 0
-        self._jobs: dict[int, tuple] = {}
-        self._pending: deque[int] = deque()
-        self._attempts: dict[int, int] = {}
-        self._results: dict[int, ScenarioResult] = {}
-        self._error: ClusterError | None = None
-        self._fn_name = ""
-        self._ingest = None
-        self._closing = False
-        self._threads: list[threading.Thread] = []
-        self._workers: list[_Worker] = []
-        #: Shards re-dispatched after a worker loss (observability+tests).
-        self.requeues = 0
-        #: Workers that ever completed the hello handshake.
-        self.workers_seen = 0
-        #: Currently-connected workers; once at least one worker has
-        #: joined, this dropping to zero with work pending aborts the
-        #: campaign instead of hanging (fleet death is detectable even
-        #: for external workers the launcher never spawned).
-        self._alive = 0
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._listener.getsockname()[:2]
-        return host, port
-
-    # -- lifecycle ------------------------------------------------------
-
-    def run(
-        self,
-        jobs: list[tuple],
-        fn_name: str,
-        on_result=None,
-        liveness=None,
-    ) -> list[ScenarioResult]:
-        """Execute ``jobs`` across the fleet; return results by job index.
-
-        ``on_result`` is the executor-level per-result callback (fired
-        in arrival order, under the coordinator lock). ``liveness`` is
-        polled while waiting; returning False with work remaining
-        aborts with a :class:`ClusterError` instead of hanging forever
-        (the launcher passes "is any local worker process alive?").
-        """
-        if fn_name not in SHARD_FUNCTIONS:
-            raise ClusterError(f"unknown shard function {fn_name!r}")
-        with self._cond:
-            self._jobs = dict(enumerate(jobs))
-            self._pending = deque(range(len(jobs)))
-            self._attempts = {}
-            self._results = {}
-            self._fn_name = fn_name
-            self._ingest = on_result
-        accept = threading.Thread(
-            target=self._accept_loop, name="cluster-accept", daemon=True
-        )
-        accept.start()
-        deadline = (
-            time.monotonic() + self.timeout
-            if self.timeout is not None
-            else None
-        )
-        with self._cond:
-            while not self._done() and self._error is None:
-                self._cond.wait(timeout=0.1)
-                if self._done() or self._error is not None:
-                    break
-                fleet_dead = self.workers_seen > 0 and self._alive <= 0
-                if fleet_dead or (liveness is not None and not liveness()):
-                    self._error = ClusterError(
-                        "every worker exited with "
-                        f"{len(self._jobs) - len(self._results)} shards "
-                        "unfinished; nothing can complete the campaign"
-                    )
-                elif deadline is not None and time.monotonic() > deadline:
-                    self._error = ClusterError(
-                        f"campaign timed out after {self.timeout}s with "
-                        f"{len(self._results)}/{len(self._jobs)} shards "
-                        "complete"
-                    )
-            error = self._error
-            self._closing = True
-            self._cond.notify_all()
-        # Let sender threads deliver the graceful shutdown (and the
-        # receivers drain the resulting worker EOFs) before close()
-        # force-closes whatever is still stuck.
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self.close()
-        if error is not None:
-            raise error
-        with self._cond:
-            return [self._results[index] for index in range(len(jobs))]
-
-    def close(self) -> None:
-        with self._cond:
-            self._closing = True
-            workers = list(self._workers)
-            self._cond.notify_all()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        # Force receiver threads out of recv(): a wedged-but-connected
-        # worker (suspended host, stalled network) never EOFs on its
-        # own, and a blocked daemon thread + socket per timed-out
-        # campaign is a leak in long-lived embeddings.
-        for worker in workers:
-            worker.channel.close()
-
-    # -- shared-state helpers (call with the lock held) -----------------
-
-    def _done(self) -> bool:
-        return (
-            len(self._results) == len(self._jobs)
-            and self._ingest_inflight == 0
-        )
-
-    def _worker_died(self, worker: _Worker) -> None:
-        """Requeue a dead worker's outstanding shards (budget allowing)."""
-        with self._cond:
-            if worker.dead:
-                return
-            worker.dead = True
-            self._alive -= 1
-            for job_id in sorted(worker.outstanding):
-                if job_id in self._results:
-                    continue
-                attempts = self._attempts.get(job_id, 0)
-                if attempts > self.retry_budget:
-                    scenario = self._jobs[job_id][1]
-                    self._error = ClusterError(
-                        f"shard {job_id} ({scenario.key}) was lost to "
-                        f"worker failures {attempts} times; retry budget "
-                        f"of {self.retry_budget} exhausted"
-                    )
-                else:
-                    # Front of the queue: a lost shard is the oldest
-                    # work in flight, so it goes out next.
-                    self._pending.appendleft(job_id)
-                    self.requeues += 1
-            worker.outstanding.clear()
-            self._cond.notify_all()
-
-    # -- per-connection threads -----------------------------------------
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn, f"{peer[0]}:{peer[1]}"),
-                name=f"cluster-recv-{peer[1]}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket, name: str) -> None:
-        channel = Channel(conn)
-        # Until the hello lands, the peer is untrusted plumbing: accept
-        # JSON control frames only (never unpickle pre-handshake bytes)
-        # and bound the wait, so a port-scanner or idle health-check
-        # connection can neither execute code nor leak this thread.
-        conn.settimeout(10.0)
-        try:
-            hello = channel.recv(json_only=True)
-        except (ClusterError, OSError):
-            channel.close()
-            return
-        if not hello or hello.get("type") != "hello":
-            channel.close()
-            return
-        conn.settimeout(None)
-        worker = _Worker(
-            name=name,
-            channel=channel,
-            slots=max(1, int(hello.get("slots", 1))),
-        )
-        with self._cond:
-            self.workers_seen += 1
-            self._alive += 1
-            self._workers.append(worker)
-            self._cond.notify_all()
-        sender = threading.Thread(
-            target=self._send_loop,
-            args=(worker,),
-            name=f"cluster-send-{name}",
-            daemon=True,
-        )
-        self._threads.append(sender)
-        sender.start()
-        self._recv_loop(worker)
-
-    def _send_loop(self, worker: _Worker) -> None:
-        while True:
-            with self._cond:
-                while not (
-                    self._error is not None
-                    or self._closing
-                    or worker.dead
-                    or self._done()
-                    or (
-                        self._pending
-                        and len(worker.outstanding) < worker.slots
-                    )
-                ):
-                    self._cond.wait(timeout=0.1)
-                if (
-                    self._error is not None
-                    or self._closing
-                    or worker.dead
-                    or self._done()
-                ):
-                    break
-                job_id = self._pending.popleft()
-                self._attempts[job_id] = self._attempts.get(job_id, 0) + 1
-                worker.outstanding.add(job_id)
-                message = stamp_cache_version(
-                    {
-                        "type": "job",
-                        "id": job_id,
-                        "fn": self._fn_name,
-                        "job": self._jobs[job_id],
-                    }
-                )
-            try:
-                worker.channel.send(message, binary=True)
-            except (OSError, ClusterError):
-                self._worker_died(worker)
-                return
-        # Graceful teardown: tell the worker the campaign is over.
-        try:
-            worker.channel.send({"type": "shutdown"})
-        except (OSError, ClusterError):
-            pass
-
-    def _recv_loop(self, worker: _Worker) -> None:
-        while True:
-            try:
-                message = worker.channel.recv()
-            except (OSError, ClusterError):
-                message = None  # died mid-frame
-            if message is None:
-                break
-            kind = message.get("type")
-            if kind == "result":
-                with self._cond:
-                    job_id = message.get("id")
-                    if job_id not in self._jobs or "result" not in message:
-                        # A foreign/version-skewed worker implementation
-                        # must fail the campaign loudly, not strand its
-                        # outstanding shards or corrupt the result map.
-                        self._error = ClusterError(
-                            f"worker {worker.name} sent a malformed "
-                            f"result message (id={job_id!r})"
-                        )
-                        self._cond.notify_all()
-                        break
-                    worker.outstanding.discard(job_id)
-                    fresh = job_id not in self._results
-                    # Never fire the user hook for results straggling in
-                    # after the campaign already failed or tore down —
-                    # run() has raised; mutating user state now would
-                    # race their error handling.
-                    ingesting = (
-                        fresh
-                        and self._ingest is not None
-                        and self._error is None
-                        and not self._closing
-                    )
-                    if fresh:
-                        self._results[job_id] = message["result"]
-                    if ingesting:
-                        self._ingest_inflight += 1
-                    self._cond.notify_all()
-                # The user hook runs OFF the dispatch lock (a slow
-                # callback must not stall job flow to other workers)
-                # but under its own lock, so callbacks stay serialized
-                # and the progress counters stay consistent; _done()
-                # holds until in-flight callbacks land, so run()
-                # cannot return with the last hook still executing.
-                if ingesting:
-                    try:
-                        with self._ingest_lock:
-                            self._ingest(message["result"])
-                    except Exception as exc:
-                        with self._cond:
-                            self._error = ClusterError(
-                                f"on_result callback raised: {exc!r}"
-                            )
-                    finally:
-                        with self._cond:
-                            self._ingest_inflight -= 1
-                            self._cond.notify_all()
-            elif kind == "error":
-                # A shard *raising* is deterministic — it would raise on
-                # every worker, so requeueing cannot help. Abort with
-                # the remote traceback.
-                with self._cond:
-                    self._error = ClusterError(
-                        f"worker {worker.name} failed shard "
-                        f"{message.get('id')}:\n{message.get('error')}"
-                    )
-                    self._cond.notify_all()
-                break
-            else:
-                with self._cond:
-                    self._error = ClusterError(
-                        f"worker {worker.name} sent unexpected message "
-                        f"type {kind!r}"
-                    )
-                    self._cond.notify_all()
-                break
-        self._worker_died(worker)
-        worker.channel.close()
-
-
-# ---------------------------------------------------------------------------
-# Worker
+# Service worker
 # ---------------------------------------------------------------------------
 
 def _connect_with_retry(
     address: tuple[str, int], retry_s: float
 ) -> socket.socket:
-    """Workers are routinely started before (or with) the coordinator —
+    """Workers are routinely started before (or with) the service —
     retry the connect briefly instead of racing the launch order."""
     deadline = time.monotonic() + retry_s
     while True:
@@ -490,154 +107,11 @@ def _connect_with_retry(
         except OSError as exc:
             if time.monotonic() >= deadline:
                 raise ClusterError(
-                    f"could not connect to coordinator at "
+                    f"could not connect to the campaign service at "
                     f"{address[0]}:{address[1]} within {retry_s}s: {exc}"
                 ) from exc
             time.sleep(0.2)
 
-
-def _invoke_shard(fn_name: str, job: tuple) -> ScenarioResult:
-    return SHARD_FUNCTIONS[fn_name](job)
-
-
-def _execute_and_reply(channel: Channel, message: dict) -> None:
-    job_id = message.get("id")
-    try:
-        result = _invoke_shard(message["fn"], message["job"])
-    except Exception:
-        channel.send(
-            {
-                "type": "error",
-                "id": job_id,
-                "error": traceback.format_exc(),
-            }
-        )
-    else:
-        channel.send(
-            {"type": "result", "id": job_id, "result": result}, binary=True
-        )
-
-
-def _serve_inline(
-    channel: Channel, crash_after: int | None
-) -> None:
-    completed = 0
-    while True:
-        message = channel.recv()
-        if message is None or message.get("type") == "shutdown":
-            return
-        if message.get("type") != "job":
-            raise ClusterError(
-                f"worker got unexpected message type "
-                f"{message.get('type')!r}"
-            )
-        require_cache_version(message)
-        if crash_after is not None and completed >= crash_after:
-            os._exit(_CRASH_EXIT)  # simulate dying mid-shard
-        _execute_and_reply(channel, message)
-        completed += 1
-
-
-def _serve_pool(
-    channel: Channel, slots: int, crash_after: int | None
-) -> None:
-    pool = _pool_context().Pool(processes=slots)
-    # crash_after counts *completed* shards in both serving modes (the
-    # CLI promise); completions land on multiprocessing's result-handler
-    # thread, hence the lock.
-    completed = 0
-    completed_lock = threading.Lock()
-    try:
-        while True:
-            message = channel.recv()
-            if message is None or message.get("type") == "shutdown":
-                return
-            if message.get("type") != "job":
-                raise ClusterError(
-                    f"worker got unexpected message type "
-                    f"{message.get('type')!r}"
-                )
-            require_cache_version(message)
-            if crash_after is not None:
-                with completed_lock:
-                    crash_now = completed >= crash_after
-                if crash_now:
-                    os._exit(_CRASH_EXIT)
-            job_id = message["id"]
-
-            def _reply_ok(result, job_id=job_id):
-                nonlocal completed
-                try:
-                    channel.send(
-                        {"type": "result", "id": job_id, "result": result},
-                        binary=True,
-                    )
-                except (OSError, ClusterError):
-                    os._exit(3)  # coordinator gone; nothing left to serve
-                with completed_lock:
-                    completed += 1
-
-            def _reply_err(exc, job_id=job_id):
-                nonlocal completed
-                try:
-                    channel.send(
-                        {
-                            "type": "error",
-                            "id": job_id,
-                            "error": "".join(
-                                traceback.format_exception(exc)
-                            ),
-                        }
-                    )
-                except (OSError, ClusterError):
-                    os._exit(3)
-                with completed_lock:
-                    completed += 1
-
-            pool.apply_async(
-                _invoke_shard,
-                (message["fn"], message["job"]),
-                callback=_reply_ok,
-                error_callback=_reply_err,
-            )
-    finally:
-        pool.close()
-        pool.join()
-
-
-def worker_main(
-    address: tuple[str, int],
-    slots: int = 1,
-    crash_after: int | None = None,
-    connect_retry_s: float = 20.0,
-) -> None:
-    """Run one cluster worker until the coordinator shuts it down.
-
-    ``slots`` > 1 backs the worker with a local process pool so one
-    worker saturates a many-core host; the coordinator pipelines up to
-    ``slots`` shards to it. ``crash_after`` is the chaos hook the
-    fault-tolerance tests and CLI expose: the worker process hard-exits
-    (``os._exit``) upon *receiving* shard number ``crash_after + 1`` —
-    i.e. with that shard dispatched but unfinished — which is exactly
-    the mid-shard crash the coordinator must requeue around.
-    """
-    sock = _connect_with_retry(address, connect_retry_s)
-    channel = Channel(sock)
-    channel.send(
-        {"type": "hello", "slots": max(1, int(slots)), "pid": os.getpid()}
-    )
-    try:
-        if slots <= 1:
-            _serve_inline(channel, crash_after)
-        else:
-            _serve_pool(channel, slots, crash_after)
-    finally:
-        channel.close()
-
-
-# ---------------------------------------------------------------------------
-# Service worker (persistent fleet protocol)
-# ---------------------------------------------------------------------------
 
 def normalize_tags(tags) -> tuple[str, ...]:
     """Validate capability tags into sorted ``dim:value`` form.
@@ -709,20 +183,18 @@ def _service_execute(message: dict) -> dict:
     }
     try:
         require_cache_version(message)
-        if message.get("fn", "run") != "run":
-            raise ClusterError(
-                f"service workers only run 'run' shards, got "
-                f"{message.get('fn')!r}"
-            )
         result = _run_shard(decode_job(message["job"]))
     except Exception:
         return {"type": "error", "error": traceback.format_exc(), **base}
     reply = {"type": "result", "result": result.to_dict(), **base}
-    # cache_stats is deliberately NOT part of ScenarioResult.to_dict
-    # (golden bytes); it rides the frame as a sidecar so the service can
-    # still aggregate compile-cache counters into report.meta.
+    # cache_stats and a recorded suite are deliberately NOT part of
+    # ScenarioResult.to_dict (golden bytes); they ride the frame as
+    # sidecars so the service can still aggregate compile-cache
+    # counters into report.meta and write regression artifacts.
     if result.cache_stats:
         reply["cache_stats"] = dict(result.cache_stats)
+    if result.suite is not None:
+        reply["suite"] = result.suite.to_dict()
     return reply
 
 
@@ -737,12 +209,9 @@ def service_worker_main(
     connect_retry_s: float = 20.0,
     reconnect_budget: int = 8,
 ) -> None:
-    """Run one *service* worker until the coordinator dismisses it.
+    """Run one service worker until the coordinator dismisses it.
 
-    Differences from the legacy one-shot :func:`worker_main`:
-
-    * the wire is JSON-only and (with ``secret``) HMAC-authenticated —
-      a service worker never unpickles coordinator bytes;
+    * the wire is JSON-only and (with ``secret``) HMAC-authenticated;
     * the hello declares capability ``tags`` and a persistent
       ``session`` id, and every completed assignment is held in a
       ledger until acked, so a transient drop resumes instead of
@@ -752,9 +221,9 @@ def service_worker_main(
       pipelined into the local queue by the coordinator.
 
     ``crash_after`` hard-exits on *receiving* shard ``crash_after + 1``
-    (legacy chaos semantics); ``drop_after`` instead closes the socket
-    after every ``drop_after`` completions and reconnects — the
-    reconnect-protocol chaos knob.
+    — the mid-shard crash the coordinator must requeue around;
+    ``drop_after`` instead closes the socket after every ``drop_after``
+    completions and reconnects — the reconnect-protocol chaos knob.
     """
     state = _ServiceSession(session)
     tags = normalize_tags(tags)
@@ -811,7 +280,7 @@ def _serve_service(
             "done": sorted(state.ledger),
         }
     )
-    welcome = channel.recv(json_only=True)
+    welcome = channel.recv()
     if welcome is None or welcome.get("type") == "shutdown":
         return "shutdown"
     if welcome.get("type") != "welcome":
@@ -832,7 +301,7 @@ def _serve_service(
     def _recv_loop() -> None:
         while True:
             try:
-                message = channel.recv(json_only=True)
+                message = channel.recv()
             except (OSError, ClusterError):
                 message = None
             with cond:
@@ -857,124 +326,134 @@ def _serve_service(
     )
     receiver.start()
     dropped_at = state.completed
-    while True:
-        with cond:
-            while status["outcome"] is None and not state.queue:
-                cond.wait(timeout=0.1)
-            if status["outcome"] == "shutdown":
-                return "shutdown"
-            if status["outcome"] is not None and not state.queue:
-                return status["outcome"]
-            if not state.queue:
-                continue
+    try:
+        while True:
+            with cond:
+                while status["outcome"] is None and not state.queue:
+                    cond.wait(timeout=0.1)
+                if status["outcome"] == "shutdown":
+                    return "shutdown"
+                if status["outcome"] is not None and not state.queue:
+                    return status["outcome"]
+                if not state.queue:
+                    continue
+                if (
+                    crash_after is not None
+                    and state.completed >= crash_after
+                ):
+                    os._exit(_CRASH_EXIT)
+                message = state.queue.popleft()
+            reply = _service_execute(message)
+            with cond:
+                aid = message.get("assignment")
+                if aid is not None:
+                    state.ledger[aid] = reply
+                state.completed += 1
+            try:
+                channel.send(reply)
+            except (OSError, ClusterError):
+                return "lost"  # reply survives in the ledger
             if (
-                crash_after is not None
-                and state.completed >= crash_after
+                drop_after is not None
+                and state.completed - dropped_at >= drop_after
             ):
-                os._exit(_CRASH_EXIT)
-            message = state.queue.popleft()
-        reply = _service_execute(message)
-        with cond:
-            aid = message.get("assignment")
-            if aid is not None:
-                state.ledger[aid] = reply
-            state.completed += 1
-        try:
-            channel.send(reply)
-        except (OSError, ClusterError):
-            return "lost"  # reply survives in the ledger
-        if (
-            drop_after is not None
-            and state.completed - dropped_at >= drop_after
-        ):
-            return "lost"  # chaos: simulate a transient drop
+                return "lost"  # chaos: simulate a transient drop
+    finally:
+        # The next hello must declare every job this connection
+        # delivered: stop the receiver before returning, so no job
+        # frame it already read lands in the queue after that hello
+        # went out (the coordinator would requeue it as lost).
+        channel.close()
+        receiver.join()
 
 
 # ---------------------------------------------------------------------------
-# Executor + localhost launcher
+# One-shot cluster: an ephemeral service
 # ---------------------------------------------------------------------------
 
 class ClusterExecutor(ShardExecutor):
     """The :func:`run_campaign` executor seam, cluster flavour.
 
-    With ``local_workers`` > 0 it spawns that many worker processes on
-    this host (the convenience/CI path); with 0 it binds ``host:port``
-    and waits for external workers started via the CLI on any machine.
-    ``crash_after`` applies to the first local worker only — the chaos
-    knob the fault-tolerance tests turn.
+    Each :meth:`execute` is one ephemeral campaign service: an
+    in-process :class:`~repro.netdebug.service.CampaignService` on
+    ``127.0.0.1:0`` with a fresh random HMAC secret, ``workers`` forked
+    :func:`service_worker_main` processes, one campaign, then teardown.
+    ``crash_after`` applies to the first worker only — the chaos knob
+    the fault-tolerance tests turn. After a run, :attr:`requeues`
+    counts the shards that moved off a lost worker.
     """
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        local_workers: int = 0,
-        slots: int = 1,
+        workers: int = 2,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
         timeout: float | None = None,
         crash_after: int | None = None,
     ):
-        self.host = host
-        self.port = port
-        self.local_workers = local_workers
-        self.slots = slots
+        if workers < 1:
+            raise ClusterError("a cluster needs at least one worker")
+        if retry_budget < 0:
+            raise ClusterError("retry budget must be >= 0")
+        self.workers = workers
         self.retry_budget = retry_budget
         self.timeout = timeout
         self.crash_after = crash_after
         self.requeues = 0
-        self.workers_seen = 0
 
     def execute(self, jobs, shard_fn, on_result=None):
-        fn_name = _fn_name_for(shard_fn)
-        coordinator = Coordinator(
-            host=self.host,
-            port=self.port,
+        if shard_fn is not _run_shard:
+            raise ClusterError(
+                "the cluster runs live campaign shards only; replay a "
+                "recorded campaign with replay_campaign(workers=N)"
+            )
+        # Deferred: the service imports this module's worker side.
+        from .service import CampaignService
+
+        secret = os.urandom(32)
+        # A local worker whose connection drops has died: requeue its
+        # shards at once instead of holding them for a reconnect.
+        service = CampaignService(
+            secret=secret,
             retry_budget=self.retry_budget,
-            timeout=self.timeout,
+            reconnect_grace_s=0.0,
         )
-        workers: list = []
         context = _pool_context()
+        processes = []
         try:
-            for index in range(self.local_workers):
-                # Not daemonic: a slots>1 worker backs itself with a
-                # process pool, and daemons may not have children. The
-                # finally below joins (and as a last resort terminates)
-                # them; if this whole process dies, the closed sockets
-                # EOF the workers out anyway.
+            # Fork before the service starts its threads.
+            for index in range(self.workers):
                 process = context.Process(
-                    target=worker_main,
-                    args=(coordinator.address,),
+                    target=service_worker_main,
+                    args=(service.address,),
                     kwargs={
-                        "slots": self.slots,
+                        "secret": secret,
                         "crash_after": (
                             self.crash_after if index == 0 else None
                         ),
                     },
+                    daemon=True,
                 )
                 process.start()
-                workers.append(process)
-            liveness = (
-                (lambda: any(p.is_alive() for p in workers))
-                if workers
-                else None
-            )
-            return coordinator.run(
-                jobs, fn_name, on_result=on_result, liveness=liveness
+                processes.append(process)
+            service.start()
+            return service.run_jobs(
+                jobs,
+                on_result=on_result,
+                timeout=self.timeout,
+                liveness=lambda: any(p.is_alive() for p in processes),
             )
         finally:
-            coordinator.close()
-            for process in workers:
+            self.requeues = service.requeues
+            service.close()
+            for process in processes:
                 process.join(timeout=5.0)
                 if process.is_alive():
                     process.terminate()
-            self.requeues = coordinator.requeues
-            self.workers_seen = coordinator.workers_seen
 
 
 def run_cluster_campaign(
     matrix: ScenarioMatrix,
     workers: int = 2,
-    slots: int = 1,
     name: str = "campaign",
     record_dir: str | Path | None = None,
     on_result=None,
@@ -984,26 +463,22 @@ def run_cluster_campaign(
     oracle_factory=None,
     compress: bool | object = False,
 ) -> CampaignReport:
-    """Run ``matrix`` on a localhost coordinator + ``workers`` worker
-    processes over the real socket transport — the one-call launcher
-    tests, CI and benchmarks use. Byte-identical to ``run_campaign``
-    on the same matrix (and across engines). ``oracle_factory`` rides
-    the pickled job frames to remote workers, so it must resolve by
-    reference there — a module-level class or function (the named
-    ``ORACLES`` entries qualify). ``compress`` behaves exactly as in
-    :func:`run_campaign`: only bucket representatives are fanned out to
-    the worker fleet; the report is re-expanded on the coordinator."""
-    executor = ClusterExecutor(
-        local_workers=workers,
-        slots=slots,
-        retry_budget=retry_budget,
-        timeout=timeout,
-    )
+    """Run ``matrix`` on an ephemeral localhost service with ``workers``
+    worker processes — the one-call launcher tests, CI and benchmarks
+    use. Byte-identical to ``run_campaign`` on the same matrix (and
+    across engines). ``oracle_factory`` travels to the workers by name,
+    so it must be an :data:`~repro.netdebug.oracle.ORACLES` entry; any
+    other callable is refused with a :class:`ClusterError`.
+    ``compress`` behaves exactly as in :func:`run_campaign`: only bucket
+    representatives are fanned out to the workers; the report is
+    re-expanded in this process."""
     return run_campaign(
         matrix,
         name=name,
         record_dir=record_dir,
-        executor=executor,
+        executor=ClusterExecutor(
+            workers=workers, retry_budget=retry_budget, timeout=timeout
+        ),
         on_result=on_result,
         engine=engine,
         oracle_factory=oracle_factory,
@@ -1011,126 +486,9 @@ def run_cluster_campaign(
     )
 
 
-class ProgressPrinter:
-    """A live text renderer for the streaming ``on_result`` hook.
-
-    Prints one line per completed scenario *as it lands* (out of order
-    under parallel executors), plus how far the campaign is — the
-    paper-workflow view of a long sweep. Records
-    :attr:`first_result_s`, which is what the streaming-vs-barrier
-    benchmark reports as time-to-first-result.
-    """
-
-    def __init__(self, stream=None):
-        self._stream = stream if stream is not None else sys.stdout
-        self._start = time.perf_counter()
-        self.first_result_s: float | None = None
-
-    def __call__(
-        self,
-        scenario_key: str,
-        report: SessionReport,
-        progress: CampaignProgress,
-    ) -> None:
-        elapsed = time.perf_counter() - self._start
-        if self.first_result_s is None:
-            self.first_result_s = elapsed
-        width = len(str(progress.total))
-        verdict = "PASS" if report.passed else "FAIL"
-        print(
-            f"[{progress.completed:>{width}}/{progress.total}] "
-            f"{scenario_key:<55} {verdict} "
-            f"findings={len(report.findings):<3} t={elapsed:7.2f}s",
-            file=self._stream,
-            flush=True,
-        )
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-
-def _parse_address(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ClusterError(
-            f"address must look like HOST:PORT, got {text!r}"
-        )
-    return host, int(port)
-
-
-def _csv(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def _matrix_from_args(args) -> tuple[ScenarioMatrix, str]:
-    if getattr(args, "baseline", False):
-        from .diffing import baseline_matrix
-
-        return baseline_matrix(), "baseline"
-    matrix = ScenarioMatrix(
-        programs=_csv(args.programs),
-        targets=_csv(args.targets),
-        workloads=_csv(args.workloads),
-        count=args.count,
-        seed=args.seed,
-        setup=args.setup,
-        sla_p99_cycles=args.sla_p99,
-        oracle=args.oracle,
-    )
-    return matrix, args.name
-
-
-def _add_matrix_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="run the committed golden-baseline matrix "
-             "(repro.netdebug.diffing.baseline_matrix); overrides the "
-             "axis flags below",
-    )
-    parser.add_argument("--programs", default="strict_parser,acl_firewall")
-    parser.add_argument("--targets", default="reference,sdnet,tofino")
-    parser.add_argument("--workloads", default="udp,malformed")
-    parser.add_argument("--count", type=int, default=16,
-                        help="packets per scenario")
-    parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--setup", default="acl_gate",
-                        help="named provisioner ('' for none)")
-    parser.add_argument("--sla-p99", type=float, default=None,
-                        help="optional p99 latency SLA in cycles")
-    parser.add_argument("--engine", default="closure",
-                        choices=("tree", "closure", "batch"),
-                        help="execution engine for shard devices")
-    parser.add_argument("--oracle", default="stateless",
-                        choices=("stateless", "stateful"),
-                        help="named expectation oracle: 'stateful' "
-                             "threads register state across each "
-                             "cell's packet sequence")
-    parser.add_argument("--name", default="campaign")
-    parser.add_argument(
-        "--compress", action="store_true",
-        help="bucket the matrix by behaviour signature and execute "
-             "only representatives (repro.netdebug.compression); the "
-             "report is re-expanded with pruned cells marked "
-             "represented_by",
-    )
-    parser.add_argument("--out", default="",
-                        help="write the campaign report JSON here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the live per-scenario stream")
-
-
-def _finish_campaign(report: CampaignReport, args) -> int:
-    print(report.summary())
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        report.save(out)
-        print(f"report written to {out}")
-    # Exit 0 whenever the campaign *completed*: deviant cells failing is
-    # a result (the baseline matrix fails by design), not a crash.
-    return 0
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -1139,73 +497,30 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    coordinator = commands.add_parser(
-        "coordinator",
-        help="serve a campaign's shards to connecting workers",
-    )
-    coordinator.add_argument("--listen", default="127.0.0.1:47815",
-                             help="HOST:PORT to bind")
-    coordinator.add_argument("--retry-budget", type=int,
-                             default=DEFAULT_RETRY_BUDGET)
-    coordinator.add_argument("--timeout", type=float, default=600.0,
-                             help="abort after this many seconds")
-    _add_matrix_args(coordinator)
-
-    worker = commands.add_parser(
-        "worker", help="execute shards for a coordinator"
-    )
-    worker.add_argument("--connect", required=True, help="HOST:PORT")
-    worker.add_argument("--slots", type=int, default=1,
-                        help="concurrent shards this worker runs")
-    worker.add_argument("--crash-after", type=int, default=None,
-                        help="chaos testing: hard-exit after completing "
-                             "this many shards")
-
     local = commands.add_parser(
         "local",
-        help="one-call localhost cluster: coordinator + N workers",
+        help="run one campaign on an ephemeral localhost service with "
+             "N workers",
     )
     local.add_argument("--workers", type=int, default=2)
-    local.add_argument("--slots", type=int, default=1)
     local.add_argument("--retry-budget", type=int,
                        default=DEFAULT_RETRY_BUDGET)
     local.add_argument("--timeout", type=float, default=600.0)
-    _add_matrix_args(local)
+    add_matrix_args(local)
+    local.add_argument(
+        "--compress", action="store_true",
+        help="bucket the matrix by behaviour signature and execute "
+             "only representatives (repro.netdebug.compression); the "
+             "report is re-expanded with pruned cells marked "
+             "represented_by",
+    )
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "worker":
-            worker_main(
-                _parse_address(args.connect),
-                slots=args.slots,
-                crash_after=args.crash_after,
-            )
-            return 0
-        if args.command == "coordinator":
-            matrix, name = _matrix_from_args(args)
-            host, port = _parse_address(args.listen)
-            executor = ClusterExecutor(
-                host=host,
-                port=port,
-                retry_budget=args.retry_budget,
-                timeout=args.timeout,
-            )
-            report = run_campaign(
-                matrix,
-                name=name,
-                executor=executor,
-                on_result=None if args.quiet else ProgressPrinter(),
-                engine=args.engine,
-                compress=args.compress,
-            )
-            return _finish_campaign(report, args)
-        # local
-        matrix, name = _matrix_from_args(args)
+        matrix, name = matrix_from_args(args)
         report = run_cluster_campaign(
             matrix,
             workers=args.workers,
-            slots=args.slots,
             name=name,
             retry_budget=args.retry_budget,
             timeout=args.timeout,
@@ -1213,10 +528,13 @@ def main(argv: list[str] | None = None) -> int:
             engine=args.engine,
             compress=args.compress,
         )
-        return _finish_campaign(report, args)
-    except ClusterError as exc:
+    except (ClusterError, NetDebugError) as exc:
         print(f"cluster error: {exc}", file=sys.stderr)
         return 2
+    finish_report(report, args.out)
+    # Exit 0 whenever the campaign *completed*: deviant cells failing is
+    # a result (the baseline matrix fails by design), not a crash.
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI smoke

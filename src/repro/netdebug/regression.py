@@ -98,6 +98,27 @@ class RegressionSuite:
             _check_expectation(self.name, index, expectation)
 
     # -- persistence -----------------------------------------------------
+    def to_dict(self) -> dict:
+        """The suite as JSON data (frames hex-encoded) — how a service
+        worker hands a recorded cell back over the wire."""
+        return {
+            "name": self.name,
+            "frames": [frame.hex() for frame in self.frames],
+            "expectations": [
+                _expectation_to_dict(e) for e in self.expectations
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RegressionSuite":
+        return cls(
+            name=data["name"],
+            frames=[bytes.fromhex(frame) for frame in data["frames"]],
+            expectations=[
+                _expectation_from_dict(e) for e in data["expectations"]
+            ],
+        )
+
     def save(self, directory: str | Path) -> tuple[Path, Path]:
         """Write ``<name>.pcap`` and ``<name>.expect.json`` files."""
         directory = Path(directory)

@@ -1,9 +1,10 @@
 """Campaign-as-a-service: a persistent, multi-tenant validation fleet.
 
-The cluster module (:mod:`repro.netdebug.cluster`) is a one-shot
-launcher: one matrix in, one fleet torn down. This module promotes it
-to a **long-running service** any CI in the org can call — submit →
-stream → diff-gate — with the properties a shared fleet needs:
+One scheduler serves every distributed campaign: a **long-running
+service** any CI in the org can call — submit → stream → diff-gate —
+and the one-shot cluster launcher (:mod:`repro.netdebug.cluster`),
+which runs one campaign on an ephemeral in-process instance of it. It
+has the properties a shared fleet needs:
 
 * **Many concurrent campaigns.** Each submission carries a tenant id,
   a strict-priority tier and a fair-share weight. Scheduling is
@@ -23,8 +24,8 @@ stream → diff-gate — with the properties a shared fleet needs:
   session id; the coordinator keeps its assignments alive for a grace
   window and, on resume, requeues only what the worker genuinely no
   longer holds — no dropped cells, no duplicated cells.
-* **A hardened wire.** The service speaks JSON frames only — a pickle
-  job frame is rejected without ever being unpickled — and, keyed from
+* **A hardened wire.** The service speaks JSON frames only — any other
+  frame kind is refused from its header, body unread — and, keyed from
   ``REPRO_SERVICE_SECRET``, every frame in both directions carries an
   HMAC-SHA256 tag over an implicit per-direction sequence number
   (:class:`repro.netdebug.transport.FrameAuth`), so a stray peer can
@@ -65,26 +66,30 @@ from pathlib import Path
 
 from ..exceptions import ClusterError, NetDebugError
 from .campaign import (
-    CampaignProgress,
     CampaignReport,
-    ScenarioMatrix,
     ScenarioResult,
-    _EPOCH_COUNTER,
     _require_known_engine,
+    _shard_jobs,
     assemble_report,
     matrix_from_dict,
 )
-from .cluster import (
+from .cli import (
     ProgressPrinter,
-    _add_matrix_args,
-    _csv,
-    _matrix_from_args,
-    _parse_address,
+    add_matrix_args,
+    csv_list,
+    finish_report,
+    matrix_from_args,
+    parse_address,
+)
+from .cluster import (
+    DEFAULT_RETRY_BUDGET,
     normalize_tags,
     service_worker_main,
     tags_eligible,
 )
 from .diffing import diff_campaigns
+from .oracle import ORACLES
+from .regression import RegressionSuite
 from .transport import SECRET_ENV, Channel, encode_job, resolve_secret, \
     stamp_cache_version
 
@@ -104,9 +109,6 @@ DEFAULT_RECONNECT_GRACE_S = 5.0
 #: worker duplicates it rather than sitting empty behind a slow peer.
 DEFAULT_STEAL_AFTER_S = 4.0
 
-#: Requeues allowed per shard before its campaign fails.
-DEFAULT_RETRY_BUDGET = 2
-
 #: Completed campaigns retained in memory for late ``gate`` queries.
 DEFAULT_KEEP_REPORTS = 32
 
@@ -122,8 +124,30 @@ class _Assignment:
     dispatched_at: float
 
 
+def _oracle_name(factory) -> str | None:
+    """The registry name a job's ``oracle_factory`` travels under."""
+    if factory is None:
+        return None
+    for name, registered in ORACLES.items():
+        if registered is factory:
+            return name
+    raise ClusterError(
+        f"oracle_factory {factory!r} is not registered in "
+        f"repro.netdebug.oracle.ORACLES ({', '.join(sorted(ORACLES))}); "
+        "service workers receive oracles by registry name, never as code"
+    )
+
+
 class _Campaign:
-    """Coordinator-side state of one submitted campaign."""
+    """Service-side state of one campaign.
+
+    Built from :func:`~repro.netdebug.campaign._run_shard` job tuples:
+    a wire ``submit`` expands its matrix into them, and the in-process
+    launcher (:meth:`CampaignService.run_jobs`) passes the ones
+    :func:`~repro.netdebug.campaign.run_campaign` built. Each job is
+    encoded once, up front, so a job that cannot travel (a predicate
+    fault, an unregistered oracle factory) is refused at admission.
+    """
 
     def __init__(
         self,
@@ -132,27 +156,30 @@ class _Campaign:
         tenant: str,
         priority: int,
         weight: float,
-        matrix: ScenarioMatrix,
-        engine: str,
+        jobs: list[tuple],
     ):
         self.cid = cid
         self.name = name
         self.tenant = tenant
         self.priority = priority
         self.weight = weight
-        self.matrix = matrix
-        self.engine = engine
-        self.epoch = next(_EPOCH_COUNTER)
-        self.scenarios = matrix.expand()
-        self.faults = {
-            label: tuple(fault_set)
-            for label, fault_set in matrix.faults.items()
-        }
-        self.pending: deque[int] = deque(range(len(self.scenarios)))
+        self.jobs = list(jobs)
+        self.payloads = [
+            encode_job(
+                epoch, scenario, faults, engine=engine, record=record,
+                oracle=_oracle_name(factory),
+            )
+            for epoch, scenario, faults, record, engine, factory
+            in self.jobs
+        ]
+        self.pending: deque[int] = deque(range(len(self.jobs)))
         #: job index -> aids currently dispatched for it (>1 = stolen).
         self.inflight: dict[int, set[int]] = {}
+        #: job index -> result, in arrival order.
         self.results: dict[int, ScenarioResult] = {}
-        self.attempts: dict[int, int] = {}
+        #: job index -> times a worker failure lost it (the retry
+        #: budget's currency; resumed drops and steals are free).
+        self.failures: dict[int, int] = {}
         #: Deficit-round-robin credit (1 credit = 1 shard dispatch).
         self.credit = 0.0
         #: Dispatches made while at least one other campaign was also
@@ -165,7 +192,10 @@ class _Campaign:
 
     @property
     def total(self) -> int:
-        return len(self.scenarios)
+        return len(self.jobs)
+
+    def key(self, job_index: int) -> str:
+        return self.jobs[job_index][1].key
 
     @property
     def done(self) -> bool:
@@ -175,24 +205,17 @@ class _Campaign:
         )
 
     def required_tags(self, job_index: int) -> tuple[str, str]:
-        scenario = self.scenarios[job_index]
-        return (f"target:{scenario.target}", f"engine:{self.engine}")
+        _, scenario, _, _, engine, _ = self.jobs[job_index]
+        return (f"target:{scenario.target}", f"engine:{engine}")
 
     def job_frame(self, aid: int, job_index: int) -> dict:
-        scenario = self.scenarios[job_index]
         return stamp_cache_version(
             {
                 "type": "job",
                 "assignment": aid,
                 "campaign": self.cid,
                 "id": job_index,
-                "fn": "run",
-                "job": encode_job(
-                    self.epoch,
-                    scenario,
-                    self.faults[scenario.fault],
-                    engine=self.engine,
-                ),
+                "job": self.payloads[job_index],
             }
         )
 
@@ -224,7 +247,7 @@ class _Campaign:
 
 
 class _FleetWorker:
-    """Coordinator-side record of one service worker session."""
+    """Service-side record of one worker session."""
 
     def __init__(
         self,
@@ -301,6 +324,8 @@ class CampaignService:
         #: Campaigns ever accepted / completed (observability + tests).
         self.campaigns_seen = 0
         self.steals = 0
+        #: Shards put back on the queue after their worker lost them.
+        self.requeues = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -368,13 +393,12 @@ class CampaignService:
 
     def _serve_connection(self, conn: socket.socket, name: str) -> None:
         channel = Channel(conn, secret=self.secret)
-        # Pre-handshake the peer is untrusted: JSON frames only (a
-        # pickle frame is rejected by kind byte, never unpickled), a
-        # bounded wait, and — with a secret — a valid HMAC tag before
-        # the first byte of body is even parsed.
+        # Pre-handshake the peer is untrusted: a bounded wait and —
+        # with a secret — a valid HMAC tag before the first byte of
+        # body is even parsed (non-JSON kind bytes never get that far).
         conn.settimeout(10.0)
         try:
-            first = channel.recv(json_only=True)
+            first = channel.recv()
         except (ClusterError, OSError):
             channel.close()
             return
@@ -461,7 +485,9 @@ class CampaignService:
                 if assignment is not None and assignment.session == session:
                     worker.outstanding[aid] = assignment
             # Whatever this session was assigned but neither finished
-            # nor still holds was truly lost mid-drop: requeue it now.
+            # nor still holds was lost in transit across the drop:
+            # requeue it now. The worker came back, so no worker
+            # failed — the shard's retry budget is not charged.
             for assignment in [
                 a
                 for a in self._assignments.values()
@@ -469,7 +495,9 @@ class CampaignService:
                 and a.aid not in done
                 and a.aid not in holding
             ]:
-                self._retire_assignment_locked(assignment, requeue=True)
+                self._retire_assignment_locked(
+                    assignment, requeue=True, charge=False
+                )
             self._workers[session] = worker
             worker.channel.send(
                 {
@@ -485,7 +513,7 @@ class CampaignService:
     def _worker_recv_loop(self, worker: _FleetWorker) -> None:
         while True:
             try:
-                message = worker.channel.recv(json_only=True)
+                message = worker.channel.recv()
             except (OSError, ClusterError):
                 message = None
             if message is None:
@@ -532,7 +560,7 @@ class CampaignService:
                 self._fail_campaign_locked(
                     campaign,
                     f"worker {worker.name} failed shard {job_index} "
-                    f"({campaign.scenarios[job_index].key}):\n"
+                    f"({campaign.key(job_index)}):\n"
                     f"{message.get('error')}",
                 )
                 self._cond.notify_all()
@@ -551,6 +579,19 @@ class CampaignService:
             if job_index not in campaign.results:
                 try:
                     result = ScenarioResult.from_dict(message["result"])
+                    # cache_stats and a recorded suite ride the frame
+                    # as sidecars (neither is part of the golden
+                    # to_dict bytes); restoring cache_stats keeps
+                    # meta["compile_cache"] meaningful.
+                    stats = message.get("cache_stats")
+                    if stats:
+                        result.cache_stats = {
+                            str(k): int(v) for k, v in stats.items()
+                        }
+                    if "suite" in message:
+                        result.suite = RegressionSuite.from_dict(
+                            message["suite"]
+                        )
                 except (KeyError, TypeError, ValueError,
                         NetDebugError) as exc:
                     self._fail_campaign_locked(
@@ -560,14 +601,6 @@ class CampaignService:
                     )
                     self._cond.notify_all()
                     return
-                # cache_stats rides the frame as a sidecar (it is
-                # deliberately not part of the golden to_dict bytes);
-                # restoring it keeps meta["compile_cache"] meaningful.
-                stats = message.get("cache_stats")
-                if stats:
-                    result.cache_stats = {
-                        str(k): int(v) for k, v in stats.items()
-                    }
                 campaign.results[job_index] = result
                 self._push_result_locked(campaign, result)
                 if campaign.done:
@@ -576,14 +609,18 @@ class CampaignService:
 
     def _worker_lost(self, worker: _FleetWorker) -> None:
         with self._cond:
-            current = self._workers.get(worker.session)
-            if current is not worker:
-                return  # replaced by a reconnect already
-            del self._workers[worker.session]
-            worker.lost_at = time.monotonic()
-            self._lost[worker.session] = worker
-            self._cond.notify_all()
+            self._mark_lost_locked(worker)
         worker.channel.close()
+
+    def _mark_lost_locked(self, worker: _FleetWorker) -> None:
+        """Stop dispatching to ``worker``; its assignments wait out the
+        reconnect grace in :attr:`_lost`."""
+        if self._workers.get(worker.session) is not worker:
+            return  # already lost, or replaced by a reconnect
+        del self._workers[worker.session]
+        worker.lost_at = time.monotonic()
+        self._lost[worker.session] = worker
+        self._cond.notify_all()
 
     # -- campaign bookkeeping (call with the lock held) ------------------
 
@@ -594,10 +631,15 @@ class CampaignService:
         return assignment.job_index in campaign.results
 
     def _retire_assignment_locked(
-        self, assignment: _Assignment, requeue: bool
+        self, assignment: _Assignment, requeue: bool, charge: bool = True
     ) -> None:
         """Drop one assignment; optionally requeue its job if that was
-        the last copy in flight and the job is still unfinished."""
+        the last copy in flight and the job is still unfinished.
+
+        ``charge`` counts the loss against the job's retry budget: a
+        worker holding the shard failed. A frame that never reached a
+        worker, or a resumed session that lost it in transit, is not
+        a worker failure and is requeued free."""
         self._assignments.pop(assignment.aid, None)
         holder = self._workers.get(assignment.session) or self._lost.get(
             assignment.session
@@ -619,22 +661,25 @@ class CampaignService:
             and job_index not in campaign.inflight
             and job_index not in campaign.pending
         ):
-            attempts = campaign.attempts.get(job_index, 0)
-            if attempts > self.retry_budget:
+            failures = campaign.failures.get(job_index, 0) + int(charge)
+            campaign.failures[job_index] = failures
+            if failures > self.retry_budget:
                 self._fail_campaign_locked(
                     campaign,
-                    f"shard {job_index} "
-                    f"({campaign.scenarios[job_index].key}) was lost to "
-                    f"worker failures {attempts} times; retry budget of "
-                    f"{self.retry_budget} exhausted",
+                    f"shard {job_index} ({campaign.key(job_index)}) was "
+                    f"lost to worker failures {failures} times; retry "
+                    f"budget of {self.retry_budget} exhausted",
                 )
             else:
                 campaign.pending.appendleft(job_index)
                 campaign.requeues += 1
+                self.requeues += 1
 
     def _push_result_locked(
         self, campaign: _Campaign, result: ScenarioResult
     ) -> None:
+        if not campaign.subscribers:
+            return  # in-process campaign: run_jobs reads results
         frame = {
             "type": "result",
             "campaign": campaign.cid,
@@ -679,15 +724,16 @@ class CampaignService:
         self._completed[campaign.cid] = record
         while len(self._completed) > self.keep_reports:
             self._completed.popitem(last=False)
-        self._push_frame_locked(
-            campaign,
-            {
-                "type": "complete",
-                "campaign": campaign.cid,
-                "report": report.to_dict(),
-                "meta": meta,
-            },
-        )
+        if campaign.subscribers:
+            self._push_frame_locked(
+                campaign,
+                {
+                    "type": "complete",
+                    "campaign": campaign.cid,
+                    "report": report.to_dict(),
+                    "meta": meta,
+                },
+            )
         del self._campaigns[campaign.cid]
 
     def _fail_campaign_locked(
@@ -893,18 +939,21 @@ class CampaignService:
                 campaign.credit = max(0.0, campaign.credit - 1.0)
                 self._rr_last = campaign.cid
         campaign.dispatched += 1
-        campaign.attempts[job_index] = (
-            campaign.attempts.get(job_index, 0) + 1
-        )
         campaign.inflight.setdefault(job_index, set()).add(aid)
         self._assignments[aid] = assignment
         worker.outstanding[aid] = assignment
         try:
             worker.channel.send(campaign.job_frame(aid, job_index))
         except (OSError, ClusterError):
-            # The recv loop will notice the dead socket too; retiring
-            # here keeps the shard from waiting out the full grace.
-            self._retire_assignment_locked(assignment, requeue=True)
+            # The connection is gone (the recv loop will notice too):
+            # stop filling its slots at once — otherwise the scheduler
+            # re-dispatches to the dead socket in a tight loop — and
+            # requeue the shard without waiting out the grace. The
+            # frame never arrived, so no worker failed on it.
+            self._mark_lost_locked(worker)
+            self._retire_assignment_locked(
+                assignment, requeue=True, charge=False
+            )
 
     def _check_stranded_locked(self) -> None:
         """Fail campaigns no worker on the fleet could ever place.
@@ -929,7 +978,7 @@ class CampaignService:
                     self._fail_campaign_locked(
                         campaign,
                         f"shard {job_index} "
-                        f"({campaign.scenarios[job_index].key}) requires "
+                        f"({campaign.key(job_index)}) requires "
                         f"capabilities {list(required)} but no connected "
                         "worker declares them; tag a worker or widen the "
                         "fleet",
@@ -938,38 +987,102 @@ class CampaignService:
 
     # -- client protocol --------------------------------------------------
 
+    def _admit_locked(self, campaign: _Campaign) -> None:
+        if self._closing:
+            raise ClusterError("service is shutting down")
+        self._campaigns[campaign.cid] = campaign
+        self.campaigns_seen += 1
+        self._cond.notify_all()
+
+    def run_jobs(
+        self,
+        jobs: list[tuple],
+        on_result=None,
+        timeout: float | None = None,
+        liveness=None,
+    ) -> list[ScenarioResult]:
+        """Run ``jobs`` as one campaign submitted from this process.
+
+        ``jobs`` are :func:`~repro.netdebug.campaign._run_shard` tuples;
+        they go through the same scheduler, workers and codec as a wire
+        ``submit``, but the results come back as
+        :class:`ScenarioResult` objects (recorded suites and cache stats
+        included), in job order, for the caller to reassemble.
+        ``on_result(result)`` fires in the calling thread, in arrival
+        order, off the service lock. ``liveness`` is polled while
+        waiting: False with shards unfinished fails the campaign instead
+        of hanging, as does passing ``timeout`` seconds.
+        """
+        campaign = self._new_campaign("campaign", jobs)
+        deadline = (
+            time.monotonic() + timeout if timeout is not None else None
+        )
+        delivered = 0
+        with self._cond:
+            self._admit_locked(campaign)
+        while True:
+            with self._cond:
+                while (
+                    not campaign.done
+                    and len(campaign.results) == delivered
+                ):
+                    self._cond.wait(timeout=0.1)
+                    if liveness is not None and not liveness():
+                        self._fail_campaign_locked(
+                            campaign,
+                            "every worker exited with "
+                            f"{campaign.total - len(campaign.results)} "
+                            "shards unfinished; nothing can complete "
+                            "the campaign",
+                        )
+                    elif deadline is not None and (
+                        time.monotonic() > deadline
+                    ):
+                        self._fail_campaign_locked(
+                            campaign,
+                            f"campaign timed out after {timeout}s with "
+                            f"{len(campaign.results)}/{campaign.total} "
+                            "shards complete",
+                        )
+                if campaign.failed_error is not None:
+                    raise ClusterError(campaign.failed_error)
+                arrived = list(campaign.results.values())[delivered:]
+                delivered += len(arrived)
+                finished = campaign.done
+            if on_result is not None:
+                for result in arrived:
+                    on_result(result)
+            if finished:
+                return [
+                    campaign.results[index]
+                    for index in range(campaign.total)
+                ]
+
     def _serve_client(self, channel: Channel, message: dict) -> None:
         try:
             campaign = self._build_campaign(message)
+            with self._cond:
+                self._admit_locked(campaign)
+                campaign.subscribers.append(channel)
+                # Under the lock: result pushes also hold it, so the
+                # accepted frame is on the wire before any result frame.
+                channel.send(
+                    {
+                        "type": "accepted",
+                        "campaign": campaign.cid,
+                        "name": campaign.name,
+                        "total": campaign.total,
+                    }
+                )
         except (NetDebugError, ClusterError, KeyError, TypeError,
                 ValueError) as exc:
             channel.send({"type": "rejected", "error": str(exc)})
             return
-        with self._cond:
-            if self._closing:
-                channel.send(
-                    {"type": "rejected", "error": "service is shutting down"}
-                )
-                return
-            self._campaigns[campaign.cid] = campaign
-            campaign.subscribers.append(channel)
-            self.campaigns_seen += 1
-            # Under the lock: result pushes also hold it, so the
-            # accepted frame is on the wire before any result frame.
-            channel.send(
-                {
-                    "type": "accepted",
-                    "campaign": campaign.cid,
-                    "name": campaign.name,
-                    "total": campaign.total,
-                }
-            )
-            self._cond.notify_all()
         # Keep serving this connection: gate requests after completion,
         # EOF when the client goes away.
         while True:
             try:
-                follow_up = channel.recv(json_only=True)
+                follow_up = channel.recv()
             except (OSError, ClusterError):
                 follow_up = None
             if follow_up is None:
@@ -999,21 +1112,29 @@ class CampaignService:
             raise NetDebugError(
                 f"campaign weight must be in (0, 1000], got {weight!r}"
             )
-        with self._cond:
-            cid = self._next_cid
-            self._next_cid += 1
-        campaign = _Campaign(
-            cid=cid,
-            name=str(message.get("name", "campaign")),
+        jobs = _shard_jobs(matrix.expand(), matrix.faults, engine=engine)
+        if not jobs:
+            raise NetDebugError("campaign matrix expands to zero cells")
+        return self._new_campaign(
+            str(message.get("name", "campaign")),
+            jobs,
             tenant=str(message.get("tenant", "default")),
             priority=priority,
             weight=weight,
-            matrix=matrix,
-            engine=engine,
         )
-        if campaign.total == 0:
-            raise NetDebugError("campaign matrix expands to zero cells")
-        return campaign
+
+    def _new_campaign(
+        self,
+        name: str,
+        jobs: list[tuple],
+        tenant: str = "default",
+        priority: int = 0,
+        weight: float = 1.0,
+    ) -> _Campaign:
+        with self._cond:
+            cid = self._next_cid
+            self._next_cid += 1
+        return _Campaign(cid, name, tenant, priority, weight, jobs)
 
     def _handle_gate(self, channel: Channel, message: dict) -> None:
         cid = message.get("campaign")
@@ -1164,7 +1285,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="after completion, diff-gate against this "
                              "baseline report server-side; exit 3 on "
                              "regression")
-    _add_matrix_args(submit)
+    add_matrix_args(submit)
 
     workers = commands.add_parser(
         "workers", help="list the connected worker fleet"
@@ -1185,7 +1306,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         secret = _require_cli_secret(args)
         if args.command == "serve":
-            host, port = _parse_address(args.listen)
+            host, port = parse_address(args.listen)
             service = CampaignService(
                 host=host,
                 port=port,
@@ -1209,16 +1330,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "worker":
             service_worker_main(
-                _parse_address(args.connect),
+                parse_address(args.connect),
                 slots=args.slots,
-                tags=_csv(args.tags),
+                tags=csv_list(args.tags),
                 secret=secret,
                 crash_after=args.crash_after,
                 drop_after=args.drop_after,
             )
             return 0
         client = ServiceClient(
-            _parse_address(args.connect), secret=secret
+            parse_address(args.connect), secret=secret
         )
         if args.command == "workers":
             for entry in client.workers():
@@ -1241,7 +1362,7 @@ def main(argv: list[str] | None = None) -> int:
                 print("reports are byte-identical")
             return 3 if verdict["regression"] else 0
         # submit
-        matrix, name = _matrix_from_args(args)
+        matrix, name = matrix_from_args(args)
         handle = client.submit(
             matrix,
             name=name,
@@ -1255,12 +1376,7 @@ def main(argv: list[str] | None = None) -> int:
         report = handle.stream(
             on_result=None if args.quiet else ProgressPrinter()
         )
-        print(report.summary())
-        if args.out:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            report.save(out)
-            print(f"report written to {out}")
+        finish_report(report, args.out)
         if args.gate_baseline:
             baseline = CampaignReport.from_dict(
                 json.loads(Path(args.gate_baseline).read_text())

@@ -1,32 +1,29 @@
-"""Length-prefixed socket framing for the cluster/service subsystems.
+"""Length-prefixed, JSON-only socket framing for the campaign service.
 
-The coordinator/worker protocol (:mod:`repro.netdebug.cluster`) ships
-two kinds of payload over one TCP connection:
+Every connection of the service (:mod:`repro.netdebug.service`) — its
+workers (:mod:`repro.netdebug.cluster`), its clients
+(:mod:`repro.netdebug.client`) and the one-shot cluster launcher, which
+is an ephemeral service — speaks one frame format:
 
-* **control messages** — hello, shutdown, remote errors — encoded as
-  JSON so they stay inspectable on the wire and a foreign worker
-  implementation could speak them;
-* **shard payloads** — job tuples carrying :class:`Scenario`/
-  :class:`Fault` objects and :class:`ScenarioResult` replies — encoded
-  with :mod:`pickle` on the legacy one-shot cluster path, or (the
-  service default) as plain JSON via the :func:`encode_job` /
-  :func:`decode_job` codec, which drops the trusted-network constraint
-  pickle imposes.
+* every frame is ``>IB`` (4-byte big-endian body length + 1 kind byte)
+  followed by a JSON body. :data:`KIND_JSON` is the only kind; any
+  other kind byte is refused as soon as the header is read, before the
+  body is read, so no peer can get bytes into a deserializer that runs
+  code;
+* shard jobs travel as data through the :func:`encode_job` /
+  :func:`decode_job` codec, and results as
+  :meth:`~repro.netdebug.campaign.ScenarioResult.to_dict` JSON;
+* with a secret (an explicit key or ``REPRO_SERVICE_SECRET``) every
+  frame in both directions carries a :class:`FrameAuth` tag —
+  HMAC-SHA256 over a per-direction sequence number, the kind byte and
+  the body — so a stray or malicious peer can neither forge nor replay
+  frames.
 
-Every frame is ``>IB`` (4-byte big-endian body length + 1 kind byte)
-followed by the body. :func:`recv_message` returns ``None`` on a clean
-EOF at a frame boundary and raises :class:`ClusterError` on a truncated
-frame, an unknown kind byte, or a body over :data:`MAX_FRAME_BYTES` —
-a corrupted length prefix must fail loudly, not allocate 4 GiB.
-
-Pickle frames execute arbitrary code on unpickling: the legacy cluster
-transport is for coordinator/worker fleets on hosts you already trust
-(the threat model of a lab's validation cluster), never for untrusted
-peers. The campaign *service* (:mod:`repro.netdebug.service`) instead
-speaks JSON-only frames authenticated with :class:`FrameAuth` —
-HMAC-SHA256 over a per-direction sequence number, the kind byte and
-the body, keyed from ``REPRO_SERVICE_SECRET`` — so a stray or
-malicious peer can neither execute code nor replay captured frames.
+:func:`recv_message` returns ``None`` on a clean EOF at a frame
+boundary and raises :class:`ClusterError` on a truncated frame, a
+foreign kind byte, a failed tag, or a body over
+:data:`MAX_FRAME_BYTES` — a corrupted length prefix must fail loudly,
+not allocate 4 GiB.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ import hashlib
 import hmac as hmac_mod
 import json
 import os
-import pickle
 import socket
 import struct
 import threading
@@ -46,7 +42,6 @@ from ..target.artifact_cache import CACHE_VERSION
 __all__ = [
     "MAX_FRAME_BYTES",
     "KIND_JSON",
-    "KIND_PICKLE",
     "SECRET_ENV",
     "TAG_BYTES",
     "FrameAuth",
@@ -67,7 +62,6 @@ MAX_FRAME_BYTES = 1 << 28
 _HEADER = struct.Struct(">IB")
 
 KIND_JSON = 0x4A  # "J"
-KIND_PICKLE = 0x50  # "P"
 
 #: Environment variable the service's frame-authentication key comes
 #: from. Any non-empty byte string works; both ends must agree.
@@ -123,11 +117,10 @@ class FrameAuth:
 def stamp_cache_version(message: dict) -> dict:
     """Stamp a shard job frame with the artifact-cache format version.
 
-    Shard jobs are pickle payloads carrying compiled-artifact-adjacent
-    objects; a worker running an older build would deserialize them
-    into mismatched shapes and fail obscurely mid-shard. Stamping the
-    :data:`~repro.target.artifact_cache.CACHE_VERSION` into the frame
-    lets :func:`require_cache_version` reject the skew up front.
+    A worker running an older build would decode a job into mismatched
+    scenario and artifact shapes and fail obscurely mid-shard. Stamping
+    the :data:`~repro.target.artifact_cache.CACHE_VERSION` into the
+    frame lets :func:`require_cache_version` reject the skew up front.
     """
     message["cache_version"] = CACHE_VERSION
     return message
@@ -138,7 +131,7 @@ def require_cache_version(message: dict) -> None:
 
     Raises :class:`ClusterError` when the stamp is missing (coordinator
     predates the stamp) or differs (stale worker): fail fast with the
-    skew named, instead of deserializing mismatched artifacts.
+    skew named, instead of decoding mismatched artifacts.
     """
     stamped = message.get("cache_version")
     if stamped != CACHE_VERSION:
@@ -179,45 +172,41 @@ def send_message(
     auth: FrameAuth | None = None,
     seq: int = 0,
 ) -> None:
-    """Send one framed message (``binary=True`` selects pickle).
+    """Send one JSON frame.
 
     With ``auth`` set the frame body is followed by the
     :data:`TAG_BYTES`-byte HMAC tag over (``seq``, kind, body); ``seq``
     must be this connection's send counter for the tag to verify.
+    ``binary`` survives only so callers and wrappers written against
+    the old signature keep working: it must be false, since the wire
+    has no binary frame kind.
     """
     if binary:
-        body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        kind = KIND_PICKLE
-    else:
-        body = json.dumps(message).encode()
-        kind = KIND_JSON
+        raise ClusterError("the wire carries JSON frames only")
+    body = json.dumps(message).encode()
     if auth is not None:
-        body = body + auth.tag(seq, kind, body)
+        body = body + auth.tag(seq, KIND_JSON, body)
     if len(body) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"refusing to send a {len(body)}-byte frame "
             f"(limit {MAX_FRAME_BYTES})"
         )
-    sock.sendall(_HEADER.pack(len(body), kind) + body)
+    sock.sendall(_HEADER.pack(len(body), KIND_JSON) + body)
 
 
 def recv_message(
     sock: socket.socket,
-    json_only: bool = False,
     auth: FrameAuth | None = None,
     seq: int = 0,
 ) -> dict | None:
-    """Receive one framed message; ``None`` on clean EOF.
+    """Receive one JSON frame; ``None`` on clean EOF.
 
-    ``json_only`` rejects pickle frames *without unpickling them* —
-    the receiver's guard for protocol phases where the peer is not yet
-    trusted (a coordinator's pre-hello window on an exposed listener
-    must never feed attacker bytes to ``pickle.loads``).
-
-    With ``auth`` set the frame must end in a valid HMAC tag for
-    ``seq`` (this connection's receive counter); verification happens
-    **before** the body is parsed, so unauthenticated bytes never
-    reach the JSON decoder, let alone ``pickle.loads``.
+    A frame whose kind byte is not :data:`KIND_JSON` is refused from
+    its header alone: its body is never read, let alone decoded. With
+    ``auth`` set the frame must end in a valid HMAC tag for ``seq``
+    (this connection's receive counter); verification happens
+    **before** the body is parsed, so unauthenticated bytes never reach
+    the JSON decoder.
     """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
@@ -228,10 +217,10 @@ def recv_message(
             f"frame length {length} exceeds limit {MAX_FRAME_BYTES}; "
             "corrupted length prefix?"
         )
-    if json_only and kind != KIND_JSON:
+    if kind != KIND_JSON:
         raise ClusterError(
-            "peer sent a non-JSON frame where only JSON control "
-            "messages are accepted"
+            f"refusing frame kind byte {kind:#x}: only JSON frames are "
+            "accepted"
         )
     body = _recv_exact(sock, length) if length else b""
     if body is None:
@@ -249,18 +238,10 @@ def recv_message(
                 f"frame authentication failed at sequence {seq}: bad "
                 "key, tampered body, or a replayed frame"
             )
-    if kind == KIND_JSON:
-        try:
-            message = json.loads(body)
-        except ValueError as exc:
-            raise ClusterError(f"undecodable JSON frame: {exc}") from exc
-    elif kind == KIND_PICKLE:
-        try:
-            message = pickle.loads(body)
-        except Exception as exc:
-            raise ClusterError(f"undecodable pickle frame: {exc}") from exc
-    else:
-        raise ClusterError(f"unknown frame kind byte {kind:#x}")
+    try:
+        message = json.loads(body)
+    except ValueError as exc:
+        raise ClusterError(f"undecodable JSON frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ClusterError(
             f"protocol messages must be dicts, got {type(message).__name__}"
@@ -269,42 +250,55 @@ def recv_message(
 
 
 def encode_job(
-    epoch: int, scenario, faults, engine: str = "closure"
+    epoch: int,
+    scenario,
+    faults,
+    engine: str = "closure",
+    record: bool = False,
+    oracle: str | None = None,
 ) -> dict:
-    """One ``run`` shard job as a pickle-free JSON payload.
+    """One ``run`` shard job as a JSON payload.
 
     The inverse of :func:`decode_job`. Scenario and fault objects go
     through the declarative campaign codec
     (:func:`repro.netdebug.campaign.scenario_to_dict` /
-    ``fault_to_dict``), which refuses predicate-carrying faults — a
-    service job frame must never need code to deserialize. The job
-    deliberately cannot carry an ``oracle_factory`` override: the
-    scenario's *named* oracle travels as data and resolves through the
-    worker's own registry.
+    ``fault_to_dict``), which refuses predicate-carrying faults — a job
+    frame must never need code to deserialize. ``record`` asks the
+    worker to return the cell's regression suite with the result.
+    ``oracle`` overrides the scenario's named oracle with another
+    :data:`~repro.netdebug.oracle.ORACLES` entry, by name: no factory
+    object ever crosses the wire.
     """
     from .campaign import fault_to_dict, scenario_to_dict
 
-    return {
+    payload = {
         "epoch": int(epoch),
         "scenario": scenario_to_dict(scenario),
         "faults": [fault_to_dict(fault) for fault in faults],
         "engine": engine,
     }
+    if record:
+        payload["record"] = True
+    if oracle is not None:
+        payload["oracle"] = oracle
+    return payload
 
 
 def decode_job(payload: dict) -> tuple:
     """Rebuild a :func:`repro.netdebug.campaign._run_shard` job tuple
     from its :func:`encode_job` payload."""
     from .campaign import fault_from_dict, scenario_from_dict
+    from .oracle import ORACLES
 
     try:
+        oracle = payload.get("oracle")
         return (
             int(payload["epoch"]),
             scenario_from_dict(payload["scenario"]),
             tuple(fault_from_dict(f) for f in payload["faults"]),
-            False,  # service campaigns never record suites on workers
+            bool(payload.get("record", False)),
             payload.get("engine", "closure"),
-            None,  # named oracle only; see encode_job
+            ORACLES[oracle] if oracle is not None else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ClusterError(
@@ -315,10 +309,12 @@ def decode_job(payload: dict) -> tuple:
 class Channel:
     """A message channel over one connected socket.
 
-    Sends are serialized by a lock so a worker's pool callbacks (which
-    fire on multiprocessing's result-handler thread) can reply
-    concurrently with the main receive loop; receives are expected from
-    a single thread.
+    Sends are serialized by a lock, so the service's scheduler and
+    receiver threads can both write to one worker connection; receives
+    are expected from a single thread. ``TCP_NODELAY`` is set on TCP
+    sockets: the protocol is request/response with small frames (an
+    ack followed by the next job), and Nagle's algorithm would hold the
+    second frame until the peer's delayed ACK.
 
     With ``secret`` set every frame in both directions is HMAC-
     authenticated (:class:`FrameAuth`); the per-direction sequence
@@ -330,27 +326,25 @@ class Channel:
         self, sock: socket.socket, secret: str | bytes | None = None
     ):
         self._sock = sock
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass  # not a TCP socket (e.g. an AF_UNIX socketpair)
         self._send_lock = threading.Lock()
         self._auth = FrameAuth(secret) if secret is not None else None
         self._send_seq = 0
         self._recv_seq = 0
 
-    @property
-    def authenticated(self) -> bool:
-        return self._auth is not None
-
-    def send(self, message: dict, binary: bool = False) -> None:
+    def send(self, message: dict) -> None:
         with self._send_lock:
             send_message(
-                self._sock, message, binary=binary,
-                auth=self._auth, seq=self._send_seq,
+                self._sock, message, auth=self._auth, seq=self._send_seq
             )
             self._send_seq += 1
 
-    def recv(self, json_only: bool = False) -> dict | None:
+    def recv(self) -> dict | None:
         message = recv_message(
-            self._sock, json_only=json_only,
-            auth=self._auth, seq=self._recv_seq,
+            self._sock, auth=self._auth, seq=self._recv_seq
         )
         if message is not None:
             self._recv_seq += 1

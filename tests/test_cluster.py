@@ -1,9 +1,12 @@
-"""Cluster subsystem tests: transport framing, coordinator/worker
-dispatch, streaming ingest, fault-tolerant requeue, and the
-byte-identical determinism contract across serial / pool / cluster."""
+"""Cluster subsystem tests: transport framing, the one-shot cluster
+launcher (an ephemeral campaign service), streaming ingest,
+fault-tolerant requeue, and the byte-identical determinism contract
+across serial / pool / cluster."""
 
+import pickle
 import random
 import socket
+import struct
 import threading
 
 import pytest
@@ -19,11 +22,11 @@ from repro.netdebug.campaign import (
 from repro.netdebug.cluster import (
     ClusterExecutor,
     ProgressPrinter,
-    SHARD_FUNCTIONS,
     main,
     run_cluster_campaign,
 )
 from repro.netdebug.controller import NetDebugController
+from repro.netdebug.oracle import ReferenceOracle
 from repro.netdebug.transport import (
     Channel,
     MAX_FRAME_BYTES,
@@ -60,14 +63,6 @@ class TestTransport:
         send_message(a, {"type": "hello", "slots": 3})
         assert recv_message(b) == {"type": "hello", "slots": 3}
 
-    def test_pickle_round_trip_carries_objects(self):
-        a, b = self.socket_pair()
-        scenario_matrix = small_matrix()
-        send_message(a, {"type": "job", "job": scenario_matrix},
-                     binary=True)
-        message = recv_message(b)
-        assert message["job"].programs == scenario_matrix.programs
-
     def test_clean_eof_returns_none(self):
         a, b = self.socket_pair()
         a.close()
@@ -89,12 +84,37 @@ class TestTransport:
             recv_message(b)
 
     def test_json_only_rejects_pickle_frames_unparsed(self):
-        # The coordinator's pre-hello guard: a pickle frame from an
-        # untrusted peer is refused by kind byte, never unpickled.
+        # JSON is the only frame kind: a pickle frame ("P", 0x50) is
+        # refused from its header, and its body is never even read.
         a, b = self.socket_pair()
-        send_message(a, {"type": "hello"}, binary=True)
+        body = pickle.dumps({"type": "hello"})
+        a.sendall(struct.pack(">IB", len(body), 0x50) + body)
         with pytest.raises(ClusterError, match="only JSON"):
-            recv_message(b, json_only=True)
+            recv_message(b)
+        assert b.recv(len(body)) == body
+
+    def test_binary_frames_cannot_be_sent(self):
+        a, _ = self.socket_pair()
+        with pytest.raises(ClusterError, match="JSON frames only"):
+            send_message(a, {"type": "hello"}, binary=True)
+
+    def test_tcp_channel_disables_nagle(self):
+        # An ack frame followed by a job frame must not wait for the
+        # peer's delayed ACK.
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = socket.create_connection(listener.getsockname()[:2])
+        server, _ = listener.accept()
+        try:
+            channel = Channel(client)
+            assert client.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ) == 1
+            channel.send({"type": "ping"})
+            assert recv_message(server) == {"type": "ping"}
+        finally:
+            client.close()
+            server.close()
+            listener.close()
 
     def test_unknown_kind_byte_rejected(self):
         a, b = self.socket_pair()
@@ -148,15 +168,6 @@ class TestClusterDeterminism:
         assert serial.to_json() == pooled.to_json()
         assert serial.to_json() == clustered.to_json()
 
-    def test_pool_mode_worker_byte_identical(self):
-        # One worker backed by a 2-slot local pool (the many-core shape).
-        matrix = small_matrix(programs=["strict_parser"])
-        serial = run_campaign(matrix, workers=1, name="slots")
-        clustered = run_cluster_campaign(
-            matrix, workers=1, slots=2, name="slots", timeout=300
-        )
-        assert serial.to_json() == clustered.to_json()
-
     def test_cluster_streams_results_with_progress(self):
         matrix = small_matrix(programs=["strict_parser"])
         events = []
@@ -191,6 +202,39 @@ class TestClusterDeterminism:
             r.verdict for r in recorded.results
         ]
 
+    def test_registered_oracle_factory_travels_by_name(self):
+        # The stateful oracle, passed as a factory over a matrix that
+        # names the stateless one: workers must resolve it by name and
+        # produce the serial run's bytes under that factory.
+        matrix = small_matrix(
+            programs=["stateful_firewall"],
+            targets=["reference", "sdnet"],
+            workloads=["tcp_bidir"],
+            count=10,
+            setup="",
+        )
+        serial = run_campaign(
+            matrix, name="named", oracle_factory=ReferenceOracle
+        )
+        clustered = run_cluster_campaign(
+            matrix, workers=2, name="named", timeout=300,
+            oracle_factory=ReferenceOracle,
+        )
+        assert serial.to_json() == clustered.to_json()
+        assert serial.to_json() != run_campaign(
+            matrix, name="named"
+        ).to_json()
+
+    def test_unregistered_oracle_factory_refused(self):
+        def homemade(program, num_ports):
+            return ReferenceOracle(program, num_ports=num_ports)
+
+        with pytest.raises(ClusterError, match="ORACLES"):
+            run_cluster_campaign(
+                small_matrix(programs=["strict_parser"]), workers=1,
+                timeout=60, oracle_factory=homemade,
+            )
+
 
 # ---------------------------------------------------------------------------
 # Fault tolerance
@@ -200,19 +244,16 @@ class TestFaultTolerance:
     def test_worker_crash_mid_shard_requeues_and_stays_deterministic(self):
         matrix = small_matrix()
         serial = run_campaign(matrix, workers=1, name="crash")
-        executor = ClusterExecutor(
-            local_workers=2, crash_after=1, timeout=300
-        )
+        executor = ClusterExecutor(workers=2, crash_after=1, timeout=300)
         survived = run_campaign(matrix, name="crash", executor=executor)
         assert executor.requeues >= 1  # the dead worker's shard moved
-        assert executor.workers_seen == 2
         assert serial.to_json() == survived.to_json()
 
     def test_retry_budget_exhaustion_raises_cluster_error(self):
         matrix = small_matrix(programs=["strict_parser"],
                               targets=["reference"], workloads=["udp"])
         executor = ClusterExecutor(
-            local_workers=1, crash_after=0, retry_budget=0, timeout=60
+            workers=1, crash_after=0, retry_budget=0, timeout=60
         )
         with pytest.raises(
             ClusterError, match="retry budget|every worker exited"
@@ -223,38 +264,12 @@ class TestFaultTolerance:
         matrix = small_matrix(programs=["strict_parser"],
                               targets=["reference"], workloads=["udp"])
         executor = ClusterExecutor(
-            local_workers=1, crash_after=0, retry_budget=10, timeout=60
+            workers=1, crash_after=0, retry_budget=10, timeout=60
         )
         with pytest.raises(
             ClusterError, match="every worker exited|retry budget"
         ):
             run_campaign(matrix, name="lost", executor=executor)
-
-    def test_external_fleet_death_raises_without_liveness_hook(self):
-        # External-worker mode has no local processes to poll: the
-        # coordinator itself must notice the last connected worker
-        # vanishing mid-shard and abort instead of hanging forever.
-        from repro.netdebug.campaign import _EPOCH_COUNTER
-        from repro.netdebug.cluster import Coordinator
-        from repro.netdebug.transport import recv_message, send_message
-
-        matrix = small_matrix(programs=["strict_parser"],
-                              targets=["reference"], workloads=["udp"])
-        jobs = [
-            (next(_EPOCH_COUNTER), scenario, (), False)
-            for scenario in matrix.expand()
-        ]
-        coordinator = Coordinator(timeout=30, retry_budget=10)
-
-        def vanishing_worker():
-            sock = socket.create_connection(coordinator.address)
-            send_message(sock, {"type": "hello", "slots": 1})
-            recv_message(sock)  # accept a shard, then drop dead
-            sock.close()
-
-        threading.Thread(target=vanishing_worker, daemon=True).start()
-        with pytest.raises(ClusterError, match="every worker exited"):
-            coordinator.run(jobs, "run")
 
     def test_worker_socket_has_no_lingering_connect_timeout(self):
         # The connect timeout must not apply to later recv()s: an idle
@@ -268,38 +283,37 @@ class TestFaultTolerance:
         listener.close()
 
     def test_malformed_result_message_fails_loudly(self):
-        # A foreign worker replying without a 'result' key (and with a
-        # bogus id) must abort the campaign with ClusterError, not
-        # strand the shard or corrupt the result map.
-        from repro.netdebug.campaign import _EPOCH_COUNTER
-        from repro.netdebug.cluster import Coordinator
-        from repro.netdebug.transport import recv_message, send_message
+        # A foreign worker replying without a 'result' key must fail
+        # the campaign with ClusterError, not strand the shard or
+        # corrupt the result map.
+        from repro.netdebug.campaign import _shard_jobs
+        from repro.netdebug.service import CampaignService
 
         matrix = small_matrix(programs=["strict_parser"],
                               targets=["reference"], workloads=["udp"])
-        jobs = [
-            (next(_EPOCH_COUNTER), scenario, (), False)
-            for scenario in matrix.expand()
-        ]
-        coordinator = Coordinator(timeout=30)
+        jobs = _shard_jobs(matrix.expand(), matrix.faults)
+        service = CampaignService().start()
 
         def rogue_worker():
-            sock = socket.create_connection(coordinator.address)
-            send_message(sock, {"type": "hello", "slots": 1})
-            recv_message(sock)  # take the job...
-            send_message(sock, {"type": "result", "id": 999})  # ...bungle it
+            channel = Channel(socket.create_connection(service.address))
+            channel.send({"type": "hello", "mode": "service",
+                          "session": "rogue"})
+            channel.recv()  # welcome
+            job = channel.recv()  # take the job...
+            channel.send({"type": "result",  # ...bungle it
+                          "assignment": job["assignment"]})
 
         threading.Thread(target=rogue_worker, daemon=True).start()
-        with pytest.raises(ClusterError, match="malformed result"):
-            coordinator.run(jobs, "run")
+        try:
+            with pytest.raises(ClusterError, match="undecodable result"):
+                service.run_jobs(jobs, timeout=30)
+        finally:
+            service.close()
 
     def test_unregistered_shard_fn_rejected(self):
-        executor = ClusterExecutor(local_workers=1)
-        with pytest.raises(ClusterError, match="registered shard"):
+        executor = ClusterExecutor(workers=1)
+        with pytest.raises(ClusterError, match="live campaign shards"):
             executor.execute([], lambda job: job)
-
-    def test_shard_function_registry_names_run_and_replay(self):
-        assert set(SHARD_FUNCTIONS) == {"run", "replay"}
 
 
 # ---------------------------------------------------------------------------
@@ -414,5 +428,13 @@ class TestIntegration:
         assert CampaignReport.load(out_file).to_json() == serial.to_json()
 
     def test_cli_bad_address_exits_2(self, capsys):
-        assert main(["worker", "--connect", "nonsense"]) == 2
+        from repro.netdebug import service
+
+        assert service.main(
+            ["worker", "--connect", "nonsense", "--insecure"]
+        ) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+        # The one-shot cluster CLI has no worker verb of its own.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["worker", "--connect", "127.0.0.1:1"])
+        assert exit_info.value.code == 2

@@ -19,6 +19,7 @@ The contract under test (the service acceptance criteria):
   campaign no fleet member could ever run fails loudly.
 """
 
+import pickle
 import socket
 import struct
 import threading
@@ -134,10 +135,11 @@ class TestFrameAuth:
             recv_message(b, auth=FrameAuth(SECRET))
 
     def test_unknown_kind_byte_rejected_by_json_only(self):
+        # JSON is the only frame kind, authenticated or not.
         a, b = self.pair()
         a.sendall(_HEADER.pack(2, 0x5A) + b"{}")
         with pytest.raises(ClusterError, match="only JSON"):
-            recv_message(b, json_only=True, auth=FrameAuth(SECRET))
+            recv_message(b, auth=FrameAuth(SECRET))
 
 
 # A class whose unpickling has an observable side effect: if the
@@ -160,7 +162,8 @@ def test_service_rejects_pickle_frames_without_unpickling():
     try:
         sock = socket.create_connection(service.address, timeout=10.0)
         try:
-            send_message(sock, {"job": Boom()}, binary=True)
+            body = pickle.dumps({"job": Boom()})
+            sock.sendall(_HEADER.pack(len(body), 0x50) + body)
             sock.settimeout(10.0)
             # The daemon drops the connection by kind byte alone.
             assert sock.recv(1) == b""
@@ -465,6 +468,17 @@ class TestService:
         with pytest.raises(ClusterError, match="requires capabilities"):
             handle.result()
         handle.close()
+
+    def test_submit_refuses_compress(self, capsys):
+        # Service campaigns run every cell; accepting --compress and
+        # ignoring it would silently run the uncompressed matrix.
+        from repro.netdebug.service import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", "--connect", "127.0.0.1:1", "--insecure",
+                  "--compress"])
+        assert exit_info.value.code == 2
+        assert "--compress" in capsys.readouterr().err
 
     def test_predicate_matrix_refused_at_submission(self, fleet):
         f = fleet()
