@@ -1,8 +1,10 @@
 """EXP-ORACLE — what session-scoped prediction costs.
 
-The stateful oracle threads one long-lived interpreter through the
-whole packet sequence instead of building a fresh one per packet, so
-two things are worth pinning on a big bidirectional sweep:
+Both oracles predict with the program's spec-faithful compiled
+closures. The stateful oracle threads one register file through the
+whole packet sequence; the stateless one starts every packet from
+fresh registers. Two things are worth pinning on a big bidirectional
+sweep:
 
 * **throughput** — expectations per second for the stateful vs the
   stateless oracle over the same 10k-packet ``tcp_bidir``-style

@@ -40,7 +40,7 @@ from .report import (
 )
 from .oracle import ORACLES, ReferenceOracle, StatelessOracle
 from .regression import RegressionSuite, record_suite, replay_suite
-from .session import ValidationSession, reference_expectation, run_session
+from .session import ValidationSession, run_session
 from .testpacket import PROBE_MAGIC, ProbeInfo, decode_probe, is_probe, make_probe
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "StatusSample",
     "ValidationSession",
     "run_session",
-    "reference_expectation",
     "ReferenceOracle",
     "StatelessOracle",
     "ORACLES",

@@ -1,31 +1,33 @@
 """The reference oracle as a session-scoped protocol object.
 
-Historically the oracle was a bare function
-(:func:`repro.netdebug.session.reference_expectation`): every call built
-a fresh spec-faithful interpreter, predicted one packet, and threw the
-interpreter away. That is exactly right for stateless programs — and
-exactly wrong for programs whose behaviour threads *connection state*
-across the packet sequence: ``stateful_firewall``'s register-backed flow
-table means the spec-correct prediction for an inbound packet depends on
-every outbound packet that preceded it.
+The oracle predicts, for every packet a session injects, what a
+spec-faithful target would output. Programs whose behaviour threads
+*connection state* across the packet sequence make that prediction
+depend on history: ``stateful_firewall``'s register-backed flow table
+means the spec-correct prediction for an inbound packet depends on
+every outbound packet that preceded it. So the oracle is an object with
+an explicit lifetime:
 
-This module makes the oracle an object with an explicit lifetime:
-
-* :class:`ReferenceOracle` owns one long-lived
-  :class:`~repro.p4.interpreter.Interpreter` whose register file (and
-  counters) persist across :meth:`~ReferenceOracle.expect` calls. Its
-  contract is **arrival order**: feed it packets in exactly the order
-  the device under test will process them, with the same per-packet
-  ``ingress_port`` and ``timestamp``, and its predictions stay
-  byte-exact for stateful programs.
-* :class:`StatelessOracle` is the drop-in subclass reproducing the
-  historical fresh-state-per-packet semantics byte for byte — the
-  default everywhere, so existing campaigns and the committed golden
-  baselines are unaffected unless a matrix opts into ``stateful``.
+* :class:`ReferenceOracle` compiles the program once into spec-faithful
+  closures (:func:`repro.target.fastpath.compile_program` with
+  ``honor_reject`` and neither TCAM quantisation nor a deparse budget)
+  and owns one :class:`~repro.p4.interpreter.RuntimeState` whose
+  registers and counters persist across :meth:`~ReferenceOracle.expect`
+  calls. Its contract is **arrival order**: feed it packets in exactly
+  the order the device under test will process them, with the same
+  per-packet ``ingress_port`` and ``timestamp``, and its predictions
+  stay byte-exact for stateful programs.
+* :class:`StatelessOracle` is the drop-in subclass that predicts every
+  packet from fresh state — the default everywhere, so existing
+  campaigns and the committed golden baselines are unaffected unless a
+  matrix opts into ``stateful``.
 
 Everything that consumes expectations (sessions, campaigns, regression
-recording) goes through an oracle object; ``reference_expectation``
-survives only as a thin shim over :class:`StatelessOracle`.
+recording) goes through an oracle object. The tree-walking
+:class:`~repro.p4.interpreter.Interpreter` is not on this path; it stays
+the independent ground truth of the differential harness, coverage
+replay and the formal baseline, and a pinned test holds the compiled
+oracle's predictions equal to its own.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from __future__ import annotations
 from typing import Callable
 
 from ..exceptions import NetDebugError
-from ..p4.interpreter import Interpreter, Verdict
+from ..p4.interpreter import RuntimeState, Verdict
 from ..p4.program import P4Program
 from ..target.device import FLOOD_PORT
+from ..target.fastpath import compile_program
 from .checker import ExpectedOutput
 
 __all__ = [
@@ -55,7 +58,7 @@ class ReferenceOracle:
     """A session-scoped spec-faithful oracle with persistent state.
 
     One instance serves one validation session (or one campaign shard):
-    its interpreter's registers and counters evolve with every
+    its registers and counters (:attr:`state`) evolve with every
     :meth:`expect` call, exactly as the device's runtime state evolves
     with every injected packet. The **arrival-order contract**: call
     :meth:`expect` once per packet, in injection order, with the same
@@ -63,6 +66,9 @@ class ReferenceOracle:
     for register-dependent behaviour are only meaningful under that
     discipline, which is also why campaign sharding keeps all packets
     of one session on one shard (state cannot thread across shards).
+
+    The program is compiled per oracle, not cached by program: a cache
+    outliving the oracle would keep every epoch's program alive.
     """
 
     #: Whether predictions depend on the packets fed before them.
@@ -73,28 +79,18 @@ class ReferenceOracle:
     ) -> None:
         self.program = program
         self.num_ports = num_ports
-        self._interpreter = self._fresh_interpreter()
-
-    def _fresh_interpreter(self) -> Interpreter:
-        return Interpreter(self.program, honor_reject=True)
-
-    @property
-    def interpreter(self) -> Interpreter:
-        """The oracle's live interpreter (inspect ``.state`` for the
-        predicted register file in tests)."""
-        return self._interpreter
+        self._compiled = compile_program(program, honor_reject=True)
+        self.state = RuntimeState.for_program(program)
 
     def reset(self) -> None:
         """Forget all threaded state (fresh registers and counters)."""
-        self._interpreter = self._fresh_interpreter()
+        self.state = RuntimeState.for_program(self.program)
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        return self._interpreter.process(
-            wire, ingress_port=ingress_port, timestamp=timestamp
-        )
+        return self._compiled.run(wire, ingress_port, timestamp, self.state)
 
     def expect(
         self,
@@ -188,11 +184,11 @@ class ReferenceOracle:
 
 
 class StatelessOracle(ReferenceOracle):
-    """The historical fresh-state-per-packet oracle, byte for byte.
+    """The fresh-state-per-packet oracle.
 
-    Every :meth:`~ReferenceOracle.expect` call runs on a brand-new
-    interpreter, so predictions are independent of arrival order —
-    correct for register-free programs, and the semantics every
+    Every :meth:`~ReferenceOracle.expect` call runs on brand-new
+    registers and counters, so predictions are independent of arrival
+    order — correct for register-free programs, and the semantics every
     pre-existing campaign, regression suite and golden baseline were
     recorded under.
     """
@@ -200,9 +196,7 @@ class StatelessOracle(ReferenceOracle):
     stateful = False
 
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        return self._fresh_interpreter().process(
-            wire, ingress_port=ingress_port, timestamp=timestamp
-        )
+        return self._compiled.run(wire, ingress_port, timestamp)
 
 
 #: Named oracle factories scenario matrices reference (``oracle=`` axis).

@@ -16,7 +16,6 @@ from typing import Callable
 
 from ..exceptions import NetDebugError
 from ..p4.interpreter import Interpreter, Verdict
-from ..p4.program import P4Program
 from ..target.device import FLOOD_PORT, NetworkDevice
 from ..target.pipeline import PacketSnapshot, TAP_INPUT, TAP_OUTPUT
 from .checker import CheckRule, ExpectedOutput, OutputChecker
@@ -32,7 +31,6 @@ from .report import SessionReport
 from .testpacket import make_probe
 
 __all__ = [
-    "reference_expectation",
     "ReferenceOracle",
     "StatelessOracle",
     "ORACLES",
@@ -41,31 +39,9 @@ __all__ = [
     "run_session",
 ]
 
-# Interpreter and FLOOD_PORT are re-exported for historical importers
-# (and the test seam that monkeypatches Interpreter.process); the oracle
-# implementation itself lives in repro.netdebug.oracle.
+# Interpreter and FLOOD_PORT are re-exported for historical importers;
+# the oracle implementation itself lives in repro.netdebug.oracle.
 _HISTORICAL_EXPORTS = (Interpreter, FLOOD_PORT)
-
-
-def reference_expectation(
-    program: P4Program,
-    wire: bytes,
-    ingress_port: int = 0,
-    label: str = "",
-    num_ports: int | None = None,
-    timestamp: int = 0,
-) -> ExpectedOutput:
-    """Predict the spec-correct output for one packet, statelessly.
-
-    A thin shim over :class:`~repro.netdebug.oracle.StatelessOracle` —
-    one fresh-state prediction per call, byte-identical to the
-    historical function. Anything predicting a packet *sequence* should
-    hold an oracle object instead (see :mod:`repro.netdebug.oracle`);
-    sequence consumers in this package all do.
-    """
-    return StatelessOracle(program, num_ports=num_ports).expect(
-        wire, ingress_port=ingress_port, timestamp=timestamp, label=label
-    )
 
 
 @dataclass
@@ -78,7 +54,7 @@ class ValidationSession:
         checks: Programmable rules evaluated on every observed packet.
         tap: Where the checker observes (default: the output tap).
         use_reference_oracle: Derive an expectation per injected packet
-            from the spec-faithful interpreter (fresh state per packet
+            from the spec-faithful oracle (fresh state per packet
             unless ``oracle_factory`` overrides the construction).
         expectations: Explicit per-packet expectations (overrides the
             oracle when non-empty; must match the injection count).

@@ -9,9 +9,9 @@ the bytes on the wire can never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..bitutils import bytes_needed, check_width, get_bits, mask, set_bits
+from ..bitutils import bytes_needed, check_width, mask
 from ..exceptions import PacketError
 
 __all__ = ["FieldSpec", "HeaderSpec"]
@@ -51,35 +51,57 @@ class HeaderSpec:
 
     The total width must be a whole number of bytes, matching the constraint
     real hardware parsers place on header boundaries.
+
+    The layout derived from ``fields`` (offsets, width limits, defaults)
+    is computed once at construction and kept as plain attributes rather
+    than dataclass fields: the artifact cache keys programs by walking
+    every dataclass field, and derived state would only lengthen that
+    walk without distinguishing any two specs.
     """
 
     name: str
     fields: tuple[FieldSpec, ...]
-    _offsets: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _by_name: dict[str, FieldSpec] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if not self.name:
             raise PacketError("header name must be non-empty")
         if not self.fields:
             raise PacketError(f"header {self.name!r} must have fields")
+        by_name: dict[str, FieldSpec] = {}
+        offsets: dict[str, int] = {}
         offset = 0
         for spec in self.fields:
-            if spec.name in self._by_name:
+            if spec.name in by_name:
                 raise PacketError(
                     f"duplicate field {spec.name!r} in header {self.name!r}"
                 )
-            self._by_name[spec.name] = spec
-            self._offsets[spec.name] = offset
+            by_name[spec.name] = spec
+            offsets[spec.name] = offset
             offset += spec.width
         if offset % 8 != 0:
             raise PacketError(
                 f"header {self.name!r} is {offset} bits, not byte-aligned"
             )
+        layout = tuple(
+            (f.name, f.width, mask(f.width), f.default) for f in self.fields
+        )
+        derived = {
+            "_by_name": by_name,
+            "_offsets": offsets,
+            "_names": frozenset(by_name),
+            "_bit_width": offset,
+            "_byte_width": bytes_needed(offset),
+            # (name, width, largest value, default) per field, wire order.
+            "_layout": layout,
+            "_limits": {name: limit for name, _, limit, _ in layout},
+            "_defaults": {name: default for name, _, _, default in layout},
+        }
+        for attribute, value in derived.items():
+            object.__setattr__(self, attribute, value)
+
+    def __reduce__(self):
+        # Pickle the declaration only; unpickling re-derives the layout.
+        return HeaderSpec, (self.name, self.fields)
 
     @classmethod
     def build(cls, name: str, *fields: tuple[str, int] | FieldSpec) -> "HeaderSpec":
@@ -92,12 +114,12 @@ class HeaderSpec:
     @property
     def bit_width(self) -> int:
         """Total header width in bits."""
-        return sum(f.width for f in self.fields)
+        return self._bit_width
 
     @property
     def byte_width(self) -> int:
         """Total header width in whole bytes."""
-        return bytes_needed(self.bit_width)
+        return self._byte_width
 
     @property
     def field_names(self) -> tuple[str, ...]:
@@ -120,31 +142,51 @@ class HeaderSpec:
         self.field(name)
         return self._offsets[name]
 
+    def check_value(self, name: str, value: int) -> int:
+        """Validate ``value`` for field ``name`` and return it.
+
+        Raises :class:`PacketError` for an unknown field or a value that
+        is negative or wider than the field (the :func:`check_width`
+        messages).
+        """
+        limit = self._limits.get(name)
+        if limit is None:
+            self.field(name)  # raises the unknown-field error
+        if not 0 <= value <= limit:
+            check_width(value, self._by_name[name].width, f"{self.name}.{name}")
+        return value
+
     def pack(self, values: dict[str, int]) -> bytes:
         """Serialize a complete field-value mapping to wire bytes.
 
         Missing fields take their defaults; unknown fields are an error.
+        Every field is shifted into one integer, serialized once.
         """
-        unknown = set(values) - set(self._by_name)
-        if unknown:
+        if not self._names.issuperset(values):
+            unknown = set(values) - self._names
             raise PacketError(
                 f"unknown fields for header {self.name!r}: {sorted(unknown)}"
             )
-        buf = bytearray(self.byte_width)
-        for spec in self.fields:
-            value = values.get(spec.name, spec.default)
-            check_width(value, spec.width, f"{self.name}.{spec.name}")
-            set_bits(buf, self._offsets[spec.name], spec.width, value)
-        return bytes(buf)
+        word = 0
+        for name, width, limit, default in self._layout:
+            value = values.get(name, default)
+            if not 0 <= value <= limit:
+                check_width(value, width, f"{self.name}.{name}")
+            word = (word << width) | value
+        return word.to_bytes(self._byte_width, "big")
 
     def unpack(self, data: bytes) -> dict[str, int]:
         """Parse ``data`` (at least ``byte_width`` bytes) into field values."""
-        if len(data) < self.byte_width:
+        size = self._byte_width
+        if len(data) < size:
             raise PacketError(
-                f"need {self.byte_width} bytes to parse header "
+                f"need {size} bytes to parse header "
                 f"{self.name!r}, got {len(data)}"
             )
-        return {
-            spec.name: get_bits(data, self._offsets[spec.name], spec.width)
-            for spec in self.fields
-        }
+        word = int.from_bytes(data[:size], "big")
+        shift = self._bit_width
+        values = {}
+        for name, width, limit, _ in self._layout:
+            shift -= width
+            values[name] = (word >> shift) & limit
+        return values

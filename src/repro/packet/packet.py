@@ -12,7 +12,6 @@ import copy
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
-from ..bitutils import check_width
 from ..exceptions import PacketError
 from .fields import HeaderSpec
 
@@ -32,11 +31,13 @@ class Header:
                  valid: bool = True):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "valid", valid)
-        filled = {f.name: f.default for f in spec.fields}
+        filled = dict(spec._defaults)
         if values:
+            limits = spec._limits
             for name, value in values.items():
-                fspec = spec.field(name)
-                check_width(value, fspec.width, f"{spec.name}.{name}")
+                limit = limits.get(name)
+                if limit is None or not 0 <= value <= limit:
+                    spec.check_value(name, value)  # raises the exact error
                 filled[name] = value
         object.__setattr__(self, "_values", filled)
 
@@ -67,9 +68,7 @@ class Header:
             ) from None
 
     def __setitem__(self, name: str, value: int) -> None:
-        fspec = self.spec.field(name)
-        check_width(value, fspec.width, f"{self.spec.name}.{name}")
-        self._values[name] = value
+        self._values[name] = self.spec.check_value(name, value)
 
     def values(self) -> dict[str, int]:
         """A copy of the current field-value mapping."""

@@ -63,7 +63,7 @@ __all__ = [
 
 #: Bump when the on-disk artifact format changes. Also stamped into
 #: cluster job frames so a stale worker fails fast (see transport.py).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _ENV_VAR = "REPRO_COMPILE_CACHE"
 _DISABLED = {"off", "0", "none", "disabled"}

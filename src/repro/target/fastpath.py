@@ -21,8 +21,11 @@ loaded program **once** into plain Python closures:
   observe packets between stages (:mod:`repro.target.pipeline`), never
   through TraceEvents, so nothing is lost.
 
+The same closures serve the reference oracle
+(:mod:`repro.netdebug.oracle`) through :meth:`FastProgram.run`.
 Equivalence with tree-walking interpretation is pinned by the
-differential suite in ``tests/test_target_fastpath_differential.py``.
+differential suite in ``tests/test_target_fastpath_differential.py``
+and, for the oracle's predictions, ``tests/test_compiled_oracle.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,15 @@ from ..p4.actions import (
 )
 from ..p4.control import ApplyTable, Call, Control, If, IfHit, Seq, Stmt
 from ..p4.expr import compile_expr
-from ..p4.interpreter import MAX_PARSER_STEPS, ExitPipeline, stable_hash
+from ..p4.interpreter import (
+    MAX_PARSER_STEPS,
+    ExitPipeline,
+    PipelineResult,
+    RuntimeState,
+    Trace,
+    Verdict,
+    stable_hash,
+)
 from ..p4.parser import ACCEPT, REJECT
 from ..p4.program import P4Program
 from ..p4.table import MatchKind, Table
@@ -58,6 +69,7 @@ from ..p4.types import (
     PARSER_ERROR_HEADER_TOO_SHORT,
     PARSER_ERROR_REJECT,
     PARSER_ERROR_VERIFY_FAILED,
+    standard_metadata_defaults,
 )
 from ..packet.fields import HeaderSpec
 from ..packet.packet import Header, Packet
@@ -68,6 +80,10 @@ __all__ = [
     "compile_program",
     "control_stages",
 ]
+
+
+#: No stuck tables or frozen counters: the fault-free view.
+_NOTHING_STUCK: frozenset[str] = frozenset()
 
 
 class ExecState:
@@ -651,6 +667,10 @@ class FastProgram:
     ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
     select the target's datapath semantics, including its silent
     deviations; the defaults are the spec-faithful reference semantics.
+
+    The staged pipeline (:mod:`repro.target.pipeline`) and the batch
+    kernel drive the compiled stages themselves; :meth:`run` is the
+    whole-packet driver the reference oracle predicts with.
     """
 
     __slots__ = (
@@ -662,6 +682,7 @@ class FastProgram:
         "ingress_stages",
         "egress_stages",
         "deparse",
+        "_metadata_template",
     )
 
     def __init__(
@@ -685,6 +706,57 @@ class FastProgram:
             for stmt in control_stages(program.egress)
         ]
         self.deparse = _compile_deparser(program, deparse_field_budget)
+        template = standard_metadata_defaults()
+        for name in program.env.metadata:
+            template.setdefault(name, 0)
+        self._metadata_template = template
+
+    def run(
+        self,
+        wire: bytes,
+        ingress_port: int = 0,
+        timestamp: int = 0,
+        state: RuntimeState | None = None,
+    ) -> PipelineResult:
+        """Run one packet through the whole program, untraced.
+
+        Mirrors :meth:`repro.p4.interpreter.Interpreter.process`: parse,
+        ingress, skip egress when ingress left the drop flag set, drop or
+        deparse; ``exit`` skips every remaining statement. Counters and
+        registers live in ``state`` (a fresh one when omitted). The
+        result's trace is empty.
+        """
+        if state is None:
+            state = RuntimeState.for_program(self.program)
+        metadata = dict(self._metadata_template)
+        metadata["ingress_port"] = ingress_port
+        metadata["packet_length"] = len(wire) & 0xFFFF
+        metadata["ingress_global_timestamp"] = timestamp & 0xFFFFFFFFFFFF
+        packet, payload, accepted = self.parse(wire, metadata)
+        if not accepted:
+            return PipelineResult(
+                Verdict.PARSER_REJECTED, None, metadata, Trace()
+            )
+        packet.payload = payload
+        exec_state = ExecState(
+            packet, metadata, state.counters, state.registers,
+            _NOTHING_STUCK, _NOTHING_STUCK,
+        )
+        try:
+            for stage in self.ingress_stages:
+                if stage is not None:
+                    stage(exec_state)
+            if not metadata["drop"]:
+                for stage in self.egress_stages:
+                    if stage is not None:
+                        stage(exec_state)
+        except ExitPipeline:
+            pass
+        if metadata["drop"]:
+            return PipelineResult(Verdict.DROPPED, None, metadata, Trace())
+        out = self.deparse(packet)
+        metadata["egress_port"] = metadata["egress_spec"]
+        return PipelineResult(Verdict.FORWARDED, out, metadata, Trace())
 
 
 def compile_program(

@@ -1,5 +1,7 @@
 """The persistent compiled-artifact cache and its cluster version guard."""
 
+import dataclasses
+import io
 import pickle
 
 import pytest
@@ -12,6 +14,7 @@ from repro.netdebug.transport import (
     stamp_cache_version,
 )
 from repro.p4.stdlib import PROGRAMS
+from repro.packet.fields import HeaderSpec
 from repro.target.artifact_cache import (
     CACHE_VERSION,
     ArtifactCache,
@@ -125,6 +128,56 @@ def test_corrupt_or_stale_entries_miss_and_unlink(tmp_path, corruption):
         "hits": 0, "misses": 1, "stores": 0, "memory_hits": 0,
     }
     assert not path.exists(), "corrupt entry must be deleted"
+
+
+def _version_1_header_spec(name, fields):
+    """A HeaderSpec as version-1 artifacts unpickle: the declared
+    fields and the two lookup dicts, none of the layout derived since."""
+    spec = object.__new__(HeaderSpec)
+    offsets, offset = {}, 0
+    for f in fields:
+        offsets[f.name] = offset
+        offset += f.width
+    spec.__dict__.update(
+        name=name,
+        fields=fields,
+        _offsets=offsets,
+        _by_name={f.name: f for f in fields},
+    )
+    return spec
+
+
+def test_previous_version_artifact_is_a_miss(tmp_path):
+    """An artifact pickled before HeaderSpec derived its layout would
+    load specs without it; the version stamp turns it into a miss (and
+    deletes it) instead of an AttributeError at first use."""
+    cache = ArtifactCache(tmp_path)
+    program, compiler, compiled = _compile()
+    key = cache.key_for(program, compiler)
+
+    class Version1Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, HeaderSpec):
+                return _version_1_header_spec, (obj.name, obj.fields)
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    Version1Pickler(buffer).dump({
+        "version": 1,
+        "key": key,
+        "artifact": dataclasses.replace(compiled, fast=None, batch=None),
+    })
+    path = cache._path(key)
+    path.write_bytes(buffer.getvalue())
+    stale = pickle.loads(path.read_bytes())["artifact"]
+    with pytest.raises(AttributeError):
+        stale.program.env.header("ethernet").pack({})
+
+    assert CACHE_VERSION > 1
+    before = stats_snapshot()
+    assert cache.load(key, compiler) is None
+    assert stats_delta(before)["misses"] == 1
+    assert not path.exists()
 
 
 def test_store_failure_is_silent(tmp_path):

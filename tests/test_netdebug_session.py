@@ -5,11 +5,8 @@ import pytest
 from repro.exceptions import NetDebugError
 from repro.netdebug.checker import ExpectedOutput, ExprCheck
 from repro.netdebug.generator import StreamSpec
-from repro.netdebug.session import (
-    ValidationSession,
-    reference_expectation,
-    run_session,
-)
+from repro.netdebug.oracle import StatelessOracle
+from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.expr import fld
 from repro.p4.stdlib import ipv4_router, strict_parser
 from repro.packet.builder import ethernet_frame, parse_ethernet, udp_packet
@@ -42,7 +39,7 @@ class TestReferenceExpectation:
     def test_forward_prediction(self):
         device = routed_device()
         wire = routed_packets(1)[0].pack()
-        expectation = reference_expectation(device.program, wire)
+        expectation = StatelessOracle(device.program).expect(wire)
         assert not expectation.forbid
         assert expectation.egress_port == 2
         predicted = parse_ethernet(expectation.wire)
@@ -54,13 +51,13 @@ class TestReferenceExpectation:
         wire = udp_packet(
             ipv4("172.16.0.1"), ipv4("10.0.0.1"), 1, 2
         ).pack()
-        expectation = reference_expectation(device.program, wire)
+        expectation = StatelessOracle(device.program).expect(wire)
         assert expectation.forbid
 
     def test_reject_prediction(self):
         program = strict_parser()
         wire = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30).pack()
-        expectation = reference_expectation(program, wire)
+        expectation = StatelessOracle(program).expect(wire)
         assert expectation.forbid
         assert "parser_rejected" in expectation.label
 
@@ -69,8 +66,8 @@ class TestReferenceExpectation:
 
         program = l2_switch()  # default action floods (0x1FF)
         wire = routed_packets(1)[0].pack()
-        expectation = reference_expectation(
-            program, wire, ingress_port=0, num_ports=4
+        expectation = StatelessOracle(program, num_ports=4).expect(
+            wire, ingress_port=0
         )
         assert not expectation.forbid
         assert expectation.egress_port is None
@@ -85,31 +82,25 @@ class TestReferenceExpectation:
         from repro.p4.stdlib import l2_switch
 
         with pytest.raises(NetDebugError, match="num_ports"):
-            reference_expectation(
-                l2_switch(), routed_packets(1)[0].pack()
-            )
+            StatelessOracle(l2_switch()).expect(routed_packets(1)[0].pack())
 
     def test_missing_egress_spec_is_clear_error(self, monkeypatch):
         """A forward prediction without egress_spec metadata must raise
         NetDebugError, not a bare KeyError."""
-        import repro.netdebug.session as session_module
+        from repro.target.fastpath import FastProgram
 
-        real_process = session_module.Interpreter.process
+        real_run = FastProgram.run
 
-        def stripped(self, wire, ingress_port=0, timestamp=0):
-            result = real_process(
-                self, wire, ingress_port=ingress_port, timestamp=timestamp
-            )
+        def stripped(self, wire, ingress_port=0, timestamp=0, state=None):
+            result = real_run(self, wire, ingress_port, timestamp, state)
             result.metadata.pop("egress_spec", None)
             return result
 
-        monkeypatch.setattr(
-            session_module.Interpreter, "process", stripped
-        )
+        monkeypatch.setattr(FastProgram, "run", stripped)
         device = routed_device(name="ses-noegress")
         wire = routed_packets(1)[0].pack()
         with pytest.raises(NetDebugError, match="egress_spec"):
-            reference_expectation(device.program, wire)
+            StatelessOracle(device.program).expect(wire)
 
 
 class TestRunSession:

@@ -9,7 +9,7 @@ statistical quality of ECMP spreading.
 from hypothesis import given, settings, strategies as st
 
 from repro.controlplane import RuntimeAPI
-from repro.netdebug.session import reference_expectation
+from repro.netdebug.oracle import StatelessOracle
 from repro.p4.interpreter import Interpreter, RuntimeState, Verdict
 from repro.p4.stdlib import ecmp_load_balancer, ipv4_router, strict_parser
 from repro.packet.builder import udp_packet
@@ -83,7 +83,7 @@ class TestOracleConsistency:
         wire = build_wire(args)
         device = make_reference_device("prop-oracle")
         device.load(routed_router())
-        expectation = reference_expectation(device.program, wire)
+        expectation = StatelessOracle(device.program).expect(wire)
         run = device.inject(wire)
         if expectation.forbid:
             assert run.result.verdict is not Verdict.FORWARDED
