@@ -13,9 +13,10 @@ across a :mod:`multiprocessing` worker pool.
 
 Three properties the engine guarantees:
 
-* **Compile once per worker.** Each worker process caches one compiled
-  fast-path artifact per (program, target, setup) key and stamps out a
-  fresh :class:`~repro.target.device.NetworkDevice`
+* **Compile once per process.** Each process keeps compiled artifacts
+  (batch kernel included) keyed by their content fingerprint for its
+  lifetime, across campaigns, and stamps out a fresh
+  :class:`~repro.target.device.NetworkDevice`
   (fresh runtime state, stats, clock, fault set) per shard via
   :meth:`~repro.target.device.NetworkDevice.install`.
 * **Determinism.** Every shard derives all randomness from the matrix
@@ -32,12 +33,11 @@ Three properties the engine guarantees:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import multiprocessing
-import os
 import statistics
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable
@@ -45,7 +45,6 @@ from typing import Callable
 from ..bitutils import stable_hash64
 from ..exceptions import NetDebugError, UnknownTargetError
 from ..p4.stdlib import PROGRAMS
-from ..p4.program import P4Program
 from ..packet.headers import mac
 from ..sim.traffic import (
     WORKLOADS,
@@ -55,7 +54,7 @@ from ..sim.traffic import (
 )
 from ..target import artifact_cache
 from ..target.compiler import CompiledProgram
-from ..target.device import ENGINES, NetworkDevice
+from ..target.device import CAMPAIGN_ENGINE, ENGINES, NetworkDevice
 from ..target.faults import Fault, FaultKind
 from ..target.pipeline import PacketSnapshot
 from ..target.reference import make_reference_device
@@ -73,9 +72,10 @@ from .report import (
     SessionReport,
 )
 from .oracle import ORACLES, OracleFactory, require_known_oracle
-from .session import ValidationSession, run_session
+from .session import ValidationSession, _block_eligible, run_session
 
 __all__ = [
+    "CAMPAIGN_ENGINE",
     "TARGETS",
     "PROVISIONERS",
     "require_known_target",
@@ -413,34 +413,55 @@ class ScenarioMatrix:
 # Shard execution (runs inside pool workers)
 # ---------------------------------------------------------------------------
 
-#: Per-worker artifact cache: (program, target, setup) -> CompiledProgram.
-#: Populated lazily inside each worker process; a worker compiles each
-#: distinct program/target pair once and reuses the lowered closures for
-#: every shard it executes. The cache is scoped to one campaign run via
-#: an epoch token carried in every job: table entries a setup
-#: provisioner installed live on the shared program object, so reusing
-#: an artifact across campaigns could silently replay a *previous*
-#: campaign's provisioning (and fork-started workers inherit the
-#: parent's cache).
-_ARTIFACTS: dict[tuple[int, str, str, str], CompiledProgram] = {}
-#: Campaign epochs currently held in :data:`_ARTIFACTS`, oldest first.
-#: A one-shot pool worker only ever sees one epoch; a *service* worker
-#: interleaves shards from concurrent campaigns, so instead of clearing
-#: the cache on every epoch switch (which would recompile on each
-#: interleave) we key entries by epoch and evict whole epochs once the
-#: window fills. Entries never cross epochs: a provisioned artifact
-#: must not leak a previous campaign's table state.
-_ARTIFACT_EPOCHS: list[int] = []
-_ARTIFACT_EPOCH_WINDOW = 4
-#: Epoch tokens only need to *differ* between campaigns that could ever
-#: reach the same worker cache. Mixing the coordinator PID in covers the
-#: service case, where a long-lived worker outlives coordinator
-#: processes whose plain counters would both start at 1.
-_EPOCH_COUNTER = itertools.count((os.getpid() & 0xFFFFFF) << 32 | 1)
+class _ArtifactLRU:
+    """A fixed-capacity map of compiled artifacts, least recently used
+    evicted first."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key) -> CompiledProgram | None:
+        compiled = self._entries.get(key)
+        if compiled is not None:
+            self._entries.move_to_end(key)
+        return compiled
+
+    def put(self, key, compiled: CompiledProgram) -> None:
+        self._entries[key] = compiled
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def discard(self, key) -> None:
+        self._entries.pop(key, None)
+
+    def clear(self) -> None:
+        self._entries.clear()
 
 
-def _build_program(name: str) -> P4Program:
-    return PROGRAMS[name]()  # type: ignore[operator]
+#: The in-process artifact tier, keyed by content fingerprint
+#: (:func:`repro.target.artifact_cache.fingerprint`: pre-provision IR,
+#: deviation model, setup label, cache version) and kept for the
+#: process lifetime. Equal keys mean equal provisioned artifacts, so
+#: campaigns, service workers interleaving campaigns and fork-started
+#: pool workers that inherit it may all share an entry; the artifact
+#: is read-only after provisioning (runtime state lives per device).
+_ARTIFACTS = _ArtifactLRU(capacity=32)
+#: (program, target, setup) -> (program factory, setup provisioner,
+#: artifact key). Skips rebuilding and hashing the IR on every shard;
+#: the factory and provisioner are held so a re-registration under the
+#: same name is noticed (identity, not name) and invalidates the key.
+_FINGERPRINTS: dict[tuple[str, str, str], tuple] = {}
+
+
+def _clear_artifacts() -> None:
+    """Forget every in-process artifact and memoized key."""
+    _ARTIFACTS.clear()
+    _FINGERPRINTS.clear()
 
 
 def _cycle_times(bundle, device: NetworkDevice) -> list[int] | None:
@@ -482,74 +503,78 @@ def _scenario_ingress_ports(
 
 
 def _shard_device(
-    epoch: int,
     program: str,
     target: str,
     setup: str,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
 ) -> NetworkDevice:
-    """A fresh device for one shard, reusing the worker's compiled artifact.
+    """A fresh device for one shard, reusing a compiled artifact.
 
-    Artifact resolution is three-tiered: the in-process epoch-scoped
-    cache first (``memory_hits``), then the persistent on-disk artifact
-    cache (``hits`` — a loaded artifact carries its provisioned table
-    entries, so the setup provisioner is *not* re-run), and only then a
-    full compile + provision, stored back to disk (``stores``). The
-    cache key covers the pre-provision program IR, the target's
-    deviation model and the setup label, so a hit can never alias a
-    differently-provisioned artifact.
+    Artifact resolution is three-tiered: the in-process tier first
+    (``memory_hits``: no build, hash or unpickle, and the batch kernel
+    an earlier shard built comes along), then the persistent on-disk
+    artifact cache (``hits`` — a loaded artifact carries its
+    provisioned table entries, so the setup provisioner is *not*
+    re-run), and only then a full compile + provision, stored back to
+    disk (``stores``). Both tiers share one content key covering the
+    pre-provision program IR, the target's deviation model and the
+    setup label, so a hit can never alias a differently-provisioned
+    artifact. Re-registering the program factory or the setup
+    provisioner under the same name forces a fresh compile, which also
+    overwrites the disk entry the old registration stored.
     """
-    if epoch not in _ARTIFACT_EPOCHS:
-        _ARTIFACT_EPOCHS.append(epoch)
-        while len(_ARTIFACT_EPOCHS) > _ARTIFACT_EPOCH_WINDOW:
-            stale = _ARTIFACT_EPOCHS.pop(0)
-            for cached_key in [
-                k for k in _ARTIFACTS if k[0] == stale
-            ]:
-                del _ARTIFACTS[cached_key]
-    key = (epoch, program, target, setup)
     device = TARGETS[target](f"{target}-{program}", engine=engine)
-    compiled = _ARTIFACTS.get(key)
-    if compiled is None:
-        program_obj = _build_program(program)
-        cache = artifact_cache.get_artifact_cache()
-        cache_key = None
-        if cache is not None:
-            try:
-                cache_key = cache.key_for(
-                    program_obj, device.compiler, extra=setup
-                )
-            except artifact_cache.FingerprintError:
-                cache_key = None
-        compiled = (
-            cache.load(cache_key, device.compiler)
-            if cache_key is not None
-            else None
-        )
-        if compiled is not None:
-            device.install(compiled)
-        else:
-            compiled = device.load(program_obj)
-            if setup:
-                provisioner = PROVISIONERS.get(setup)
-                if provisioner is None:
-                    # Reachable in spawn-started workers: they re-import
-                    # the module, so provisioners registered at runtime
-                    # in the parent do not exist here. Fail with the
-                    # cause, not a bare KeyError deep in the pool.
-                    raise NetDebugError(
-                        f"setup provisioner {setup!r} is not registered "
-                        "in this worker process; register provisioners "
-                        "at module import time so spawned workers see "
-                        "them"
-                    )
-                provisioner(device)
-            if cache_key is not None:
-                cache.store(cache_key, compiled)
-        _ARTIFACTS[key] = compiled
+    factory = PROGRAMS[program]
+    provisioner = PROVISIONERS.get(setup) if setup else None
+    slot = (program, target, setup)
+    memo = _FINGERPRINTS.get(slot)
+    program_obj = None
+    fresh = False
+    if memo is not None and memo[0] is factory and memo[1] is provisioner:
+        key = memo[2]
     else:
+        if memo is not None:
+            _ARTIFACTS.discard(memo[2])
+            fresh = True
+        program_obj = factory()  # type: ignore[operator]
+        try:
+            key = artifact_cache.fingerprint(
+                program_obj, device.compiler, extra=setup
+            )
+        except artifact_cache.FingerprintError:
+            key = slot
+        _FINGERPRINTS[slot] = (factory, provisioner, key)
+    compiled = _ARTIFACTS.get(key)
+    if compiled is not None:
         artifact_cache.record_memory_hit()
         device.install(compiled)
+        return device
+    if program_obj is None:
+        program_obj = factory()  # type: ignore[operator]
+    cache = artifact_cache.get_artifact_cache()
+    disk_key = key if isinstance(key, str) and cache is not None else None
+    if disk_key is not None and not fresh:
+        compiled = cache.load(disk_key, device.compiler)
+    if compiled is not None:
+        device.install(compiled)
+    else:
+        compiled = device.load(program_obj)
+        if setup:
+            if provisioner is None:
+                # Reachable in spawn-started workers: they re-import
+                # the module, so provisioners registered at runtime
+                # in the parent do not exist here. Fail with the
+                # cause, not a bare KeyError deep in the pool.
+                raise NetDebugError(
+                    f"setup provisioner {setup!r} is not registered "
+                    "in this worker process; register provisioners "
+                    "at module import time so spawned workers see "
+                    "them"
+                )
+            provisioner(device)
+        if disk_key is not None:
+            cache.store(disk_key, compiled)
+    _ARTIFACTS.put(key, compiled)
     return device
 
 
@@ -613,10 +638,10 @@ def _grade_sla(scenario: "Scenario", report: SessionReport,
 
 
 def _run_shard(job: tuple) -> "ScenarioResult":
-    epoch, scenario, faults, keep_suite, engine, oracle_factory = job
+    scenario, faults, keep_suite, engine, oracle_factory = job
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(
-        epoch, scenario.program, scenario.target, scenario.setup, engine
+        scenario.program, scenario.target, scenario.setup, engine
     )
     cache_delta = artifact_cache.stats_delta(cache_before)
     for fault in faults:
@@ -675,12 +700,14 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     sampler = (
         _LatencySampler() if scenario.sla_p99_cycles is not None else None
     )
+    # The session injects the frames the oracle just predicted from:
+    # wire bytes are immutable, so nothing is copied or packed twice.
     session = ValidationSession(
         name=f"campaign/{scenario.index:04d}/{scenario.key}",
         streams=[
             StreamSpec(
                 stream_id=scenario.index + 1,
-                packets=list(bundle.packets),
+                packets=frames,
                 fix_checksums=False,
                 timestamps=cycle_times,
                 ingress_ports=ports,
@@ -689,6 +716,7 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         checks=[sampler] if sampler is not None else [],
         expectations=expectations,
     )
+    skipped = _block_eligible(device, session)
     report = run_session(device, session)
     if sampler is not None:
         _grade_sla(scenario, report, sampler)
@@ -709,6 +737,7 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         suite=suite,
         cache_stats=cache_delta if any(cache_delta.values()) else None,
         coverage=bundle.coverage,
+        execution=skipped or "block",
     )
 
 
@@ -717,11 +746,11 @@ def _suite_name(scenario: Scenario) -> str:
 
 
 def _replay_shard(job: tuple) -> "ScenarioResult":
-    epoch, scenario, faults, directory, times_ns, engine, ports = job
+    scenario, faults, directory, times_ns, engine, ports = job
     suite = RegressionSuite.load(directory, _suite_name(scenario))
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(
-        epoch, scenario.program, scenario.target, scenario.setup, engine
+        scenario.program, scenario.target, scenario.setup, engine
     )
     cache_delta = artifact_cache.stats_delta(cache_before)
     for fault in faults:
@@ -785,6 +814,12 @@ class ScenarioResult:
     #: :mod:`repro.netdebug.compression`). Serialized conditionally,
     #: so uncompressed reports keep their pre-compression bytes.
     represented_by: str | None = None
+    #: How the cell's session ran: ``"block"`` through the batch
+    #: kernel, otherwise the reason it fell back to per-packet
+    #: injection (:func:`repro.netdebug.session._block_eligible`);
+    #: None when not recorded (replayed or synthesized cells). Not
+    #: serialized, like ``cache_stats``.
+    execution: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -1082,6 +1117,17 @@ def assemble_report(
             for counter, moved in stats.items():
                 totals[counter] = totals.get(counter, 0) + moved
     report.meta["compile_cache"] = totals
+    execution: dict = {"block": 0, "per_packet": 0, "reasons": {}}
+    for result in ordered:
+        path = result.execution
+        if path == "block":
+            execution["block"] += 1
+        elif path is not None:
+            execution["per_packet"] += 1
+            reasons = execution["reasons"]
+            reasons[path] = reasons.get(path, 0) + 1
+    if execution["block"] or execution["per_packet"]:
+        report.meta["execution"] = execution
     coverage_meta = {
         result.scenario.key: result.coverage.summary()
         for result in ordered
@@ -1139,16 +1185,13 @@ def _shard_jobs(
     scenarios: list[Scenario],
     faults: dict,
     record: bool = False,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
     oracle_factory: OracleFactory | None = None,
 ) -> list[tuple]:
-    """:func:`_run_shard` job tuples for ``scenarios`` under one fresh
-    campaign epoch — what every executor, and the campaign service,
-    dispatches."""
-    epoch = next(_EPOCH_COUNTER)
+    """:func:`_run_shard` job tuples for ``scenarios`` — what every
+    executor, and the campaign service, dispatches."""
     return [
-        (epoch, scenario, faults[scenario.fault], record, engine,
-         oracle_factory)
+        (scenario, faults[scenario.fault], record, engine, oracle_factory)
         for scenario in scenarios
     ]
 
@@ -1169,7 +1212,7 @@ def run_campaign(
     executor: ShardExecutor | None = None,
     on_result: Callable[[str, SessionReport, CampaignProgress], None]
     | None = None,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
     oracle_factory: OracleFactory | None = None,
     compress: bool | object = False,
 ) -> CampaignReport:
@@ -1191,9 +1234,13 @@ def run_campaign(
     artifacts — one :class:`RegressionSuite` per scenario plus
     ``<name>.manifest.json`` — replayable via :func:`replay_campaign`.
 
-    ``engine`` selects the shard execution engine (``"closure"``
-    default, ``"batch"`` for the block kernel, ``"tree"`` for the
-    spec-faithful baseline); all three produce byte-identical reports.
+    ``engine`` selects the shard execution engine (``"batch"``
+    default: the block kernel for every cell it can serve, per-packet
+    closures for the rest; ``"closure"`` for per-packet closures
+    throughout, ``"tree"`` for the spec-faithful baseline); all three
+    produce byte-identical reports. ``report.meta["execution"]``
+    counts the cells that ran block-wise and, per reason, those that
+    fell back to per-packet injection.
 
     ``oracle_factory`` overrides the matrix's named ``oracle`` with an
     arbitrary factory (called per shard as ``factory(program,
@@ -1460,7 +1507,7 @@ def replay_campaign(
     executor: ShardExecutor | None = None,
     on_result: Callable[[str, SessionReport, CampaignProgress], None]
     | None = None,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
 ) -> CampaignReport:
     """Replay a recorded campaign from its artifacts on fresh devices.
 
@@ -1531,8 +1578,6 @@ def replay_campaign(
                 ),
             )
         )
-    epoch = next(_EPOCH_COUNTER)
-    jobs = [(epoch, *job) for job in jobs]
     results = _execute(
         jobs, _replay_shard, workers, executor,
         _streaming_ingest(on_result, len(jobs)),

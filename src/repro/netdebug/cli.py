@@ -15,7 +15,13 @@ import time
 from pathlib import Path
 
 from ..exceptions import ClusterError
-from .campaign import CampaignProgress, CampaignReport, ScenarioMatrix
+from ..target.device import ENGINES
+from .campaign import (
+    CAMPAIGN_ENGINE,
+    CampaignProgress,
+    CampaignReport,
+    ScenarioMatrix,
+)
 from .report import SessionReport
 
 __all__ = [
@@ -111,9 +117,16 @@ def add_matrix_args(parser: argparse.ArgumentParser) -> None:
                         help="named provisioner ('' for none)")
     parser.add_argument("--sla-p99", type=float, default=None,
                         help="optional p99 latency SLA in cycles")
-    parser.add_argument("--engine", default="closure",
-                        choices=("tree", "closure", "batch"),
-                        help="execution engine for shard devices")
+    parser.add_argument("--engine", default=CAMPAIGN_ENGINE,
+                        choices=ENGINES,
+                        help="execution engine for shard devices: "
+                             "'batch' (default) runs each cell through "
+                             "the block kernel and falls back to "
+                             "per-packet closures where it cannot "
+                             "(e.g. fault-armed cells); 'closure' "
+                             "is per-packet throughout; 'tree' is the "
+                             "spec-faithful walker. All give the same "
+                             "report bytes"),
     parser.add_argument("--oracle", default="stateless",
                         choices=("stateless", "stateful"),
                         help="named expectation oracle: 'stateful' "

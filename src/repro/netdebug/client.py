@@ -23,6 +23,7 @@ import socket
 
 from ..exceptions import ClusterError
 from .campaign import (
+    CAMPAIGN_ENGINE,
     CampaignProgress,
     CampaignReport,
     ScenarioMatrix,
@@ -187,7 +188,7 @@ class ServiceClient:
         priority: int = 0,
         weight: float = 1.0,
         tenant: str = "default",
-        engine: str = "closure",
+        engine: str = CAMPAIGN_ENGINE,
     ) -> CampaignHandle:
         """Submit ``matrix``; returns immediately with the live handle.
 

@@ -53,6 +53,7 @@ from pathlib import Path
 
 from ..exceptions import ClusterError, NetDebugError
 from .campaign import (
+    CAMPAIGN_ENGINE,
     CampaignReport,
     ScenarioMatrix,
     ShardExecutor,
@@ -187,12 +188,15 @@ def _service_execute(message: dict) -> dict:
     except Exception:
         return {"type": "error", "error": traceback.format_exc(), **base}
     reply = {"type": "result", "result": result.to_dict(), **base}
-    # cache_stats and a recorded suite are deliberately NOT part of
-    # ScenarioResult.to_dict (golden bytes); they ride the frame as
-    # sidecars so the service can still aggregate compile-cache
-    # counters into report.meta and write regression artifacts.
+    # cache_stats, the execution path and a recorded suite are
+    # deliberately NOT part of ScenarioResult.to_dict (golden bytes);
+    # they ride the frame as sidecars so the service can still
+    # aggregate compile-cache and execution counters into report.meta
+    # and write regression artifacts.
     if result.cache_stats:
         reply["cache_stats"] = dict(result.cache_stats)
+    if result.execution is not None:
+        reply["execution"] = result.execution
     if result.suite is not None:
         reply["suite"] = result.suite.to_dict()
     return reply
@@ -459,7 +463,7 @@ def run_cluster_campaign(
     on_result=None,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     timeout: float | None = None,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
     oracle_factory=None,
     compress: bool | object = False,
 ) -> CampaignReport:

@@ -68,14 +68,15 @@ from ..p4.program import P4Program
 from ..p4.stdlib import PROGRAMS
 from ..sim.traffic import WorkloadContext, build_workload, default_flow
 from ..target.batch import _reads_metadata
+from ..target.device import ENGINES
 from ..target.faults import Fault, FaultKind
 from .campaign import (
+    CAMPAIGN_ENGINE,
     PROVISIONERS,
     TARGETS,
     Scenario,
     ScenarioMatrix,
     ScenarioResult,
-    _EPOCH_COUNTER,
     _run_shard,
     matrix_from_dict,
     matrix_to_dict,
@@ -540,7 +541,7 @@ class _TrafficPinnedScenario(Scenario):
 def run_pruned_cell(
     compressed: CompressedMatrix,
     pruned_key: str,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
 ) -> ScenarioResult:
     """Genuinely execute one pruned cell on its representative's traffic.
 
@@ -573,7 +574,6 @@ def run_pruned_cell(
         pinned_key=rep_key,
     )
     job = (
-        next(_EPOCH_COUNTER),
         hybrid,
         compressed.matrix.faults[pruned.fault],
         False,
@@ -618,7 +618,7 @@ def audit_cell(
     compressed: CompressedMatrix,
     rep_result: ScenarioResult,
     pruned_key: str,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
 ) -> str | None:
     """One equivalence check: re-run ``pruned_key``, byte-diff.
 
@@ -728,7 +728,14 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=1, help="worker processes"
     )
     parser.add_argument(
-        "--engine", default="closure", help="shard execution engine"
+        "--engine",
+        default=CAMPAIGN_ENGINE,
+        choices=ENGINES,
+        help="shard execution engine: 'batch' (default) runs cells "
+             "through the block kernel and falls back to per-packet "
+             "closures where it cannot (e.g. fault-armed cells); "
+             "'closure' is per-packet throughout; "
+             "'tree' is the spec-faithful walker",
     )
     parser.add_argument(
         "--audit",

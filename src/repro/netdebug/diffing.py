@@ -55,6 +55,7 @@ from pathlib import Path
 
 from ..exceptions import NetDebugError
 from .campaign import (
+    CAMPAIGN_ENGINE,
     CampaignReport,
     ScenarioMatrix,
     provision_acl_gate,
@@ -1099,7 +1100,7 @@ def verify_equivalence(
     compressed,
     report: CampaignReport,
     keys: list[str] | None = None,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
 ) -> list[str]:
     """Machine-check the compression claim on ``keys`` pruned cells.
 

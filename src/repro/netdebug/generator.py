@@ -26,7 +26,19 @@ from ..target.device import NetworkDevice
 from ..target.pipeline import TAP_INPUT, TargetRun
 from .testpacket import make_probe
 
-__all__ = ["FieldSweep", "FieldFuzz", "StreamSpec", "PacketGenerator"]
+__all__ = [
+    "FieldSweep",
+    "FieldFuzz",
+    "StreamSpec",
+    "PacketGenerator",
+    "wire_of",
+]
+
+
+def wire_of(item: Packet | bytes) -> bytes:
+    """The wire bytes of one materialized stream item (a packet, or a
+    frame a :attr:`StreamSpec.packets` list already carries packed)."""
+    return item if isinstance(item, bytes) else item.pack()
 
 
 @dataclass(frozen=True)
@@ -76,8 +88,10 @@ class StreamSpec:
         rate_pps: Injection rate for timed runs; ignored by the
             synchronous path.
         fix_checksums: Recompute IP/L4 checksums after sweeps/fuzzing.
-        packets: Alternative to template+sweeps — an explicit packet
-            iterable (takes precedence when set).
+        packets: Alternative to template+sweeps — an explicit list of
+            packets or of wire frames (``bytes``), taking precedence
+            when set. Packets are copied as they are materialized;
+            frames are immutable and are injected as they are.
         timestamps: Optional per-packet injection timestamps (one per
             packet, device-clock units). Workloads with their own
             arrival process (e.g. poisson) carry it here; packets
@@ -97,7 +111,7 @@ class StreamSpec:
     inject_at: str = TAP_INPUT
     rate_pps: float = 1e6
     fix_checksums: bool = True
-    packets: list[Packet] | None = None
+    packets: list[Packet | bytes] | None = None
     timestamps: list[int] | None = None
     ingress_ports: list[int] | None = None
 
@@ -123,10 +137,14 @@ class StreamSpec:
             return self.ingress_ports[seq_no]
         return 0
 
-    def materialize(self) -> Iterator[Packet]:
-        """Produce the stream's packets, applying sweeps and fuzzing."""
+    def materialize(self) -> Iterator[Packet | bytes]:
+        """Produce the stream's packets, applying sweeps and fuzzing
+        (or its explicit packets and frames; see :attr:`packets`)."""
         if self.packets is not None:
-            yield from (p.copy() for p in self.packets)
+            yield from (
+                p if isinstance(p, bytes) else p.copy()
+                for p in self.packets
+            )
             return
         if self.template is None:
             raise NetDebugError(
@@ -217,7 +235,7 @@ class PacketGenerator:
         # injection tap still needs inject_batch, which is tap-generic.
         batchable = not stream.wrap and on_injected is None
         if batchable and stream.inject_at == TAP_INPUT:
-            wires = [packet.pack() for packet in stream.materialize()]
+            wires = [wire_of(packet) for packet in stream.materialize()]
             injected = self._device.inject_block(
                 wires,
                 timestamps=stream.timestamps,
@@ -231,7 +249,7 @@ class PacketGenerator:
             # inject_block only enters at the input tap; other taps
             # keep the tap-generic batch loop (these streams carry no
             # arrival process or per-packet ports of their own).
-            wires = [packet.pack() for packet in stream.materialize()]
+            wires = [wire_of(packet) for packet in stream.materialize()]
             injected = self._device.inject_batch(
                 wires, at=stream.inject_at
             )
@@ -259,7 +277,7 @@ class PacketGenerator:
                     inner=packet,
                 ).pack()
             else:
-                wire = packet.pack()
+                wire = wire_of(packet)
             record = InjectionRecord(
                 stream.stream_id, seq_no, wire, timestamp
             )
@@ -301,7 +319,7 @@ class PacketGenerator:
                         inner=packet,
                     ).pack()
                 else:
-                    wire = packet.pack()
+                    wire = wire_of(packet)
                 record = InjectionRecord(
                     stream.stream_id, seq_no, wire, timestamp
                 )

@@ -67,8 +67,9 @@ class ReferenceOracle:
     discipline, which is also why campaign sharding keeps all packets
     of one session on one shard (state cannot thread across shards).
 
-    The program is compiled per oracle, not cached by program: a cache
-    outliving the oracle would keep every epoch's program alive.
+    The program is compiled per oracle, not cached by program: a
+    module-level cache would pin every program object it ever saw,
+    table entries included.
     """
 
     #: Whether predictions depend on the packets fed before them.

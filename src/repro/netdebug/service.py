@@ -66,6 +66,7 @@ from pathlib import Path
 
 from ..exceptions import ClusterError, NetDebugError
 from .campaign import (
+    CAMPAIGN_ENGINE,
     CampaignReport,
     ScenarioResult,
     _require_known_engine,
@@ -166,11 +167,10 @@ class _Campaign:
         self.jobs = list(jobs)
         self.payloads = [
             encode_job(
-                epoch, scenario, faults, engine=engine, record=record,
+                scenario, faults, engine=engine, record=record,
                 oracle=_oracle_name(factory),
             )
-            for epoch, scenario, faults, record, engine, factory
-            in self.jobs
+            for scenario, faults, record, engine, factory in self.jobs
         ]
         self.pending: deque[int] = deque(range(len(self.jobs)))
         #: job index -> aids currently dispatched for it (>1 = stolen).
@@ -195,7 +195,7 @@ class _Campaign:
         return len(self.jobs)
 
     def key(self, job_index: int) -> str:
-        return self.jobs[job_index][1].key
+        return self.jobs[job_index][0].key
 
     @property
     def done(self) -> bool:
@@ -205,7 +205,7 @@ class _Campaign:
         )
 
     def required_tags(self, job_index: int) -> tuple[str, str]:
-        _, scenario, _, _, engine, _ = self.jobs[job_index]
+        scenario, _, _, engine, _ = self.jobs[job_index]
         return (f"target:{scenario.target}", f"engine:{engine}")
 
     def job_frame(self, aid: int, job_index: int) -> dict:
@@ -579,15 +579,18 @@ class CampaignService:
             if job_index not in campaign.results:
                 try:
                     result = ScenarioResult.from_dict(message["result"])
-                    # cache_stats and a recorded suite ride the frame
-                    # as sidecars (neither is part of the golden
-                    # to_dict bytes); restoring cache_stats keeps
-                    # meta["compile_cache"] meaningful.
+                    # cache_stats, the execution path and a recorded
+                    # suite ride the frame as sidecars (none is part
+                    # of the golden to_dict bytes); restoring them
+                    # keeps meta["compile_cache"] and
+                    # meta["execution"] meaningful.
                     stats = message.get("cache_stats")
                     if stats:
                         result.cache_stats = {
                             str(k): int(v) for k, v in stats.items()
                         }
+                    if message.get("execution") is not None:
+                        result.execution = str(message["execution"])
                     if "suite" in message:
                         result.suite = RegressionSuite.from_dict(
                             message["suite"]
@@ -1104,7 +1107,7 @@ class CampaignService:
 
     def _build_campaign(self, message: dict) -> _Campaign:
         matrix = matrix_from_dict(message["matrix"])
-        engine = str(message.get("engine", "closure"))
+        engine = str(message.get("engine", CAMPAIGN_ENGINE))
         _require_known_engine(engine)
         priority = int(message.get("priority", 0))
         weight = float(message.get("weight", 1.0))

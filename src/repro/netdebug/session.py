@@ -19,7 +19,7 @@ from ..p4.interpreter import Interpreter, Verdict
 from ..target.device import FLOOD_PORT, NetworkDevice
 from ..target.pipeline import PacketSnapshot, TAP_INPUT, TAP_OUTPUT
 from .checker import CheckRule, ExpectedOutput, OutputChecker
-from .generator import PacketGenerator, StreamSpec
+from .generator import PacketGenerator, StreamSpec, wire_of
 from .oracle import (
     ORACLES,
     OracleFactory,
@@ -83,8 +83,9 @@ class ValidationSession:
 
 def _block_eligible(
     device: NetworkDevice, session: ValidationSession
-) -> bool:
-    """Whether the session can run through the batch kernel.
+) -> str | None:
+    """``None`` when the session can run through the batch kernel, else
+    the short reason it cannot.
 
     The block path replays the lockstep protocol after the kernel runs,
     which is only equivalent when nothing needs to observe or perturb
@@ -101,20 +102,20 @@ def _block_eligible(
     (:attr:`repro.target.batch.BatchProgram.columnar` is False), and
     the post-block replay feeds the oracle in sequence order.
     """
-    if getattr(device, "engine", None) != "batch":
-        return False
-    if device._batch is None:
-        return False
-    if session.tap != TAP_OUTPUT or session.oracle is not None:
-        return False
+    if getattr(device, "engine", None) != "batch" or device._batch is None:
+        return "engine"
+    if session.tap != TAP_OUTPUT:
+        return "non-output tap"
+    if session.oracle is not None:
+        return "custom oracle"
     injector = device.injector
     if injector is not None and injector._active:
-        return False
+        return "faults armed"
     if device.pipeline.has_taps():
-        return False
+        return "taps"
     for stream in session.streams:
         if stream.inject_at != TAP_INPUT:
-            return False
+            return "mid-pipeline inject_at"
         if stream.wrap:
             count = (
                 len(stream.packets)
@@ -125,8 +126,8 @@ def _block_eligible(
                 stream.timestamps is None
                 or len(stream.timestamps) < count
             ):
-                return False
-    return True
+                return "untimed wrapped stream"
+    return None
 
 
 def _session_oracle(
@@ -189,7 +190,7 @@ def _run_session_block(
                 for seq_no, packet in enumerate(packets)
             ]
         else:
-            wires = [packet.pack() for packet in packets]
+            wires = [wire_of(packet) for packet in packets]
         timestamps = (
             list(stream.timestamps)
             if stream.timestamps is not None
@@ -294,7 +295,7 @@ def run_session(
                     f"{port_count} ports (valid: 0..{port_count - 1})"
                 )
 
-    if _block_eligible(device, session):
+    if _block_eligible(device, session) is None:
         return _run_session_block(device, session)
 
     generator = PacketGenerator(device)
@@ -326,7 +327,7 @@ def run_session(
                         inner=packet,
                     ).pack()
                 else:
-                    wire = packet.pack()
+                    wire = wire_of(packet)
 
                 expectation: ExpectedOutput | None = None
                 if explicit:

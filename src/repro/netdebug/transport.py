@@ -38,6 +38,7 @@ import threading
 
 from ..exceptions import ClusterError
 from ..target.artifact_cache import CACHE_VERSION
+from ..target.device import CAMPAIGN_ENGINE
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -250,10 +251,9 @@ def recv_message(
 
 
 def encode_job(
-    epoch: int,
     scenario,
     faults,
-    engine: str = "closure",
+    engine: str = CAMPAIGN_ENGINE,
     record: bool = False,
     oracle: str | None = None,
 ) -> dict:
@@ -272,7 +272,6 @@ def encode_job(
     from .campaign import fault_to_dict, scenario_to_dict
 
     payload = {
-        "epoch": int(epoch),
         "scenario": scenario_to_dict(scenario),
         "faults": [fault_to_dict(fault) for fault in faults],
         "engine": engine,
@@ -293,11 +292,10 @@ def decode_job(payload: dict) -> tuple:
     try:
         oracle = payload.get("oracle")
         return (
-            int(payload["epoch"]),
             scenario_from_dict(payload["scenario"]),
             tuple(fault_from_dict(f) for f in payload["faults"]),
             bool(payload.get("record", False)),
-            payload.get("engine", "closure"),
+            payload.get("engine", CAMPAIGN_ENGINE),
             ORACLES[oracle] if oracle is not None else None,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -32,6 +32,11 @@ pickle, stale format, version or key mismatch) counts as a miss and
 deletes the offending file. Stores are atomic (temp file + rename) so
 concurrent workers can share one cache directory.
 
+Campaign shards put an in-process tier in front of this one, keyed by
+the same :func:`fingerprint` (see
+:func:`repro.netdebug.campaign._shard_device`); its reuses count as
+``memory_hits``.
+
 Hit/miss counters are module-global; campaign shards snapshot them
 around device acquisition and surface the deltas in
 ``CampaignReport.meta["compile_cache"]`` and ``BENCH_perf.json``.
@@ -55,6 +60,7 @@ __all__ = [
     "CACHE_VERSION",
     "ArtifactCache",
     "FingerprintError",
+    "fingerprint",
     "get_artifact_cache",
     "record_memory_hit",
     "stats_delta",
@@ -125,6 +131,28 @@ def _canonical(node, out: list) -> None:
         )
 
 
+def fingerprint(program, compiler: TargetCompiler, extra: str = "") -> str:
+    """Content fingerprint of ``program`` compiled by ``compiler``.
+
+    The key of both the on-disk tier (``<key>.pkl``) and the campaign's
+    in-process artifact tier, so it needs no cache directory. Raises
+    :class:`FingerprintError` when the IR cannot be canonicalized;
+    callers should treat that program as uncacheable.
+    """
+    tokens: list = [
+        f"v{CACHE_VERSION}",
+        f"py{sys.version_info[0]}.{sys.version_info[1]}",
+        compiler.limits.name,
+        repr(compiler.honor_reject),
+        repr(compiler.quantize_tcam),
+        repr(compiler.deparse_field_budget),
+        extra,
+        "|",
+    ]
+    _canonical(program, tokens)
+    return hashlib.sha256("\x1f".join(tokens).encode()).hexdigest()
+
+
 class ArtifactCache:
     """One cache directory holding versioned compiled artifacts."""
 
@@ -137,26 +165,9 @@ class ArtifactCache:
     def key_for(
         self, program, compiler: TargetCompiler, extra: str = ""
     ) -> str:
-        """Cache key for ``program`` compiled by ``compiler``.
-
-        Raises :class:`FingerprintError` when the IR cannot be
-        canonicalized; callers should treat that program as uncacheable.
-        """
-        tokens: list = [
-            f"v{CACHE_VERSION}",
-            f"py{sys.version_info[0]}.{sys.version_info[1]}",
-            compiler.limits.name,
-            repr(compiler.honor_reject),
-            repr(compiler.quantize_tcam),
-            repr(compiler.deparse_field_budget),
-            extra,
-            "|",
-        ]
-        _canonical(program, tokens)
-        digest = hashlib.sha256(
-            "\x1f".join(tokens).encode()
-        ).hexdigest()
-        return digest
+        """Cache key for ``program`` compiled by ``compiler`` (see
+        :func:`fingerprint`)."""
+        return fingerprint(program, compiler, extra)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"

@@ -32,7 +32,14 @@ from .faults import FaultInjector
 from .limits import ArchLimits
 from .pipeline import StagedPipeline, TAP_INPUT, TargetRun
 
-__all__ = ["ENGINES", "FLOOD_PORT", "Port", "DeviceStats", "NetworkDevice"]
+__all__ = [
+    "CAMPAIGN_ENGINE",
+    "ENGINES",
+    "FLOOD_PORT",
+    "Port",
+    "DeviceStats",
+    "NetworkDevice",
+]
 
 #: Egress value meaning "flood to every port except the ingress".
 FLOOD_PORT = 0x1FF
@@ -40,6 +47,12 @@ FLOOD_PORT = 0x1FF
 #: Execution engines a device can run: spec-faithful tree-walking,
 #: per-packet compiled closures, or the block-compiled batch kernel.
 ENGINES = ("tree", "closure", "batch")
+
+#: The engine campaign shards run on unless told otherwise: cells the
+#: block kernel can serve run through it, the rest fall back to
+#: per-packet closures (see ``repro.netdebug.session``). A device built
+#: directly still defaults to ``closure``.
+CAMPAIGN_ENGINE = "batch"
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.netdebug.campaign import run_campaign
+from repro.netdebug.campaign import _clear_artifacts, run_campaign
 from repro.netdebug.cluster import _service_execute
 from repro.netdebug.diffing import baseline_matrix
 from repro.netdebug.transport import (
@@ -225,7 +225,11 @@ def test_default_directory_under_home(tmp_path, monkeypatch):
 def test_warm_campaign_hits_cache_and_keeps_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_COMPILE_CACHE", str(tmp_path / "warm"))
     matrix = baseline_matrix()
+    # Both runs start with an empty in-process tier, as a fresh process
+    # would, so the warm run must resolve every artifact from disk.
+    _clear_artifacts()
     cold = run_campaign(matrix, name="cache-check")
+    _clear_artifacts()
     warm = run_campaign(matrix, name="cache-check")
 
     assert cold.meta["compile_cache"]["stores"] > 0

@@ -183,6 +183,56 @@ class TestRunCampaign:
             del PROVISIONERS["test-routes"]
 
 
+class TestExecutionMeta:
+    """``meta["execution"]`` says which cells took the batch kernel and
+    why the others fell back, without touching canonical bytes."""
+
+    FAULTED = {
+        "baseline": (),
+        "blackhole": (Fault(FaultKind.BLACKHOLE, stage="ingress.0"),),
+    }
+
+    def test_seeded_matrix_runs_all_block(self):
+        from repro.netdebug.diffing import baseline_matrix
+
+        report = run_campaign(baseline_matrix(), name="block")
+        assert report.meta["execution"] == {
+            "block": report.scenarios, "per_packet": 0, "reasons": {},
+        }
+        assert "execution" not in report.to_json()
+
+    def test_fault_armed_cell_runs_per_packet(self):
+        report = run_campaign(tiny_matrix(faults=self.FAULTED), name="f")
+        assert report.meta["execution"] == {
+            "block": 1, "per_packet": 1, "reasons": {"faults armed": 1},
+        }
+        by_fault = {r.scenario.fault: r for r in report.results}
+        assert by_fault["baseline"].execution == "block"
+        assert by_fault["blackhole"].execution == "faults armed"
+        assert "execution" not in report.to_json()
+        assert "faults armed" not in report.to_json()
+
+    def test_closure_engine_names_the_engine(self):
+        report = run_campaign(tiny_matrix(), name="c", engine="closure")
+        assert report.meta["execution"] == {
+            "block": 0, "per_packet": 1, "reasons": {"engine": 1},
+        }
+        assert report.to_json() == run_campaign(
+            tiny_matrix(), name="c"
+        ).to_json()
+
+    def test_counts_survive_the_cluster_wire(self):
+        from repro.netdebug.cluster import run_cluster_campaign
+
+        matrix = tiny_matrix(faults=self.FAULTED)
+        serial = run_campaign(matrix, name="wire")
+        clustered = run_cluster_campaign(
+            matrix, workers=1, name="wire", timeout=300
+        )
+        assert clustered.meta["execution"] == serial.meta["execution"]
+        assert clustered.to_json() == serial.to_json()
+
+
 class TestDeterminism:
     def test_one_vs_n_workers_byte_identical(self):
         matrix = tiny_matrix(

@@ -104,6 +104,13 @@ class TestStreamSpec:
         assert len(materialized) == 2
         assert materialized[0] is not packets[0]  # copies
 
+    def test_wire_frames_are_not_copied(self):
+        frames = [template().pack(), template().pack()]
+        spec = StreamSpec(stream_id=1, packets=frames)
+        materialized = list(spec.materialize())
+        assert len(materialized) == 2
+        assert all(got is want for got, want in zip(materialized, frames))
+
     def test_template_required(self):
         spec = StreamSpec(stream_id=1)
         with pytest.raises(NetDebugError):
@@ -156,6 +163,24 @@ class TestGenerator:
             info = decode_probe(record.wire)
             assert info is not None
             assert info.stream_id == 9
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_wire_frames_inject_like_packets(self, wrap):
+        packets = [template(), template()]
+        records = {}
+        for kind, items in (
+            ("packets", packets),
+            ("frames", [packet.pack() for packet in packets]),
+        ):
+            generator = PacketGenerator(loaded_device())
+            generator.configure(
+                StreamSpec(stream_id=4, packets=items, wrap=wrap)
+            )
+            records[kind] = [
+                (r.wire, r.timestamp, r.run.output_wire)
+                for r in generator.run_stream(4)
+            ]
+        assert records["frames"] == records["packets"]
 
     def test_run_all_in_stream_order(self):
         device = loaded_device()

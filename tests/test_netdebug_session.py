@@ -334,3 +334,124 @@ class TestRunSession:
         text = report.summary()
         assert "summary" in text
         assert "PASS" in text
+
+
+def _engine_device(engine, wrap, name="ses-engine"):
+    """A reflector for wrapped streams (probes are forwarded back), the
+    routed router otherwise; both on ``engine``."""
+    from repro.p4.stdlib import reflector
+
+    if not wrap:
+        return routed_device(
+            lambda device_name: make_reference_device(
+                device_name, engine=engine
+            ),
+            name=name,
+        )
+    device = make_reference_device(name, engine=engine)
+    device.load(reflector())
+    return device
+
+
+class TestWireFrameStreams:
+    """A stream of packed frames is the same stream as its packets."""
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_frames_report_like_packets_on_both_paths(self, wrap, timed):
+        from repro.netdebug.session import _block_eligible
+
+        packets = routed_packets(6)
+        reports = {}
+        paths = {}
+        for engine in ("batch", "closure"):
+            for kind, items in (
+                ("packets", packets),
+                ("frames", [packet.pack() for packet in packets]),
+            ):
+                device = _engine_device(engine, wrap)
+                session = ValidationSession(
+                    name="frames",
+                    streams=[
+                        StreamSpec(
+                            stream_id=3,
+                            packets=items,
+                            wrap=wrap,
+                            timestamps=(
+                                [40 * i + 7 for i in range(6)]
+                                if timed else None
+                            ),
+                        )
+                    ],
+                    use_reference_oracle=True,
+                )
+                paths[engine, kind] = _block_eligible(device, session)
+                reports[engine, kind] = run_session(device, session).to_dict()
+
+        assert paths["closure", "frames"] == "engine"
+        assert paths["batch", "frames"] == (
+            "untimed wrapped stream" if wrap and not timed else None
+        )
+        assert paths["batch", "packets"] == paths["batch", "frames"]
+        for engine in ("batch", "closure"):
+            assert reports[engine, "frames"] == reports[engine, "packets"]
+        assert reports["batch", "frames"] == reports["closure", "frames"]
+        assert reports["batch", "frames"]["passed"]
+
+
+class TestBlockEligibility:
+    """``_block_eligible`` names why a session cannot take the kernel."""
+
+    @staticmethod
+    def _reason(device=None, **overrides):
+        from repro.netdebug.session import _block_eligible
+
+        stream = overrides.pop("stream", {})
+        session = ValidationSession(
+            name="why",
+            streams=[
+                StreamSpec(stream_id=1, packets=routed_packets(2), **stream)
+            ],
+            use_reference_oracle=True,
+            **overrides,
+        )
+        device = device or _engine_device("batch", wrap=False)
+        return _block_eligible(device, session)
+
+    def test_eligible_session_has_no_reason(self):
+        assert self._reason() is None
+
+    def test_engine(self):
+        assert self._reason(_engine_device("closure", wrap=False)) == (
+            "engine"
+        )
+
+    def test_taps(self):
+        device = _engine_device("batch", wrap=False)
+        device.attach_tap("ingress.0", lambda snapshot: None)
+        assert self._reason(device) == "taps"
+
+    def test_faults_armed(self):
+        from repro.target.faults import Fault, FaultKind
+
+        device = _engine_device("batch", wrap=False)
+        device.injector.inject(Fault(FaultKind.BLACKHOLE))
+        assert self._reason(device) == "faults armed"
+
+    def test_custom_oracle(self):
+        assert self._reason(
+            oracle=lambda wire, port: ExpectedOutput(forbid=True)
+        ) == "custom oracle"
+
+    def test_non_output_tap(self):
+        assert self._reason(tap="ingress.0") == "non-output tap"
+
+    def test_mid_pipeline_inject_at(self):
+        assert self._reason(stream={"inject_at": "ingress.0"}) == (
+            "mid-pipeline inject_at"
+        )
+
+    def test_untimed_wrapped_stream(self):
+        assert self._reason(stream={"wrap": True}) == (
+            "untimed wrapped stream"
+        )

@@ -29,6 +29,7 @@ import pytest
 
 from repro.exceptions import ClusterError, NetDebugError
 from repro.netdebug.campaign import (
+    CAMPAIGN_ENGINE,
     ScenarioMatrix,
     _pool_context,
     run_campaign,
@@ -202,14 +203,19 @@ class TestJobCodec:
         )
         scenario = matrix.expand()[0]
         payload = encode_job(
-            41, scenario, matrix.faults[scenario.fault], engine="batch"
+            scenario, matrix.faults[scenario.fault], engine="closure"
         )
-        epoch, decoded, faults, record, engine, oracle = decode_job(
-            payload
-        )
-        assert (epoch, record, engine, oracle) == (41, False, "batch", None)
+        decoded, faults, record, engine, oracle = decode_job(payload)
+        assert (record, engine, oracle) == (False, "closure", None)
         assert decoded == scenario
         assert faults == matrix.faults[scenario.fault]
+
+    def test_default_engine_is_the_campaign_engine(self):
+        scenario = service_matrix().expand()[0]
+        payload = encode_job(scenario, ())
+        assert payload["engine"] == CAMPAIGN_ENGINE == "batch"
+        assert "epoch" not in payload
+        assert decode_job(payload)[3] == CAMPAIGN_ENGINE
 
     def test_predicate_faults_refused(self):
         matrix = service_matrix(
@@ -225,11 +231,11 @@ class TestJobCodec:
         )
         scenario = matrix.expand()[0]
         with pytest.raises(NetDebugError, match="predicate"):
-            encode_job(1, scenario, matrix.faults[scenario.fault])
+            encode_job(scenario, matrix.faults[scenario.fault])
 
     def test_malformed_payload_refused(self):
         with pytest.raises(ClusterError, match="malformed JSON job"):
-            decode_job({"epoch": 1, "faults": []})
+            decode_job({"faults": []})
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +366,28 @@ class TestService:
         assert verdict["identical"] and not verdict["regression"]
         alpha.close()
         beta.close()
+
+    def test_execution_counts_reach_the_client(self, fleet):
+        # A batch-tagged worker takes default-engine shards, and the
+        # per-cell execution path rides the result frames into the
+        # client's report meta.
+        f = fleet()
+        f.add_worker(tags=("engine:batch",))
+        f.wait_workers(1)
+        matrix = service_matrix(
+            faults={
+                "baseline": (),
+                "blackhole": (
+                    Fault(FaultKind.BLACKHOLE, stage="ingress.0"),
+                ),
+            },
+        )
+        report = f.client().run(matrix, name="paths")
+        serial = run_campaign(matrix, name="paths")
+        assert report.meta["execution"] == serial.meta["execution"] == {
+            "block": 2, "per_packet": 2, "reasons": {"faults armed": 2},
+        }
+        assert report.to_json() == serial.to_json()
 
     def test_worker_crash_mid_campaign_recovers(self, fleet):
         # One worker hard-exits on its second shard; after the grace
