@@ -71,7 +71,13 @@ from .report import (
     LatencyStats,
     SessionReport,
 )
-from .oracle import ORACLES, OracleFactory, require_known_oracle
+from .oracle import (
+    ORACLES,
+    OracleFactory,
+    ReferenceOracle,
+    require_known_oracle,
+    spec_kernel,
+)
 from .session import ValidationSession, _block_eligible, run_session
 
 __all__ = [
@@ -667,7 +673,7 @@ def _run_shard(job: tuple) -> "ScenarioResult":
             compiled=device.compiled,
         ),
     )
-    frames = [packet.pack() for packet in bundle.packets]
+    frames = list(bundle.frames)
     # StreamSpec.timestamps is in device-clock cycles; the workload's
     # arrival process is in nanoseconds. The same timestamps feed the
     # oracle so programs that stamp time into packets (int_telemetry)
@@ -691,6 +697,10 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         else ORACLES[getattr(scenario, "oracle", "stateless")]
     )
     oracle = factory(device.program, num_ports=len(device.ports))
+    if isinstance(oracle, ReferenceOracle):
+        # The artifact's spec kernel: compiled once, shared by every
+        # shard over this artifact, so the oracle costs fresh state.
+        oracle.kernel = spec_kernel(device.compiled)
     expectations = oracle.expect_all(
         frames,
         ingress_ports=ports,

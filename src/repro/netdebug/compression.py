@@ -258,7 +258,7 @@ def _cell_signature(
         "oracle": scenario.oracle,
         "faults": "[" + ",".join(reachable) + "]",
         "behavior": _behavior_fingerprint(
-            [packet.pack() for packet in bundle.packets], ctx
+            list(bundle.frames), ctx
         ),
     }
     return components, None

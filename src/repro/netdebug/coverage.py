@@ -445,7 +445,9 @@ def _coverage_workload(
             "silently weaken the all-paths-exercised claim — raise the "
             "scenario count"
         )
-    return WorkloadBundle("coverage", packets, coverage=cmap)
+    # The map records each witness's wire bytes, in packet order.
+    frames = tuple(bytes.fromhex(path.packet) for path in cmap.covered)
+    return WorkloadBundle("coverage", frames, coverage=cmap)
 
 
 #: Registered at import time so spawn-started pool/cluster workers —

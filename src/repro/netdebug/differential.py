@@ -49,7 +49,7 @@ from ..p4.stdlib import PROGRAMS
 from ..packet.builder import ethernet_frame, udp_packet
 from ..sim.traffic import (
     FlowSpec,
-    bidirectional_flows,
+    build_workload,
     default_flow,
     pad_to_size,
 )
@@ -227,14 +227,13 @@ def seeded_bidir_batch(
     flow: FlowSpec, count: int, seed: int
 ) -> list[tuple[bytes, int]]:
     """A deterministic bidirectional batch: ``(wire, ingress_port)``
-    pairs from :func:`repro.sim.traffic.bidirectional_flows` — TCP-like
+    pairs of the ``tcp_bidir`` workload
+    (:func:`repro.sim.traffic.bidirectional_flows`) — TCP-like
     exchanges with seeded loss and reordering, outbound on the inside
     port, inbound on the outside port. The directional counterpart of
     :func:`seeded_batch` for register-stateful cases."""
-    return [
-        (packet.pack(), port)
-        for packet, port in bidirectional_flows(flow, count, seed=seed)
-    ]
+    bundle = build_workload("tcp_bidir", flow, count, seed=seed)
+    return list(zip(bundle.frames, bundle.ingress_ports))
 
 
 @dataclass(frozen=True)

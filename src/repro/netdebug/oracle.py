@@ -8,26 +8,42 @@ means the spec-correct prediction for an inbound packet depends on
 every outbound packet that preceded it. So the oracle is an object with
 an explicit lifetime:
 
-* :class:`ReferenceOracle` compiles the program once into spec-faithful
-  closures (:func:`repro.target.fastpath.compile_program` with
-  ``honor_reject`` and neither TCAM quantisation nor a deparse budget)
-  and owns one :class:`~repro.p4.interpreter.RuntimeState` whose
-  registers and counters persist across :meth:`~ReferenceOracle.expect`
-  calls. Its contract is **arrival order**: feed it packets in exactly
-  the order the device under test will process them, with the same
-  per-packet ``ingress_port`` and ``timestamp``, and its predictions
-  stay byte-exact for stateful programs.
+* :class:`ReferenceOracle` predicts through a :class:`SpecKernel` — the
+  program compiled once into spec-faithful closures
+  (:func:`repro.target.fastpath.compile_program` with ``honor_reject``
+  and neither TCAM quantisation nor a deparse budget) plus the batch
+  block kernel (:mod:`repro.target.batch`) over them — and owns one
+  :class:`~repro.p4.interpreter.RuntimeState` whose registers and
+  counters persist across :meth:`~ReferenceOracle.expect` calls. Its
+  contract is **arrival order**: feed it packets in exactly the order
+  the device under test will process them, with the same per-packet
+  ``ingress_port`` and ``timestamp``, and its predictions stay
+  byte-exact for stateful programs.
 * :class:`StatelessOracle` is the drop-in subclass that predicts every
   packet from fresh state — the default everywhere, so existing
   campaigns and the committed golden baselines are unaffected unless a
   matrix opts into ``stateful``.
 
+:meth:`~ReferenceOracle.expect_all` predicts a whole cell as one block:
+the stateless oracle on a register-free program runs the kernel's
+columnar schedule, the stateful oracle its packet-major schedule over
+the oracle's own state. Per-packet prediction (:meth:`~ReferenceOracle.expect`)
+remains for lockstep sessions, for stateless prediction on a
+register-bearing program (each packet needs fresh registers) and for
+subclasses that override ``_process``.
+
+A campaign builds one spec kernel per provisioned artifact
+(:func:`spec_kernel`, kept on the artifact in the campaign's bounded
+artifact tier) and hands it to every oracle over that artifact, so an
+oracle costs a fresh ``RuntimeState``. An oracle built outside a
+campaign compiles its own kernel on first use.
+
 Everything that consumes expectations (sessions, campaigns, regression
 recording) goes through an oracle object. The tree-walking
 :class:`~repro.p4.interpreter.Interpreter` is not on this path; it stays
 the independent ground truth of the differential harness, coverage
-replay and the formal baseline, and a pinned test holds the compiled
-oracle's predictions equal to its own.
+replay and the formal baseline, and a pinned test holds the block and
+per-packet oracles' predictions equal to its own.
 """
 
 from __future__ import annotations
@@ -37,13 +53,18 @@ from typing import Callable
 from ..exceptions import NetDebugError
 from ..p4.interpreter import RuntimeState, Verdict
 from ..p4.program import P4Program
+from ..target.batch import BatchProgram, build_batch_program
+from ..target.compiler import CompiledProgram
 from ..target.device import FLOOD_PORT
 from ..target.fastpath import compile_program
+from ..target.limits import REFERENCE_LIMITS
 from .checker import ExpectedOutput
 
 __all__ = [
     "ReferenceOracle",
     "StatelessOracle",
+    "SpecKernel",
+    "spec_kernel",
     "ORACLES",
     "OracleFactory",
     "require_known_oracle",
@@ -52,6 +73,51 @@ __all__ = [
 #: The signature every oracle factory satisfies: build one oracle for a
 #: session over ``program`` on a device with ``num_ports`` ports.
 OracleFactory = Callable[..., "ReferenceOracle"]
+
+
+class SpecKernel:
+    """One program compiled for spec-faithful prediction.
+
+    ``fast`` is the ``honor_reject=True`` closure program, run per
+    packet; :attr:`block` is the batch kernel over those closures, run
+    per cell and built on first use. Both are read-only: all mutable
+    state lives in the ``RuntimeState`` each oracle passes in, so one
+    kernel serves every oracle over the same program object.
+    """
+
+    __slots__ = ("program", "fast", "_block")
+
+    def __init__(self, program: P4Program) -> None:
+        self.program = program
+        self.fast = compile_program(program, honor_reject=True)
+        self._block: BatchProgram | None = None
+
+    @property
+    def block(self) -> BatchProgram:
+        block = self._block
+        if block is None:
+            block = self._block = build_batch_program(
+                CompiledProgram(
+                    self.program, "spec", honor_reject=True, fast=self.fast
+                ),
+                REFERENCE_LIMITS,
+            )
+        return block
+
+
+def spec_kernel(compiled: CompiledProgram) -> SpecKernel:
+    """The spec kernel of a provisioned artifact, built on first use and
+    kept on the artifact: it lives, and is dropped, with the artifact."""
+    kernel = compiled.spec
+    if kernel is None:
+        kernel = compiled.spec = SpecKernel(compiled.program)
+    return kernel
+
+
+def _prefix_then_zero(values, n: int) -> list:
+    """``values`` covering a prefix of ``n`` lanes, the rest 0."""
+    covered = list(values[:n]) if values else []
+    return covered + [0] * (n - len(covered))
 
 
 class ReferenceOracle:
@@ -67,9 +133,10 @@ class ReferenceOracle:
     discipline, which is also why campaign sharding keeps all packets
     of one session on one shard (state cannot thread across shards).
 
-    The program is compiled per oracle, not cached by program: a
-    module-level cache would pin every program object it ever saw,
-    table entries included.
+    The :attr:`kernel` is compiled on first use unless one is assigned
+    first (a campaign assigns its artifact's :func:`spec_kernel`). No
+    module-level cache keyed by program exists: it would pin every
+    program object it ever saw, table entries included.
     """
 
     #: Whether predictions depend on the packets fed before them.
@@ -80,8 +147,25 @@ class ReferenceOracle:
     ) -> None:
         self.program = program
         self.num_ports = num_ports
-        self._compiled = compile_program(program, honor_reject=True)
         self.state = RuntimeState.for_program(program)
+        self._kernel: SpecKernel | None = None
+
+    @property
+    def kernel(self) -> SpecKernel:
+        """The spec kernel this oracle predicts with."""
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = SpecKernel(self.program)
+        return kernel
+
+    @kernel.setter
+    def kernel(self, kernel: SpecKernel) -> None:
+        if kernel.program is not self.program:
+            raise NetDebugError(
+                f"spec kernel for {kernel.program.name!r} does not belong "
+                f"to this oracle's program {self.program.name!r}"
+            )
+        self._kernel = kernel
 
     def reset(self) -> None:
         """Forget all threaded state (fresh registers and counters)."""
@@ -91,37 +175,34 @@ class ReferenceOracle:
     # Prediction
     # ------------------------------------------------------------------
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        return self._compiled.run(wire, ingress_port, timestamp, self.state)
+        return self.kernel.fast.run(
+            wire, ingress_port, timestamp, self.state
+        )
 
-    def expect(
-        self,
-        wire: bytes,
-        ingress_port: int = 0,
-        timestamp: int = 0,
-        label: str = "",
-    ) -> ExpectedOutput:
-        """Predict the spec-correct outcome for the *next* packet.
+    def _process_block(self, wires, ingress_ports, timestamps):
+        """Kernel outcomes ``(timestamp, run, error)`` in arrival order,
+        or ``None`` to predict packet by packet.
 
-        A drop/reject prediction becomes a ``forbid`` expectation; a
-        unicast forward prediction pins the exact output bytes and
-        egress port. ``timestamp`` is the planned injection time in
-        device-clock cycles; programs whose output bytes depend on it
-        (e.g. ``int_telemetry`` stamping ``ingress_ts``) validate
-        byte-exactly only when the oracle sees the same timestamp the
-        device will.
-
-        A *flood* prediction (``egress_spec`` equal to
-        :data:`~repro.target.device.FLOOD_PORT`) is expanded to the
-        per-port expected outputs — every port except the ingress —
-        which requires the oracle to know the device's port count:
-        constructed without ``num_ports``, a flood prediction raises
-        :class:`NetDebugError` instead of silently expanding to zero
-        ports (an empty ``egress_ports`` checks nothing, the same false
-        confidence the missing-``egress_spec`` guard below exists to
-        prevent). Raises :class:`NetDebugError` likewise when the run
-        produced no ``egress_spec`` metadata at all.
+        The packet-major schedule: blocks of one over this oracle's
+        state, yielded lazily, so a caller that stops at the first
+        error leaves the state exactly where per-packet prediction
+        would.
         """
-        result = self._process(wire, ingress_port, timestamp)
+        run_block = self.kernel.block.run_block
+        counters, registers = self.state.counters, self.state.registers
+        for wire, port, timestamp in zip(wires, ingress_ports, timestamps):
+            yield run_block(
+                (wire,),
+                timestamps=(timestamp,),
+                ingress_ports=(port,),
+                counters=counters,
+                registers=registers,
+            )[0]
+
+    def _expectation(
+        self, result, ingress_port: int, label: str
+    ) -> ExpectedOutput:
+        """Turn one spec run into the expectation the checker grades."""
         if result.verdict is not Verdict.FORWARDED:
             return ExpectedOutput(
                 forbid=True,
@@ -156,6 +237,40 @@ class ReferenceOracle:
             label=label or "reference-output",
         )
 
+    def expect(
+        self,
+        wire: bytes,
+        ingress_port: int = 0,
+        timestamp: int = 0,
+        label: str = "",
+    ) -> ExpectedOutput:
+        """Predict the spec-correct outcome for the *next* packet.
+
+        A drop/reject prediction becomes a ``forbid`` expectation; a
+        unicast forward prediction pins the exact output bytes and
+        egress port. ``timestamp`` is the planned injection time in
+        device-clock cycles; programs whose output bytes depend on it
+        (e.g. ``int_telemetry`` stamping ``ingress_ts``) validate
+        byte-exactly only when the oracle sees the same timestamp the
+        device will.
+
+        A *flood* prediction (``egress_spec`` equal to
+        :data:`~repro.target.device.FLOOD_PORT`) is expanded to the
+        per-port expected outputs — every port except the ingress —
+        which requires the oracle to know the device's port count:
+        constructed without ``num_ports``, a flood prediction raises
+        :class:`NetDebugError` instead of silently expanding to zero
+        ports (an empty ``egress_ports`` checks nothing, the same false
+        confidence the missing-``egress_spec`` guard below exists to
+        prevent). Raises :class:`NetDebugError` likewise when the run
+        produced no ``egress_spec`` metadata at all.
+        """
+        return self._expectation(
+            self._process(wire, ingress_port, timestamp),
+            ingress_port,
+            label,
+        )
+
     def expect_all(
         self,
         wires,
@@ -168,20 +283,46 @@ class ReferenceOracle:
         ``ingress_ports`` / ``timestamps`` cover a prefix (short or
         ``None`` falls back to port 0 / timestamp 0, matching the
         injection paths' fallbacks); ``label`` becomes ``label#i``.
+        The sequence runs as one block through the spec kernel where
+        the oracle allows it (see the module docstring); either way the
+        expectations, the final state and the first error raised — its
+        type, message and packet index — are those of calling
+        :meth:`expect` once per packet.
         """
-        ports_covered = len(ingress_ports) if ingress_ports else 0
-        times_covered = len(timestamps) if timestamps else 0
-        return [
-            self.expect(
-                wire,
-                ingress_port=(
-                    ingress_ports[i] if i < ports_covered else 0
-                ),
-                timestamp=timestamps[i] if i < times_covered else 0,
-                label=f"{label}#{i}" if label else "",
-            )
-            for i, wire in enumerate(wires)
-        ]
+        wires = list(wires)
+        n = len(wires)
+        ports = _prefix_then_zero(ingress_ports, n)
+        times = _prefix_then_zero(timestamps, n)
+        labels = (
+            [f"{label}#{i}" for i in range(n)] if label else [""] * n
+        )
+        outcomes = (
+            self._process_block(wires, ports, times)
+            if self._block_capable()
+            else None
+        )
+        if outcomes is None:
+            return [
+                self.expect(wire, ports[i], times[i], labels[i])
+                for i, wire in enumerate(wires)
+            ]
+        expectation = self._expectation
+        expectations = []
+        for i, (_, run, error) in enumerate(outcomes):
+            if error is not None:
+                raise error
+            expectations.append(expectation(run.result, ports[i], labels[i]))
+        return expectations
+
+    def _block_capable(self) -> bool:
+        """Whether the most derived ``_process`` has a block form: a
+        subclass that overrides ``_process`` alone predicts per packet,
+        so its override is honoured by :meth:`expect_all` too."""
+        for klass in type(self).__mro__:
+            attrs = vars(klass)
+            if "_process" in attrs or "_process_block" in attrs:
+                return "_process" in attrs and "_process_block" in attrs
+        return False
 
 
 class StatelessOracle(ReferenceOracle):
@@ -197,7 +338,21 @@ class StatelessOracle(ReferenceOracle):
     stateful = False
 
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        return self._compiled.run(wire, ingress_port, timestamp)
+        return self.kernel.fast.run(wire, ingress_port, timestamp)
+
+    def _process_block(self, wires, ingress_ports, timestamps):
+        if self.program.registers:
+            # Fresh registers per packet cannot share one block.
+            return None
+        # Counters are write-only, so one fresh set serves every lane.
+        fresh = RuntimeState.for_program(self.program)
+        return self.kernel.block.run_block(
+            wires,
+            timestamps=timestamps,
+            ingress_ports=ingress_ports,
+            counters=fresh.counters,
+            registers=fresh.registers,
+        )
 
 
 #: Named oracle factories scenario matrices reference (``oracle=`` axis).

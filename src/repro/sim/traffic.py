@@ -3,6 +3,16 @@
 Deterministic, seeded workload generators producing the packet mixes the
 benchmark harness sweeps: fixed-size UDP streams, IMIX-style mixes, and
 adversarial mixes containing malformed packets (the reject-state workload).
+
+Generators emit wire bytes. Each builds a flow's Ethernet+IPv4+UDP frame
+once (:class:`_UdpFrame`) and per packet patches only the payload, plus
+the IPv4 version or IHL nibble for malformed frames; lengths and
+checksums are fixed on bytes. The bytes equal what the
+:mod:`repro.packet.builder` composition (``udp_packet``, then
+:func:`pad_to_size`, then ``.pack()``) gives. The public streams yielding
+:class:`~repro.packet.packet.Packet` objects are views over the same
+frames, parsed with :func:`~repro.packet.builder.parse_ethernet`, and
+:class:`WorkloadBundle` carries ``frames`` with ``packets`` as a view.
 """
 
 from __future__ import annotations
@@ -10,12 +20,14 @@ from __future__ import annotations
 import inspect
 import math
 import random
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 from ..exceptions import SimulationError
-from ..packet.builder import ethernet_frame, udp_packet
-from ..packet.headers import ipv4, mac
+from ..packet.builder import parse_ethernet
+from ..packet.headers import IPPROTO_UDP, ipv4, mac
 from ..packet.packet import Packet
 
 __all__ = [
@@ -217,44 +229,150 @@ def onoff_times(
     return times()
 
 
+def _checksum(total: int) -> int:
+    """RFC 1071 checksum of 16-bit words whose plain sum is congruent to
+    ``total`` modulo 0xFFFF, for words not all zero: their
+    one's-complement sum is that residue, except that it never folds
+    to 0, so a residue of 0 is 0xFFFF."""
+    return 0xFFFF - (total % 0xFFFF or 0xFFFF)
+
+
+class _UdpFrame:
+    """One flow direction's Ethernet+IPv4+UDP frame, built once.
+
+    :meth:`frame` fills in a payload and returns wire bytes equal to
+    ``udp_packet(...).pack()`` for the same addresses: the IPv4 total
+    length, the UDP length and both checksums are fixed on bytes from
+    one's-complement sums of the fixed fields, precomputed here, plus
+    the payload words (the RFC 1624 incremental form of RFC 1071).
+    Padding to a wire size happens after the checksums, leaving the
+    lengths stale, exactly as :func:`pad_to_size` does.
+    """
+
+    __slots__ = ("_eth", "_addrs", "_ports", "_ip_sum", "_udp_sum")
+
+    _HEADERS = struct.Struct("!14sBxH4xBBH8s4sHH")
+    _TTL = 64
+    #: Length of the Ethernet+IPv4+UDP headers ahead of the payload.
+    BASE = 42
+
+    def __init__(self, flow: FlowSpec, outbound: bool = True) -> None:
+        if outbound:
+            eth_dst, eth_src = flow.eth_dst, flow.eth_src
+            dst, src = flow.dst_ip, flow.src_ip
+            dst_port, src_port = flow.dst_port, flow.src_port
+        else:
+            # The return path swaps addresses and ports end for end.
+            eth_dst, eth_src = flow.eth_src, flow.eth_dst
+            dst, src = flow.src_ip, flow.dst_ip
+            dst_port, src_port = flow.src_port, flow.dst_port
+        self._eth = (
+            eth_dst.to_bytes(6, "big") + eth_src.to_bytes(6, "big")
+        )
+        self._addrs = src.to_bytes(4, "big") + dst.to_bytes(4, "big")
+        self._ports = (
+            src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big")
+        )
+        # Sums modulo 0xFFFF: a 32-bit address contributes its two
+        # 16-bit words, and 2**16 is 1 modulo 0xFFFF.
+        self._ip_sum = 0x4500 + (self._TTL << 8 | IPPROTO_UDP) + src + dst
+        self._udp_sum = src + dst + IPPROTO_UDP + src_port + dst_port
+
+    def ethernet(self, ether_type: int, payload: bytes) -> bytes:
+        """A bare Ethernet frame between this direction's MACs."""
+        return self._eth + ether_type.to_bytes(2, "big") + payload
+
+    def frame(
+        self, payload: bytes, size: int | None = None, first: int = 0x45
+    ) -> bytes:
+        """The frame carrying ``payload``, padded or cut to ``size``.
+
+        ``first`` replaces the IPv4 version/IHL byte after the checksum
+        is computed, so a malformed frame keeps its stale checksum.
+        """
+        length = len(payload)
+        udp_len = 8 + length
+        words = int.from_bytes(payload, "big")
+        if length & 1:
+            words <<= 8  # an odd payload is checksummed zero-padded
+        udp_check = _checksum(self._udp_sum + 2 * udp_len + words)
+        wire = self._HEADERS.pack(
+            self._eth + b"\x08\x00", first, 20 + udp_len, self._TTL,
+            IPPROTO_UDP, _checksum(self._ip_sum + 20 + udp_len),
+            self._addrs, self._ports, udp_len,
+            # RFC 768: a computed zero is transmitted as all-ones.
+            udp_check or 0xFFFF,
+        ) + payload
+        if size is None:
+            return wire
+        if size < self.BASE:
+            raise ValueError(
+                f"cannot fit {self.BASE} header bytes into a "
+                f"{size}-byte frame"
+            )
+        if size <= len(wire):
+            return wire[:size]
+        return wire + bytes(size - len(wire))
+
+
+def _udp_frames(
+    flow: FlowSpec, count: int, size: int, seed: int
+) -> Iterator[bytes]:
+    """Wire frames of :func:`udp_stream`."""
+    rng = random.Random(seed)
+    frame = _UdpFrame(flow).frame
+    for index in range(count):
+        yield frame(index.to_bytes(4, "big") + rng.randbytes(4), size)
+
+
 def udp_stream(
     flow: FlowSpec, count: int, size: int = 128, seed: int = 0
 ) -> Iterator[Packet]:
     """A stream of identical-shape UDP packets padded to ``size`` bytes."""
-    rng = random.Random(seed)
-    for index in range(count):
-        packet = udp_packet(
-            flow.dst_ip,
-            flow.src_ip,
-            flow.dst_port,
-            flow.src_port,
-            payload=index.to_bytes(4, "big") + rng.randbytes(4),
-            eth_dst=flow.eth_dst,
-            eth_src=flow.eth_src,
-        )
-        yield pad_to_size(packet, size)
+    return map(parse_ethernet, _udp_frames(flow, count, size, seed))
 
 
 #: The classic IMIX distribution: (frame size, relative weight).
 IMIX_DISTRIBUTION = ((64, 7), (570, 4), (1518, 1))
 
 
-def imix_stream(flow: FlowSpec, count: int, seed: int = 0) -> Iterator[Packet]:
-    """An IMIX-weighted mix of small/medium/large frames."""
+def _imix_frames(flow: FlowSpec, count: int, seed: int) -> Iterator[bytes]:
+    """Wire frames of :func:`imix_stream`."""
     rng = random.Random(seed)
     sizes = [size for size, weight in IMIX_DISTRIBUTION for _ in range(weight)]
+    frame = _UdpFrame(flow).frame
     for index in range(count):
         size = rng.choice(sizes)
-        packet = udp_packet(
-            flow.dst_ip,
-            flow.src_ip,
-            flow.dst_port,
-            flow.src_port,
-            payload=index.to_bytes(4, "big"),
-            eth_dst=flow.eth_dst,
-            eth_src=flow.eth_src,
-        )
-        yield pad_to_size(packet, size)
+        yield frame(index.to_bytes(4, "big"), size)
+
+
+def imix_stream(flow: FlowSpec, count: int, seed: int = 0) -> Iterator[Packet]:
+    """An IMIX-weighted mix of small/medium/large frames."""
+    return map(parse_ethernet, _imix_frames(flow, count, seed))
+
+
+def _malformed_frames(
+    flow: FlowSpec, count: int, malformed_fraction: float, seed: int
+) -> Iterator[tuple[bytes, bool]]:
+    """Wire frames of :func:`malformed_mix`."""
+    rng = random.Random(seed)
+    template = _UdpFrame(flow)
+    for index in range(count):
+        if rng.random() < malformed_fraction:
+            kind = rng.randrange(3)
+            if kind == 0:
+                # Wrong IP version.
+                yield template.frame(b"bad-version", first=0x65), True
+            elif kind == 1:
+                # Bad IHL (below the minimum of 5).
+                yield template.frame(
+                    b"bad-ihl", first=0x40 | rng.randrange(0, 5)
+                ), True
+            else:
+                # Unknown EtherType entirely.
+                yield template.ethernet(0xBEEF, rng.randbytes(46)), True
+        else:
+            yield template.frame(index.to_bytes(4, "big")), False
 
 
 def malformed_mix(
@@ -269,40 +387,10 @@ def malformed_mix(
     study's inputs: wrong IP version, bad IHL, or an unknown EtherType —
     all of which a strict parser must reject.
     """
-    rng = random.Random(seed)
-    for index in range(count):
-        if rng.random() < malformed_fraction:
-            kind = rng.randrange(3)
-            if kind == 0:
-                # Wrong IP version.
-                packet = udp_packet(
-                    flow.dst_ip, flow.src_ip, flow.dst_port, flow.src_port,
-                    payload=b"bad-version",
-                    eth_dst=flow.eth_dst, eth_src=flow.eth_src,
-                )
-                packet.get("ipv4")["version"] = 6
-            elif kind == 1:
-                # Bad IHL (below the minimum of 5).
-                packet = udp_packet(
-                    flow.dst_ip, flow.src_ip, flow.dst_port, flow.src_port,
-                    payload=b"bad-ihl",
-                    eth_dst=flow.eth_dst, eth_src=flow.eth_src,
-                )
-                packet.get("ipv4")["ihl"] = rng.randrange(0, 5)
-            else:
-                # Unknown EtherType entirely.
-                packet = ethernet_frame(
-                    flow.eth_dst, flow.eth_src, 0xBEEF,
-                    payload=rng.randbytes(46),
-                )
-            yield packet, True
-        else:
-            packet = udp_packet(
-                flow.dst_ip, flow.src_ip, flow.dst_port, flow.src_port,
-                payload=index.to_bytes(4, "big"),
-                eth_dst=flow.eth_dst, eth_src=flow.eth_src,
-            )
-            yield packet, False
+    for wire, malformed in _malformed_frames(
+        flow, count, malformed_fraction, seed
+    ):
+        yield parse_ethernet(wire), malformed
 
 
 def heavy_tailed_flow_sizes(
@@ -342,25 +430,23 @@ def heavy_tailed_flow_sizes(
     return sizes
 
 
-def _directed_packet(
-    flow: FlowSpec, outbound: bool, payload: bytes
-) -> Packet:
-    """One UDP packet of ``flow`` in the given direction.
-
-    The inbound direction swaps addresses and ports end for end, so an
-    inbound packet's reversed five-tuple hashes to the same connection
-    slot its outbound counterpart opened (the ``stateful_firewall``
-    return-path contract).
-    """
-    if outbound:
-        return udp_packet(
-            flow.dst_ip, flow.src_ip, flow.dst_port, flow.src_port,
-            payload=payload, eth_dst=flow.eth_dst, eth_src=flow.eth_src,
+def _tcp_flow_frames(
+    flow: FlowSpec, data_packets: int, seed: int
+) -> Iterator[tuple[bytes, bool]]:
+    """Wire frames of :func:`tcp_flow_stream`."""
+    rng = random.Random(seed)
+    directions = {True: _UdpFrame(flow), False: _UdpFrame(flow, False)}
+    script: list[tuple[bool, bytes]] = [
+        (True, b"SYN"), (False, b"SYN-ACK"), (True, b"ACK")
+    ]
+    for index in range(data_packets):
+        script.append((index % 2 == 0, b"DATA"))
+    script.extend([(True, b"FIN"), (False, b"FIN-ACK")])
+    for index, (outbound, marker) in enumerate(script):
+        segment = (
+            marker + b":" + index.to_bytes(4, "big") + rng.randbytes(4)
         )
-    return udp_packet(
-        flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port,
-        payload=payload, eth_dst=flow.eth_src, eth_src=flow.eth_dst,
-    )
+        yield directions[outbound].frame(segment), outbound
 
 
 def tcp_flow_stream(
@@ -375,24 +461,82 @@ def tcp_flow_stream(
     — the header library's L4 — with the segment role in the payload:
     the behaviour under test is the firewall's five-tuple state
     machine, which sees exactly the bidirectional pattern TCP produces
-    without needing a TCP deparser.
+    without needing a TCP deparser. The inbound direction swaps
+    addresses and ports end for end, so an inbound packet's reversed
+    five-tuple hashes to the same connection slot its outbound
+    counterpart opened (the ``stateful_firewall`` return-path
+    contract).
     """
-    rng = random.Random(seed)
+    for wire, outbound in _tcp_flow_frames(flow, data_packets, seed):
+        yield parse_ethernet(wire), outbound
 
-    def segment(marker: bytes, index: int) -> bytes:
-        return marker + b":" + index.to_bytes(4, "big") + rng.randbytes(4)
 
-    script: list[tuple[bool, bytes]] = [
-        (True, b"SYN"), (False, b"SYN-ACK"), (True, b"ACK")
-    ]
-    for index in range(data_packets):
-        script.append((index % 2 == 0, b"DATA"))
-    script.extend([(True, b"FIN"), (False, b"FIN-ACK")])
-    for index, (outbound, marker) in enumerate(script):
-        yield (
-            _directed_packet(flow, outbound, segment(marker, index)),
-            outbound,
+def _bidirectional_frames(
+    flow: FlowSpec,
+    count: int,
+    seed: int = 0,
+    loss: float = 0.02,
+    reorder_fraction: float = 0.1,
+    reorder_window: int = 3,
+    alpha: float = 1.3,
+) -> list[tuple[bytes, int]]:
+    """Wire frames of :func:`bidirectional_flows`."""
+    if not 0.0 <= loss < 1.0:
+        raise SimulationError(
+            f"bidirectional_flows: loss must be in [0, 1), got {loss!r}"
         )
+    if not 0.0 <= reorder_fraction <= 1.0:
+        raise SimulationError(
+            f"bidirectional_flows: reorder_fraction must be in [0, 1], "
+            f"got {reorder_fraction!r}"
+        )
+    if reorder_window < 1:
+        raise SimulationError(
+            f"bidirectional_flows: reorder_window must be >= 1, "
+            f"got {reorder_window!r}"
+        )
+
+    margin = count + reorder_window + 8
+    for attempt in range(64):
+        rng = random.Random(seed + attempt * 0x9E3779B9)
+        sizes = heavy_tailed_flow_sizes(
+            max(1, margin), seed=seed + attempt, alpha=alpha
+        )
+        raw: list[tuple[bytes, int]] = []
+        for k, data_packets in enumerate(sizes):
+            if len(raw) >= margin:
+                break
+            subflow = FlowSpec(
+                src_ip=flow.src_ip,
+                dst_ip=flow.dst_ip,
+                src_port=(flow.src_port + k) & 0xFFFF,
+                dst_port=flow.dst_port,
+                eth_src=flow.eth_src,
+                eth_dst=flow.eth_dst,
+            )
+            raw.extend(
+                (wire, INSIDE_PORT if outbound else OUTSIDE_PORT)
+                for wire, outbound in _tcp_flow_frames(
+                    subflow, data_packets, seed ^ k
+                )
+            )
+        kept = [pair for pair in raw if rng.random() >= loss]
+        if len(kept) >= count:
+            break
+        # Heavy loss ate the margin: retry deterministically with more.
+        margin *= 2
+    else:  # pragma: no cover - loss < 1 always converges
+        raise SimulationError("bidirectional_flows failed to converge")
+
+    picked = kept[:count]
+    for index in range(len(picked)):
+        if rng.random() < reorder_fraction:
+            other = index + rng.randrange(1, reorder_window + 1)
+            if other < len(picked):
+                picked[index], picked[other] = (
+                    picked[other], picked[index]
+                )
+    return picked
 
 
 def bidirectional_flows(
@@ -422,65 +566,12 @@ def bidirectional_flows(
     the outbound that would open its slot changes which state
     transitions happen — not the oracle's ability to predict them.
     """
-    if not 0.0 <= loss < 1.0:
-        raise SimulationError(
-            f"bidirectional_flows: loss must be in [0, 1), got {loss!r}"
+    return [
+        (parse_ethernet(wire), port)
+        for wire, port in _bidirectional_frames(
+            flow, count, seed, loss, reorder_fraction, reorder_window, alpha
         )
-    if not 0.0 <= reorder_fraction <= 1.0:
-        raise SimulationError(
-            f"bidirectional_flows: reorder_fraction must be in [0, 1], "
-            f"got {reorder_fraction!r}"
-        )
-    if reorder_window < 1:
-        raise SimulationError(
-            f"bidirectional_flows: reorder_window must be >= 1, "
-            f"got {reorder_window!r}"
-        )
-
-    margin = count + reorder_window + 8
-    for attempt in range(64):
-        rng = random.Random(seed + attempt * 0x9E3779B9)
-        sizes = heavy_tailed_flow_sizes(
-            max(1, margin), seed=seed + attempt, alpha=alpha
-        )
-        raw: list[tuple[Packet, int]] = []
-        for k, data_packets in enumerate(sizes):
-            if len(raw) >= margin:
-                break
-            subflow = FlowSpec(
-                src_ip=flow.src_ip,
-                dst_ip=flow.dst_ip,
-                src_port=(flow.src_port + k) & 0xFFFF,
-                dst_port=flow.dst_port,
-                eth_src=flow.eth_src,
-                eth_dst=flow.eth_dst,
-            )
-            raw.extend(
-                (
-                    packet,
-                    INSIDE_PORT if outbound else OUTSIDE_PORT,
-                )
-                for packet, outbound in tcp_flow_stream(
-                    subflow, data_packets=data_packets, seed=seed ^ k
-                )
-            )
-        kept = [pair for pair in raw if rng.random() >= loss]
-        if len(kept) >= count:
-            break
-        # Heavy loss ate the margin: retry deterministically with more.
-        margin *= 2
-    else:  # pragma: no cover - loss < 1 always converges
-        raise SimulationError("bidirectional_flows failed to converge")
-
-    picked = kept[:count]
-    for index in range(len(picked)):
-        if rng.random() < reorder_fraction:
-            other = index + rng.randrange(1, reorder_window + 1)
-            if other < len(picked):
-                picked[index], picked[other] = (
-                    picked[other], picked[index]
-                )
-    return picked
+    ]
 
 
 def default_flow(index: int = 0) -> FlowSpec:
@@ -523,34 +614,45 @@ class WorkloadContext:
 
 @dataclass(frozen=True)
 class WorkloadBundle:
-    """One materialized workload: packets, plus arrival times when the
-    workload defines its own arrival process (ns, monotonically
+    """One materialized workload: wire frames, plus arrival times when
+    the workload defines its own arrival process (ns, monotonically
     increasing; ``None`` means back-to-back / constant-rate), plus
     per-packet ingress ports when the workload is directional
     (``None`` means the historical fixed ingress, port 0). Path-guided
     workloads also attach their ``coverage`` map (a
     :class:`repro.netdebug.coverage.CoverageMap`) recording which
-    feasible path each packet witnesses."""
+    feasible path each packet witnesses.
+
+    ``frames`` is the content: the exact bytes a session injects and
+    the oracle predicts from. :attr:`packets` parses them into
+    :class:`~repro.packet.packet.Packet` objects for callers that want
+    headers to inspect."""
 
     name: str
-    packets: tuple[Packet, ...]
+    frames: tuple[bytes, ...]
     times_ns: tuple[float, ...] | None = None
     ingress_ports: tuple[int, ...] | None = None
     coverage: object | None = None
+
+    @cached_property
+    def packets(self) -> tuple[Packet, ...]:
+        """The frames parsed with :func:`~repro.packet.builder.parse_ethernet`
+        (a view made on first access; ``p.pack()`` gives the frame back)."""
+        return tuple(map(parse_ethernet, self.frames))
 
 
 def _udp_workload(
     flow: FlowSpec, count: int, seed: int, rate_pps: float
 ) -> WorkloadBundle:
     return WorkloadBundle(
-        "udp", tuple(udp_stream(flow, count, size=128, seed=seed))
+        "udp", tuple(_udp_frames(flow, count, 128, seed))
     )
 
 
 def _imix_workload(
     flow: FlowSpec, count: int, seed: int, rate_pps: float
 ) -> WorkloadBundle:
-    return WorkloadBundle("imix", tuple(imix_stream(flow, count, seed=seed)))
+    return WorkloadBundle("imix", tuple(_imix_frames(flow, count, seed)))
 
 
 def _poisson_workload(
@@ -558,7 +660,7 @@ def _poisson_workload(
 ) -> WorkloadBundle:
     return WorkloadBundle(
         "poisson",
-        tuple(udp_stream(flow, count, size=128, seed=seed)),
+        tuple(_udp_frames(flow, count, 128, seed)),
         times_ns=tuple(poisson_times(rate_pps, count, seed=seed)),
     )
 
@@ -568,7 +670,7 @@ def _burst_workload(
 ) -> WorkloadBundle:
     return WorkloadBundle(
         "burst",
-        tuple(udp_stream(flow, count, size=128, seed=seed)),
+        tuple(_udp_frames(flow, count, 128, seed)),
         times_ns=tuple(burst_times(rate_pps, count, seed=seed)),
     )
 
@@ -578,7 +680,7 @@ def _onoff_workload(
 ) -> WorkloadBundle:
     return WorkloadBundle(
         "onoff",
-        tuple(udp_stream(flow, count, size=128, seed=seed)),
+        tuple(_udp_frames(flow, count, 128, seed)),
         times_ns=tuple(onoff_times(rate_pps, count, seed=seed)),
     )
 
@@ -590,8 +692,8 @@ def _malformed_workload(
     # Bernoulli draw: a short campaign cell must still exercise the
     # reject path, and an unlucky seed can put zero malformed packets
     # in a small Bernoulli mix.
-    bad = malformed_mix(flow, count, 1.0, seed=seed)
-    good = malformed_mix(flow, count, 0.0, seed=seed)
+    bad = _malformed_frames(flow, count, 1.0, seed)
+    good = _malformed_frames(flow, count, 0.0, seed)
     return WorkloadBundle(
         "malformed",
         tuple(
@@ -604,10 +706,10 @@ def _malformed_workload(
 def _tcp_bidir_workload(
     flow: FlowSpec, count: int, seed: int, rate_pps: float
 ) -> WorkloadBundle:
-    pairs = bidirectional_flows(flow, count, seed=seed)
+    pairs = _bidirectional_frames(flow, count, seed=seed)
     return WorkloadBundle(
         "tcp_bidir",
-        tuple(packet for packet, _ in pairs),
+        tuple(wire for wire, _ in pairs),
         ingress_ports=tuple(port for _, port in pairs),
     )
 
@@ -621,7 +723,7 @@ def _int_probe_workload(
     rng = random.Random(seed)
     return WorkloadBundle(
         "int_probe",
-        tuple(udp_stream(flow, count, size=96, seed=seed)),
+        tuple(_udp_frames(flow, count, 96, seed)),
         times_ns=tuple(poisson_times(rate_pps, count, seed=seed)),
         ingress_ports=tuple(rng.randrange(4) for _ in range(count)),
     )
@@ -652,6 +754,12 @@ def _accepts_context(factory: Callable) -> bool:
         p.kind is inspect.Parameter.VAR_KEYWORD
         for p in parameters.values()
     )
+
+
+#: Workload name -> (factory, whether it takes ``context``): the
+#: signature is inspected once per registered factory object, and a
+#: re-registration under the same name is noticed by identity.
+_CONTEXT_AWARE: dict[str, tuple[Callable, bool]] = {}
 
 
 def build_workload(
@@ -685,6 +793,9 @@ def build_workload(
         raise SimulationError(
             f"unknown workload {name!r}; registry offers: {known}"
         ) from None
-    if _accepts_context(factory):
+    memo = _CONTEXT_AWARE.get(name)
+    if memo is None or memo[0] is not factory:
+        memo = _CONTEXT_AWARE[name] = (factory, _accepts_context(factory))
+    if memo[1]:
         return factory(flow, count, seed, rate_pps, context=context)
     return factory(flow, count, seed, rate_pps)

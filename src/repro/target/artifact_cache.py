@@ -222,7 +222,7 @@ class ArtifactCache:
             "key": key,
             # Closures cannot pickle; they are rebuilt on load.
             "artifact": dataclasses.replace(
-                compiled, fast=None, batch=None
+                compiled, fast=None, batch=None, spec=None
             ),
         }
         try:

@@ -72,6 +72,12 @@ class CompiledProgram:
     batch: object | None = field(
         default=None, repr=False, compare=False
     )
+    #: Lazily-built spec-faithful oracle kernel
+    #: (:class:`repro.netdebug.oracle.SpecKernel`) over this artifact's
+    #: provisioned program; one per artifact, not pickled either.
+    spec: object | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 class TargetCompiler:

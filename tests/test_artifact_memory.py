@@ -1,9 +1,18 @@
 """The campaign's in-process artifact tier: content-keyed, kept for the
-process lifetime, bounded, and invalidated by re-registration."""
+process lifetime, bounded, and invalidated by re-registration — and the
+spec kernel the oracle predicts with, which lives and dies with its
+artifact."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.netdebug import campaign
+from repro.netdebug import campaign, oracle
 from repro.netdebug.campaign import (
     PROVISIONERS,
     ScenarioMatrix,
@@ -14,6 +23,7 @@ from repro.netdebug.campaign import (
 )
 from repro.netdebug.diffing import baseline_matrix
 from repro.p4.stdlib import PROGRAMS
+from repro.target import artifact_cache, compiler, fastpath
 
 COUNTERS = ("hits", "misses", "stores", "memory_hits")
 
@@ -156,3 +166,195 @@ def test_campaign_tier_never_exceeds_its_capacity(monkeypatch):
 
     assert len(sizes) > 2 and max(sizes) == 2
     assert first.to_json() == second.to_json()
+
+
+# ---------------------------------------------------------------------------
+# The spec kernel the oracle predicts with lives on the artifact
+# ---------------------------------------------------------------------------
+
+def _spec_compiles(monkeypatch) -> list:
+    """Record every ``compile_program(..., honor_reject=True)`` call."""
+    calls: list = []
+    real = fastpath.compile_program
+
+    def recording(program, honor_reject=True, *args, **kwargs):
+        if honor_reject:
+            calls.append(program.name)
+        return real(program, honor_reject, *args, **kwargs)
+
+    for module in (fastpath, compiler, artifact_cache, oracle):
+        monkeypatch.setattr(module, "compile_program", recording)
+    return calls
+
+
+def _kernels_used(monkeypatch) -> list:
+    """Record the spec kernel every shard hands its oracle."""
+    used: list = []
+    real = campaign.spec_kernel
+
+    def recording(compiled):
+        kernel = real(compiled)
+        used.append((compiled, kernel))
+        return kernel
+
+    monkeypatch.setattr(campaign, "spec_kernel", recording)
+    return used
+
+
+def test_second_campaign_compiles_no_spec_program(monkeypatch):
+    calls = _spec_compiles(monkeypatch)
+    matrix = baseline_matrix()
+    first = run_campaign(matrix, name="spec")
+    compiled_first = len(calls)
+    second = run_campaign(matrix, name="spec")
+
+    # At least one spec kernel per artifact (2 programs x 3 targets)
+    # the first time, besides the targets' own compiles; none after.
+    assert compiled_first >= 6
+    assert len(calls) == compiled_first
+    assert first.to_json() == second.to_json()
+
+
+def test_every_shard_over_an_artifact_shares_its_kernel(monkeypatch):
+    used = _kernels_used(monkeypatch)
+    matrix = baseline_matrix()
+    run_campaign(matrix, name="spec")
+    run_campaign(matrix, name="spec")
+    by_artifact: dict = {}
+    for compiled, kernel in used:
+        assert kernel.program is compiled.program
+        by_artifact.setdefault(id(compiled), set()).add(id(kernel))
+    assert len(by_artifact) == 6
+    assert all(len(kernels) == 1 for kernels in by_artifact.values())
+
+
+def test_reregistered_factory_rebuilds_the_spec_kernel(monkeypatch):
+    used = _kernels_used(monkeypatch)
+    monkeypatch.setitem(PROGRAMS, "memo_prog", PROGRAMS["strict_parser"])
+    matrix = ScenarioMatrix(
+        programs=["memo_prog"], targets=["reference"], count=4,
+    )
+    run_campaign(matrix, name="reg")
+    run_campaign(matrix, name="reg")
+    before = {id(kernel) for _, kernel in used}
+    assert len(before) == 1
+
+    monkeypatch.setitem(PROGRAMS, "memo_prog", PROGRAMS["reflector"])
+    del used[:]
+    run_campaign(matrix, name="reg")
+    (compiled, kernel), = used
+    assert id(kernel) not in before
+    assert kernel.program is compiled.program
+    assert kernel.program.name == "reflector"
+
+
+def test_reregistered_provisioner_rebuilds_the_spec_kernel(monkeypatch):
+    used = _kernels_used(monkeypatch)
+    monkeypatch.setitem(PROVISIONERS, "memo_gate", PROVISIONERS["acl_gate"])
+    matrix = ScenarioMatrix(
+        programs=["acl_firewall"], targets=["reference"], count=4,
+        setup="memo_gate",
+    )
+    run_campaign(matrix, name="reg")
+    (_, gated), = used
+
+    monkeypatch.setitem(PROVISIONERS, "memo_gate", lambda device: None)
+    del used[:]
+    run_campaign(matrix, name="reg")
+    (compiled, kernel), = used
+    assert kernel is not gated
+    assert kernel.program is compiled.program
+    assert gated.program.all_tables()["acl"].entries
+    assert not kernel.program.all_tables()["acl"].entries
+
+
+_FRESH_PREDICTIONS = """
+import json
+from repro.netdebug import campaign, oracle
+from repro.netdebug.campaign import ScenarioMatrix, run_campaign
+
+seen = []
+real = oracle.ReferenceOracle.expect_all
+
+def recording(self, *args, **kwargs):
+    got = real(self, *args, **kwargs)
+    seen.append(
+        [[e.forbid, (e.wire or b"").hex(), e.egress_port] for e in got]
+    )
+    return got
+
+oracle.ReferenceOracle.expect_all = recording
+run_campaign(ScenarioMatrix(
+    programs=["acl_firewall"], targets=["reference"],
+    workloads=["udp", "malformed"], count=12, {setup}
+), name="leak")
+print(json.dumps(seen))
+"""
+
+
+def _predictions(monkeypatch, matrix) -> list:
+    seen: list = []
+    real = oracle.ReferenceOracle.expect_all
+
+    def recording(self, *args, **kwargs):
+        got = real(self, *args, **kwargs)
+        seen.append(
+            [[e.forbid, (e.wire or b"").hex(), e.egress_port] for e in got]
+        )
+        return got
+
+    monkeypatch.setattr(oracle.ReferenceOracle, "expect_all", recording)
+    run_campaign(matrix, name="leak")
+    monkeypatch.setattr(oracle.ReferenceOracle, "expect_all", real)
+    return seen
+
+
+def _fresh_process_predictions(setup: str) -> list:
+    script = _FRESH_PREDICTIONS.replace("{setup}", f"setup={setup!r}")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    )
+    return json.loads(out.stdout)
+
+
+def test_no_table_state_leaks_between_setups(monkeypatch):
+    def matrix(setup):
+        return ScenarioMatrix(
+            programs=["acl_firewall"], targets=["reference"],
+            workloads=["udp", "malformed"], count=12, setup=setup,
+        )
+
+    gated = _predictions(monkeypatch, matrix("acl_gate"))
+    bare = _predictions(monkeypatch, matrix(""))
+    assert bare == _fresh_process_predictions("")
+    assert gated == _fresh_process_predictions("acl_gate")
+    assert gated != bare  # the gate's entries change what is predicted
+
+
+def test_live_spec_kernels_never_exceed_the_tier_capacity(monkeypatch):
+    tier = _ArtifactLRU(capacity=2)
+    monkeypatch.setattr(campaign, "_ARTIFACTS", tier)
+    gc.collect()
+    baseline = _live_kernels()
+    samples = []
+    real = campaign.spec_kernel
+
+    def sampling(compiled):
+        kernel = real(compiled)
+        gc.collect()
+        samples.append(_live_kernels() - baseline)
+        return kernel
+
+    monkeypatch.setattr(campaign, "spec_kernel", sampling)
+    matrix = baseline_matrix()  # 6 artifacts through a 2-entry tier
+    run_campaign(matrix, name="small-tier")
+    run_campaign(matrix, name="small-tier")
+    assert len(samples) == 2 * len(matrix.expand())
+    assert max(samples) == 2
+
+
+def _live_kernels() -> int:
+    return sum(isinstance(o, oracle.SpecKernel) for o in gc.get_objects())
