@@ -75,8 +75,8 @@ from .oracle import (
     ORACLES,
     OracleFactory,
     ReferenceOracle,
+    compile_spec,
     require_known_oracle,
-    spec_kernel,
 )
 from .session import ValidationSession, _block_eligible, run_session
 
@@ -697,10 +697,18 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         else ORACLES[getattr(scenario, "oracle", "stateless")]
     )
     oracle = factory(device.program, num_ports=len(device.ports))
-    if isinstance(oracle, ReferenceOracle):
-        # The artifact's spec kernel: compiled once, shared by every
-        # shard over this artifact, so the oracle costs fresh state.
-        oracle.kernel = spec_kernel(device.compiled)
+    if (
+        isinstance(oracle, ReferenceOracle)
+        and oracle.program is device.program
+    ):
+        # The artifact's spec program: compiled once and kept on the
+        # artifact, so every shard over it shares one kernel and the
+        # oracle costs fresh state. An oracle over another program
+        # object compiles its own.
+        compiled = device.compiled
+        if compiled.spec is None:
+            compiled.spec = compile_spec(device.program)
+        oracle.spec = compiled.spec
     expectations = oracle.expect_all(
         frames,
         ingress_ports=ports,

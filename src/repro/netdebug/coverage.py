@@ -7,7 +7,7 @@ with a provable one. The shared symbolic walker
 (parser path × table hit/miss per installed entry) behaviour class
 under a **target's deviation model** — quantized TCAM masks and
 ignored reject states change which paths are feasible — and
-:func:`covering_set` materializes one concrete witness packet per
+:func:`covering_set` materializes one concrete witness frame per
 class, replaying each witness on a tracing interpreter so the
 :class:`CoverageMap` records the path each packet *actually* covers
 and why every pruned combination was infeasible. The idea follows
@@ -60,7 +60,6 @@ from ..bitutils import stable_hash64
 from ..exceptions import NetDebugError, P4RuntimeError, SimulationError
 from ..p4.interpreter import Interpreter, PipelineResult
 from ..p4.program import P4Program
-from ..packet.packet import Packet
 from ..sim.traffic import (
     WORKLOADS,
     FlowSpec,
@@ -277,8 +276,9 @@ def covering_set(
     model: DeviationModel = SPEC_MODEL,
     seed: int = 0,
     target: str = "",
-) -> tuple[tuple[Packet, ...], CoverageMap]:
-    """One witness packet per feasible behaviour class of ``program``.
+) -> tuple[tuple[bytes, ...], CoverageMap]:
+    """One witness frame per feasible behaviour class of ``program``,
+    as wire bytes in the map's ``covered`` order.
 
     Deterministic per program × target model × seed: the enumeration
     order is fixed, witness header fields are the symbolic domain's
@@ -294,7 +294,7 @@ def covering_set(
         % (1 << 53)
     )
     covered: dict[str, CoveredPath] = {}
-    packets: list[Packet] = []
+    wires: list[bytes] = []
     pruned: list[PrunedPath] = []
     examined = 0
     for spec in enumerator.candidate_specs():
@@ -339,7 +339,7 @@ def covering_set(
             covered[signature].merged += 1
             continue
         covered[signature] = CoveredPath(signature, wire.hex())
-        packets.append(packet)
+        wires.append(wire)
     cmap = CoverageMap(
         program=program.name,
         target=target,
@@ -347,7 +347,7 @@ def covering_set(
         covered=list(covered.values()),
         pruned=pruned,
     )
-    return tuple(packets), cmap
+    return tuple(wires), cmap
 
 
 def verify_coverage(
@@ -434,19 +434,17 @@ def _coverage_workload(
             "setup) to build_workload"
         )
     program, model = _materialize_context(context)
-    packets, cmap = covering_set(
+    frames, cmap = covering_set(
         program, model, seed=seed, target=context.target
     )
-    if count < len(packets):
+    if count < len(frames):
         raise SimulationError(
             f"workload 'coverage': {context.program!r} on "
-            f"{context.target!r} needs {len(packets)} witness packets "
+            f"{context.target!r} needs {len(frames)} witness packets "
             f"to exercise every feasible path; count={count} would "
             "silently weaken the all-paths-exercised claim — raise the "
             "scenario count"
         )
-    # The map records each witness's wire bytes, in packet order.
-    frames = tuple(bytes.fromhex(path.packet) for path in cmap.covered)
     return WorkloadBundle("coverage", frames, coverage=cmap)
 
 
@@ -536,12 +534,10 @@ def main(argv: list[str] | None = None) -> int:
             except (NetDebugError, SimulationError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            packets, cmap = covering_set(
+            wires, cmap = covering_set(
                 program, model, seed=args.seed, target=target_name
             )
-            missing = verify_coverage(
-                program, model, [p.pack() for p in packets], cmap
-            )
+            missing = verify_coverage(program, model, wires, cmap)
             summary = cmap.summary()
             status = (
                 "OK" if not missing else f"UNEXERCISED={len(missing)}"

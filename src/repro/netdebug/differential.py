@@ -621,17 +621,16 @@ class DifferentialRunner:
         from ..baselines.paths import DeviationModel
 
         model = DeviationModel.from_compiled(compiled)
-        packets, cmap = covering_set(
+        wires, cmap = covering_set(
             compiled.program, model, seed=seed, target=target
         )
-        if len(packets) > self.count:
+        if len(wires) > self.count:
             raise NetDebugError(
                 f"differential cell {cell.program}/{cell.target}: "
-                f"covering set needs {len(packets)} packets but the "
+                f"covering set needs {len(wires)} packets but the "
                 f"runner's count is {self.count}; raise count instead "
                 "of weakening the all-paths-exercised claim"
             )
-        wires = [packet.pack() for packet in packets]
         cell.coverage = {
             **cmap.summary(),
             "unexercised": len(

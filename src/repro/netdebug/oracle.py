@@ -8,11 +8,12 @@ means the spec-correct prediction for an inbound packet depends on
 every outbound packet that preceded it. So the oracle is an object with
 an explicit lifetime:
 
-* :class:`ReferenceOracle` predicts through a :class:`SpecKernel` — the
-  program compiled once into spec-faithful closures
-  (:func:`repro.target.fastpath.compile_program` with ``honor_reject``
-  and neither TCAM quantisation nor a deparse budget) plus the batch
-  block kernel (:mod:`repro.target.batch`) over them — and owns one
+* :class:`ReferenceOracle` predicts through a spec artifact
+  (:func:`compile_spec`) — the program compiled once into
+  spec-faithful closures (:func:`repro.target.fastpath.compile_program`
+  with ``honor_reject`` and neither TCAM quantisation nor a deparse
+  budget) plus the batch block kernel (:mod:`repro.target.batch`) over
+  them — and owns one
   :class:`~repro.p4.interpreter.RuntimeState` whose registers and
   counters persist across :meth:`~ReferenceOracle.expect` calls. Its
   contract is **arrival order**: feed it packets in exactly the order
@@ -24,19 +25,20 @@ an explicit lifetime:
   campaigns and the committed golden baselines are unaffected unless a
   matrix opts into ``stateful``.
 
-:meth:`~ReferenceOracle.expect_all` predicts a whole cell as one block:
-the stateless oracle on a register-free program runs the kernel's
-columnar schedule, the stateful oracle its packet-major schedule over
-the oracle's own state. Per-packet prediction (:meth:`~ReferenceOracle.expect`)
-remains for lockstep sessions, for stateless prediction on a
-register-bearing program (each packet needs fresh registers) and for
-subclasses that override ``_process``.
+On a register-free program, the stateless oracle's
+:meth:`~ReferenceOracle.expect_all` predicts a whole cell as one
+columnar block through the spec kernel. Everywhere else prediction is
+per packet (:meth:`~ReferenceOracle.expect`): the stateful oracle runs
+each packet as a block of one over its own state (the kernel's
+packet-major schedule), stateless prediction on a register-bearing
+program runs the closures on fresh registers per packet, and a subclass
+that overrides ``_process`` is honoured by ``expect_all`` too.
 
-A campaign builds one spec kernel per provisioned artifact
-(:func:`spec_kernel`, kept on the artifact in the campaign's bounded
-artifact tier) and hands it to every oracle over that artifact, so an
-oracle costs a fresh ``RuntimeState``. An oracle built outside a
-campaign compiles its own kernel on first use.
+A campaign compiles one spec artifact (:func:`compile_spec`) per
+provisioned artifact, keeps it on that artifact in the campaign's
+bounded artifact tier and hands it to every oracle over the same
+program, so an oracle costs a fresh ``RuntimeState``. An oracle built
+outside a campaign compiles its own on first use.
 
 Everything that consumes expectations (sessions, campaigns, regression
 recording) goes through an oracle object. The tree-walking
@@ -53,7 +55,7 @@ from typing import Callable
 from ..exceptions import NetDebugError
 from ..p4.interpreter import RuntimeState, Verdict
 from ..p4.program import P4Program
-from ..target.batch import BatchProgram, build_batch_program
+from ..target.batch import get_batch_program
 from ..target.compiler import CompiledProgram
 from ..target.device import FLOOD_PORT
 from ..target.fastpath import compile_program
@@ -63,8 +65,7 @@ from .checker import ExpectedOutput
 __all__ = [
     "ReferenceOracle",
     "StatelessOracle",
-    "SpecKernel",
-    "spec_kernel",
+    "compile_spec",
     "ORACLES",
     "OracleFactory",
     "require_known_oracle",
@@ -75,43 +76,20 @@ __all__ = [
 OracleFactory = Callable[..., "ReferenceOracle"]
 
 
-class SpecKernel:
-    """One program compiled for spec-faithful prediction.
-
-    ``fast`` is the ``honor_reject=True`` closure program, run per
-    packet; :attr:`block` is the batch kernel over those closures, run
-    per cell and built on first use. Both are read-only: all mutable
-    state lives in the ``RuntimeState`` each oracle passes in, so one
-    kernel serves every oracle over the same program object.
-    """
-
-    __slots__ = ("program", "fast", "_block")
-
-    def __init__(self, program: P4Program) -> None:
-        self.program = program
-        self.fast = compile_program(program, honor_reject=True)
-        self._block: BatchProgram | None = None
-
-    @property
-    def block(self) -> BatchProgram:
-        block = self._block
-        if block is None:
-            block = self._block = build_batch_program(
-                CompiledProgram(
-                    self.program, "spec", honor_reject=True, fast=self.fast
-                ),
-                REFERENCE_LIMITS,
-            )
-        return block
-
-
-def spec_kernel(compiled: CompiledProgram) -> SpecKernel:
-    """The spec kernel of a provisioned artifact, built on first use and
-    kept on the artifact: it lives, and is dropped, with the artifact."""
-    kernel = compiled.spec
-    if kernel is None:
-        kernel = compiled.spec = SpecKernel(compiled.program)
-    return kernel
+def compile_spec(program: P4Program) -> CompiledProgram:
+    """``program`` compiled for spec-faithful prediction: the
+    ``honor_reject=True`` closures, with neither TCAM quantisation nor a
+    deparse budget. The batch kernel over them is built on first block
+    use (:func:`~repro.target.batch.get_batch_program`) and kept on the
+    returned artifact. Both are read-only: all mutable state lives in
+    the ``RuntimeState`` each oracle passes in, so one spec artifact
+    serves every oracle over the same program object."""
+    return CompiledProgram(
+        program,
+        "spec",
+        honor_reject=True,
+        fast=compile_program(program, honor_reject=True),
+    )
 
 
 def _prefix_then_zero(values, n: int) -> list:
@@ -133,10 +111,10 @@ class ReferenceOracle:
     discipline, which is also why campaign sharding keeps all packets
     of one session on one shard (state cannot thread across shards).
 
-    The :attr:`kernel` is compiled on first use unless one is assigned
-    first (a campaign assigns its artifact's :func:`spec_kernel`). No
-    module-level cache keyed by program exists: it would pin every
-    program object it ever saw, table entries included.
+    The :attr:`spec` artifact is compiled on first use unless one is
+    assigned first (a campaign assigns the one kept on its provisioned
+    artifact). No module-level cache keyed by program exists: it would
+    pin every program object it ever saw, table entries included.
     """
 
     #: Whether predictions depend on the packets fed before them.
@@ -148,24 +126,20 @@ class ReferenceOracle:
         self.program = program
         self.num_ports = num_ports
         self.state = RuntimeState.for_program(program)
-        self._kernel: SpecKernel | None = None
+        self._spec: CompiledProgram | None = None
 
     @property
-    def kernel(self) -> SpecKernel:
-        """The spec kernel this oracle predicts with."""
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = SpecKernel(self.program)
-        return kernel
+    def spec(self) -> CompiledProgram:
+        """The spec artifact (:func:`compile_spec`) this oracle predicts
+        with; it must be over this oracle's program object."""
+        spec = self._spec
+        if spec is None:
+            spec = self._spec = compile_spec(self.program)
+        return spec
 
-    @kernel.setter
-    def kernel(self, kernel: SpecKernel) -> None:
-        if kernel.program is not self.program:
-            raise NetDebugError(
-                f"spec kernel for {kernel.program.name!r} does not belong "
-                f"to this oracle's program {self.program.name!r}"
-            )
-        self._kernel = kernel
+    @spec.setter
+    def spec(self, spec: CompiledProgram) -> None:
+        self._spec = spec
 
     def reset(self) -> None:
         """Forget all threaded state (fresh registers and counters)."""
@@ -175,29 +149,21 @@ class ReferenceOracle:
     # Prediction
     # ------------------------------------------------------------------
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        return self.kernel.fast.run(
-            wire, ingress_port, timestamp, self.state
-        )
-
-    def _process_block(self, wires, ingress_ports, timestamps):
-        """Kernel outcomes ``(timestamp, run, error)`` in arrival order,
-        or ``None`` to predict packet by packet.
-
-        The packet-major schedule: blocks of one over this oracle's
-        state, yielded lazily, so a caller that stops at the first
-        error leaves the state exactly where per-packet prediction
-        would.
-        """
-        run_block = self.kernel.block.run_block
-        counters, registers = self.state.counters, self.state.registers
-        for wire, port, timestamp in zip(wires, ingress_ports, timestamps):
-            yield run_block(
-                (wire,),
-                timestamps=(timestamp,),
-                ingress_ports=(port,),
-                counters=counters,
-                registers=registers,
-            )[0]
+        # A block of one over this oracle's state: the kernel's
+        # packet-major schedule, which runs a packet faster than the
+        # closures' own entry point.
+        _, run, error = get_batch_program(
+            self.spec, REFERENCE_LIMITS
+        ).run_block(
+            (wire,),
+            timestamps=(timestamp,),
+            ingress_ports=(ingress_port,),
+            counters=self.state.counters,
+            registers=self.state.registers,
+        )[0]
+        if error is not None:
+            raise error
+        return run.result
 
     def _expectation(
         self, result, ingress_port: int, label: str
@@ -296,9 +262,11 @@ class ReferenceOracle:
         labels = (
             [f"{label}#{i}" for i in range(n)] if label else [""] * n
         )
+        # Only the stateless oracle's own ``_process`` has a block form;
+        # a subclass overriding ``_process`` predicts packet by packet.
         outcomes = (
             self._process_block(wires, ports, times)
-            if self._block_capable()
+            if type(self)._process is StatelessOracle._process
             else None
         )
         if outcomes is None:
@@ -314,16 +282,6 @@ class ReferenceOracle:
             expectations.append(expectation(run.result, ports[i], labels[i]))
         return expectations
 
-    def _block_capable(self) -> bool:
-        """Whether the most derived ``_process`` has a block form: a
-        subclass that overrides ``_process`` alone predicts per packet,
-        so its override is honoured by :meth:`expect_all` too."""
-        for klass in type(self).__mro__:
-            attrs = vars(klass)
-            if "_process" in attrs or "_process_block" in attrs:
-                return "_process" in attrs and "_process_block" in attrs
-        return False
-
 
 class StatelessOracle(ReferenceOracle):
     """The fresh-state-per-packet oracle.
@@ -338,15 +296,17 @@ class StatelessOracle(ReferenceOracle):
     stateful = False
 
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        return self.kernel.fast.run(wire, ingress_port, timestamp)
+        return self.spec.fast.run(wire, ingress_port, timestamp)
 
     def _process_block(self, wires, ingress_ports, timestamps):
+        """Kernel outcomes ``(timestamp, run, error)`` of one columnar
+        block, or ``None`` to predict packet by packet."""
         if self.program.registers:
             # Fresh registers per packet cannot share one block.
             return None
         # Counters are write-only, so one fresh set serves every lane.
         fresh = RuntimeState.for_program(self.program)
-        return self.kernel.block.run_block(
+        return get_batch_program(self.spec, REFERENCE_LIMITS).run_block(
             wires,
             timestamps=timestamps,
             ingress_ports=ingress_ports,

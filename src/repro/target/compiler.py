@@ -72,9 +72,10 @@ class CompiledProgram:
     batch: object | None = field(
         default=None, repr=False, compare=False
     )
-    #: Lazily-built spec-faithful oracle kernel
-    #: (:class:`repro.netdebug.oracle.SpecKernel`) over this artifact's
-    #: provisioned program; one per artifact, not pickled either.
+    #: Lazily-built spec-faithful artifact the reference oracle predicts
+    #: with (:func:`repro.netdebug.oracle.compile_spec`) over this
+    #: artifact's provisioned program; one per artifact, not pickled
+    #: either.
     spec: object | None = field(
         default=None, repr=False, compare=False
     )

@@ -3,6 +3,7 @@ process lifetime, bounded, and invalidated by re-registration — and the
 spec kernel the oracle predicts with, which lives and dies with its
 artifact."""
 
+import copy
 import gc
 import json
 import os
@@ -187,17 +188,16 @@ def _spec_compiles(monkeypatch) -> list:
     return calls
 
 
-def _kernels_used(monkeypatch) -> list:
-    """Record the spec kernel every shard hands its oracle."""
+def _specs_used(monkeypatch) -> list:
+    """Record ``(program, spec)`` for the oracle of every shard."""
     used: list = []
-    real = campaign.spec_kernel
+    real = oracle.ReferenceOracle.expect_all
 
-    def recording(compiled):
-        kernel = real(compiled)
-        used.append((compiled, kernel))
-        return kernel
+    def recording(self, *args, **kwargs):
+        used.append((self.program, self.spec))
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(campaign, "spec_kernel", recording)
+    monkeypatch.setattr(oracle.ReferenceOracle, "expect_all", recording)
     return used
 
 
@@ -216,40 +216,63 @@ def test_second_campaign_compiles_no_spec_program(monkeypatch):
 
 
 def test_every_shard_over_an_artifact_shares_its_kernel(monkeypatch):
-    used = _kernels_used(monkeypatch)
+    used = _specs_used(monkeypatch)
     matrix = baseline_matrix()
     run_campaign(matrix, name="spec")
     run_campaign(matrix, name="spec")
     by_artifact: dict = {}
-    for compiled, kernel in used:
-        assert kernel.program is compiled.program
-        by_artifact.setdefault(id(compiled), set()).add(id(kernel))
+    for program, spec in used:
+        assert spec.program is program
+        by_artifact.setdefault(id(program), set()).add(id(spec))
     assert len(by_artifact) == 6
-    assert all(len(kernels) == 1 for kernels in by_artifact.values())
+    assert all(len(specs) == 1 for specs in by_artifact.values())
+
+
+def test_factory_over_another_program_object_compiles_its_own(
+    monkeypatch,
+):
+    """An oracle factory may build its oracle over a copy of the
+    program: that oracle compiles its own spec artifact and predicts
+    exactly what the shared one does."""
+    used = _specs_used(monkeypatch)
+    matrix = baseline_matrix()
+    shared = run_campaign(matrix, name="copy")
+    artifact_specs = {id(spec) for _, spec in used}
+    del used[:]
+
+    def copying(program, num_ports=None):
+        return oracle.StatelessOracle(copy.deepcopy(program), num_ports)
+
+    copied = run_campaign(matrix, name="copy", oracle_factory=copying)
+    assert copied.to_json() == shared.to_json()
+    assert len(used) == len(matrix.expand())
+    for program, spec in used:
+        assert spec.program is program
+        assert id(spec) not in artifact_specs
 
 
 def test_reregistered_factory_rebuilds_the_spec_kernel(monkeypatch):
-    used = _kernels_used(monkeypatch)
+    used = _specs_used(monkeypatch)
     monkeypatch.setitem(PROGRAMS, "memo_prog", PROGRAMS["strict_parser"])
     matrix = ScenarioMatrix(
         programs=["memo_prog"], targets=["reference"], count=4,
     )
     run_campaign(matrix, name="reg")
     run_campaign(matrix, name="reg")
-    before = {id(kernel) for _, kernel in used}
+    before = {id(spec) for _, spec in used}
     assert len(before) == 1
 
     monkeypatch.setitem(PROGRAMS, "memo_prog", PROGRAMS["reflector"])
     del used[:]
     run_campaign(matrix, name="reg")
-    (compiled, kernel), = used
-    assert id(kernel) not in before
-    assert kernel.program is compiled.program
-    assert kernel.program.name == "reflector"
+    (program, spec), = used
+    assert id(spec) not in before
+    assert spec.program is program
+    assert spec.program.name == "reflector"
 
 
 def test_reregistered_provisioner_rebuilds_the_spec_kernel(monkeypatch):
-    used = _kernels_used(monkeypatch)
+    used = _specs_used(monkeypatch)
     monkeypatch.setitem(PROVISIONERS, "memo_gate", PROVISIONERS["acl_gate"])
     matrix = ScenarioMatrix(
         programs=["acl_firewall"], targets=["reference"], count=4,
@@ -261,11 +284,11 @@ def test_reregistered_provisioner_rebuilds_the_spec_kernel(monkeypatch):
     monkeypatch.setitem(PROVISIONERS, "memo_gate", lambda device: None)
     del used[:]
     run_campaign(matrix, name="reg")
-    (compiled, kernel), = used
-    assert kernel is not gated
-    assert kernel.program is compiled.program
+    (program, spec), = used
+    assert spec is not gated
+    assert spec.program is program
     assert gated.program.all_tables()["acl"].entries
-    assert not kernel.program.all_tables()["acl"].entries
+    assert not spec.program.all_tables()["acl"].entries
 
 
 _FRESH_PREDICTIONS = """
@@ -340,15 +363,15 @@ def test_live_spec_kernels_never_exceed_the_tier_capacity(monkeypatch):
     gc.collect()
     baseline = _live_kernels()
     samples = []
-    real = campaign.spec_kernel
+    real = oracle.ReferenceOracle.expect_all
 
-    def sampling(compiled):
-        kernel = real(compiled)
+    def sampling(self, *args, **kwargs):
+        got = real(self, *args, **kwargs)
         gc.collect()
         samples.append(_live_kernels() - baseline)
-        return kernel
+        return got
 
-    monkeypatch.setattr(campaign, "spec_kernel", sampling)
+    monkeypatch.setattr(oracle.ReferenceOracle, "expect_all", sampling)
     matrix = baseline_matrix()  # 6 artifacts through a 2-entry tier
     run_campaign(matrix, name="small-tier")
     run_campaign(matrix, name="small-tier")
@@ -357,4 +380,7 @@ def test_live_spec_kernels_never_exceed_the_tier_capacity(monkeypatch):
 
 
 def _live_kernels() -> int:
-    return sum(isinstance(o, oracle.SpecKernel) for o in gc.get_objects())
+    return sum(
+        isinstance(o, compiler.CompiledProgram) and o.target_name == "spec"
+        for o in gc.get_objects()
+    )

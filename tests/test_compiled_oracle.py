@@ -1,7 +1,8 @@
 """The compiled spec oracle predicts exactly what the tree oracle did.
 
 :class:`~repro.netdebug.oracle.ReferenceOracle` predicts with
-spec-faithful closures (:meth:`repro.target.fastpath.FastProgram.run`).
+spec-faithful closures (:meth:`repro.target.fastpath.FastProgram.run`)
+and the batch kernel built over them.
 The oracle it replaced ran the tree-walking
 :class:`~repro.p4.interpreter.Interpreter` with ``honor_reject=True``:
 one long-lived interpreter for the stateful oracle, a fresh one per

@@ -49,26 +49,23 @@ class TestCoveringSet:
         """The acceptance sweep: on every stdlib program × target the
         emitted set exercises 100% of the recorded behaviour classes."""
         program, model = model_for(program_name, target_name)
-        packets, cmap = covering_set(
+        wires, cmap = covering_set(
             program, model, seed=2018, target=target_name
         )
-        assert len(packets) == len(cmap.covered)
-        missing = verify_coverage(
-            program, model, [p.pack() for p in packets], cmap
-        )
+        assert len(wires) == len(cmap.covered)
+        assert list(wires) == [bytes.fromhex(p.packet) for p in cmap.covered]
+        missing = verify_coverage(program, model, wires, cmap)
         assert missing == []
 
     def test_deterministic_per_seed(self):
         program, model = model_for("acl_firewall", "tofino", "acl_gate")
-        first_packets, first_map = covering_set(
+        first_wires, first_map = covering_set(
             program, model, seed=7, target="tofino"
         )
-        second_packets, second_map = covering_set(
+        second_wires, second_map = covering_set(
             program, model, seed=7, target="tofino"
         )
-        assert [p.pack() for p in first_packets] == [
-            p.pack() for p in second_packets
-        ]
+        assert first_wires == second_wires
         assert first_map.to_dict() == second_map.to_dict()
 
     def test_seed_changes_payload_not_paths(self):
@@ -108,8 +105,8 @@ class TestCoveringSet:
 
     def test_verify_coverage_names_missing_classes(self):
         program, model = model_for("strict_parser", "reference")
-        packets, cmap = covering_set(program, model, seed=0)
-        wires = [p.pack() for p in packets[:-1]]  # drop one witness
+        wires, cmap = covering_set(program, model, seed=0)
+        wires = wires[:-1]  # drop one witness
         missing = verify_coverage(program, model, wires, cmap)
         assert len(missing) == 1
         assert missing[0] in cmap.signatures()
