@@ -1,6 +1,6 @@
 """EXP-BATCH — the batch kernel and the compiled-artifact cache.
 
-Two properties behind the batch engine's line-rate claim:
+Two properties behind the batch kernel's line-rate claim:
 
 * Per-block throughput must grow with block size — the kernel
   amortizes dispatch, parse codegen and deparse over a
@@ -54,13 +54,13 @@ def test_batch_block_throughput(benchmark):
         return len(frames) / best
 
     def experiment():
-        device = make_reference_device("bk-throughput", engine="batch")
+        device = make_reference_device("bk-throughput")
         device.load(PROGRAMS["strict_parser"](forward_port=0))
         rows = [
             (size, throughput(device.inject_block, wires[:size]))
             for size in BLOCK_SIZES
         ]
-        per_packet = make_reference_device("bk-single", engine="closure")
+        per_packet = make_reference_device("bk-single")
         per_packet.load(PROGRAMS["strict_parser"](forward_port=0))
 
         def inject_each(frames):

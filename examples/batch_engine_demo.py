@@ -1,6 +1,6 @@
-"""The batch engine and the persistent compiled-artifact cache.
+"""The batch kernel and the persistent compiled-artifact cache.
 
-Runs the seeded baseline campaign matrix under ``engine="batch"`` — the
+Runs the seeded baseline campaign matrix — every cell through the
 block kernel that compiles each program once and executes whole
 struct-of-arrays packet blocks — and prints the canonical report JSON
 plus the compile-cache counters. Run it twice: the first (cold) pass
@@ -23,9 +23,6 @@ from repro.netdebug.diffing import baseline_matrix
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--engine", default="batch",
-                        choices=("tree", "closure", "batch"),
-                        help="execution engine for campaign devices")
     parser.add_argument("--expect-hits", action="store_true",
                         help="fail unless the artifact cache served "
                              "hits and stored nothing (CI warm-path "
@@ -37,9 +34,7 @@ def main() -> None:
     # leave their own flags in sys.argv.
     args, _ = parser.parse_known_args()
 
-    report = run_campaign(
-        baseline_matrix(), name="batch-demo", engine=args.engine
-    )
+    report = run_campaign(baseline_matrix(), name="batch-demo")
 
     if args.json:
         print(report.to_json())

@@ -54,7 +54,7 @@ from ..sim.traffic import (
 )
 from ..target import artifact_cache
 from ..target.compiler import CompiledProgram
-from ..target.device import CAMPAIGN_ENGINE, ENGINES, NetworkDevice
+from ..target.device import NetworkDevice
 from ..target.faults import Fault, FaultKind
 from ..target.pipeline import PacketSnapshot
 from ..target.reference import make_reference_device
@@ -78,10 +78,10 @@ from .oracle import (
     compile_spec,
     require_known_oracle,
 )
-from .session import ValidationSession, _block_eligible, run_session
+from . import session as _session
+from .session import ValidationSession, run_session
 
 __all__ = [
-    "CAMPAIGN_ENGINE",
     "TARGETS",
     "PROVISIONERS",
     "require_known_target",
@@ -512,7 +512,6 @@ def _shard_device(
     program: str,
     target: str,
     setup: str,
-    engine: str = CAMPAIGN_ENGINE,
 ) -> NetworkDevice:
     """A fresh device for one shard, reusing a compiled artifact.
 
@@ -529,7 +528,7 @@ def _shard_device(
     provisioner under the same name forces a fresh compile, which also
     overwrites the disk entry the old registration stored.
     """
-    device = TARGETS[target](f"{target}-{program}", engine=engine)
+    device = TARGETS[target](f"{target}-{program}")
     factory = PROGRAMS[program]
     provisioner = PROVISIONERS.get(setup) if setup else None
     slot = (program, target, setup)
@@ -644,11 +643,9 @@ def _grade_sla(scenario: "Scenario", report: SessionReport,
 
 
 def _run_shard(job: tuple) -> "ScenarioResult":
-    scenario, faults, keep_suite, engine, oracle_factory = job
+    scenario, faults, keep_suite, oracle_factory = job
     cache_before = artifact_cache.stats_snapshot()
-    device = _shard_device(
-        scenario.program, scenario.target, scenario.setup, engine
-    )
+    device = _shard_device(scenario.program, scenario.target, scenario.setup)
     cache_delta = artifact_cache.stats_delta(cache_before)
     for fault in faults:
         device.injector.inject(fault)
@@ -734,7 +731,9 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         checks=[sampler] if sampler is not None else [],
         expectations=expectations,
     )
-    skipped = _block_eligible(device, session)
+    # Looked up on the module, so a patched eligibility rule steers
+    # both run_session and the recorded reason.
+    skipped = _session._block_eligible(device, session)
     report = run_session(device, session)
     if sampler is not None:
         _grade_sla(scenario, report, sampler)
@@ -764,12 +763,10 @@ def _suite_name(scenario: Scenario) -> str:
 
 
 def _replay_shard(job: tuple) -> "ScenarioResult":
-    scenario, faults, directory, times_ns, engine, ports = job
+    scenario, faults, directory, times_ns, ports = job
     suite = RegressionSuite.load(directory, _suite_name(scenario))
     cache_before = artifact_cache.stats_snapshot()
-    device = _shard_device(
-        scenario.program, scenario.target, scenario.setup, engine
-    )
+    device = _shard_device(scenario.program, scenario.target, scenario.setup)
     cache_delta = artifact_cache.stats_delta(cache_before)
     for fault in faults:
         device.injector.inject(fault)
@@ -1203,23 +1200,14 @@ def _shard_jobs(
     scenarios: list[Scenario],
     faults: dict,
     record: bool = False,
-    engine: str = CAMPAIGN_ENGINE,
     oracle_factory: OracleFactory | None = None,
 ) -> list[tuple]:
     """:func:`_run_shard` job tuples for ``scenarios`` — what every
     executor, and the campaign service, dispatches."""
     return [
-        (scenario, faults[scenario.fault], record, engine, oracle_factory)
+        (scenario, faults[scenario.fault], record, oracle_factory)
         for scenario in scenarios
     ]
-
-
-def _require_known_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise NetDebugError(
-            f"unknown execution engine {engine!r}; "
-            f"choose one of {', '.join(ENGINES)}"
-        )
 
 
 def run_campaign(
@@ -1230,7 +1218,6 @@ def run_campaign(
     executor: ShardExecutor | None = None,
     on_result: Callable[[str, SessionReport, CampaignProgress], None]
     | None = None,
-    engine: str = CAMPAIGN_ENGINE,
     oracle_factory: OracleFactory | None = None,
     compress: bool | object = False,
 ) -> CampaignReport:
@@ -1252,13 +1239,11 @@ def run_campaign(
     artifacts — one :class:`RegressionSuite` per scenario plus
     ``<name>.manifest.json`` — replayable via :func:`replay_campaign`.
 
-    ``engine`` selects the shard execution engine (``"batch"``
-    default: the block kernel for every cell it can serve, per-packet
-    closures for the rest; ``"closure"`` for per-packet closures
-    throughout, ``"tree"`` for the spec-faithful baseline); all three
-    produce byte-identical reports. ``report.meta["execution"]``
-    counts the cells that ran block-wise and, per reason, those that
-    fell back to per-packet injection.
+    Each cell runs through the batch kernel when the session allows it
+    (:func:`repro.netdebug.session._block_eligible`) and per packet
+    otherwise, with byte-identical reports either way.
+    ``report.meta["execution"]`` counts the cells that ran block-wise
+    and, per reason, those that ran per packet.
 
     ``oracle_factory`` overrides the matrix's named ``oracle`` with an
     arbitrary factory (called per shard as ``factory(program,
@@ -1282,7 +1267,6 @@ def run_campaign(
     only — progress totals count representatives, not synthesized
     cells.
     """
-    _require_known_engine(engine)
     scenarios = matrix.expand()
     record = record_dir is not None
     compressed = None
@@ -1318,9 +1302,7 @@ def run_campaign(
                         "callable; recorded campaigns must be fully "
                         "declarative to replay from JSON"
                     )
-    jobs = _shard_jobs(
-        run_scenarios, matrix.faults, record, engine, oracle_factory
-    )
+    jobs = _shard_jobs(run_scenarios, matrix.faults, record, oracle_factory)
     results = _execute(
         jobs, _run_shard, workers, executor,
         _streaming_ingest(on_result, len(jobs)),
@@ -1525,7 +1507,6 @@ def replay_campaign(
     executor: ShardExecutor | None = None,
     on_result: Callable[[str, SessionReport, CampaignProgress], None]
     | None = None,
-    engine: str = CAMPAIGN_ENGINE,
 ) -> CampaignReport:
     """Replay a recorded campaign from its artifacts on fresh devices.
 
@@ -1539,7 +1520,6 @@ def replay_campaign(
     cache replay skips recompilation entirely (see
     :mod:`repro.target.artifact_cache`).
     """
-    _require_known_engine(engine)
     directory = Path(directory)
     manifest_path = directory / f"{name}.manifest.json"
     if not manifest_path.exists():
@@ -1586,7 +1566,6 @@ def replay_campaign(
                 # Pre-PR-5 manifests carry no times: replay them at
                 # the device clock, exactly as they were recorded.
                 tuple(s["times_ns"]) if "times_ns" in s else None,
-                engine,
                 # Pre-directional manifests carry no ports: replay on
                 # port 0, exactly as they were recorded.
                 (

@@ -23,7 +23,6 @@ import socket
 
 from ..exceptions import ClusterError
 from .campaign import (
-    CAMPAIGN_ENGINE,
     CampaignProgress,
     CampaignReport,
     ScenarioMatrix,
@@ -188,7 +187,6 @@ class ServiceClient:
         priority: int = 0,
         weight: float = 1.0,
         tenant: str = "default",
-        engine: str = CAMPAIGN_ENGINE,
     ) -> CampaignHandle:
         """Submit ``matrix``; returns immediately with the live handle.
 
@@ -207,7 +205,6 @@ class ServiceClient:
                     "tenant": tenant,
                     "priority": int(priority),
                     "weight": float(weight),
-                    "engine": engine,
                     "matrix": matrix_to_dict(matrix),
                 }
             )

@@ -53,7 +53,6 @@ from pathlib import Path
 
 from ..exceptions import ClusterError, NetDebugError
 from .campaign import (
-    CAMPAIGN_ENGINE,
     CampaignReport,
     ScenarioMatrix,
     ShardExecutor,
@@ -117,10 +116,12 @@ def _connect_with_retry(
 def normalize_tags(tags) -> tuple[str, ...]:
     """Validate capability tags into sorted ``dim:value`` form.
 
-    A tag names one value of one placement dimension (``target:tofino``,
-    ``engine:batch``). Declaring a dimension *constrains* the worker to
-    that value; leaving a dimension undeclared means "anything" — so a
-    bare untagged worker accepts every shard.
+    A tag names one value of one placement dimension
+    (``target:tofino``). Declaring a dimension *constrains* the worker
+    to that value; leaving it undeclared means "anything" — so a bare
+    untagged worker accepts every shard. A tag in any other dimension
+    is refused: it would constrain nothing, and the worker would
+    silently take every shard.
     """
     normalized = set()
     for tag in tags:
@@ -131,7 +132,12 @@ def normalize_tags(tags) -> tuple[str, ...]:
         if not sep or not dim or not value:
             raise ClusterError(
                 f"capability tag {tag!r} must look like dim:value "
-                "(e.g. target:tofino, engine:batch)"
+                "(e.g. target:tofino)"
+            )
+        if dim != "target":
+            raise ClusterError(
+                f"capability tag {tag!r} names placement dimension "
+                f"{dim!r}; only target:<name> tags place shards"
             )
         normalized.add(f"{dim}:{value}")
     return tuple(sorted(normalized))
@@ -463,14 +469,13 @@ def run_cluster_campaign(
     on_result=None,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     timeout: float | None = None,
-    engine: str = CAMPAIGN_ENGINE,
     oracle_factory=None,
     compress: bool | object = False,
 ) -> CampaignReport:
     """Run ``matrix`` on an ephemeral localhost service with ``workers``
     worker processes — the one-call launcher tests, CI and benchmarks
-    use. Byte-identical to ``run_campaign`` on the same matrix (and
-    across engines). ``oracle_factory`` travels to the workers by name,
+    use. Byte-identical to ``run_campaign`` on the same matrix.
+    ``oracle_factory`` travels to the workers by name,
     so it must be an :data:`~repro.netdebug.oracle.ORACLES` entry; any
     other callable is refused with a :class:`ClusterError`.
     ``compress`` behaves exactly as in :func:`run_campaign`: only bucket
@@ -484,7 +489,6 @@ def run_cluster_campaign(
             workers=workers, retry_budget=retry_budget, timeout=timeout
         ),
         on_result=on_result,
-        engine=engine,
         oracle_factory=oracle_factory,
         compress=compress,
     )
@@ -529,7 +533,6 @@ def main(argv: list[str] | None = None) -> int:
             retry_budget=args.retry_budget,
             timeout=args.timeout,
             on_result=None if args.quiet else ProgressPrinter(),
-            engine=args.engine,
             compress=args.compress,
         )
     except (ClusterError, NetDebugError) as exc:

@@ -68,10 +68,8 @@ from ..p4.program import P4Program
 from ..p4.stdlib import PROGRAMS
 from ..sim.traffic import WorkloadContext, build_workload, default_flow
 from ..target.batch import _reads_metadata
-from ..target.device import ENGINES
 from ..target.faults import Fault, FaultKind
 from .campaign import (
-    CAMPAIGN_ENGINE,
     PROVISIONERS,
     TARGETS,
     Scenario,
@@ -541,7 +539,6 @@ class _TrafficPinnedScenario(Scenario):
 def run_pruned_cell(
     compressed: CompressedMatrix,
     pruned_key: str,
-    engine: str = CAMPAIGN_ENGINE,
 ) -> ScenarioResult:
     """Genuinely execute one pruned cell on its representative's traffic.
 
@@ -573,14 +570,9 @@ def run_pruned_cell(
         oracle=pruned.oracle,
         pinned_key=rep_key,
     )
-    job = (
-        hybrid,
-        compressed.matrix.faults[pruned.fault],
-        False,
-        engine,
-        None,
+    return _run_shard(
+        (hybrid, compressed.matrix.faults[pruned.fault], False, None)
     )
-    return _run_shard(job)
 
 
 def equivalence_view(payload: dict, include_timing: bool = True) -> dict:
@@ -618,7 +610,6 @@ def audit_cell(
     compressed: CompressedMatrix,
     rep_result: ScenarioResult,
     pruned_key: str,
-    engine: str = CAMPAIGN_ENGINE,
 ) -> str | None:
     """One equivalence check: re-run ``pruned_key``, byte-diff.
 
@@ -627,7 +618,7 @@ def audit_cell(
     a failure description when the equivalence claim is violated.
     """
     rep_key = rep_result.scenario.key
-    hybrid = run_pruned_cell(compressed, pruned_key, engine=engine)
+    hybrid = run_pruned_cell(compressed, pruned_key)
     include_timing = _cell_target(pruned_key) == _cell_target(rep_key)
     got = equivalence_view(hybrid.to_dict(), include_timing)
     want = equivalence_view(rep_result.to_dict(), include_timing)
@@ -728,16 +719,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=1, help="worker processes"
     )
     parser.add_argument(
-        "--engine",
-        default=CAMPAIGN_ENGINE,
-        choices=ENGINES,
-        help="shard execution engine: 'batch' (default) runs cells "
-             "through the block kernel and falls back to per-packet "
-             "closures where it cannot (e.g. fault-armed cells); "
-             "'closure' is per-packet throughout; "
-             "'tree' is the spec-faithful walker",
-    )
-    parser.add_argument(
         "--audit",
         type=int,
         default=0,
@@ -787,7 +768,6 @@ def main(argv: list[str] | None = None) -> int:
         matrix,
         workers=args.workers,
         compress=compressed,
-        engine=args.engine,
     )
     print(report.summary())
     if args.out:
@@ -809,9 +789,7 @@ def main(argv: list[str] | None = None) -> int:
         rep_for = compressed.representative_for
         failures = []
         for key in audited:
-            failure = audit_cell(
-                compressed, by_key[rep_for[key]], key, engine=args.engine
-            )
+            failure = audit_cell(compressed, by_key[rep_for[key]], key)
             status = "FAIL" if failure else "ok"
             print(f"audit {key}: {status}")
             if failure:

@@ -8,10 +8,10 @@ different ways, this module makes that claim executable:
 
 * :class:`DeviantOracle` — a **tree-walking** interpreter parameterized
   by a backend's behavioural model (``honor_reject`` /
-  ``quantize_tcam`` / ``deparse_field_budget``). Devices execute the
-  *compiled closure* engine, so the oracle is an independent
-  implementation of the same semantics — a genuine differential
-  counterpart, not a tautology.
+  ``quantize_tcam`` / ``deparse_field_budget``). Devices execute
+  compiled closures, so the oracle is an independent implementation
+  of the same semantics — a genuine differential counterpart, not a
+  tautology.
 * :func:`seeded_batch` — deterministic randomized packet batches
   (valid UDP with randomized five-tuples and sizes, plus the §4
   malformed mixes) keyed entirely by one seed.
@@ -22,7 +22,7 @@ different ways, this module makes that claim executable:
   compiled artifact) reproduce it — i.e. the artifact's full deviant
   model predicts exactly the observed behaviour — and **unexplained**
   otherwise. An unexplained diff is a real bug: either an undeclared
-  deviation or an engine divergence.
+  deviation or a datapath divergence.
 
 The resulting :class:`DifferentialReport` serializes canonically
 (:meth:`DifferentialReport.to_json`), so byte-identical re-runs for the
@@ -78,9 +78,9 @@ class DeviantOracle(Interpreter):
     With the default parameters this *is* the spec oracle; the deviation
     knobs (``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``)
     are the base interpreter's own, so there is exactly one tree-walking
-    definition of each deviation — independent of the closure-compiled
-    engine the devices actually run, which is what makes the comparison
-    a genuine differential.
+    definition of each deviation — independent of the compiled closures
+    the devices actually run, which is what makes the comparison a
+    genuine differential.
     """
 
     def observe(
@@ -122,7 +122,7 @@ def tag_model(
 
 @dataclass(frozen=True)
 class Observation:
-    """What one engine did with one frame: verdict, egress, output bytes."""
+    """What one datapath did with one frame: verdict, egress, output bytes."""
 
     verdict: str
     egress: int | None = None
@@ -349,7 +349,7 @@ class DifferentialCell:
     deviation_tags: tuple[str, ...] = ()
     diffs: list[PacketDiff] = dc_field(default_factory=list)
     #: Frames where the artifact's own deviant model failed to predict
-    #: the datapath — engine bugs, never acceptable.
+    #: the datapath — datapath bugs, never acceptable.
     model_mismatches: list[int] = dc_field(default_factory=list)
     #: Coverage accounting when the cell ran a covering set (see
     #: :attr:`DifferentialCase.coverage`): the map summary plus
@@ -705,8 +705,8 @@ class DifferentialRunner:
             kinds = spec.diff_kinds(observed)
             if model.diff_kinds(observed):
                 # The independent tree-walking model of this artifact's
-                # declared deviations disagrees with the datapath: an
-                # engine bug, not an explainable deviation.
+                # declared deviations disagrees with the datapath: a
+                # datapath bug, not an explainable deviation.
                 cell.model_mismatches.append(index)
             if not kinds:
                 continue

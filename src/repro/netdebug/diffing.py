@@ -55,7 +55,6 @@ from pathlib import Path
 
 from ..exceptions import NetDebugError
 from .campaign import (
-    CAMPAIGN_ENGINE,
     CampaignReport,
     ScenarioMatrix,
     provision_acl_gate,
@@ -1100,7 +1099,6 @@ def verify_equivalence(
     compressed,
     report: CampaignReport,
     keys: list[str] | None = None,
-    engine: str = CAMPAIGN_ENGINE,
 ) -> list[str]:
     """Machine-check the compression claim on ``keys`` pruned cells.
 
@@ -1135,7 +1133,7 @@ def verify_equivalence(
                 f"report {report.name!r}"
             )
             continue
-        failure = audit_cell(compressed, rep_result, key, engine=engine)
+        failure = audit_cell(compressed, rep_result, key)
         if failure is not None:
             failures.append(failure)
     return failures

@@ -11,12 +11,12 @@ has the properties a shared fleet needs:
   deficit-round-robin across the active campaigns of the highest
   eligible priority tier: a campaign with weight 3 receives ~3× the
   contended dispatches of a weight-1 peer, and no campaign starves.
-* **Capability-tagged placement.** Workers declare ``dim:value`` tags
-  (``target:tofino``, ``engine:batch``). A shard requires its
-  scenario's target and engine; per dimension a worker is eligible iff
-  it declares no tag there or declares the exact value — so a worker
-  pinned to one target's toolchain only ever receives that target's
-  shards, and an untagged worker takes anything.
+* **Capability-tagged placement.** Workers declare ``target:<name>``
+  tags (``target:tofino``). A shard requires its scenario's target; a
+  worker is eligible iff it declares no target tag or declares that
+  exact one — so a worker pinned to one target's toolchain only ever
+  receives that target's shards, and an untagged worker takes
+  anything. A hello declaring any other dimension is refused.
 * **Work stealing + reconnect.** A slow worker's oldest in-flight
   shard is duplicated onto an idle eligible worker (first result wins,
   duplicates acked and dropped). A worker that loses its connection
@@ -66,10 +66,8 @@ from pathlib import Path
 
 from ..exceptions import ClusterError, NetDebugError
 from .campaign import (
-    CAMPAIGN_ENGINE,
     CampaignReport,
     ScenarioResult,
-    _require_known_engine,
     _shard_jobs,
     assemble_report,
     matrix_from_dict,
@@ -167,10 +165,10 @@ class _Campaign:
         self.jobs = list(jobs)
         self.payloads = [
             encode_job(
-                scenario, faults, engine=engine, record=record,
+                scenario, faults, record=record,
                 oracle=_oracle_name(factory),
             )
-            for scenario, faults, record, engine, factory in self.jobs
+            for scenario, faults, record, factory in self.jobs
         ]
         self.pending: deque[int] = deque(range(len(self.jobs)))
         #: job index -> aids currently dispatched for it (>1 = stolen).
@@ -204,9 +202,8 @@ class _Campaign:
             or len(self.results) == self.total
         )
 
-    def required_tags(self, job_index: int) -> tuple[str, str]:
-        scenario, _, _, engine, _ = self.jobs[job_index]
-        return (f"target:{scenario.target}", f"engine:{engine}")
+    def required_tags(self, job_index: int) -> tuple[str]:
+        return (f"target:{self.jobs[job_index][0].target}",)
 
     def job_frame(self, aid: int, job_index: int) -> dict:
         return stamp_cache_version(
@@ -450,7 +447,11 @@ class CampaignService:
                 {"type": "rejected", "error": "hello carries no session id"}
             )
             return
-        tags = normalize_tags(hello.get("tags", ()))
+        try:
+            tags = normalize_tags(hello.get("tags", ()))
+        except ClusterError as exc:
+            channel.send({"type": "rejected", "error": str(exc)})
+            return
         worker = _FleetWorker(
             session=session,
             name=name,
@@ -1107,15 +1108,13 @@ class CampaignService:
 
     def _build_campaign(self, message: dict) -> _Campaign:
         matrix = matrix_from_dict(message["matrix"])
-        engine = str(message.get("engine", CAMPAIGN_ENGINE))
-        _require_known_engine(engine)
         priority = int(message.get("priority", 0))
         weight = float(message.get("weight", 1.0))
         if not 0 < weight <= 1000:
             raise NetDebugError(
                 f"campaign weight must be in (0, 1000], got {weight!r}"
             )
-        jobs = _shard_jobs(matrix.expand(), matrix.faults, engine=engine)
+        jobs = _shard_jobs(matrix.expand(), matrix.faults)
         if not jobs:
             raise NetDebugError("campaign matrix expands to zero cells")
         return self._new_campaign(
@@ -1268,7 +1267,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="shards pipelined to this worker")
     worker.add_argument("--tags", default="",
                         help="comma-separated capability tags, "
-                             "e.g. target:tofino,engine:batch")
+                             "e.g. target:tofino")
     worker.add_argument("--crash-after", type=int, default=None,
                         help="chaos: hard-exit after this many shards")
     worker.add_argument("--drop-after", type=int, default=None,
@@ -1372,7 +1371,6 @@ def main(argv: list[str] | None = None) -> int:
             tenant=args.tenant,
             priority=args.priority,
             weight=args.weight,
-            engine=args.engine,
         )
         print(f"campaign {handle.campaign} accepted "
               f"({handle.total} scenarios)", flush=True)

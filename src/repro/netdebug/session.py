@@ -67,7 +67,7 @@ class ValidationSession:
             :class:`~repro.netdebug.oracle.StatelessOracle`, preserving
             the historical per-packet fresh-state semantics.
         oracle: Legacy per-packet callable ``(wire, ingress_port) ->
-            ExpectedOutput``; opaque to the engine, so it forces the
+            ExpectedOutput``; opaque to the session, so it forces the
             per-packet path (prefer ``oracle_factory``).
     """
 
@@ -102,8 +102,6 @@ def _block_eligible(
     (:attr:`repro.target.batch.BatchProgram.columnar` is False), and
     the post-block replay feeds the oracle in sequence order.
     """
-    if getattr(device, "engine", None) != "batch" or device._batch is None:
-        return "engine"
     if session.tap != TAP_OUTPUT:
         return "non-output tap"
     if session.oracle is not None:
@@ -156,7 +154,7 @@ def _session_oracle(
 def _run_session_block(
     device: NetworkDevice, session: ValidationSession
 ) -> SessionReport:
-    """Block-wise session execution (batch engine).
+    """Block-wise session execution through the batch kernel.
 
     Injects each stream as one block through the batch kernel, then
     replays the arm → observe → disarm protocol per packet against the
@@ -269,8 +267,8 @@ def run_session(
     the expectation, and the window is closed. The report aggregates
     check outcomes, stream statistics, latency samples and all findings.
 
-    On a ``batch``-engine device, sessions that need no mid-flight
-    observation run block-wise through the batch kernel instead (see
+    Sessions that need no mid-flight observation run block-wise
+    through the batch kernel instead (see :func:`_block_eligible` and
     :func:`_run_session_block`); the report is identical byte for byte.
     """
     if not session.streams:

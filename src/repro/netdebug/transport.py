@@ -38,7 +38,6 @@ import threading
 
 from ..exceptions import ClusterError
 from ..target.artifact_cache import CACHE_VERSION
-from ..target.device import CAMPAIGN_ENGINE
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -253,7 +252,6 @@ def recv_message(
 def encode_job(
     scenario,
     faults,
-    engine: str = CAMPAIGN_ENGINE,
     record: bool = False,
     oracle: str | None = None,
 ) -> dict:
@@ -274,7 +272,6 @@ def encode_job(
     payload = {
         "scenario": scenario_to_dict(scenario),
         "faults": [fault_to_dict(fault) for fault in faults],
-        "engine": engine,
     }
     if record:
         payload["record"] = True
@@ -295,7 +292,6 @@ def decode_job(payload: dict) -> tuple:
             scenario_from_dict(payload["scenario"]),
             tuple(fault_from_dict(f) for f in payload["faults"]),
             bool(payload.get("record", False)),
-            payload.get("engine", CAMPAIGN_ENGINE),
             ORACLES[oracle] if oracle is not None else None,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -222,9 +222,12 @@ class Interpreter:
             within this header-field budget is deparsed — the
             Tofino-like deparse deviation. Reference semantics use None.
 
-    The three deviation knobs default to spec-faithful values; targets
-    reuse this engine with their own settings so every deviant datapath
-    has exactly one tree-walking definition.
+    The three deviation knobs default to spec-faithful values; built
+    with a compiled artifact's settings (as
+    :class:`~repro.netdebug.differential.DeviantOracle` does), the
+    interpreter is the one tree-walking definition of that target's
+    deviant datapath, which devices' compiled closures are checked
+    against.
     """
 
     def __init__(

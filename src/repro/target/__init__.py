@@ -1,7 +1,8 @@
-"""Simulated hardware targets and their execution engine.
+"""Simulated hardware targets and their execution core.
 
 The package splits into the performance-first execution core —
 :mod:`~repro.target.fastpath` (closure compilation),
+:mod:`~repro.target.batch` (the block kernel over those closures),
 :mod:`~repro.target.pipeline` (staged execution, taps, faults) and
 :mod:`~repro.target.device` (ports, stats, management interface) — and
 the three concrete targets: the spec-faithful reference
@@ -20,7 +21,7 @@ from .artifact_cache import (
 )
 from .batch import BatchProgram, build_batch_program, get_batch_program
 from .compiler import CompiledProgram, Diagnostic, TargetCompiler
-from .device import ENGINES, FLOOD_PORT, DeviceStats, NetworkDevice, Port
+from .device import FLOOD_PORT, DeviceStats, NetworkDevice, Port
 from .fastpath import FastProgram, compile_program
 from .faults import Fault, FaultInjector, FaultKind
 from .limits import REFERENCE_LIMITS, SDNET_LIMITS, TOFINO_LIMITS, ArchLimits
@@ -55,7 +56,6 @@ __all__ = [
     "Port",
     "DeviceStats",
     "FLOOD_PORT",
-    "ENGINES",
     # pipeline
     "StagedPipeline",
     "PacketSnapshot",

@@ -1,7 +1,7 @@
 """Batch-compiled vectorized execution — the block fast path.
 
-The closure engine (:mod:`repro.target.fastpath`) already avoids tree
-walking, but it still pays the full staged-pipeline machinery once per
+The per-packet closures (:mod:`repro.target.fastpath`) already avoid
+tree walking, but they still pay the full staged-pipeline machinery once per
 packet: stage-tuple unpacking, barrier checks, tap and fault probes,
 trace allocation, traversal bookkeeping. For a campaign shard of ~800
 packets that is ~10k Python-level iterations whose control flow is
@@ -18,18 +18,18 @@ kernel** that processes a struct-of-arrays packet block:
 * an all-``EXACT`` table apply is specialized into a dict-get over a
   key column: entries are snapshotted into a hash map once per block
   (highest priority wins, first installed wins ties — exactly the
-  closure engine's ``rank > best_rank`` selection) and each packet
+  closures' ``rank > best_rank`` selection) and each packet
   costs one dict lookup instead of a scan over the entry list;
 * verdicts, egress, latency and deparse are emitted column-wise with
   the cycle model evaluated *analytically* per death class rather than
   accumulated stage by stage.
 
-The kernel reuses the closure engine's compiled parser, stage and
+The kernel reuses the closures' compiled parser, stage and
 deparse closures, so expression semantics cannot drift; everything the
 staged pipeline does *between* closures (drop barriers, exit handling,
 cycle accounting, traversal and death attribution) is reimplemented
-here block-wise and pinned byte-for-byte against both per-packet
-engines by ``tests/test_target_batch_differential.py``.
+here block-wise and pinned byte-for-byte against the per-packet
+pipeline by ``tests/test_target_batch_differential.py``.
 
 Execution modes
 ---------------
@@ -54,7 +54,7 @@ Faults and taps are *not* modelled here: the device only routes blocks
 through the kernel when no taps are attached and the fault injector is
 idle, falling back to the per-packet pipeline otherwise.
 
-Error semantics: the per-packet engines *raise* out of ``process`` on
+Error semantics: the per-packet pipeline *raises* out of ``process`` on
 runtime errors (invalid-header access on a deviant target, unknown
 parser state, …) and the differential harnesses catch per packet. The
 kernel therefore captures each packet's exception in its lane — the
@@ -494,7 +494,7 @@ def _compile_block_deparser(program, fast_deparse, field_budget):
 # Block-wise stage compilation
 # ----------------------------------------------------------------------
 def _generic_stage(stage_name: str, fast_fn):
-    """Wrap one closure-engine stage for block execution.
+    """Wrap one compiled closure stage for block execution.
 
     Replicates the staged pipeline's per-stage bookkeeping: ExitPipeline
     marks the lane exited (drop tracking still runs for that stage, as
@@ -528,7 +528,7 @@ def _exact_table_stage(program, table, stage_name: str):
 
     Entries are snapshotted into ``{key-column value: entry}`` once per
     block; a later entry replaces an earlier one only on strictly
-    higher priority, reproducing the closure engine's
+    higher priority, reproducing the per-packet closures'
     ``rank > best_rank`` selection (rank is ``(0, priority)`` for
     EXACT-only tables, so first-installed wins ties). Control-plane
     updates between blocks stay visible because the snapshot reads the

@@ -17,6 +17,12 @@ Two traffic paths exist:
   test packets enter the pipeline directly at any tap and, by default,
   never emerge on the wire. Device statistics still account for them
   (the hardware did process the packet); port counters do not.
+
+A device has one behaviour: it runs the artifact's compiled closures,
+per packet through the staged pipeline or, in :meth:`inject_block`, a
+whole block at a time through the artifact's batch kernel — unless a
+tap is attached or a fault is armed, which the kernel cannot publish or
+model. The outcomes are the same either way.
 """
 
 from __future__ import annotations
@@ -27,14 +33,13 @@ from ..controlplane import RuntimeAPI
 from ..exceptions import TargetError
 from ..p4.interpreter import RuntimeState, Verdict
 from ..p4.program import P4Program
+from .batch import get_batch_program
 from .compiler import CompiledProgram, TargetCompiler
 from .faults import FaultInjector
 from .limits import ArchLimits
 from .pipeline import StagedPipeline, TAP_INPUT, TargetRun
 
 __all__ = [
-    "CAMPAIGN_ENGINE",
-    "ENGINES",
     "FLOOD_PORT",
     "Port",
     "DeviceStats",
@@ -43,16 +48,6 @@ __all__ = [
 
 #: Egress value meaning "flood to every port except the ingress".
 FLOOD_PORT = 0x1FF
-
-#: Execution engines a device can run: spec-faithful tree-walking,
-#: per-packet compiled closures, or the block-compiled batch kernel.
-ENGINES = ("tree", "closure", "batch")
-
-#: The engine campaign shards run on unless told otherwise: cells the
-#: block kernel can serve run through it, the rest fall back to
-#: per-packet closures (see ``repro.netdebug.session``). A device built
-#: directly still defaults to ``closure``.
-CAMPAIGN_ENGINE = "batch"
 
 
 @dataclass
@@ -94,16 +89,7 @@ class NetworkDevice:
         name: str,
         compiler: TargetCompiler,
         num_ports: int = 8,
-        use_compiled: bool = True,
-        engine: str | None = None,
     ):
-        if engine is None:
-            engine = "closure" if use_compiled else "tree"
-        if engine not in ENGINES:
-            raise TargetError(
-                f"unknown execution engine {engine!r}; "
-                f"choose one of {', '.join(ENGINES)}"
-            )
         self.name = name
         self.compiler = compiler
         self.limits: ArchLimits = compiler.limits
@@ -111,13 +97,10 @@ class NetworkDevice:
         self.stats = DeviceStats()
         self.injector = FaultInjector()
         self.clock_cycles = 0
-        self.engine = engine
-        self._use_compiled = engine != "tree"
         self._compiled: CompiledProgram | None = None
         self._pipeline: StagedPipeline | None = None
         self._control: RuntimeAPI | None = None
         self._state: RuntimeState | None = None
-        self._batch = None
 
     # ------------------------------------------------------------------
     # Program lifecycle
@@ -154,14 +137,7 @@ class NetworkDevice:
             self.limits,
             state=state,
             injector=self.injector,
-            use_compiled=self._use_compiled,
         )
-        if self.engine == "batch":
-            from .batch import get_batch_program
-
-            self._batch = get_batch_program(compiled, self.limits)
-        else:
-            self._batch = None
         return compiled
 
     def _require_pipeline(self) -> StagedPipeline:
@@ -334,15 +310,14 @@ class NetworkDevice:
         ports=None,
         on_error: str = "raise",
     ):
-        """Inject a block of test frames through the batch kernel.
+        """Inject a block of test frames at the ``input`` tap.
 
-        Semantically equivalent to calling :meth:`inject` per frame at
-        the ``input`` tap (``timestamps`` optionally pins per-frame
-        timestamps; missing entries fall back to the running clock),
-        but executed block-wise when the device runs the ``batch``
-        engine, no taps are attached and no faults are armed — the
-        kernel cannot publish snapshots or model faults, so those
-        cases fall back to the per-packet pipeline transparently.
+        Semantically equivalent to calling :meth:`inject` per frame
+        (``timestamps`` optionally pins per-frame timestamps; missing
+        entries fall back to the running clock). The block runs through
+        the artifact's batch kernel unless a tap is attached or a fault
+        is armed: the kernel cannot publish snapshots or model faults,
+        so those blocks run per packet through the pipeline's closures.
 
         ``ports`` optionally pins per-frame ingress ports (missing
         entries fall back to the scalar ``port``) — how bidirectional
@@ -354,16 +329,20 @@ class NetworkDevice:
         default ``on_error="raise"`` re-raises the first (lowest-index)
         captured error after accounting all non-errored frames.
         """
+        if on_error not in ("raise", "capture"):
+            raise TargetError(
+                f"on_error must be 'raise' or 'capture', got {on_error!r}"
+            )
         wires = list(wires)
         pipeline = self._require_pipeline()
-        batch = self._batch
-        injector = self.injector
-        if (
-            batch is not None
-            and not pipeline.has_taps()
-            and not (injector is not None and injector._active)
-        ):
-            outcomes = batch.run_block(
+        if pipeline.has_taps() or self.injector._active:
+            outcomes = self._inject_block_fallback(
+                wires, timestamps, port, ports
+            )
+        else:
+            outcomes = get_batch_program(
+                self._compiled, self.limits
+            ).run_block(
                 wires,
                 clock=self.clock_cycles,
                 timestamps=timestamps,
@@ -371,10 +350,6 @@ class NetworkDevice:
                 ingress_ports=ports,
                 counters=self._state.counters,
                 registers=self._state.registers,
-            )
-        else:
-            outcomes = self._inject_block_fallback(
-                wires, timestamps, port, ports
             )
         account = self._account
         results = []

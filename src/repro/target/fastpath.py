@@ -622,9 +622,8 @@ def _compile_stmt(
 def control_stages(control: Control) -> list[Stmt]:
     """The control body's top-level statements — one pipeline stage each.
 
-    Shared by the closure compiler and the staged pipeline so the
-    compiled stage list and the tree-walk stage list can never drift
-    out of index alignment.
+    Shared by the closure compiler and the batch kernel so their stage
+    lists can never drift out of index alignment.
     """
     body = control.body
     if isinstance(body, Seq):

@@ -12,14 +12,11 @@ attached taps — this is NetDebug's internal visibility: checkers and
 localization observe *between* stages, so execution itself needs no
 tracing.
 
-Two execution engines share this machinery:
-
-* the **compiled fast path** (default) runs the closures produced by
-  :mod:`repro.target.fastpath` and allocates no trace events at all;
-* **tree-walking interpretation** (``use_compiled=False``) drives the
-  spec-faithful :class:`~repro.p4.interpreter.Interpreter` stage by
-  stage, traces included — the baseline the fast path is measured
-  against in ``benchmarks/bench_line_rate.py``.
+Each stage runs the closures :mod:`repro.target.fastpath` compiled for
+the artifact; stuck tables and frozen counters reach them through the
+per-packet :class:`~repro.target.fastpath.ExecState`. The spec the
+closures are checked against is the tree-walking
+:class:`~repro.p4.interpreter.Interpreter`, which no device runs.
 
 Packets may be injected at any stage (``inject_at``), which is how
 NetDebug's generator bypasses the external ports and how active fault
@@ -31,12 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import TargetError
-from ..p4.actions import CountPacket
-from ..p4.control import Seq
-from ..p4.expr import EvalContext
 from ..p4.interpreter import (
     ExitPipeline,
-    Interpreter,
     PipelineResult,
     RuntimeState,
     Trace,
@@ -45,7 +38,7 @@ from ..p4.interpreter import (
 from ..packet.packet import Packet
 from ..p4.types import standard_metadata_defaults
 from .compiler import CompiledProgram
-from .fastpath import ExecState, control_stages
+from .fastpath import ExecState
 from .faults import FaultInjector, FaultKind
 from .limits import ArchLimits
 
@@ -101,47 +94,6 @@ class TargetRun:
     output_wire: bytes | None = None
 
 
-class _FaultAwareInterpreter(Interpreter):
-    """Tree-walking engine extended with stuck-table / frozen-counter
-    faults. The compiled artifact's silent target deviations (reject,
-    quantized TCAM, deparse field budget) are the base interpreter's
-    deviation knobs, so both execution modes stay behaviourally
-    identical by construction."""
-
-    def __init__(self, program, state, compiled, pipeline):
-        super().__init__(
-            program,
-            state=state,
-            honor_reject=compiled.honor_reject,
-            quantize_tcam=compiled.quantize_tcam,
-            deparse_field_budget=compiled.deparse_field_budget,
-        )
-        self._pipeline = pipeline
-
-    def apply_table(self, control, table_name, ctx, trace):
-        if table_name in self._pipeline._current_stuck:
-            table = control.table(table_name)
-            trace.add(
-                "table_apply",
-                f"{table_name}: stuck-at-miss -> {table.default_action}",
-                stage=control.name,
-            )
-            action = table.action(table.default_action)
-            self.run_action(
-                control.name, action, table.default_action_data, ctx, trace
-            )
-            return False
-        return super().apply_table(control, table_name, ctx, trace)
-
-    def run_primitive(self, stage, primitive, binding, ctx, trace):
-        if (
-            isinstance(primitive, CountPacket)
-            and primitive.name in self._pipeline._current_frozen
-        ):
-            return
-        super().run_primitive(stage, primitive, binding, ctx, trace)
-
-
 class StagedPipeline:
     """Executes one compiled program as a tapped, faultable pipeline."""
 
@@ -151,51 +103,35 @@ class StagedPipeline:
         limits: ArchLimits,
         state: RuntimeState | None = None,
         injector: FaultInjector | None = None,
-        use_compiled: bool = True,
     ):
         self.compiled = compiled
         self.program = compiled.program
         self.limits = limits
         self.state = state or RuntimeState.for_program(self.program)
         self.injector = injector
-        self.use_compiled = use_compiled and compiled.fast is not None
         self._fast = compiled.fast
-        self._interp = _FaultAwareInterpreter(
-            self.program, self.state, compiled, pipeline=self
-        )
-        self._current_stuck: frozenset | set = _EMPTY_SET
-        self._current_frozen: frozenset | set = _EMPTY_SET
 
-        # Stage topology: (name, kind, fast_fn, control, stmt, cost,
-        # barrier). ``cost`` is the fixed cycle cost, or None for the
-        # frame-size-dependent parser/deparser stages (resolved once per
-        # packet). ``barrier`` marks the points where a set drop flag
-        # discards the packet — entering egress and entering the
-        # deparser — mirroring the interpreter, which always runs a
-        # control to completion and only then honors ``drop`` (a later
-        # statement may clear it, and post-drop statements still update
-        # counters/registers).
-        stages: list[tuple] = [
-            (TAP_INPUT, _KIND_INPUT, None, None, None, 1, False)
-        ]
-        stages.append(("parser", _KIND_PARSER, None, None, None, None, False))
+        # Stage topology: (name, kind, fast_fn, cost, barrier). ``cost``
+        # is the fixed cycle cost, or None for the frame-size-dependent
+        # parser/deparser stages (resolved once per packet). ``barrier``
+        # marks the points where a set drop flag discards the packet —
+        # entering egress and entering the deparser — mirroring the
+        # interpreter, which always runs a control to completion and
+        # only then honors ``drop`` (a later statement may clear it, and
+        # post-drop statements still update counters/registers).
+        stages: list[tuple] = [(TAP_INPUT, _KIND_INPUT, None, 1, False)]
+        stages.append(("parser", _KIND_PARSER, None, None, False))
         for control, fast_stages in (
-            (self.program.ingress,
-             self._fast.ingress_stages if self._fast else None),
-            (self.program.egress,
-             self._fast.egress_stages if self._fast else None),
+            (self.program.ingress, self._fast.ingress_stages),
+            (self.program.egress, self._fast.egress_stages),
         ):
-            for index, stmt in enumerate(control_stages(control)):
-                fast_fn = fast_stages[index] if fast_stages else None
+            for index, fast_fn in enumerate(fast_stages):
                 stages.append(
-                    (f"{control.name}.{index}", _KIND_STMT, fast_fn,
-                     control, stmt, 12,
+                    (f"{control.name}.{index}", _KIND_STMT, fast_fn, 12,
                      control.name == "egress" and index == 0)
                 )
-        stages.append(
-            ("deparser", _KIND_DEPARSER, None, None, None, None, True)
-        )
-        stages.append((TAP_OUTPUT, _KIND_OUTPUT, None, None, None, 1, False))
+        stages.append(("deparser", _KIND_DEPARSER, None, None, True))
+        stages.append((TAP_OUTPUT, _KIND_OUTPUT, None, 1, False))
         self._stages = stages
         self._stage_names = [s[0] for s in stages]
         self._stage_index = {
@@ -282,14 +218,9 @@ class StagedPipeline:
         metadata["packet_length"] = len(wire) & 0xFFFF
         metadata["ingress_global_timestamp"] = timestamp & 0xFFFFFFFFFFFF
 
-        use_compiled = self.use_compiled
+        fast = self._fast
         trace = Trace()
-        if use_compiled:
-            packet, payload, accepted = self._fast.parse(wire, metadata)
-        else:
-            packet, payload, accepted = self._interp.run_parser(
-                wire, metadata, trace
-            )
+        packet, payload, accepted = fast.parse(wire, metadata)
         if accepted:
             packet.payload = payload
 
@@ -313,24 +244,10 @@ class StagedPipeline:
         else:
             faulty = False
             stuck = frozen = _EMPTY_SET
-        # The tree-walking engine consults these via the pipeline (the
-        # compiled engine snapshots them in ExecState); save/restore so
-        # a reentrant process() from a tap callback cannot clobber the
-        # outer run's active fault view.
-        previous_stuck = self._current_stuck
-        previous_frozen = self._current_frozen
-        self._current_stuck = stuck
-        self._current_frozen = frozen
-
-        if use_compiled:
-            exec_state = ExecState(
-                packet, metadata, self.state.counters,
-                self.state.registers, stuck, frozen,
-            )
-            ctx = None
-        else:
-            exec_state = None
-            ctx = EvalContext(packet, metadata)
+        exec_state = ExecState(
+            packet, metadata, self.state.counters,
+            self.state.registers, stuck, frozen,
+        )
 
         taps = self._taps
         frame_bytes = len(wire)
@@ -348,8 +265,7 @@ class StagedPipeline:
 
         drop_stage: str | None = None
         for index in range(start, len(self._stages)):
-            name, kind, fast_fn, control, stmt, cost, barrier = \
-                self._stages[index]
+            name, kind, fast_fn, cost, barrier = self._stages[index]
 
             # Drop barrier: a packet whose drop flag survived the
             # preceding control block is discarded here, before this
@@ -368,11 +284,8 @@ class StagedPipeline:
             if kind == _KIND_STMT:
                 if alive and not exited:
                     try:
-                        if use_compiled:
-                            if fast_fn is not None:
-                                fast_fn(exec_state)
-                        else:
-                            self._interp.exec_stmt(control, stmt, ctx, trace)
+                        if fast_fn is not None:
+                            fast_fn(exec_state)
                     except ExitPipeline:
                         exited = True
                     # Track where the (still-set) drop flag originated;
@@ -389,18 +302,12 @@ class StagedPipeline:
                     verdict = Verdict.PARSER_REJECTED
             elif kind == _KIND_DEPARSER:
                 if alive:
-                    if use_compiled:
-                        out_packet = self._fast.deparse(packet)
-                    else:
-                        out_packet = self._interp.deparse(packet, trace)
+                    out_packet = fast.deparse(packet)
                     metadata["egress_port"] = metadata["egress_spec"]
             elif kind == _KIND_OUTPUT:
                 if alive and out_packet is None:
                     # Injected past the deparser: still serialize.
-                    if use_compiled:
-                        out_packet = self._fast.deparse(packet)
-                    else:
-                        out_packet = self._interp.deparse(packet, trace)
+                    out_packet = fast.deparse(packet)
                     metadata["egress_port"] = metadata["egress_spec"]
 
             if faulty:
@@ -468,18 +375,11 @@ class StagedPipeline:
         if verdict is None:
             verdict = Verdict.FORWARDED
             if out_packet is None:
-                out_packet = (
-                    self._fast.deparse(packet)
-                    if use_compiled
-                    else self._interp.deparse(packet, trace)
-                )
+                out_packet = fast.deparse(packet)
                 metadata["egress_port"] = metadata["egress_spec"]
             result_packet = out_packet
         else:
             result_packet = None
-
-        self._current_stuck = previous_stuck
-        self._current_frozen = previous_frozen
 
         result = PipelineResult(verdict, result_packet, metadata, trace)
         return TargetRun(

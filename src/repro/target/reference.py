@@ -28,20 +28,10 @@ class ReferenceCompiler(TargetCompiler):
 def make_reference_device(
     name: str = "reference0",
     num_ports: int = 8,
-    use_compiled: bool = True,
-    engine: str | None = None,
 ) -> NetworkDevice:
-    """A reference device: 8 traffic ports, spec-faithful pipeline.
-
-    ``use_compiled=False`` forces tree-walking interpretation in the
-    pipeline — the slow baseline the fast path is benchmarked against.
-    ``engine`` selects the execution engine explicitly (``"tree"``,
-    ``"closure"``, ``"batch"``) and overrides ``use_compiled``.
-    """
+    """A reference device: 8 traffic ports, spec-faithful pipeline."""
     return NetworkDevice(
         name,
         ReferenceCompiler(),
         num_ports=num_ports,
-        use_compiled=use_compiled,
-        engine=engine,
     )

@@ -40,14 +40,10 @@ class SDNetCompiler(TargetCompiler):
 def make_sdnet_device(
     name: str = "sume0",
     num_ports: int = 4,
-    use_compiled: bool = True,
-    engine: str | None = None,
 ) -> NetworkDevice:
     """An SDNet-programmed NetFPGA SUME: 4 ports, deviant datapath."""
     return NetworkDevice(
         name,
         SDNetCompiler(),
         num_ports=num_ports,
-        use_compiled=use_compiled,
-        engine=engine,
     )

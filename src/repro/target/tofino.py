@@ -91,14 +91,10 @@ class TofinoCompiler(TargetCompiler):
 def make_tofino_device(
     name: str = "tofino0",
     num_ports: int = 16,
-    use_compiled: bool = True,
-    engine: str | None = None,
 ) -> NetworkDevice:
     """A Tofino-programmed switch: 16 ports, quantizing/truncating datapath."""
     return NetworkDevice(
         name,
         TofinoCompiler(),
         num_ports=num_ports,
-        use_compiled=use_compiled,
-        engine=engine,
     )

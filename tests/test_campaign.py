@@ -212,14 +212,33 @@ class TestExecutionMeta:
         assert "execution" not in report.to_json()
         assert "faults armed" not in report.to_json()
 
-    def test_closure_engine_names_the_engine(self):
-        report = run_campaign(tiny_matrix(), name="c", engine="closure")
+    def test_forced_per_packet_reproduces_the_golden(
+        self, tmp_path, monkeypatch
+    ):
+        """Every golden cell, run per packet through the pipeline's
+        closures instead of the batch kernel, renders to exactly the
+        committed ``baselines/campaign.json`` bytes, and the execution
+        meta counts every cell under the forcing reason."""
+        from pathlib import Path
+
+        from repro.netdebug import session
+        from repro.netdebug.diffing import baseline_matrix
+
+        monkeypatch.setattr(
+            session, "_block_eligible", lambda device, s: "forced"
+        )
+        report = run_campaign(baseline_matrix(), name="baseline")
         assert report.meta["execution"] == {
-            "block": 0, "per_packet": 1, "reasons": {"engine": 1},
+            "block": 0,
+            "per_packet": report.scenarios,
+            "reasons": {"forced": report.scenarios},
         }
-        assert report.to_json() == run_campaign(
-            tiny_matrix(), name="c"
-        ).to_json()
+        golden = (
+            Path(__file__).resolve().parent.parent
+            / "baselines" / "campaign.json"
+        )
+        fresh = report.save(tmp_path / "campaign.json")
+        assert fresh.read_bytes() == golden.read_bytes()
 
     def test_counts_survive_the_cluster_wire(self):
         from repro.netdebug.cluster import run_cluster_campaign

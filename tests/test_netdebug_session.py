@@ -336,19 +336,14 @@ class TestRunSession:
         assert "PASS" in text
 
 
-def _engine_device(engine, wrap, name="ses-engine"):
+def _session_device(wrap, name="ses-path"):
     """A reflector for wrapped streams (probes are forwarded back), the
-    routed router otherwise; both on ``engine``."""
+    routed router otherwise."""
     from repro.p4.stdlib import reflector
 
     if not wrap:
-        return routed_device(
-            lambda device_name: make_reference_device(
-                device_name, engine=engine
-            ),
-            name=name,
-        )
-    device = make_reference_device(name, engine=engine)
+        return routed_device(name=name)
+    device = make_reference_device(name)
     device.load(reflector())
     return device
 
@@ -364,12 +359,15 @@ class TestWireFrameStreams:
         packets = routed_packets(6)
         reports = {}
         paths = {}
-        for engine in ("batch", "closure"):
+        for path in ("block", "per_packet"):
             for kind, items in (
                 ("packets", packets),
                 ("frames", [packet.pack() for packet in packets]),
             ):
-                device = _engine_device(engine, wrap)
+                device = _session_device(wrap)
+                if path == "per_packet":
+                    # An observer forces the per-packet pipeline.
+                    device.attach_tap("input", lambda snapshot: None)
                 session = ValidationSession(
                     name="frames",
                     streams=[
@@ -385,18 +383,18 @@ class TestWireFrameStreams:
                     ],
                     use_reference_oracle=True,
                 )
-                paths[engine, kind] = _block_eligible(device, session)
-                reports[engine, kind] = run_session(device, session).to_dict()
+                paths[path, kind] = _block_eligible(device, session)
+                reports[path, kind] = run_session(device, session).to_dict()
 
-        assert paths["closure", "frames"] == "engine"
-        assert paths["batch", "frames"] == (
+        assert paths["per_packet", "frames"] == "taps"
+        assert paths["block", "frames"] == (
             "untimed wrapped stream" if wrap and not timed else None
         )
-        assert paths["batch", "packets"] == paths["batch", "frames"]
-        for engine in ("batch", "closure"):
-            assert reports[engine, "frames"] == reports[engine, "packets"]
-        assert reports["batch", "frames"] == reports["closure", "frames"]
-        assert reports["batch", "frames"]["passed"]
+        assert paths["block", "packets"] == paths["block", "frames"]
+        for path in ("block", "per_packet"):
+            assert reports[path, "frames"] == reports[path, "packets"]
+        assert reports["block", "frames"] == reports["per_packet", "frames"]
+        assert reports["block", "frames"]["passed"]
 
 
 class TestBlockEligibility:
@@ -415,26 +413,21 @@ class TestBlockEligibility:
             use_reference_oracle=True,
             **overrides,
         )
-        device = device or _engine_device("batch", wrap=False)
+        device = device or _session_device(wrap=False)
         return _block_eligible(device, session)
 
     def test_eligible_session_has_no_reason(self):
         assert self._reason() is None
 
-    def test_engine(self):
-        assert self._reason(_engine_device("closure", wrap=False)) == (
-            "engine"
-        )
-
     def test_taps(self):
-        device = _engine_device("batch", wrap=False)
+        device = _session_device(wrap=False)
         device.attach_tap("ingress.0", lambda snapshot: None)
         assert self._reason(device) == "taps"
 
     def test_faults_armed(self):
         from repro.target.faults import Fault, FaultKind
 
-        device = _engine_device("batch", wrap=False)
+        device = _session_device(wrap=False)
         device.injector.inject(Fault(FaultKind.BLACKHOLE))
         assert self._reason(device) == "faults armed"
 

@@ -29,7 +29,6 @@ import pytest
 
 from repro.exceptions import ClusterError, NetDebugError
 from repro.netdebug.campaign import (
-    CAMPAIGN_ENGINE,
     ScenarioMatrix,
     _pool_context,
     run_campaign,
@@ -202,20 +201,19 @@ class TestJobCodec:
             },
         )
         scenario = matrix.expand()[0]
-        payload = encode_job(
-            scenario, matrix.faults[scenario.fault], engine="closure"
-        )
-        decoded, faults, record, engine, oracle = decode_job(payload)
-        assert (record, engine, oracle) == (False, "closure", None)
+        payload = encode_job(scenario, matrix.faults[scenario.fault])
+        decoded, faults, record, oracle = decode_job(payload)
+        assert (record, oracle) == (False, None)
         assert decoded == scenario
         assert faults == matrix.faults[scenario.fault]
 
-    def test_default_engine_is_the_campaign_engine(self):
+    def test_payload_carries_only_the_cell(self):
+        # No execution knob travels: the worker's device picks block or
+        # per-packet from what it can observe, like a serial run.
         scenario = service_matrix().expand()[0]
         payload = encode_job(scenario, ())
-        assert payload["engine"] == CAMPAIGN_ENGINE == "batch"
-        assert "epoch" not in payload
-        assert decode_job(payload)[3] == CAMPAIGN_ENGINE
+        assert set(payload) == {"scenario", "faults"}
+        assert decode_job(payload)[0] == scenario
 
     def test_predicate_faults_refused(self):
         matrix = service_matrix(
@@ -245,24 +243,47 @@ class TestJobCodec:
 class TestTags:
     def test_normalize_sorts_and_dedupes(self):
         assert normalize_tags(
-            ["engine:batch", "target:tofino", " engine:batch ", ""]
-        ) == ("engine:batch", "target:tofino")
+            ["target:tofino", "target:reference", " target:tofino ", ""]
+        ) == ("target:reference", "target:tofino")
 
     def test_malformed_tag_rejected(self):
         with pytest.raises(ClusterError, match="dim:value"):
             normalize_tags(["tofino"])
 
     def test_eligibility_per_dimension(self):
-        required = ("target:tofino", "engine:batch")
+        required = ("target:tofino",)
         assert tags_eligible((), required)  # untagged takes anything
         assert tags_eligible(("target:tofino",), required)
         assert tags_eligible(
-            ("target:tofino", "engine:batch"), required
+            ("target:tofino", "target:sdnet"), required
         )
         assert not tags_eligible(("target:reference",), required)
-        assert not tags_eligible(
-            ("target:tofino", "engine:closure"), required
-        )
+
+    def test_stale_dimension_refused_at_hello(self):
+        # An engine:batch worker would constrain no dimension a shard
+        # requires and silently take every shard; the hello is refused
+        # naming the tag, and the worker never joins the fleet.
+        with pytest.raises(ClusterError, match="'engine:batch'"):
+            normalize_tags(["target:tofino", "engine:batch"])
+        service = CampaignService(secret=SECRET).start()
+        try:
+            sock = socket.create_connection(service.address, timeout=10)
+            channel = Channel(sock, secret=SECRET)
+            channel.send(
+                {
+                    "type": "hello",
+                    "mode": "service",
+                    "session": "stale",
+                    "tags": ["engine:batch"],
+                }
+            )
+            reply = channel.recv()
+            channel.close()
+            assert reply["type"] == "rejected"
+            assert "engine:batch" in reply["error"]
+            assert service.worker_listing() == []
+        finally:
+            service.close()
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +389,10 @@ class TestService:
         beta.close()
 
     def test_execution_counts_reach_the_client(self, fleet):
-        # A batch-tagged worker takes default-engine shards, and the
-        # per-cell execution path rides the result frames into the
+        # The per-cell execution path rides the result frames into the
         # client's report meta.
         f = fleet()
-        f.add_worker(tags=("engine:batch",))
+        f.add_worker()
         f.wait_workers(1)
         matrix = service_matrix(
             faults={

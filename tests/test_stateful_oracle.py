@@ -3,13 +3,14 @@
 The oracle refactor's contract, pinned end to end:
 
 * **register round-trip** — an outbound ``stateful_firewall`` packet
-  opens a flow slot, after which the oracle predicts (and every engine
-  delivers) the return-path packet *forwarded*; a cold inbound packet
-  is predicted (and observed) dropped;
+  opens a flow slot, after which the oracle predicts (and the spec
+  interpreter, the device's per-packet closures and its batch kernel
+  all deliver) the return-path packet *forwarded*; a cold inbound
+  packet is predicted (and observed) dropped;
 * **stateless control** — :class:`StatelessOracle` reproduces the
   historical fresh-state-per-packet prediction, so it must keep
   forbidding the return path even after the outbound packet;
-* **engine identity** — register-bearing programs take the batch
+* **block ≡ per-packet** — register-bearing programs take the batch
   kernel's packet-major schedule, so the stateful session protocol is
   block-compatible and reports match the lockstep path byte-for-byte;
 * **distribution identity** — the seeded ``stateful_firewall`` ×
@@ -22,7 +23,12 @@ import pytest
 from repro.netdebug.campaign import ScenarioMatrix, run_campaign
 from repro.netdebug.generator import StreamSpec
 from repro.netdebug.oracle import ORACLES, ReferenceOracle, StatelessOracle
-from repro.netdebug.session import ValidationSession, run_session
+from repro.netdebug.session import (
+    ValidationSession,
+    _block_eligible,
+    run_session,
+)
+from repro.p4.interpreter import Interpreter
 from repro.p4.stdlib import strict_parser
 from repro.p4.stdlib_ext import stateful_firewall
 from repro.packet.builder import udp_packet
@@ -33,18 +39,43 @@ from repro.sim.traffic import (
     bidirectional_flows,
     default_flow,
 )
+from repro.target.batch import get_batch_program
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
 
-ENGINES = ("tree", "closure", "batch")
+#: How each packet is carried through ``stateful_firewall``: the spec
+#: tree-walker over one runtime state, the device's per-packet
+#: closures (``inject``), or its batch kernel (``inject_block``).
+PATHS = ("tree", "closure", "batch")
 
 
-def make_device(engine, name="sfw"):
-    device = NetworkDevice(
-        name, ReferenceCompiler(), num_ports=8, engine=engine
-    )
+def make_device(name="sfw"):
+    device = NetworkDevice(name, ReferenceCompiler(), num_ports=8)
     device.load(stateful_firewall())
     return device
+
+
+def carrier(path, name):
+    """``send(wire, port) -> (verdict, egress_spec)`` along ``path``;
+    state persists across sends, as on a device."""
+    if path == "tree":
+        interpreter = Interpreter(stateful_firewall())
+
+        def send(wire, port):
+            result = interpreter.process(wire, ingress_port=port)
+            return result.verdict.value, result.metadata["egress_spec"]
+
+        return send
+    device = make_device(name)
+
+    def send(wire, port):
+        if path == "closure":
+            run = device.inject(wire, port=port)
+        else:
+            [(_, run)] = device.inject_block([wire], port=port)
+        return run.result.verdict.value, run.result.metadata["egress_spec"]
+
+    return send
 
 
 def outbound_wire() -> bytes:
@@ -95,44 +126,41 @@ class TestRegisterRoundTrip:
         assert ORACLES["stateless"] is StatelessOracle
         assert ReferenceOracle.stateful and not StatelessOracle.stateful
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_device_agrees_on_round_trip(self, engine):
-        device = make_device(engine, name=f"rt-{engine}")
-        opened = device.inject(outbound_wire(), port=INSIDE_PORT)
-        assert opened.result.verdict.value == "forwarded"
-        assert opened.result.metadata["egress_spec"] == OUTSIDE_PORT
-        reply = device.inject(inbound_wire(), port=OUTSIDE_PORT)
-        assert reply.result.verdict.value == "forwarded"
-        assert reply.result.metadata["egress_spec"] == INSIDE_PORT
+    @pytest.mark.parametrize("path", PATHS)
+    def test_device_agrees_on_round_trip(self, path):
+        send = carrier(path, name=f"rt-{path}")
+        assert send(outbound_wire(), INSIDE_PORT) == (
+            "forwarded", OUTSIDE_PORT
+        )
+        assert send(inbound_wire(), OUTSIDE_PORT) == (
+            "forwarded", INSIDE_PORT
+        )
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cold_inbound_dropped_on_device(self, engine):
-        device = make_device(engine, name=f"cold-{engine}")
-        run = device.inject(inbound_wire(), port=OUTSIDE_PORT)
-        assert run.result.verdict.value == "dropped"
+    @pytest.mark.parametrize("path", PATHS)
+    def test_cold_inbound_dropped_on_device(self, path):
+        send = carrier(path, name=f"cold-{path}")
+        assert send(inbound_wire(), OUTSIDE_PORT)[0] == "dropped"
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("seed", (3, 2018))
-    def test_property_predictions_match_device(self, engine, seed):
+    def test_property_predictions_match_device(self, path, seed):
         """Over a seeded bidirectional sweep, every per-packet oracle
         prediction (forbid vs forward, and the egress port) matches the
-        device, on every engine — packet order is the whole point."""
+        spec interpreter and the device on both of its paths — packet
+        order is the whole point."""
         pairs = bidirectional_flows(default_flow(), 48, seed=seed)
         oracle = ReferenceOracle(stateful_firewall(), num_ports=8)
-        device = make_device(engine, name=f"prop-{engine}-{seed}")
+        send = carrier(path, name=f"prop-{path}-{seed}")
         forwarded_replies = 0
         for packet, port in pairs:
             wire = packet.pack()
             expectation = oracle.expect(wire, ingress_port=port)
-            run = device.inject(wire, port=port)
+            verdict, egress = send(wire, port)
             if expectation.forbid:
-                assert run.result.verdict.value == "dropped"
+                assert verdict == "dropped"
             else:
-                assert run.result.verdict.value == "forwarded"
-                assert (
-                    run.result.metadata["egress_spec"]
-                    == expectation.egress_port
-                )
+                assert verdict == "forwarded"
+                assert egress == expectation.egress_port
                 if port == OUTSIDE_PORT:
                     forwarded_replies += 1
         # The sweep actually exercised opened return paths.
@@ -148,20 +176,20 @@ class TestBatchCompatibility:
         """The stateful oracle is block-compatible *because* register
         programs run packet-major: arrival order is preserved exactly.
         A register-free program keeps the columnar schedule."""
-        stateful = make_device("batch", name="pm-sfw")
-        assert stateful._batch is not None
-        assert stateful._batch.columnar is False
-        stateless = NetworkDevice(
-            "pm-sp", ReferenceCompiler(), num_ports=8, engine="batch"
-        )
+        stateful = make_device(name="pm-sfw")
+        assert get_batch_program(
+            stateful.compiled, stateful.limits
+        ).columnar is False
+        stateless = NetworkDevice("pm-sp", ReferenceCompiler(), num_ports=8)
         stateless.load(strict_parser())
-        assert stateless._batch is not None
-        assert stateless._batch.columnar is True
+        assert get_batch_program(
+            stateless.compiled, stateless.limits
+        ).columnar is True
 
     def test_stateful_session_block_path_matches_lockstep(self):
         """A session with a stateful ``oracle_factory`` stays
-        block-eligible; the batch engine's report must reproduce the
-        closure engine's lockstep report exactly."""
+        block-eligible; its block report must reproduce the per-packet
+        lockstep report exactly."""
         pairs = bidirectional_flows(default_flow(), 24, seed=11)
         session = ValidationSession(
             name="stateful-block",
@@ -174,13 +202,13 @@ class TestBatchCompatibility:
             ],
             oracle_factory=ReferenceOracle,
         )
-        reports = {
-            engine: run_session(
-                make_device(engine, name="sess-sfw"), session
-            ).to_dict()
-            for engine in ("closure", "batch")
-        }
-        assert reports["closure"] == reports["batch"]
+        assert _block_eligible(make_device(name="sess-sfw"), session) is None
+        block = run_session(make_device(name="sess-sfw"), session)
+        per_packet_device = make_device(name="sess-sfw")
+        # An observer forces the per-packet pipeline.
+        per_packet_device.attach_tap("input", lambda snapshot: None)
+        per_packet = run_session(per_packet_device, session)
+        assert block.to_dict() == per_packet.to_dict()
 
 
 # ---------------------------------------------------------------------------

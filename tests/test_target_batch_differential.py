@@ -1,19 +1,21 @@
-"""3-engine differential: the batch kernel is semantically invisible.
+"""Block ≡ per-packet: the batch kernel is semantically invisible.
 
-The batch engine only counts if a block run is indistinguishable from
+The batch kernel only counts if a block run is indistinguishable from
 per-packet execution: for every stdlib(+ext) program, on all three
 targets — including Tofino's TCAM quantization and deparse field
 budget — ``inject_block`` must produce exactly the verdicts, output
 bytes, egress ports, death stages, latencies, stateful-object contents
-and device accounting of the per-packet engines, and campaign reports
-must stay **byte-identical** across ``tree``/``closure``/``batch``.
+and device accounting of ``inject`` per frame, and session reports must
+stay identical whichever path runs them. Edge cases are also pinned
+against the tree-walking spec :class:`~repro.p4.interpreter.Interpreter`
+under each artifact's deviation settings. Campaign-level byte identity
+of the forced per-packet path against the golden is pinned in
+``tests/test_campaign.py``.
 """
 
 import pytest
 
 from repro.exceptions import CompileError
-from repro.netdebug.campaign import run_campaign
-from repro.netdebug.diffing import baseline_matrix
 from repro.netdebug.generator import PacketGenerator, StreamSpec
 from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.stdlib import PROGRAMS
@@ -27,6 +29,8 @@ from tests.test_target_fastpath_differential import (
     ALL_FACTORIES,
     install_entries,
     run_one,
+    run_spec,
+    spec_interpreter,
     workload,
 )
 
@@ -37,12 +41,10 @@ COMPILERS = {
 }
 
 
-def make_device(name, compiler_cls, factory, engine):
-    # Same name across engines: reports embed the device name, and the
-    # cross-engine identity assertions compare reports wholesale.
-    device = NetworkDevice(
-        name, compiler_cls(), num_ports=8, engine=engine
-    )
+def make_device(name, compiler_cls, factory):
+    # Same name on both sides: reports embed the device name, and the
+    # block ≡ per-packet assertions compare reports wholesale.
+    device = NetworkDevice(name, compiler_cls(), num_ports=8)
     try:
         device.load(factory())
     except CompileError:
@@ -69,7 +71,8 @@ def normalize(outcome):
 
 
 def assert_block_matches(per_packet_device, batch_device, frames):
-    """One block on ``batch_device`` ≡ frame-by-frame injection."""
+    """One block on ``batch_device`` ≡ frame-by-frame injection on
+    ``per_packet_device`` (an identically built device)."""
     expected = [run_one(per_packet_device, wire) for wire in frames]
     outcomes = batch_device.inject_block(frames, on_error="capture")
     got = [normalize(outcome) for outcome in outcomes]
@@ -84,47 +87,64 @@ def assert_block_matches(per_packet_device, batch_device, frames):
     assert batch_device.stats == per_packet_device.stats
 
 
+def assert_block_matches_spec(batch_device, frames):
+    """One block on ``batch_device`` ≡ the tree-walking spec under the
+    artifact's deviation settings, frame by frame and in final state."""
+    interpreter = spec_interpreter(batch_device)
+    outcomes = batch_device.inject_block(
+        frames, timestamps=[0] * len(frames), on_error="capture"
+    )
+    for index, (outcome, wire) in enumerate(zip(outcomes, frames)):
+        got = normalize(outcome)[:3]
+        want = run_spec(interpreter, wire)
+        assert got == want, f"frame {index}: {got} != {want}"
+    state = batch_device.pipeline.state
+    assert state.counters == interpreter.state.counters
+    assert state.registers == interpreter.state.registers
+    return outcomes
+
+
+def both_paths(name, compiler_cls, factory, frames):
+    """Block ≡ per-packet on twin devices, then block ≡ spec."""
+    assert_block_matches(
+        make_device(name, compiler_cls, factory),
+        make_device(name, compiler_cls, factory),
+        frames,
+    )
+    return assert_block_matches_spec(
+        make_device(name, compiler_cls, factory), frames
+    )
+
+
 @pytest.mark.parametrize("target", sorted(COMPILERS))
 @pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
 def test_batch_block_matches_closure(name, target):
-    """Every program × target: block run ≡ closure engine, exactly."""
+    """Every program × target: block run ≡ per-packet closures, exactly."""
     compiler_cls = COMPILERS[target]
-    closure = make_device(
-        f"bd-{name}-{target}", compiler_cls, ALL_FACTORIES[name], "closure"
+    assert_block_matches(
+        make_device(f"bd-{name}-{target}", compiler_cls, ALL_FACTORIES[name]),
+        make_device(f"bd-{name}-{target}", compiler_cls, ALL_FACTORIES[name]),
+        workload(),
     )
-    batch = make_device(
-        f"bd-{name}-{target}", compiler_cls, ALL_FACTORIES[name], "batch"
-    )
-    assert_block_matches(closure, batch, workload())
 
 
 # ---------------------------------------------------------------------------
-# Edge cases pinned against the tree-walking oracle
+# Edge cases pinned against the tree-walking spec
 # ---------------------------------------------------------------------------
 
 def test_batch_tofino_deparse_truncation_matches_tree():
     """Tofino's deparse field budget truncates forwarded bytes; the
-    batch deparse column must truncate identically (ethernet + ipv4 is
-    16 fields against a budget of 14)."""
-    tree = make_device(
-        "tof-trunc", TofinoCompiler, PROGRAMS["ipv4_router"], "tree"
-    )
-    batch = make_device(
-        "tof-trunc", TofinoCompiler, PROGRAMS["ipv4_router"], "batch"
-    )
+    batch deparse column must truncate exactly like the spec under the
+    same budget (ethernet + ipv4 is 16 fields against a budget of 14)."""
     frames = workload()
-    assert_block_matches(tree, batch, frames)
+    outcomes = both_paths(
+        "tof-trunc", TofinoCompiler, PROGRAMS["ipv4_router"], frames
+    )
     # The deviation actually fired: at least one forwarded frame left
     # the device shorter than it entered.
-    truncated = [
-        normalize(o)
-        for o in make_device(
-            "tof-trunc2", TofinoCompiler, PROGRAMS["ipv4_router"], "batch"
-        ).inject_block(frames, on_error="capture")
-    ]
     assert any(
-        out[0] == "forwarded" and out[2] is not None
-        for out in truncated
+        out[0] == "forwarded" and len(out[2]) < len(wire)
+        for out, wire in zip(map(normalize, outcomes), frames)
     )
 
 
@@ -133,15 +153,10 @@ def test_batch_header_add_remove_mid_block_matches_tree():
     so lanes diverge in header layout mid-block; every lane must still
     deparse byte-for-byte like the tree walk."""
     for target in ("reference", "sdnet"):
-        tree = make_device(
+        both_paths(
             f"mpls-{target}", COMPILERS[target], PROGRAMS["mpls_tunnel"],
-            "tree",
+            workload(),
         )
-        batch = make_device(
-            f"mpls-{target}", COMPILERS[target], PROGRAMS["mpls_tunnel"],
-            "batch",
-        )
-        assert_block_matches(tree, batch, workload())
 
 
 def test_batch_interleaved_rejects_match_tree():
@@ -151,15 +166,14 @@ def test_batch_interleaved_rejects_match_tree():
         packet.pack()
         for packet, _ in malformed_mix(default_flow(), 32, 0.5, seed=77)
     ]
-    tree = make_device(
-        "rej", ReferenceCompiler, PROGRAMS["strict_parser"], "tree"
+    outcomes = both_paths(
+        "rej", ReferenceCompiler, PROGRAMS["strict_parser"], frames
     )
-    batch = make_device(
-        "rej", ReferenceCompiler, PROGRAMS["strict_parser"], "batch"
-    )
-    assert_block_matches(tree, batch, frames)
     # The mix really interleaved: some lanes rejected, some survived.
-    assert 0 < batch.stats.parser_rejected < len(frames)
+    rejected = sum(
+        1 for out in map(normalize, outcomes) if out[0] == "parser_rejected"
+    )
+    assert 0 < rejected < len(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +280,22 @@ def test_duplicate_extract_parser_keeps_guard_and_matches_closure():
             mac("02:00:00:00:00:02"), mac("02:00:00:00:00:01"), 0x0800
         ).pack(),
     ]
-    closure = make_device(
-        "dup-guard", ReferenceCompiler, duplicate_extract_program,
-        "closure",
+    assert_block_matches(
+        make_device("dup-guard", ReferenceCompiler, duplicate_extract_program),
+        make_device("dup-guard", ReferenceCompiler, duplicate_extract_program),
+        frames,
     )
-    batch = make_device(
-        "dup-guard", ReferenceCompiler, duplicate_extract_program, "batch"
-    )
-    assert_block_matches(closure, batch, frames)
     outcome = normalize(
         make_device(
-            "dup-guard2", ReferenceCompiler, duplicate_extract_program,
-            "batch",
+            "dup-guard2", ReferenceCompiler, duplicate_extract_program
         ).inject_block(frames, on_error="capture")[0]
     )
     assert outcome[0] == "raised" and "duplicate header" in outcome[2]
 
 
 # ---------------------------------------------------------------------------
-# Session- and campaign-level byte identity
+# Session- and stream-level identity
 # ---------------------------------------------------------------------------
-
-ENGINES = ("tree", "closure", "batch")
-
 
 def _oracle_session(count=12):
     packets = [
@@ -297,7 +304,7 @@ def _oracle_session(count=12):
         )
     ]
     return ValidationSession(
-        name="engine-diff",
+        name="path-diff",
         streams=[StreamSpec(stream_id=1, packets=packets)],
         use_reference_oracle=True,
     )
@@ -305,24 +312,26 @@ def _oracle_session(count=12):
 
 @pytest.mark.parametrize("target", sorted(COMPILERS))
 def test_session_reports_identical_across_engines(target):
-    """The batch session block path reproduces the lockstep protocol's
-    SessionReport exactly — findings, latencies and stream stats."""
+    """Across the device's two execution engines — the batch kernel and
+    the per-packet pipeline — the block session path reproduces the
+    lockstep protocol's SessionReport exactly: findings, latencies and
+    stream stats."""
     reports = []
-    for engine in ENGINES:
+    for observed in (False, True):
         device = make_device(
-            f"sess-{target}", COMPILERS[target],
-            PROGRAMS["acl_firewall"], engine,
+            f"sess-{target}", COMPILERS[target], PROGRAMS["acl_firewall"]
         )
+        if observed:
+            # An observer forces the per-packet pipeline.
+            device.attach_tap("input", lambda snapshot: None)
         reports.append(run_session(device, _oracle_session()).to_dict())
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
 
 
-def _stream_records(engine, *, timestamps=None, ports=None,
-                    force_per_packet=False):
+def _stream_records(*, timestamps=None, ports=None, force_per_packet=False):
     """run_stream one malformed-mix stream; return records + device."""
     device = make_device(
-        "gen-block", COMPILERS["reference"], PROGRAMS["strict_parser"],
-        engine,
+        "gen-block", COMPILERS["reference"], PROGRAMS["strict_parser"]
     )
     packets = [
         packet
@@ -371,10 +380,10 @@ def test_run_stream_block_path_matches_per_packet(timestamps, ports):
     byte-identical to the forced per-packet loop, records and device
     accounting alike."""
     blocked, block_device = _stream_records(
-        "batch", timestamps=timestamps, ports=ports
+        timestamps=timestamps, ports=ports
     )
     looped, loop_device = _stream_records(
-        "batch", timestamps=timestamps, ports=ports, force_per_packet=True
+        timestamps=timestamps, ports=ports, force_per_packet=True
     )
     assert _normalize_records(blocked) == _normalize_records(looped)
     assert block_device.clock_cycles == loop_device.clock_cycles
@@ -383,33 +392,3 @@ def test_run_stream_block_path_matches_per_packet(timestamps, ports):
         block_device.pipeline.state.counters
         == loop_device.pipeline.state.counters
     )
-
-
-def test_run_stream_block_path_matches_across_engines():
-    """The same stream yields identical records whichever engine backs
-    the device — the block path must not observably differ from the
-    per-packet engines it bypasses."""
-    normalized = {}
-    for engine in ENGINES:
-        records, _ = _stream_records(
-            engine,
-            timestamps=list(range(50, 850, 50)),
-            ports=[seq % 3 for seq in range(16)],
-        )
-        normalized[engine] = _normalize_records(records)
-    assert (
-        normalized["tree"] == normalized["closure"] == normalized["batch"]
-    )
-
-
-def test_campaign_reports_byte_identical_across_engines():
-    """The golden-baseline matrix renders to identical JSON bytes under
-    all three engines — cache counters and engine choice must never
-    leak into the canonical report."""
-    texts = {}
-    for engine in ENGINES:
-        report = run_campaign(
-            baseline_matrix(), name="engine-diff", engine=engine
-        )
-        texts[engine] = report.to_json()
-    assert texts["tree"] == texts["closure"] == texts["batch"]

@@ -113,6 +113,14 @@ class TestInjection:
         run = device.inject(FRAME, at="deparser")
         assert run.stages_traversed[0] == "deparser"
 
+    @pytest.mark.parametrize("on_error", ["rasie", "", None])
+    def test_inject_block_refuses_unknown_on_error(self, on_error):
+        # A typo must not silently capture exceptions into the results.
+        device = switch_device()
+        with pytest.raises(TargetError, match="on_error"):
+            device.inject_block([FRAME], on_error=on_error)
+        assert device.stats.processed == 0
+
 
 class TestManagementInterface:
     def test_taps_attach_detach(self):

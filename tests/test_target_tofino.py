@@ -1,5 +1,6 @@
 """The Tofino-like target: quantization primitives, silent deviations,
-published-limit enforcement, and engine parity."""
+published-limit enforcement, and parity with the tree-walking spec run
+under the same deviation settings."""
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.target.tofino import (
     TofinoCompiler,
     make_tofino_device,
 )
+
+from tests.test_target_fastpath_differential import spec_interpreter
 
 
 class TestQuantizationPrimitives:
@@ -127,19 +130,21 @@ class TestDeparseTruncation:
         assert got[:14] == want[:14]
 
     def test_both_engines_truncate_identically(self):
-        compiled_dev = make_tofino_device("tof-fast")
-        compiled_dev.load(strict_parser())
-        tree_dev = make_tofino_device("tof-tree", use_compiled=False)
-        tree_dev.load(strict_parser())
+        """The device's closures and the tree-walking spec, given the
+        artifact's deparse field budget, truncate byte-identically."""
+        device = make_tofino_device("tof-fast")
+        device.load(strict_parser())
+        spec = spec_interpreter(device)
         for size in (64, 128, 300):
             wire = udp_packet(
                 0x0A010001, 0x0A000001, 5000, 4000,
                 payload=b"y" * (size - 42),
             ).pack()
-            a = compiled_dev.inject(wire)
-            b = tree_dev.inject(wire)
-            assert a.result.verdict == b.result.verdict
-            assert a.result.packet.pack() == b.result.packet.pack()
+            a = device.inject(wire)
+            b = spec.process(wire)
+            assert a.result.verdict == b.verdict
+            assert a.result.packet.pack() == b.packet.pack()
+            assert len(b.packet.pack()) == len(wire) - 20
 
 
 class TestQuantizedMatching:
@@ -168,20 +173,18 @@ class TestQuantizedMatching:
         assert tofino.inject(wire).result.verdict.value == "dropped"
 
     def test_engines_agree_on_quantized_verdicts(self):
+        """The device's closures and the tree-walking spec, given the
+        artifact's TCAM quantization, agree on every verdict."""
         fast = self._gated_device(make_tofino_device, "tof-acl-fast")
-        tree = self._gated_device(
-            lambda name: make_tofino_device(name, use_compiled=False),
-            "tof-acl-tree",
-        )
+        spec = spec_interpreter(fast)
         for dport in (5000, 5119, 255, 0x12FF):
             wire = udp_packet(
                 0x0A010001, 0x0A000001, dport, 4000,
                 eth_dst=0x020000000002,
             ).pack()
-            assert (
-                fast.inject(wire).result.verdict
-                == tree.inject(wire).result.verdict
-            )
+            assert fast.inject(wire).result.verdict == spec.process(
+                wire
+            ).verdict
 
 
 class TestDeviationDiagnosis:
