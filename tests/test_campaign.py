@@ -212,6 +212,24 @@ class TestExecutionMeta:
         assert "execution" not in report.to_json()
         assert "faults armed" not in report.to_json()
 
+    def test_closure_engine_names_the_engine(self, monkeypatch):
+        """A cell steered off the batch kernel onto the per-packet
+        closures names the reason in ``meta["execution"]`` and on its
+        result, and renders to the batch kernel's bytes."""
+        from repro.netdebug import session
+
+        block = run_campaign(tiny_matrix(), name="c")
+        monkeypatch.setattr(
+            session, "_block_eligible", lambda device, s: "closure"
+        )
+        report = run_campaign(tiny_matrix(), name="c")
+        assert report.meta["execution"] == {
+            "block": 0, "per_packet": 1, "reasons": {"closure": 1},
+        }
+        assert block.results[0].execution == "block"
+        assert report.results[0].execution == "closure"
+        assert report.to_json() == block.to_json()
+
     def test_forced_per_packet_reproduces_the_golden(
         self, tmp_path, monkeypatch
     ):

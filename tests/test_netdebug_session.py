@@ -419,6 +419,15 @@ class TestBlockEligibility:
     def test_eligible_session_has_no_reason(self):
         assert self._reason() is None
 
+    def test_engine(self):
+        """No target's engine keeps a session off the batch kernel."""
+        from repro.target.tofino import make_tofino_device
+
+        for factory in (
+            make_reference_device, make_sdnet_device, make_tofino_device
+        ):
+            assert self._reason(routed_device(factory, name="why")) is None
+
     def test_taps(self):
         device = _session_device(wrap=False)
         device.attach_tap("ingress.0", lambda snapshot: None)

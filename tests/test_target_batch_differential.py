@@ -16,6 +16,8 @@ of the forced per-packet path against the golden is pinned in
 import pytest
 
 from repro.exceptions import CompileError
+from repro.netdebug.campaign import run_campaign
+from repro.netdebug.diffing import baseline_matrix
 from repro.netdebug.generator import PacketGenerator, StreamSpec
 from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.stdlib import PROGRAMS
@@ -328,11 +330,15 @@ def test_session_reports_identical_across_engines(target):
     assert reports[0] == reports[1]
 
 
-def _stream_records(*, timestamps=None, ports=None, force_per_packet=False):
+def _stream_records(*, timestamps=None, ports=None, force_per_packet=False,
+                    observed=False):
     """run_stream one malformed-mix stream; return records + device."""
     device = make_device(
         "gen-block", COMPILERS["reference"], PROGRAMS["strict_parser"]
     )
+    if observed:
+        # An observer makes inject_block run the per-packet pipeline.
+        device.attach_tap("input", lambda snapshot: None)
     packets = [
         packet
         for packet, _ in malformed_mix(default_flow(), 16, 0.5, seed=41)
@@ -392,3 +398,36 @@ def test_run_stream_block_path_matches_per_packet(timestamps, ports):
         block_device.pipeline.state.counters
         == loop_device.pipeline.state.counters
     )
+
+
+def test_run_stream_block_path_matches_across_engines():
+    """The same timed, per-port stream yields identical records whether
+    ``inject_block`` runs the batch kernel or, with an observer
+    attached, the per-packet pipeline — the block path must not
+    observably differ from the engine it bypasses."""
+    normalized = {}
+    for observed in (False, True):
+        records, _ = _stream_records(
+            timestamps=list(range(50, 850, 50)),
+            ports=[seq % 3 for seq in range(16)],
+            observed=observed,
+        )
+        normalized[observed] = _normalize_records(records)
+    assert normalized[False] == normalized[True]
+
+
+def test_campaign_reports_byte_identical_across_engines(monkeypatch):
+    """The golden-baseline matrix renders to identical JSON bytes on the
+    batch kernel and with every cell forced onto the per-packet
+    pipeline — execution choice must never leak into the canonical
+    report."""
+    from repro.netdebug import session
+
+    block = run_campaign(baseline_matrix(), name="engine-diff")
+    monkeypatch.setattr(
+        session, "_block_eligible", lambda device, s: "forced"
+    )
+    per_packet = run_campaign(baseline_matrix(), name="engine-diff")
+    assert block.meta["execution"]["per_packet"] == 0
+    assert per_packet.meta["execution"]["block"] == 0
+    assert block.to_json() == per_packet.to_json()
