@@ -13,18 +13,17 @@ from conftest import emit
 
 from repro.netdebug.campaign import CampaignReport
 from repro.netdebug.diffing import (
+    BASELINES,
     diff_campaigns,
     inject_unexplained_flip,
-    run_baseline_campaign,
-    run_baseline_differential,
 )
 
 
 def test_diff_gate_kernel(benchmark):
     """One full gate evaluation: load both report pairs from JSON text,
     diff, render markdown — the per-PR cost of the CI gate."""
-    campaign_json = run_baseline_campaign().to_json()
-    matrix = run_baseline_differential()
+    campaign_json = BASELINES["campaign"].produce(1).to_json()
+    matrix = BASELINES["differential"].produce(1)
 
     tampered = inject_unexplained_flip(
         CampaignReport.from_json(campaign_json).to_dict()

@@ -17,12 +17,14 @@ Run:  python examples/campaign_diff.py [--count N] [--workers W]
 
 import argparse
 
-from repro.netdebug.campaign import CampaignReport
+from repro.netdebug.campaign import CampaignReport, run_campaign
+from repro.netdebug.differential import DifferentialRunner
 from repro.netdebug.diffing import (
+    BASELINE_SEED,
+    baseline_cases,
+    baseline_matrix,
     diff_campaigns,
     inject_unexplained_flip,
-    run_baseline_campaign,
-    run_baseline_differential,
 )
 
 
@@ -36,9 +38,12 @@ def main() -> None:
     args, _ = parser.parse_known_args()
 
     print("running the seeded baseline campaign twice...")
-    old = run_baseline_campaign(workers=args.workers, count=args.count)
-    new = run_baseline_campaign(workers=args.workers, count=args.count)
-    matrix = run_baseline_differential(count=args.count)
+    campaign = baseline_matrix(count=args.count)
+    old = run_campaign(campaign, workers=args.workers, name="baseline")
+    new = run_campaign(campaign, workers=args.workers, name="baseline")
+    matrix = DifferentialRunner(
+        cases=baseline_cases(), count=args.count, seed=BASELINE_SEED
+    ).run()
 
     clean = diff_campaigns(old, new, matrix, matrix)
     print()

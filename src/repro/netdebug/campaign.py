@@ -470,42 +470,29 @@ def _clear_artifacts() -> None:
     _FINGERPRINTS.clear()
 
 
-def _cycle_times(bundle, device: NetworkDevice) -> list[int] | None:
+def _cycle_times(times_ns, device: NetworkDevice) -> list[int] | None:
     """A workload's arrival process (ns) as device-clock timestamps;
     ``None`` for untimed workloads (inject at the device clock)."""
-    if bundle.times_ns is None:
+    if times_ns is None:
         return None
-    return [
-        int(t * device.limits.clock_mhz / 1e3) for t in bundle.times_ns
-    ]
+    return [int(t * device.limits.clock_mhz / 1e3) for t in times_ns]
 
 
-def _scenario_times_ns(scenario: "Scenario") -> tuple[float, ...] | None:
-    """The scenario's workload arrival process (ns); ``None`` when the
-    workload is untimed. A zero-count probe (times ``()`` vs ``None``)
-    avoids generating packets just to learn there are no times."""
-    flow = default_flow(stable_hash64(scenario.key) % 8)
-    probe = build_workload(scenario.workload, flow, 0, seed=scenario.seed)
-    if probe.times_ns is None:
-        return None
-    return build_workload(
-        scenario.workload, flow, scenario.count, seed=scenario.seed
-    ).times_ns
-
-
-def _scenario_ingress_ports(
+def _scenario_arrivals(
     scenario: "Scenario",
-) -> tuple[int, ...] | None:
-    """The scenario's per-packet ingress ports; ``None`` when the
-    workload is directionless (everything on port 0). Same zero-count
-    probe trick as :func:`_scenario_times_ns`."""
+) -> tuple[tuple[float, ...] | None, tuple[int, ...] | None]:
+    """The scenario's workload arrival times (ns) and per-packet
+    ingress ports, each ``None`` when the workload is untimed or
+    directionless. A zero-count probe (``()`` vs ``None``) avoids
+    generating packets for workloads that carry neither."""
     flow = default_flow(stable_hash64(scenario.key) % 8)
     probe = build_workload(scenario.workload, flow, 0, seed=scenario.seed)
-    if probe.ingress_ports is None:
-        return None
-    return build_workload(
+    if probe.times_ns is None and probe.ingress_ports is None:
+        return None, None
+    bundle = build_workload(
         scenario.workload, flow, scenario.count, seed=scenario.seed
-    ).ingress_ports
+    )
+    return bundle.times_ns, bundle.ingress_ports
 
 
 def _shard_device(
@@ -677,7 +664,7 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     # validate byte-exactly; untimed workloads inject at the device
     # clock, which the oracle cannot see, so they keep predicting at 0.
     # Likewise the workload's per-packet ingress ports feed both sides.
-    cycle_times = _cycle_times(bundle, device)
+    cycle_times = _cycle_times(bundle.times_ns, device)
     ports = (
         list(bundle.ingress_ports)
         if bundle.ingress_ports is not None
@@ -776,16 +763,8 @@ def _replay_shard(job: tuple) -> "ScenarioResult":
     # recording when the clock readings match — and reading the times
     # from the artifact keeps old recordings replayable even after the
     # live traffic generators change.
-    timestamps = (
-        [
-            int(t * device.limits.clock_mhz / 1e3)
-            for t in times_ns
-        ]
-        if times_ns is not None
-        else None
-    )
     report = replay_suite(
-        device, suite, timestamps=timestamps,
+        device, suite, timestamps=_cycle_times(times_ns, device),
         ports=list(ports) if ports is not None else None,
     )
     report.measurements["clock_cycles"] = float(device.clock_cycles)
@@ -1462,7 +1441,7 @@ def _write_manifest(
                 # the *live* generators still producing these times.
                 **(
                     {"times_ns": list(times_ns)}
-                    if (times_ns := _scenario_times_ns(s)) is not None
+                    if times_ns is not None
                     else {}
                 ),
                 # Directional workloads persist their per-packet
@@ -1471,7 +1450,7 @@ def _write_manifest(
                 # injects each packet on the port it was recorded on.
                 **(
                     {"ingress_ports": list(ports)}
-                    if (ports := _scenario_ingress_ports(s)) is not None
+                    if ports is not None
                     else {}
                 ),
                 **(
@@ -1481,6 +1460,7 @@ def _write_manifest(
                 ),
             }
             for s in scenarios
+            for times_ns, ports in [_scenario_arrivals(s)]
         ],
     }
     path = directory / f"{name}.manifest.json"

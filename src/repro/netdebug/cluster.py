@@ -208,6 +208,11 @@ def _service_execute(message: dict) -> dict:
     return reply
 
 
+class _WorkerRejected(ClusterError):
+    """The service answered the hello with ``rejected``: not a lost
+    connection, so the worker stops instead of reconnecting."""
+
+
 def service_worker_main(
     address: tuple[str, int],
     slots: int = 1,
@@ -246,6 +251,8 @@ def service_worker_main(
             outcome = _serve_service(
                 channel, state, slots, tags, crash_after, drop_after
             )
+        except _WorkerRejected:
+            raise
         except (OSError, ClusterError):
             outcome = "lost"
         finally:
@@ -293,6 +300,13 @@ def _serve_service(
     welcome = channel.recv()
     if welcome is None or welcome.get("type") == "shutdown":
         return "shutdown"
+    if welcome.get("type") == "rejected":
+        # Terminal: the service refused this hello, and resending the
+        # same hello would only be refused again.
+        raise _WorkerRejected(
+            "service coordinator rejected this worker: "
+            f"{welcome.get('error', 'no reason given')}"
+        )
     if welcome.get("type") != "welcome":
         raise ClusterError(
             f"service coordinator sent {welcome.get('type')!r} "

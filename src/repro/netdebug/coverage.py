@@ -482,7 +482,7 @@ def verify_report_coverage(report) -> dict[str, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# CLI: the all-programs × all-targets sweep the CI smoke job runs
+# CLI: the all-programs × all-targets sweep the CI golden job runs
 # ---------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,13 +26,14 @@ other flip is unexplained and fatal, as is any growth in unexplained
 differential diffs or model mismatches. Latency movement and
 added/removed scenarios are informational.
 
-The module is also the keeper of the repo's **golden baselines**: a
-fixed seeded campaign matrix and differential case list
-(:func:`baseline_matrix` / :func:`baseline_cases`) whose reports are
-committed under ``baselines/`` and regenerated with
-``python -m repro.netdebug.diffing --write-baseline``. CI re-runs the
-same seeded matrices on every PR and diffs them against the committed
-baselines; exit status 1 means an unexplained flip slipped in.
+The module is also the keeper of the repo's **golden baselines**: the
+:data:`BASELINES` registry maps each kind to how its seeded artifact
+is produced and the claim it must meet before it is saved. The
+artifacts are committed as ``baselines/<kind>.json`` and regenerated
+with ``python -m repro.netdebug.diffing --write-baseline``. CI
+regenerates every registered kind, ``cmp``s it against the committed
+file and diffs each report here; exit status 1 means an unexplained
+flip slipped in.
 
 CLI::
 
@@ -52,6 +53,7 @@ import json
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from ..exceptions import NetDebugError
 from .campaign import (
@@ -75,12 +77,8 @@ __all__ = [
     "baseline_stateful_matrix",
     "baseline_coverage_matrix",
     "baseline_cases",
-    "run_baseline_campaign",
-    "run_baseline_stateful",
-    "run_baseline_coverage",
-    "run_baseline_differential",
-    "run_baseline_compression",
-    "BASELINE_KINDS",
+    "Baseline",
+    "BASELINES",
     "write_baselines",
     "verify_equivalence",
     "ScenarioDelta",
@@ -168,9 +166,8 @@ def baseline_coverage_matrix(
     :class:`~repro.netdebug.coverage.CoverageMap` serialized into the
     golden file. Its entries pin three things at once — the enumerated
     path sets (tofino's quantized-TCAM pruning included), the exact
-    witness bytes per seed, and the all-paths-exercised claim that
-    :func:`run_baseline_coverage` re-verifies before the file is
-    written.
+    witness bytes per seed, and the all-paths-exercised claim, which
+    its :data:`BASELINES` check re-verifies before the file is written.
     """
     return ScenarioMatrix(
         programs=["strict_parser", "acl_firewall"],
@@ -196,52 +193,13 @@ def baseline_cases() -> list[DifferentialCase]:
     ]
 
 
-def run_baseline_campaign(
-    workers: int = 1,
-    count: int = BASELINE_CAMPAIGN_COUNT,
-    seed: int = BASELINE_SEED,
-) -> CampaignReport:
-    """Execute the baseline campaign matrix (deterministic per seed)."""
-    return run_campaign(
-        baseline_matrix(count=count, seed=seed),
-        workers=workers,
-        name="baseline",
-    )
-
-
-def run_baseline_stateful(
-    workers: int = 1,
-    count: int = BASELINE_CAMPAIGN_COUNT,
-    seed: int = BASELINE_SEED,
-) -> CampaignReport:
-    """Execute the stateful baseline matrix (deterministic per seed)."""
-    return run_campaign(
-        baseline_stateful_matrix(count=count, seed=seed),
-        workers=workers,
-        name="baseline-stateful",
-    )
-
-
-def run_baseline_coverage(
-    workers: int = 1,
-    count: int = BASELINE_COVERAGE_COUNT,
-    seed: int = BASELINE_SEED,
-) -> CampaignReport:
-    """Execute the coverage baseline matrix and verify its claim.
-
-    Every scenario's covering set is re-replayed against the target's
-    deviation model before the report is returned
-    (:func:`~repro.netdebug.coverage.verify_report_coverage`); an
-    unexercised feasible path raises instead of writing a golden file
-    that pins a broken guarantee.
-    """
+def _check_coverage(report: CampaignReport) -> None:
+    """The coverage golden's claim: every scenario's covering set,
+    re-replayed against the target's deviation model
+    (:func:`~repro.netdebug.coverage.verify_report_coverage`), leaves no
+    feasible path unexercised."""
     from .coverage import verify_report_coverage
 
-    report = run_campaign(
-        baseline_coverage_matrix(count=count, seed=seed),
-        workers=workers,
-        name="baseline-coverage",
-    )
     unexercised = verify_report_coverage(report)
     if unexercised:
         listing = "; ".join(
@@ -252,92 +210,84 @@ def run_baseline_coverage(
             "coverage baseline failed its own all-paths-exercised "
             f"claim — unexercised feasible paths: {listing}"
         )
-    return report
 
 
-def run_baseline_differential(
-    count: int = BASELINE_DIFFERENTIAL_COUNT, seed: int = BASELINE_SEED
-) -> DifferentialReport:
-    """Execute the baseline differential matrix (deterministic per seed)."""
-    return DifferentialRunner(
-        cases=baseline_cases(), count=count, seed=seed
-    ).run()
-
-
-def run_baseline_compression():
-    """The seeded compression artifact ``baselines/compression.json`` pins.
-
-    Buckets :func:`repro.netdebug.compression.baseline_compression_matrix`
-    (a superset of :func:`baseline_matrix` — same seed/count/setup, plus
-    ghost-fault labels and the imix workload) without executing any cell.
-    """
+def _compression(workers: int):
+    """Bucket :func:`repro.netdebug.compression.baseline_compression_matrix`
+    (a superset of :func:`baseline_matrix`: same seed/count/setup, plus
+    ghost-fault labels and the imix workload) without executing a cell,
+    so ``workers`` is unused."""
     # Deferred: compression imports this module's baseline constants.
     from .compression import baseline_compression_matrix, compress_matrix
 
     return compress_matrix(baseline_compression_matrix())
 
 
-#: Golden baselines ``write_baselines`` can (re)generate, in write order.
-BASELINE_KINDS = (
-    "campaign", "stateful", "coverage", "differential", "compression",
-)
+class Baseline(NamedTuple):
+    """One committed golden: how to produce its artifact for a worker
+    count, and the claim check (if any) that must pass before it is
+    saved."""
+
+    produce: Callable[[int], object]
+    check: Callable[[object], None] | None = None
+
+
+def _campaign(matrix: Callable[[], ScenarioMatrix], name: str):
+    return lambda workers: run_campaign(matrix(), workers=workers, name=name)
+
+
+#: Every committed golden, in write order. Adding one is an entry here
+#: plus its file ``baselines/<kind>.json``: the regeneration test and
+#: the CI golden job both iterate over this registry or that directory.
+BASELINES: dict[str, Baseline] = {
+    "campaign": Baseline(_campaign(baseline_matrix, "baseline")),
+    "stateful": Baseline(
+        _campaign(baseline_stateful_matrix, "baseline-stateful")
+    ),
+    "coverage": Baseline(
+        _campaign(baseline_coverage_matrix, "baseline-coverage"),
+        check=_check_coverage,
+    ),
+    "differential": Baseline(
+        lambda workers: DifferentialRunner(
+            cases=baseline_cases(),
+            count=BASELINE_DIFFERENTIAL_COUNT,
+            seed=BASELINE_SEED,
+        ).run()
+    ),
+    "compression": Baseline(_compression),
+}
 
 
 def write_baselines(
     directory: str | Path = "baselines",
     workers: int = 1,
-    campaign_count: int = BASELINE_CAMPAIGN_COUNT,
-    differential_count: int = BASELINE_DIFFERENTIAL_COUNT,
-    coverage_count: int = BASELINE_COVERAGE_COUNT,
-    seed: int = BASELINE_SEED,
     only: list[str] | None = None,
 ) -> dict[str, Path]:
-    """Run the seeded baselines and write their JSONs into ``directory``.
+    """Produce, check and save the :data:`BASELINES` into ``directory``.
 
     Used both to regenerate the committed golden files after an
     *intentional* behaviour change and, pointed at a scratch directory,
-    to produce the fresh-build reports the CI gate diffs against them.
-    ``only`` restricts generation to a subset of :data:`BASELINE_KINDS`
-    so a CI job can rebuild just the baseline it gates on instead of
-    paying for all five serially.
+    to produce the fresh-build artifacts the CI golden job compares
+    with them. ``only`` restricts generation to a subset of the kinds.
     """
-    kinds = list(BASELINE_KINDS) if only is None else list(only)
-    for kind in kinds:
-        if kind not in BASELINE_KINDS:
-            raise NetDebugError(
-                f"unknown baseline kind {kind!r}; "
-                f"choose from {', '.join(BASELINE_KINDS)}"
-            )
+    kinds = set(BASELINES) if only is None else set(only)
+    unknown = sorted(kinds - set(BASELINES))
+    if unknown:
+        raise NetDebugError(
+            f"unknown baseline kind {unknown[0]!r}; "
+            f"choose from {', '.join(BASELINES)}"
+        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
-    if "campaign" in kinds:
-        campaign = run_baseline_campaign(
-            workers=workers, count=campaign_count, seed=seed
-        )
-        paths["campaign"] = campaign.save(directory / "campaign.json")
-    if "stateful" in kinds:
-        stateful = run_baseline_stateful(
-            workers=workers, count=campaign_count, seed=seed
-        )
-        paths["stateful"] = stateful.save(directory / "stateful.json")
-    if "coverage" in kinds:
-        coverage = run_baseline_coverage(
-            workers=workers, count=coverage_count, seed=seed
-        )
-        paths["coverage"] = coverage.save(directory / "coverage.json")
-    if "differential" in kinds:
-        differential = run_baseline_differential(
-            count=differential_count, seed=seed
-        )
-        paths["differential"] = differential.save(
-            directory / "differential.json"
-        )
-    if "compression" in kinds:
-        compression = run_baseline_compression()
-        paths["compression"] = compression.save(
-            directory / "compression.json"
-        )
+    for kind, baseline in BASELINES.items():
+        if kind not in kinds:
+            continue
+        artifact = baseline.produce(workers)
+        if baseline.check is not None:
+            baseline.check(artifact)
+        paths[kind] = artifact.save(directory / f"{kind}.json")
     return paths
 
 
@@ -1219,10 +1169,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="campaign worker processes "
                              "(--write-baseline only; default 1)")
     parser.add_argument(
-        "--only", action="append", choices=BASELINE_KINDS, default=None,
+        "--only", action="append", default=None,
         metavar="KIND",
         help="regenerate only this baseline (repeatable; "
-             f"choices: {', '.join(BASELINE_KINDS)}; "
+             f"choices: {', '.join(BASELINES)}; "
              "--write-baseline only; default all)",
     )
     args = parser.parse_args(argv)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from ..exceptions import NetDebugError
-from ..p4.interpreter import Interpreter, Verdict
-from ..target.device import FLOOD_PORT, NetworkDevice
+from ..p4.interpreter import Verdict
+from ..target.device import NetworkDevice
 from ..target.pipeline import PacketSnapshot, TAP_INPUT, TAP_OUTPUT
 from .checker import CheckRule, ExpectedOutput, OutputChecker
 from .generator import PacketGenerator, StreamSpec, wire_of
@@ -38,10 +38,6 @@ __all__ = [
     "ValidationSession",
     "run_session",
 ]
-
-# Interpreter and FLOOD_PORT are re-exported for historical importers;
-# the oracle implementation itself lives in repro.netdebug.oracle.
-_HISTORICAL_EXPORTS = (Interpreter, FLOOD_PORT)
 
 
 @dataclass

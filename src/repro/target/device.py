@@ -10,13 +10,14 @@ structured status reads.
 
 Two traffic paths exist:
 
-* :meth:`process` / :meth:`process_batch` — the external path: a frame
-  arrives on a port, counters move, and forwarded output leaves on
-  ports (with :data:`FLOOD_PORT` flooding all ports but the ingress).
-* :meth:`inject` / :meth:`inject_batch` — NetDebug's internal path:
-  test packets enter the pipeline directly at any tap and, by default,
-  never emerge on the wire. Device statistics still account for them
-  (the hardware did process the packet); port counters do not.
+* :meth:`process` — the external path: a frame arrives on a port,
+  counters move, and forwarded output leaves on ports (with
+  :data:`FLOOD_PORT` flooding all ports but the ingress).
+* :meth:`inject` / :meth:`inject_batch` / :meth:`inject_block` —
+  NetDebug's internal path: test packets enter the pipeline directly
+  at any tap and, by default, never emerge on the wire. Device
+  statistics still account for them (the hardware did process the
+  packet); port counters do not.
 
 A device has one behaviour: it runs the artifact's compiled closures,
 per packet through the staged pipeline or, in :meth:`inject_block`, a
@@ -208,43 +209,6 @@ class NetworkDevice:
         )
         self._account(run)
         return self._emit(run, exclude_port=ingress_port)
-
-    def process_batch(
-        self,
-        wires,
-        ingress_port: int = 0,
-        timestamp: int | None = None,
-    ) -> list[list[tuple[int, bytes]]]:
-        """Process many frames back to back on one port.
-
-        The batched path amortizes per-packet setup: the pipeline,
-        port record and accounting callables are resolved once for the
-        whole batch, and header extraction inside the compiled parser
-        runs over memoryviews so no per-header wire copies are made.
-        """
-        pipeline = self._require_pipeline()
-        if not 0 <= ingress_port < len(self.ports):
-            raise TargetError(
-                f"device {self.name!r} has no port {ingress_port}"
-            )
-        port = self.ports[ingress_port]
-        run_one = pipeline.process
-        account = self._account
-        emit = self._emit
-        outputs: list[list[tuple[int, bytes]]] = []
-        for wire in wires:
-            port.rx_packets += 1
-            port.rx_bytes += len(wire)
-            run = run_one(
-                wire,
-                ingress_port=ingress_port,
-                timestamp=(
-                    self.clock_cycles if timestamp is None else timestamp
-                ),
-            )
-            account(run)
-            outputs.append(emit(run, exclude_port=ingress_port))
-        return outputs
 
     # ------------------------------------------------------------------
     # NetDebug's internal injection path

@@ -271,6 +271,45 @@ class TestFaultTolerance:
         ):
             run_campaign(matrix, name="lost", executor=executor)
 
+    def test_rejected_hello_is_terminal_and_names_the_reason(self):
+        # A refused hello is not a lost coordinator: the worker must
+        # stop on the first refusal, naming the service's reason,
+        # instead of reconnecting until its budget runs out.
+        from repro.netdebug.cluster import service_worker_main
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.2)
+        hellos = []
+        stop = threading.Event()
+
+        def refuse_every_hello():
+            while not stop.is_set():
+                try:
+                    sock, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                channel = Channel(sock)
+                hellos.append(channel.recv())
+                channel.send(
+                    {"type": "rejected", "error": "bad tag 'target'"}
+                )
+                channel.close()
+
+        refuser = threading.Thread(target=refuse_every_hello, daemon=True)
+        refuser.start()
+        try:
+            with pytest.raises(
+                ClusterError, match="rejected this worker: bad tag 'target'"
+            ):
+                service_worker_main(
+                    listener.getsockname()[:2], connect_retry_s=5.0
+                )
+        finally:
+            stop.set()
+            refuser.join(timeout=5)
+            listener.close()
+        assert [hello["type"] for hello in hellos] == ["hello"]
+
     def test_worker_socket_has_no_lingering_connect_timeout(self):
         # The connect timeout must not apply to later recv()s: an idle
         # worker waits far longer than 10s on real campaigns.

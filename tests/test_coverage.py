@@ -1,8 +1,6 @@
 """Coverage-guided packet generation: covering sets, maps, workload
 wiring, campaign/differential integration and determinism pins."""
 
-import json
-
 import pytest
 
 from repro.baselines.paths import SPEC_MODEL, DeviationModel
@@ -21,10 +19,7 @@ from repro.netdebug.coverage import (
     verify_report_coverage,
 )
 from repro.netdebug.differential import DifferentialCase, DifferentialRunner
-from repro.netdebug.diffing import (
-    baseline_coverage_matrix,
-    run_baseline_coverage,
-)
+from repro.netdebug.diffing import baseline_coverage_matrix
 from repro.p4.stdlib import PROGRAMS, acl_firewall, strict_parser
 from repro.sim.traffic import WorkloadContext, build_workload, default_flow
 
@@ -150,9 +145,14 @@ class TestCoverageWorkload:
             )
 
 
+def coverage_baseline_report() -> CampaignReport:
+    """The committed coverage baseline's report, run serially."""
+    return run_campaign(baseline_coverage_matrix(), name="baseline-coverage")
+
+
 class TestCampaignIntegration:
     def test_scenario_results_carry_maps_and_meta(self):
-        report = run_baseline_coverage(workers=1)
+        report = coverage_baseline_report()
         assert len(report.results) == 6
         for result in report.results:
             assert result.coverage is not None
@@ -162,18 +162,18 @@ class TestCampaignIntegration:
         assert all("feasible" in cell for cell in meta.values())
 
     def test_report_round_trips_with_coverage(self):
-        report = run_baseline_coverage(workers=1)
+        report = coverage_baseline_report()
         data = report.to_dict()
         rebuilt = CampaignReport.from_dict(data)
         assert rebuilt.to_dict() == data
         assert rebuilt.results[0].coverage.signatures()
 
     def test_verify_report_coverage_clean(self):
-        report = run_baseline_coverage(workers=1)
+        report = coverage_baseline_report()
         assert verify_report_coverage(report) == {}
 
     def test_verify_report_coverage_catches_tampering(self):
-        report = run_baseline_coverage(workers=1)
+        report = coverage_baseline_report()
         victim = report.results[0].coverage.covered[0]
         victim.signature = "start>nowhere|dropped|"
         unexercised = verify_report_coverage(report)
@@ -210,11 +210,6 @@ class TestCampaignIntegration:
         )
         assert serial.to_json() == pooled.to_json()
         assert serial.to_json() == clustered.to_json()
-
-    def test_matches_committed_golden(self):
-        report = run_baseline_coverage(workers=1)
-        committed = json.loads(open("baselines/coverage.json").read())
-        assert report.to_dict() == committed
 
 
 class TestDifferentialIntegration:

@@ -18,22 +18,29 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import NetDebugError
-from repro.netdebug.campaign import CampaignReport, Scenario, ScenarioResult
+from repro.netdebug.campaign import (
+    CampaignReport,
+    Scenario,
+    ScenarioResult,
+    run_campaign,
+)
 from repro.netdebug.differential import (
     DifferentialCell,
     DifferentialReport,
+    DifferentialRunner,
     Observation,
     PacketDiff,
 )
 from repro.netdebug.diffing import (
+    BASELINE_SEED,
+    BASELINES,
+    baseline_cases,
     baseline_matrix,
     diff_campaigns,
     diff_differentials,
     inject_unexplained_flip,
     load_report,
     main,
-    run_baseline_campaign,
-    run_baseline_differential,
     write_baselines,
 )
 from repro.netdebug.report import Finding, SessionReport
@@ -104,24 +111,43 @@ def make_matrix(*cells: DifferentialCell) -> DifferentialReport:
     return DifferentialReport(seed=2018, count=16, cells=list(cells))
 
 
+def baseline_campaign(count: int) -> CampaignReport:
+    """The seeded baseline campaign at a smaller per-scenario count."""
+    return run_campaign(baseline_matrix(count=count), name="baseline")
+
+
+def baseline_differential(count: int) -> DifferentialReport:
+    """The seeded baseline differential matrix at a smaller count."""
+    return DifferentialRunner(
+        cases=baseline_cases(), count=count, seed=BASELINE_SEED
+    ).run()
+
+
 # ---------------------------------------------------------------------------
 # Golden baselines
 # ---------------------------------------------------------------------------
 
 class TestGoldenBaselines:
-    def test_committed_baselines_regenerate_byte_identically(self, tmp_path):
-        # The CI gate's precondition on this very checkout: re-running
-        # the seeded sweeps reproduces the committed files exactly.
-        paths = write_baselines(tmp_path, workers=2)
-        for name in ("campaign", "stateful", "differential",
-                     "compression"):
-            fresh = paths[name].read_text()
-            committed = (BASELINE_DIR / f"{name}.json").read_text()
-            assert fresh == committed, (
-                f"baselines/{name}.json is stale — regenerate with "
-                "python -m repro.netdebug.diffing --write-baseline "
-                "(and explain the behaviour change in the PR)"
-            )
+    @pytest.mark.parametrize("kind", list(BASELINES))
+    def test_registered_golden_regenerates_byte_identically(
+        self, kind, tmp_path
+    ):
+        # The CI golden job's precondition on this very checkout:
+        # re-running each registered kind (its claim check included)
+        # reproduces the committed file exactly.
+        [fresh] = write_baselines(tmp_path, workers=2, only=[kind]).values()
+        assert fresh.read_bytes() == (
+            BASELINE_DIR / f"{kind}.json"
+        ).read_bytes(), (
+            f"baselines/{kind}.json is stale — regenerate with "
+            f"python -m repro.netdebug.diffing --write-baseline --only "
+            f"{kind} (and explain the behaviour change in the PR)"
+        )
+
+    def test_every_committed_golden_is_registered(self):
+        assert sorted(p.stem for p in BASELINE_DIR.glob("*.json")) == (
+            sorted(BASELINES)
+        )
 
     def test_baseline_matrix_is_the_full_three_way(self):
         scenarios = baseline_matrix().expand()
@@ -131,9 +157,9 @@ class TestGoldenBaselines:
         }
 
     def test_unchanged_build_diffs_clean(self):
-        old = run_baseline_campaign(count=4)
-        new = run_baseline_campaign(count=4)
-        matrix = run_baseline_differential(count=6)
+        old = baseline_campaign(count=4)
+        new = baseline_campaign(count=4)
+        matrix = baseline_differential(count=6)
         diff = diff_campaigns(old, new, matrix, matrix)
         assert not diff.deltas and not diff.added and not diff.removed
         assert not diff.is_regression
@@ -584,7 +610,7 @@ class TestMatrixDiff:
 class TestCli:
     @pytest.fixture()
     def reports(self, tmp_path):
-        old = run_baseline_campaign(count=4)
+        old = baseline_campaign(count=4)
         old_path = old.save(tmp_path / "old.json")
         new_path = old.save(tmp_path / "new.json")
         return tmp_path, old, old_path, new_path
@@ -621,14 +647,14 @@ class TestCli:
         assert "❌ REGRESSION" in out_path.read_text()
 
     def test_differential_pair_diffs_standalone(self, tmp_path, capsys):
-        matrix = run_baseline_differential(count=6)
+        matrix = baseline_differential(count=6)
         a = matrix.save(tmp_path / "a.json")
         b = matrix.save(tmp_path / "b.json")
         assert main([str(a), str(b)]) == 0
 
     def test_mixed_flavours_exit_two(self, reports, tmp_path, capsys):
         _, _, old_path, _ = reports
-        matrix = run_baseline_differential(count=4)
+        matrix = baseline_differential(count=4)
         m = matrix.save(tmp_path / "m.json")
         assert main([str(old_path), str(m)]) == 2
         assert "error" in capsys.readouterr().err
@@ -731,7 +757,7 @@ class TestCli:
     def test_load_report_sniffs_flavours(self, reports, tmp_path):
         _, _, old_path, _ = reports
         assert isinstance(load_report(old_path), CampaignReport)
-        matrix = run_baseline_differential(count=4)
+        matrix = baseline_differential(count=4)
         m = matrix.save(tmp_path / "m.json")
         assert isinstance(load_report(m), DifferentialReport)
 
@@ -842,8 +868,10 @@ class TestWriteBaselineOnly:
         with pytest.raises(NetDebugError, match="unknown baseline kind"):
             write_baselines(tmp_path, only=["campagne"])
 
-    def test_fresh_compression_matches_committed_golden(self, tmp_path):
-        paths = write_baselines(tmp_path, only=["compression"])
-        assert paths["compression"].read_bytes() == (
-            BASELINE_DIR / "compression.json"
-        ).read_bytes()
+    def test_unknown_kind_exits_two_before_writing(self, tmp_path, capsys):
+        assert main(
+            ["--write-baseline", "--dir", str(tmp_path / "fresh"),
+             "--only", "compression", "--only", "campagne"]
+        ) == 2
+        assert "unknown baseline kind 'campagne'" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()

@@ -237,8 +237,8 @@ def test_drop_then_clear_matches_interpreter():
 
 
 def test_batched_paths_match_single_packet():
-    """process_batch/inject_batch are pure amortizations of the
-    per-packet calls: outputs and stats must be identical."""
+    """inject_batch is a pure amortization of per-packet inject calls:
+    verdicts and latencies must be identical."""
     frames = workload()
 
     def build():
@@ -246,16 +246,6 @@ def test_batched_paths_match_single_packet():
         device.load(PROGRAMS["l2_switch"]())
         install_entries(device)
         return device
-
-    single = build()
-    single_outputs = [single.process(wire, 0) for wire in frames]
-    batched = build()
-    batched_outputs = batched.process_batch(frames, 0)
-    assert single_outputs == batched_outputs
-    assert single.stats == batched.stats
-    assert [
-        (p.rx_packets, p.tx_packets) for p in single.ports
-    ] == [(p.rx_packets, p.tx_packets) for p in batched.ports]
 
     injected = build()
     runs = injected.inject_batch(frames)
