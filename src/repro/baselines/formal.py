@@ -22,10 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..exceptions import P4RuntimeError
-from ..p4.expr import Expr
 from ..p4.interpreter import Interpreter, PipelineResult, Verdict
 from ..p4.program import P4Program
-from ..p4.table import KeyPattern, MatchKind, Table, TableEntry
 from .paths import (
     MAX_CANDIDATES,
     MAX_PARSER_PATHS,
@@ -178,39 +176,10 @@ class SymbolicVerifier:
         """All bounded paths through the parser with their constraints."""
         return self._enumerator.parser_paths()
 
-    def _expr_path(self, expr: Expr) -> str:
-        return self._enumerator.expr_path(expr)
-
-    def _constrain_bool(
-        self, sym: SymbolicState, expr: Expr, want: bool
-    ) -> None:
-        self._enumerator.constrain_bool(sym, expr, want)
-
     # -- candidate construction --------------------------------------------
     def build_packet(self, path: ParserPath, sym: SymbolicState) -> bytes:
         """Materialize a concrete packet following ``path``."""
         return self._enumerator.build_packet(path, sym)
-
-    def _table_choices(self, table: Table) -> list[TableEntry | None]:
-        """Branches per table: each installed entry plus the miss."""
-        return self._enumerator.table_choices(table)
-
-    def _constrain_for_entry(
-        self,
-        sym: SymbolicState,
-        table: Table,
-        entry: TableEntry | None,
-        misses: list[TableEntry],
-    ) -> bool:
-        """Refine ``sym`` so the table chooses ``entry`` (None=miss)."""
-        return self._enumerator.constrain_for_entry(
-            sym, table, entry, misses
-        )
-
-    def _pattern_value(
-        self, kind: MatchKind, pattern: KeyPattern, width: int
-    ) -> int:
-        return self._enumerator.pattern_value(kind, pattern, width)
 
     def candidates(self) -> list[bytes]:
         """Concrete witness packets covering behaviour classes."""

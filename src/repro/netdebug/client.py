@@ -14,7 +14,12 @@ campaign (key from ``REPRO_SERVICE_SECRET`` unless passed explicitly).
 ``handle.result()`` / ``handle.stream()`` return a
 :class:`~repro.netdebug.campaign.CampaignReport` whose canonical JSON
 is **byte-identical** to a serial ``run_campaign`` of the same matrix,
-so existing golden baselines gate service-mode runs unchanged.
+so existing golden baselines gate service-mode runs unchanged. The
+service sends each shard result once, as it lands; the handle
+reassembles the report from that stream through
+:func:`~repro.netdebug.campaign.assemble_report`, the same reassembly
+every other execution path uses, and takes ``meta`` from the closing
+``complete`` frame.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .campaign import (
     CampaignReport,
     ScenarioMatrix,
     ScenarioResult,
+    assemble_report,
     matrix_to_dict,
 )
 from .transport import Channel, resolve_secret
@@ -53,13 +59,15 @@ class CampaignHandle:
         every shard the moment the service relays it — the same hook
         shape :func:`~repro.netdebug.campaign.run_campaign` takes, so a
         :class:`~repro.netdebug.cli.ProgressPrinter` plugs in
-        unchanged. Returns the reassembled
-        :class:`~repro.netdebug.campaign.CampaignReport`; raises
-        :class:`ClusterError` if the campaign fails or the connection
-        drops mid-stream.
+        unchanged. Every result frame is decoded, hook or not: the
+        returned :class:`~repro.netdebug.campaign.CampaignReport` is
+        reassembled from them, with ``meta`` from the ``complete``
+        frame. Raises :class:`ClusterError` if the campaign fails or
+        the connection drops mid-stream.
         """
         if self._report is not None:
             return self._report
+        results: list[ScenarioResult] = []
         while True:
             frame = self._channel.recv()
             if frame is None:
@@ -69,8 +77,9 @@ class CampaignHandle:
                 )
             kind = frame.get("type")
             if kind == "result":
+                result = ScenarioResult.from_dict(frame["result"])
+                results.append(result)
                 if on_result is not None:
-                    result = ScenarioResult.from_dict(frame["result"])
                     progress = frame.get("progress", {})
                     on_result(
                         result.scenario.key,
@@ -82,9 +91,12 @@ class CampaignHandle:
                         ),
                     )
             elif kind == "complete":
-                report = CampaignReport.from_dict(frame["report"])
-                report.meta.update(frame.get("meta", {}))
-                self.meta = dict(frame.get("meta", {}))
+                report = assemble_report(
+                    self.name, results, expected=self.total
+                )
+                meta = frame.get("meta", {})
+                report.meta = dict(meta)
+                self.meta = dict(meta)
                 self._report = report
                 return report
             elif kind == "failed":

@@ -9,9 +9,12 @@ that connect to a campaign service (:mod:`repro.netdebug.service`)
 over the JSON + HMAC wire (:mod:`repro.netdebug.transport`), declare
 capability tags, execute shards with the same per-process artifact
 cache the pool path uses, and stream each result back the moment it
-completes. A worker keeps finished results in a ledger until they are
-acked, so a dropped connection resumes under the same session instead
-of losing work.
+completes. A worker's ``slots`` are a queue depth: with the default of
+:data:`DEFAULT_SLOTS` = 2 it runs one shard while the next waits in its
+local queue, and the service refills the freed slot the moment a result
+lands, so no shard waits out a dispatch round trip. A worker keeps
+finished results in a ledger until they are acked, so a dropped
+connection resumes under the same session instead of losing work.
 
 The **one-shot cluster** (:class:`ClusterExecutor`,
 :func:`run_cluster_campaign`, the ``local`` CLI verb) is an ephemeral
@@ -26,9 +29,11 @@ scheduler, worker loop and codec, so:
   (:func:`repro.netdebug.campaign.assemble_report`), making serial,
   pooled, clustered and service runs **byte-identical**.
 * **Fault tolerance**: a worker crash mid-shard requeues its
-  outstanding shards on the survivors; each shard has a retry budget,
-  and exhausting it, losing every worker, or a shard raising remotely
-  raises a :class:`ClusterError` naming the shard.
+  outstanding shards on the survivors. Each shard has a retry budget,
+  charged only for the shard the lost worker was running, never for
+  one still waiting in its queue; exhausting it, losing every worker,
+  or a shard raising remotely raises a :class:`ClusterError` naming
+  the shard.
 
 CLI::
 
@@ -70,7 +75,9 @@ from .transport import Channel, decode_job, require_cache_version
 
 __all__ = [
     "DEFAULT_RETRY_BUDGET",
+    "DEFAULT_SLOTS",
     "service_worker_main",
+    "check_slots",
     "normalize_tags",
     "tags_eligible",
     "ClusterExecutor",
@@ -82,6 +89,10 @@ __all__ = [
 #: Re-dispatches allowed per shard after losing it to a worker failure
 #: (so a shard is lost at most ``1 + budget`` times before ClusterError).
 DEFAULT_RETRY_BUDGET = 2
+
+#: Shards a service worker holds at once: one running, one queued, so
+#: the next shard is already local when the current one finishes.
+DEFAULT_SLOTS = 2
 
 _CRASH_EXIT = 17
 
@@ -180,6 +191,17 @@ class _ServiceSession:
         self.completed = 0
 
 
+def check_slots(slots) -> int:
+    """``slots`` if it is an integer >= 1, else a :class:`ClusterError`
+    naming the value: it sets how many shards a worker prefetches, so
+    a bad value is refused rather than coerced."""
+    if isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
+        raise ClusterError(
+            f"worker slots must be an integer >= 1, got {slots!r}"
+        )
+    return slots
+
+
 def _service_execute(message: dict) -> dict:
     """Run one JSON job frame; the reply frame (result or error)."""
     aid = message.get("assignment")
@@ -215,7 +237,7 @@ class _WorkerRejected(ClusterError):
 
 def service_worker_main(
     address: tuple[str, int],
-    slots: int = 1,
+    slots: int = DEFAULT_SLOTS,
     tags=(),
     secret: str | bytes | None = None,
     session: str | None = None,
@@ -232,17 +254,19 @@ def service_worker_main(
       ledger until acked, so a transient drop resumes instead of
       losing work (the coordinator requeues only what the worker
       genuinely no longer holds);
-    * shards execute inline, one at a time, with up to ``slots`` jobs
-      pipelined into the local queue by the coordinator.
+    * shards execute inline, one at a time, in arrival order; the
+      coordinator keeps up to ``slots`` of them outstanding, so with
+      ``slots >= 2`` the next job is queued locally before the current
+      one finishes. ``slots`` must be an integer >= 1.
 
     ``crash_after`` hard-exits on *receiving* shard ``crash_after + 1``
     — the mid-shard crash the coordinator must requeue around;
     ``drop_after`` instead closes the socket after every ``drop_after``
     completions and reconnects — the reconnect-protocol chaos knob.
     """
+    slots = check_slots(slots)
     state = _ServiceSession(session)
     tags = normalize_tags(tags)
-    slots = max(1, int(slots))
     reconnects = 0
     while True:
         sock = _connect_with_retry(address, connect_retry_s)

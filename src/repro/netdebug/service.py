@@ -17,13 +17,23 @@ has the properties a shared fleet needs:
   exact one — so a worker pinned to one target's toolchain only ever
   receives that target's shards, and an untagged worker takes
   anything. A hello declaring any other dimension is refused.
+* **Pipelined dispatch.** A worker's ``slots`` are a queue depth (default
+  :data:`~repro.netdebug.cluster.DEFAULT_SLOTS` = 2: one shard running,
+  one queued). The service dispatches on reply: the thread that ingests
+  a result refills the freed slot in the same locked section, and
+  admission and worker joins dispatch at once too, so a worker never
+  sits idle waiting for the scheduler thread. That thread only expires
+  reconnect graces, ages steals and fails stranded campaigns.
 * **Work stealing + reconnect.** A slow worker's oldest in-flight
   shard is duplicated onto an idle eligible worker (first result wins,
   duplicates acked and dropped). A worker that loses its connection
   holds finished results in a ledger and reconnects under the same
   session id; the coordinator keeps its assignments alive for a grace
   window and, on resume, requeues only what the worker genuinely no
-  longer holds — no dropped cells, no duplicated cells.
+  longer holds — no dropped cells, no duplicated cells. A worker that
+  never comes back is charged one failed attempt, for the oldest shard
+  it held (the one it was running); the shards queued behind it requeue
+  free.
 * **A hardened wire.** The service speaks JSON frames only — any other
   frame kind is refused from its header, body unread — and, keyed from
   ``REPRO_SERVICE_SECRET``, every frame in both directions carries an
@@ -37,7 +47,10 @@ same matrix: shards funnel through the same
 committed golden baselines and the diff kernel
 (:mod:`repro.netdebug.diffing`) remain the regression verdict — and
 the ``gate`` frame runs that diff server-side against a retained
-report.
+report. Each result crosses to the client once, as the per-shard
+``result`` frame (the worker's own result dict, forwarded); the
+``complete`` frame carries only ``meta``, and the client reassembles
+the report from the stream it already holds.
 
 CLI::
 
@@ -82,6 +95,8 @@ from .cli import (
 )
 from .cluster import (
     DEFAULT_RETRY_BUDGET,
+    DEFAULT_SLOTS,
+    check_slots,
     normalize_tags,
     service_worker_main,
     tags_eligible,
@@ -96,6 +111,7 @@ __all__ = [
     "DEFAULT_RECONNECT_GRACE_S",
     "DEFAULT_STEAL_AFTER_S",
     "DEFAULT_RETRY_BUDGET",
+    "DEFAULT_SLOTS",
     "CampaignService",
     "main",
 ]
@@ -286,8 +302,10 @@ class CampaignService:
     campaign. ``secret=None`` runs unauthenticated (tests, localhost);
     anything else enables HMAC frame authentication on every
     connection. All mutable state is guarded by one condition
-    variable; a scheduler thread fills worker slots, expires
-    reconnect graces and ages steals.
+    variable. Slots are filled wherever they free up or work arrives
+    (a reply, an admission, a worker joining); a scheduler thread
+    expires reconnect graces, ages steals and fails stranded
+    campaigns.
     """
 
     def __init__(
@@ -449,6 +467,7 @@ class CampaignService:
             return
         try:
             tags = normalize_tags(hello.get("tags", ()))
+            slots = check_slots(hello.get("slots", DEFAULT_SLOTS))
         except ClusterError as exc:
             channel.send({"type": "rejected", "error": str(exc)})
             return
@@ -456,7 +475,7 @@ class CampaignService:
             session=session,
             name=name,
             channel=channel,
-            slots=max(1, int(hello.get("slots", 1))),
+            slots=slots,
             tags=tags,
         )
         done = {int(aid) for aid in hello.get("done", [])}
@@ -508,6 +527,7 @@ class CampaignService:
                     "ack": ack,
                 }
             )
+            self._fill_slots_locked()
             self._cond.notify_all()
         self._worker_recv_loop(worker)
 
@@ -531,85 +551,86 @@ class CampaignService:
     def _ingest_worker_reply(
         self, worker: _FleetWorker, message: dict
     ) -> None:
-        aid = message.get("assignment")
         with self._cond:
-            # Always ack so the worker's ledger drains — even for a
-            # duplicate (stolen elsewhere, finished twice) or a stale
-            # assignment from before a requeue.
-            try:
-                worker.channel.send(
-                    {"type": "ack", "assignments": [aid]}
-                )
-            except (OSError, ClusterError):
-                pass
-            assignment = self._assignments.get(aid)
-            if assignment is None:
-                return
-            campaign = self._campaigns.get(assignment.cid)
-            worker.outstanding.pop(aid, None)
-            worker.completed += 1
-            if campaign is None or campaign.done:
-                self._assignments.pop(aid, None)
-                self._cond.notify_all()
-                return
-            job_index = assignment.job_index
-            if message.get("type") == "error":
-                self._assignments.pop(aid, None)
-                campaign.inflight.get(job_index, set()).discard(aid)
-                # A shard raising is deterministic — requeueing cannot
-                # help; fail the campaign with the remote traceback.
-                self._fail_campaign_locked(
-                    campaign,
-                    f"worker {worker.name} failed shard {job_index} "
-                    f"({campaign.key(job_index)}):\n"
-                    f"{message.get('error')}",
-                )
-                self._cond.notify_all()
-                return
-            # Retire EVERY assignment of this job (steals included):
-            # first result wins, later duplicates hit the
-            # assignment-is-gone guard above and are ack-dropped.
-            for dup in campaign.inflight.pop(job_index, {aid}):
-                retired = self._assignments.pop(dup, None)
-                if retired is not None and dup != aid:
-                    holder = self._workers.get(
-                        retired.session
-                    ) or self._lost.get(retired.session)
-                    if holder is not None:
-                        holder.outstanding.pop(dup, None)
-            if job_index not in campaign.results:
-                try:
-                    result = ScenarioResult.from_dict(message["result"])
-                    # cache_stats, the execution path and a recorded
-                    # suite ride the frame as sidecars (none is part
-                    # of the golden to_dict bytes); restoring them
-                    # keeps meta["compile_cache"] and
-                    # meta["execution"] meaningful.
-                    stats = message.get("cache_stats")
-                    if stats:
-                        result.cache_stats = {
-                            str(k): int(v) for k, v in stats.items()
-                        }
-                    if message.get("execution") is not None:
-                        result.execution = str(message["execution"])
-                    if "suite" in message:
-                        result.suite = RegressionSuite.from_dict(
-                            message["suite"]
-                        )
-                except (KeyError, TypeError, ValueError,
-                        NetDebugError) as exc:
-                    self._fail_campaign_locked(
-                        campaign,
-                        f"worker {worker.name} sent an undecodable "
-                        f"result for shard {job_index}: {exc!r}",
-                    )
-                    self._cond.notify_all()
-                    return
-                campaign.results[job_index] = result
-                self._push_result_locked(campaign, result)
-                if campaign.done:
-                    self._complete_campaign_locked(campaign)
+            self._ingest_reply_locked(worker, message)
+            # Dispatch on reply: refill the slot this reply freed in
+            # the same locked section, not on the scheduler thread's
+            # next wake-up.
+            self._fill_slots_locked()
             self._cond.notify_all()
+
+    def _ingest_reply_locked(
+        self, worker: _FleetWorker, message: dict
+    ) -> None:
+        aid = message.get("assignment")
+        # Always ack so the worker's ledger drains — even for a
+        # duplicate (stolen elsewhere, finished twice) or a stale
+        # assignment from before a requeue.
+        try:
+            worker.channel.send({"type": "ack", "assignments": [aid]})
+        except (OSError, ClusterError):
+            pass
+        assignment = self._assignments.get(aid)
+        if assignment is None:
+            return
+        campaign = self._campaigns.get(assignment.cid)
+        worker.outstanding.pop(aid, None)
+        worker.completed += 1
+        if campaign is None or campaign.done:
+            self._assignments.pop(aid, None)
+            return
+        job_index = assignment.job_index
+        if message.get("type") == "error":
+            self._assignments.pop(aid, None)
+            campaign.inflight.get(job_index, set()).discard(aid)
+            # A shard raising is deterministic — requeueing cannot
+            # help; fail the campaign with the remote traceback.
+            self._fail_campaign_locked(
+                campaign,
+                f"worker {worker.name} failed shard {job_index} "
+                f"({campaign.key(job_index)}):\n"
+                f"{message.get('error')}",
+            )
+            return
+        # Retire EVERY assignment of this job (steals included): first
+        # result wins, later duplicates hit the assignment-is-gone
+        # guard above and are ack-dropped.
+        for dup in campaign.inflight.pop(job_index, {aid}):
+            retired = self._assignments.pop(dup, None)
+            if retired is not None and dup != aid:
+                holder = self._workers.get(
+                    retired.session
+                ) or self._lost.get(retired.session)
+                if holder is not None:
+                    holder.outstanding.pop(dup, None)
+        if job_index in campaign.results:
+            return
+        try:
+            result = ScenarioResult.from_dict(message["result"])
+            # cache_stats, the execution path and a recorded suite ride
+            # the frame as sidecars (none is part of the golden to_dict
+            # bytes); restoring them keeps meta["compile_cache"] and
+            # meta["execution"] meaningful.
+            stats = message.get("cache_stats")
+            if stats:
+                result.cache_stats = {
+                    str(k): int(v) for k, v in stats.items()
+                }
+            if message.get("execution") is not None:
+                result.execution = str(message["execution"])
+            if "suite" in message:
+                result.suite = RegressionSuite.from_dict(message["suite"])
+        except (KeyError, TypeError, ValueError, NetDebugError) as exc:
+            self._fail_campaign_locked(
+                campaign,
+                f"worker {worker.name} sent an undecodable result for "
+                f"shard {job_index}: {exc!r}",
+            )
+            return
+        campaign.results[job_index] = result
+        self._push_result_locked(campaign, result, message["result"])
+        if campaign.done:
+            self._complete_campaign_locked(campaign)
 
     def _worker_lost(self, worker: _FleetWorker) -> None:
         with self._cond:
@@ -680,8 +701,13 @@ class CampaignService:
                 self.requeues += 1
 
     def _push_result_locked(
-        self, campaign: _Campaign, result: ScenarioResult
+        self, campaign: _Campaign, result: ScenarioResult, payload: dict
     ) -> None:
+        """Relay one result to the campaign's clients.
+
+        ``payload`` is the result dict exactly as the worker sent it
+        (it decoded to ``result``), so the service forwards it instead
+        of encoding the same bytes again."""
         if not campaign.subscribers:
             return  # in-process campaign: run_jobs reads results
         frame = {
@@ -689,7 +715,7 @@ class CampaignService:
             "campaign": campaign.cid,
             "index": result.scenario.index,
             "key": result.scenario.key,
-            "result": result.to_dict(),
+            "result": payload,
             "progress": campaign.progress(),
         }
         self._push_frame_locked(campaign, frame)
@@ -729,12 +755,13 @@ class CampaignService:
         while len(self._completed) > self.keep_reports:
             self._completed.popitem(last=False)
         if campaign.subscribers:
+            # Every result already reached the client as a result
+            # frame; it reassembles the report itself.
             self._push_frame_locked(
                 campaign,
                 {
                     "type": "complete",
                     "campaign": campaign.cid,
-                    "report": report.to_dict(),
                     "meta": meta,
                 },
             )
@@ -785,8 +812,15 @@ class CampaignService:
             if now - (worker.lost_at or now) < self.reconnect_grace_s:
                 continue
             del self._lost[session]
-            for assignment in list(worker.outstanding.values()):
-                self._retire_assignment_locked(assignment, requeue=True)
+            # A worker runs its queue in dispatch order, so only its
+            # oldest assignment was executing when it was lost. That
+            # one is charged to the retry budget; the rest never
+            # started and requeue free.
+            held = sorted(worker.outstanding.values(), key=lambda a: a.aid)
+            for position, assignment in enumerate(held):
+                self._retire_assignment_locked(
+                    assignment, requeue=True, charge=position == 0
+                )
 
     def _fill_slots_locked(self) -> None:
         progressed = True
@@ -797,7 +831,9 @@ class CampaignService:
                     continue
                 pick = self._pick_job_locked(worker)
                 stolen = False
-                if pick is None:
+                if pick is None and not worker.outstanding:
+                    # Only an idle worker steals: a copy queued behind
+                    # its own running shard would start no sooner.
                     pick = self._pick_steal_locked(worker)
                     stolen = pick is not None
                 if pick is None:
@@ -996,6 +1032,7 @@ class CampaignService:
             raise ClusterError("service is shutting down")
         self._campaigns[campaign.cid] = campaign
         self.campaigns_seen += 1
+        self._fill_slots_locked()
         self._cond.notify_all()
 
     def run_jobs(
@@ -1263,8 +1300,11 @@ def main(argv: list[str] | None = None) -> int:
         "worker", help="run one persistent service worker"
     )
     _common(worker)
-    worker.add_argument("--slots", type=int, default=1,
-                        help="shards pipelined to this worker")
+    worker.add_argument("--slots", type=int, default=DEFAULT_SLOTS,
+                        help="queue depth: shards the service keeps "
+                             "outstanding on this worker, one running "
+                             f"and the rest queued (default "
+                             f"{DEFAULT_SLOTS}; must be >= 1)")
     worker.add_argument("--tags", default="",
                         help="comma-separated capability tags, "
                              "e.g. target:tofino")

@@ -37,18 +37,6 @@ def _loaded_device(name: str):
     return device
 
 
-def _test_packets(seed: int):
-    flow = default_flow()
-    flow = type(flow)(
-        src_ip=flow.src_ip,
-        dst_ip=flow.dst_ip,
-        src_port=flow.src_port,
-        dst_port=flow.dst_port,
-        eth_dst=mac("02:00:00:00:00:02"),
-    )
-    return list(udp_stream(flow, STREAM_LEN, size=FRAME_SIZE, seed=seed))
-
-
 def measure_netdebug(seed: int = 0, frame_size: int = FRAME_SIZE) -> dict:
     """NetDebug's in-device performance measurement.
 

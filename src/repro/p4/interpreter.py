@@ -101,13 +101,6 @@ class Trace:
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def stages_visited(self) -> list[str]:
-        seen: list[str] = []
-        for event in self.events:
-            if event.stage and (not seen or seen[-1] != event.stage):
-                seen.append(event.stage)
-        return seen
-
 
 @dataclass
 class RuntimeState:
@@ -159,16 +152,6 @@ class ExitPipeline(Exception):
     Shared by the tree-walking interpreter and the compiled fast path
     (:mod:`repro.target.fastpath`) so both unwind identically.
     """
-
-
-#: Backwards-compatible private alias.
-_ExitPipeline = ExitPipeline
-
-
-class _BoundExpr(Expr):
-    """An expression with action parameters substituted by constants."""
-
-    # Implemented via bind_expr below; class exists only for typing docs.
 
 
 def bind_expr(expr: Expr, binding: dict[str, int]) -> Expr:
@@ -274,7 +257,7 @@ class Interpreter:
             self.run_control(self.program.ingress, ctx, trace)
             if not metadata["drop"]:
                 self.run_control(self.program.egress, ctx, trace)
-        except _ExitPipeline:
+        except ExitPipeline:
             pass
 
         if metadata["drop"]:
@@ -584,7 +567,7 @@ class Interpreter:
             return
         if isinstance(primitive, Exit):
             trace.add("primitive", "exit", stage=stage)
-            raise _ExitPipeline()
+            raise ExitPipeline()
         raise P4RuntimeError(
             f"unknown primitive {type(primitive).__name__}"
         )

@@ -16,25 +16,35 @@ The contract under test (the service acceptance criteria):
 * fair-share: weights 3:1 yield contended dispatch shares within 2×
   of the weights; strict priority preempts across tiers;
 * capability tags place shards only on eligible workers, and a
-  campaign no fleet member could ever run fails loudly.
+  campaign no fleet member could ever run fails loudly;
+* pipelined dispatch: a default-slot worker holds two shards, a reply
+  refills its slot in the same call, a lost worker is charged only for
+  the shard it was running, a bad ``slots`` is refused on both ends,
+  and each result reaches the client once.
 """
 
+import inspect
 import pickle
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.exceptions import ClusterError, NetDebugError
+from repro.netdebug import service as service_module
 from repro.netdebug.campaign import (
     ScenarioMatrix,
     _pool_context,
+    _shard_jobs,
     run_campaign,
 )
 from repro.netdebug.client import ServiceClient
 from repro.netdebug.cluster import (
+    DEFAULT_SLOTS,
+    _service_execute,
     normalize_tags,
     service_worker_main,
     tags_eligible,
@@ -300,7 +310,7 @@ class Fleet:
         ).start()
         self.processes = []
 
-    def add_worker(self, slots=1, tags=(), **kwargs):
+    def add_worker(self, slots=DEFAULT_SLOTS, tags=(), **kwargs):
         kwargs.setdefault("connect_retry_s", 5.0)
         process = _pool_context().Process(
             target=service_worker_main,
@@ -543,3 +553,282 @@ class TestService:
         )
         with pytest.raises(NetDebugError, match="predicate"):
             f.client().submit(matrix, name="nope")
+
+
+# ---------------------------------------------------------------------------
+# Pipelined dispatch, driven by hand (no scheduler thread, no sleeps)
+# ---------------------------------------------------------------------------
+
+def _jobs(matrix):
+    return _shard_jobs(matrix.expand(), matrix.faults)
+
+
+class HandWorker:
+    """A worker session whose far end the test reads frame by frame.
+
+    ``_serve_worker`` runs in a thread, exactly as for a real
+    connection; the service's scheduler thread is never started, so
+    every dispatch the test sees came from the call it made.
+    """
+
+    def __init__(self, service, session="hand", **hello):
+        ours, theirs = socket.socketpair()
+        # A frame that never comes fails the test instead of hanging it.
+        theirs.settimeout(10.0)
+        self.service = service
+        self.end = Channel(theirs)
+        self.thread = threading.Thread(
+            target=service._serve_worker,
+            args=(
+                Channel(ours),
+                session,
+                {"type": "hello", "mode": "service", "session": session,
+                 **hello},
+            ),
+            daemon=True,
+        )
+        self.thread.start()
+        assert self.end.recv()["type"] == "welcome"
+        self.worker = service._workers[session]
+
+    def jobs(self, n):
+        frames = [self.end.recv() for _ in range(n)]
+        assert [f["type"] for f in frames] == ["job"] * n
+        return frames
+
+    def close(self):
+        self.end.close()
+        self.thread.join(timeout=10.0)
+
+
+@pytest.fixture
+def hand_service():
+    services, workers = [], []
+
+    def make(**kwargs):
+        service = CampaignService(**kwargs)
+        services.append(service)
+        return service
+
+    def worker(service, **hello):
+        hand = HandWorker(service, **hello)
+        workers.append(hand)
+        return hand
+
+    make.worker = worker
+    yield make
+    for hand in workers:
+        hand.close()
+    for service in services:
+        service.close()
+
+
+def _admit(service, jobs):
+    campaign = service._new_campaign("hand", jobs)
+    with service._cond:
+        service._admit_locked(campaign)
+    return campaign
+
+
+class TestPipelinedDispatch:
+    def test_worker_defaults_to_two_slots(self, monkeypatch):
+        # One constant sets the worker function's and the CLI's default.
+        assert DEFAULT_SLOTS == 2
+        assert inspect.signature(service_worker_main).parameters[
+            "slots"
+        ].default == DEFAULT_SLOTS
+        seen = {}
+        monkeypatch.setattr(
+            service_module, "service_worker_main",
+            lambda address, **kwargs: seen.update(kwargs),
+        )
+        assert service_module.main(
+            ["worker", "--connect", "127.0.0.1:1", "--insecure"]
+        ) == 0
+        assert seen["slots"] == DEFAULT_SLOTS
+
+    def test_default_slot_worker_holds_two_assignments(
+        self, hand_service
+    ):
+        # The hello omits slots, so the service's default applies.
+        service = hand_service()
+        hand = hand_service.worker(service)
+        campaign = _admit(service, _jobs(service_matrix(labels=2)))
+        frames = hand.jobs(2)
+        assert len(hand.worker.outstanding) == 2 == hand.worker.slots
+        assert sorted(hand.worker.outstanding) == sorted(
+            f["assignment"] for f in frames
+        )
+        assert len(campaign.pending) == campaign.total - 2 > 0
+
+    def test_result_ingest_refills_the_freed_slot_in_the_same_call(
+        self, hand_service
+    ):
+        service = hand_service()
+        hand = hand_service.worker(service)
+        campaign = _admit(service, _jobs(service_matrix(labels=2)))
+        first, second = hand.jobs(2)
+        reply = _service_execute(first)
+        service._ingest_worker_reply(hand.worker, reply)
+        # Synchronously, before any other thread could run: the result
+        # counted, and the freed slot already holds the next shard.
+        assert list(campaign.results) == [first["id"]]
+        assert len(hand.worker.outstanding) == 2
+        ack, refill = hand.end.recv(), hand.end.recv()
+        assert ack == {"type": "ack", "assignments": [first["assignment"]]}
+        assert refill["type"] == "job"
+        assert set(hand.worker.outstanding) == {
+            second["assignment"], refill["assignment"],
+        }
+        assert refill["id"] not in (first["id"], second["id"])
+
+    def test_lost_worker_charges_only_the_shard_it_was_running(
+        self, hand_service
+    ):
+        # Two slots: the lost worker was running its oldest assignment;
+        # the one queued behind it never started and must requeue free.
+        service = hand_service(reconnect_grace_s=0.0)
+        hand = hand_service.worker(service)
+        campaign = _admit(service, _jobs(service_matrix(labels=2)))
+        running, queued = hand.jobs(2)
+        assert running["assignment"] < queued["assignment"]
+        with service._cond:
+            service._mark_lost_locked(hand.worker)
+            service._expire_lost_locked()
+            failures = dict(campaign.failures)
+            pending = set(campaign.pending)
+        assert sum(failures.values()) == 1
+        assert failures.get(running["id"]) == 1
+        assert failures.get(queued["id"], 0) == 0
+        assert {running["id"], queued["id"]} <= pending
+        assert campaign.failed_error is None
+
+    def test_only_an_idle_worker_steals(self, hand_service):
+        # Every in-flight shard is stealable at once. A worker with a
+        # shard still queued must not take a duplicate to run behind
+        # it; once its queue drains, it steals.
+        service = hand_service(steal_after_s=0.0)
+        slow = hand_service.worker(service, session="slow", slots=1)
+        busy = hand_service.worker(service, session="busy", slots=2)
+        _admit(service, _jobs(service_matrix(labels=2))[:3])
+        (stuck,) = slow.jobs(1)
+        first, second = busy.jobs(2)
+        service._ingest_worker_reply(busy.worker, _service_execute(first))
+        assert service.steals == 0
+        assert list(busy.worker.outstanding) == [second["assignment"]]
+        service._ingest_worker_reply(busy.worker, _service_execute(second))
+        assert service.steals == 1
+        (copy,) = busy.worker.outstanding.values()
+        assert copy.job_index == stuck["id"]
+
+    @pytest.mark.parametrize("slots", ["two", 0, -1, 1.5, True, None])
+    def test_hello_with_bad_slots_is_rejected_naming_the_value(
+        self, slots
+    ):
+        service = CampaignService(secret=SECRET).start()
+        try:
+            sock = socket.create_connection(service.address, timeout=10)
+            channel = Channel(sock, secret=SECRET)
+            channel.send(
+                {
+                    "type": "hello",
+                    "mode": "service",
+                    "session": "bad-slots",
+                    "slots": slots,
+                }
+            )
+            reply = channel.recv()
+            channel.close()
+            assert reply["type"] == "rejected"
+            assert repr(slots) in reply["error"]
+            assert "slots" in reply["error"]
+            assert service.worker_listing() == []
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("slots", [0, -2, "2"])
+    def test_worker_refuses_bad_slots_before_connecting(self, slots):
+        # Port 1 is never contacted: the check comes first.
+        with pytest.raises(ClusterError, match="slots must be an integer"):
+            service_worker_main(
+                ("127.0.0.1", 1), slots=slots, connect_retry_s=0.0
+            )
+
+    def test_worker_cli_refuses_zero_slots(self, capsys):
+        assert service_module.main(
+            ["worker", "--connect", "127.0.0.1:1", "--insecure",
+             "--slots", "0"]
+        ) == 2
+        assert "slots must be an integer >= 1, got 0" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("hook", [False, True])
+    def test_client_reassembles_the_stream_without_a_report_frame(
+        self, fleet, hook
+    ):
+        f = fleet()
+        f.add_worker()
+        f.wait_workers(1)
+        matrix = service_matrix(labels=2, seed=83)
+        handle = f.client().submit(matrix, name="once")
+        frames = []
+        recv = handle._channel.recv
+
+        def spy():
+            frame = recv()
+            frames.append(frame)
+            return frame
+
+        handle._channel.recv = spy
+        seen = []
+        report = handle.stream(
+            on_result=(lambda key, rep, prog: seen.append(key))
+            if hook else None
+        )
+        handle.close()
+        serial = run_campaign(matrix, name="once")
+        assert report.to_json() == serial.to_json()
+        complete = frames[-1]
+        assert complete["type"] == "complete"
+        assert "report" not in complete
+        assert report.meta == complete["meta"] == handle.meta
+        results = [fr for fr in frames if fr["type"] == "result"]
+        assert len(results) == serial.scenarios
+        assert len(seen) == (serial.scenarios if hook else 0)
+
+
+def test_refill_on_reply_under_thread_stress(fleet):
+    # More workers than cores, three campaigns at once, and a short
+    # switch interval in this process (where the service's ingest and
+    # client threads run): every shard is dispatched exactly once (no
+    # steals at this age) and every report equals its serial twin.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        f = fleet(steal_after_s=60.0)
+        for _ in range(3):
+            f.add_worker()
+        f.wait_workers(3)
+        client = f.client(timeout=60.0)
+        matrices = {
+            f"stress{seed}": service_matrix(labels=2, seed=seed)
+            for seed in (91, 92, 93)
+        }
+        handles = {
+            name: client.submit(matrix, name=name)
+            for name, matrix in matrices.items()
+        }
+        reports = {name: h.result() for name, h in handles.items()}
+        for handle in handles.values():
+            handle.close()
+    finally:
+        sys.setswitchinterval(interval)
+    for name, matrix in matrices.items():
+        service_meta = reports[name].meta["service"]
+        assert service_meta["dispatched"] == len(matrix.expand())
+        assert service_meta["requeues"] == 0
+        assert (
+            reports[name].to_json()
+            == run_campaign(matrix, name=name).to_json()
+        )
