@@ -15,6 +15,7 @@ across commits to see a hot path regress or improve.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -25,6 +26,39 @@ def emit(title: str, lines: list[str]) -> None:
     print(f"\n{banner}\n{title}\n{banner}")
     for line in lines:
         print(line)
+
+
+def paired_ratio(slow, fast, pairs: int = 15) -> dict:
+    """Time two arms in short alternating rounds; the median of the
+    per-pair ratios ``slow / fast`` is what a speed-up gate reads.
+
+    Each pair runs one call of each arm back to back, alternating which
+    goes first, so host speed drifting over the run cancels out of the
+    pair's ratio (the method ``bench/compare.py`` uses across commits).
+    Both arms are called once untimed first (warm caches, compile).
+    Returns the median ratio, its quartiles and each arm's median
+    seconds per call.
+    """
+    slow()
+    fast()
+    ratios, slow_s, fast_s = [], [], []
+    for index in range(pairs):
+        timed = {}
+        for arm in ((slow, fast) if index % 2 == 0 else (fast, slow)):
+            start = time.perf_counter()
+            arm()
+            timed[arm] = time.perf_counter() - start
+        slow_s.append(timed[slow])
+        fast_s.append(timed[fast])
+        ratios.append(timed[slow] / timed[fast])
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {
+        "ratio": median,
+        "ratio_q1": q1,
+        "ratio_q3": q3,
+        "slow_s": statistics.median(slow_s),
+        "fast_s": statistics.median(fast_s),
+    }
 
 
 def _stat(bench, name: str):

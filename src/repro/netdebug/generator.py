@@ -228,8 +228,8 @@ class PacketGenerator:
         # in one call, amortizing per-packet setup — the shape a
         # hardware generator has, where the stream program is compiled
         # once and packets are emitted back to back. inject_block runs
-        # the batch kernel (or the per-packet pipeline when taps or
-        # armed faults need it), carrying the stream's own arrival
+        # the batch kernel (its hooked schedule when taps or armed
+        # faults need it), carrying the stream's own arrival
         # process and per-packet ingress ports; only a non-input
         # injection tap still needs inject_batch, which is tap-generic.
         batchable = not stream.wrap and on_injected is None

@@ -9,11 +9,11 @@ every outbound packet that preceded it. So the oracle is an object with
 an explicit lifetime:
 
 * :class:`ReferenceOracle` predicts through a spec artifact
-  (:func:`compile_spec`) — the program compiled once into
-  spec-faithful closures (:func:`repro.target.fastpath.compile_program`
-  with ``honor_reject`` and neither TCAM quantisation nor a deparse
-  budget) plus the batch block kernel (:mod:`repro.target.batch`) over
-  them — and owns one
+  (:func:`compile_spec`) — the program compiled once
+  (:func:`repro.target.fastpath.compile_program` with ``honor_reject``
+  and neither TCAM quantisation nor a deparse budget) and run by the
+  batch kernel (:mod:`repro.target.batch`), the one execution driver
+  the devices use too — and owns one
   :class:`~repro.p4.interpreter.RuntimeState` whose registers and
   counters persist across :meth:`~ReferenceOracle.expect` calls. Its
   contract is **arrival order**: feed it packets in exactly the order
@@ -28,11 +28,11 @@ an explicit lifetime:
 On a register-free program, the stateless oracle's
 :meth:`~ReferenceOracle.expect_all` predicts a whole cell as one
 columnar block through the spec kernel. Everywhere else prediction is
-per packet (:meth:`~ReferenceOracle.expect`): the stateful oracle runs
-each packet as a block of one over its own state (the kernel's
-packet-major schedule), stateless prediction on a register-bearing
-program runs the closures on fresh registers per packet, and a subclass
-that overrides ``_process`` is honoured by ``expect_all`` too.
+per packet (:meth:`~ReferenceOracle.expect`), each packet a block of
+one (the kernel's packet-major schedule): over the oracle's own state
+for the stateful oracle, over a fresh ``RuntimeState`` for stateless
+prediction on a register-bearing program. A subclass that overrides
+``_process`` is honoured by ``expect_all`` too.
 
 A campaign compiles one spec artifact (:func:`compile_spec`) per
 provisioned artifact, keeps it on that artifact in the campaign's
@@ -77,10 +77,10 @@ OracleFactory = Callable[..., "ReferenceOracle"]
 
 
 def compile_spec(program: P4Program) -> CompiledProgram:
-    """``program`` compiled for spec-faithful prediction: the
-    ``honor_reject=True`` closures, with neither TCAM quantisation nor a
-    deparse budget. The batch kernel over them is built on first block
-    use (:func:`~repro.target.batch.get_batch_program`) and kept on the
+    """``program`` compiled for spec-faithful prediction:
+    ``honor_reject=True``, with neither TCAM quantisation nor a deparse
+    budget. The batch kernel over it is built on first use
+    (:func:`~repro.target.batch.get_batch_program`) and kept on the
     returned artifact. Both are read-only: all mutable state lives in
     the ``RuntimeState`` each oracle passes in, so one spec artifact
     serves every oracle over the same program object."""
@@ -149,17 +149,22 @@ class ReferenceOracle:
     # Prediction
     # ------------------------------------------------------------------
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        # A block of one over this oracle's state: the kernel's
-        # packet-major schedule, which runs a packet faster than the
-        # closures' own entry point.
+        return self._predict(wire, ingress_port, timestamp, self.state)
+
+    def _predict(
+        self, wire: bytes, ingress_port: int, timestamp: int,
+        state: RuntimeState,
+    ):
+        """One packet as a block of one over ``state`` (the kernel's
+        packet-major schedule); raises the packet's error."""
         _, run, error = get_batch_program(
             self.spec, REFERENCE_LIMITS
         ).run_block(
             (wire,),
             timestamps=(timestamp,),
             ingress_ports=(ingress_port,),
-            counters=self.state.counters,
-            registers=self.state.registers,
+            counters=state.counters,
+            registers=state.registers,
         )[0]
         if error is not None:
             raise error
@@ -296,7 +301,10 @@ class StatelessOracle(ReferenceOracle):
     stateful = False
 
     def _process(self, wire: bytes, ingress_port: int, timestamp: int):
-        return self.spec.fast.run(wire, ingress_port, timestamp)
+        return self._predict(
+            wire, ingress_port, timestamp,
+            RuntimeState.for_program(self.program),
+        )
 
     def _process_block(self, wires, ingress_ports, timestamps):
         """Kernel outcomes ``(timestamp, run, error)`` of one columnar

@@ -153,6 +153,25 @@ def _oracle_name(factory) -> str | None:
     )
 
 
+def _hello_assignment_ids(hello: dict, field: str) -> set[int]:
+    """The hello's ``field`` list as assignment ids, or a
+    :class:`ClusterError` naming the field and the value: the ids key
+    the assignment table, so a bad one is refused rather than coerced."""
+    values = hello.get(field, [])
+    if not isinstance(values, list):
+        raise ClusterError(
+            f"hello {field!r} must be a list of assignment ids, "
+            f"got {values!r}"
+        )
+    for aid in values:
+        if isinstance(aid, bool) or not isinstance(aid, int):
+            raise ClusterError(
+                f"hello {field!r} must hold integer assignment ids, "
+                f"got {aid!r}"
+            )
+    return set(values)
+
+
 class _Campaign:
     """Service-side state of one campaign.
 
@@ -468,6 +487,8 @@ class CampaignService:
         try:
             tags = normalize_tags(hello.get("tags", ()))
             slots = check_slots(hello.get("slots", DEFAULT_SLOTS))
+            done = _hello_assignment_ids(hello, "done")
+            holding = _hello_assignment_ids(hello, "holding")
         except ClusterError as exc:
             channel.send({"type": "rejected", "error": str(exc)})
             return
@@ -478,8 +499,6 @@ class CampaignService:
             slots=slots,
             tags=tags,
         )
-        done = {int(aid) for aid in hello.get("done", [])}
-        holding = {int(aid) for aid in hello.get("holding", [])}
         with self._cond:
             stale = self._lost.pop(session, None) or self._workers.pop(
                 session, None

@@ -1,9 +1,10 @@
 """Simulated hardware targets and their execution core.
 
 The package splits into the performance-first execution core —
-:mod:`~repro.target.fastpath` (closure compilation),
-:mod:`~repro.target.batch` (the block kernel over those closures),
-:mod:`~repro.target.pipeline` (staged execution, taps, faults) and
+:mod:`~repro.target.fastpath` (compile once: generated parser and
+deparser, one closure per control stage), :mod:`~repro.target.batch`
+(the batch kernel, the one execution driver),
+:mod:`~repro.target.pipeline` (stages, taps, faults, state) and
 :mod:`~repro.target.device` (ports, stats, management interface) — and
 the three concrete targets: the spec-faithful reference
 (:mod:`~repro.target.reference`), the SDNet-like backend whose

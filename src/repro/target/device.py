@@ -19,11 +19,14 @@ Two traffic paths exist:
   statistics still account for them (the hardware did process the
   packet); port counters do not.
 
-A device has one behaviour: it runs the artifact's compiled closures,
-per packet through the staged pipeline or, in :meth:`inject_block`, a
-whole block at a time through the artifact's batch kernel — unless a
-tap is attached or a fault is armed, which the kernel cannot publish or
-model. The outcomes are the same either way.
+A device has one execution driver: the artifact's batch kernel
+(:mod:`repro.target.batch`). :meth:`inject_block` hands it a whole
+block; :meth:`process`, :meth:`inject` and :meth:`inject_batch` hand it
+blocks of one. When a tap is attached, a fault is armed or a packet
+enters past ``input``, the pipeline's hooks
+(:meth:`~repro.target.pipeline.StagedPipeline.hooks`) send the block
+down the kernel's packet-major schedule with hooks; otherwise it runs
+hook-free.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ class NetworkDevice:
         timestamp: int | None = None,
     ) -> list[tuple[int, bytes]]:
         """One frame in on a port; returns ``(port, wire)`` outputs."""
-        pipeline = self._require_pipeline()
+        self._require_pipeline()
         if not 0 <= ingress_port < len(self.ports):
             raise TargetError(
                 f"device {self.name!r} has no port {ingress_port}"
@@ -202,11 +205,7 @@ class NetworkDevice:
         port = self.ports[ingress_port]
         port.rx_packets += 1
         port.rx_bytes += len(wire)
-        run = pipeline.process(
-            wire,
-            ingress_port=ingress_port,
-            timestamp=self.clock_cycles if timestamp is None else timestamp,
-        )
+        run = self._run_one(wire, TAP_INPUT, ingress_port, timestamp)
         self._account(run)
         return self._emit(run, exclude_port=ingress_port)
 
@@ -227,13 +226,7 @@ class NetworkDevice:
         ``emit`` is set, in which case forwarded output leaves the
         device as ordinary traffic would.
         """
-        pipeline = self._require_pipeline()
-        run = pipeline.process(
-            wire,
-            inject_at=at,
-            ingress_port=port,
-            timestamp=self.clock_cycles if timestamp is None else timestamp,
-        )
+        run = self._run_one(wire, at, port, timestamp)
         self._account(run)
         if emit:
             self._emit(run, exclude_port=port)
@@ -249,20 +242,16 @@ class NetworkDevice:
 
         Returns ``(timestamp, run)`` per frame, where ``timestamp`` is
         the device clock at injection time (what a wrapped probe would
-        carry). Setup is hoisted out of the loop; this is the path
-        :meth:`repro.netdebug.generator.PacketGenerator.run_stream`
-        uses to drive line-rate streams.
+        carry). Each frame is a block of one, so an error stops the
+        batch at that frame, as a loop of :meth:`inject` calls would;
+        :meth:`repro.netdebug.generator.PacketGenerator.run_stream` uses
+        it for streams that enter past the ``input`` tap.
         """
-        pipeline = self._require_pipeline()
-        run_one = pipeline.process
-        account = self._account
         results: list[tuple[int, TargetRun]] = []
         for wire in wires:
             timestamp = self.clock_cycles
-            run = run_one(
-                wire, inject_at=at, ingress_port=port, timestamp=timestamp
-            )
-            account(run)
+            run = self._run_one(wire, at, port, timestamp)
+            self._account(run)
             results.append((timestamp, run))
         return results
 
@@ -278,10 +267,9 @@ class NetworkDevice:
 
         Semantically equivalent to calling :meth:`inject` per frame
         (``timestamps`` optionally pins per-frame timestamps; missing
-        entries fall back to the running clock). The block runs through
-        the artifact's batch kernel unless a tap is attached or a fault
-        is armed: the kernel cannot publish snapshots or model faults,
-        so those blocks run per packet through the pipeline's closures.
+        entries fall back to the running clock). With a tap attached or
+        a fault armed the block runs packet by packet on the kernel's
+        hooked schedule, so taps see and faults act on every frame.
 
         ``ports`` optionally pins per-frame ingress ports (missing
         entries fall back to the scalar ``port``) — how bidirectional
@@ -297,24 +285,7 @@ class NetworkDevice:
             raise TargetError(
                 f"on_error must be 'raise' or 'capture', got {on_error!r}"
             )
-        wires = list(wires)
-        pipeline = self._require_pipeline()
-        if pipeline.has_taps() or self.injector._active:
-            outcomes = self._inject_block_fallback(
-                wires, timestamps, port, ports
-            )
-        else:
-            outcomes = get_batch_program(
-                self._compiled, self.limits
-            ).run_block(
-                wires,
-                clock=self.clock_cycles,
-                timestamps=timestamps,
-                ingress_port=port,
-                ingress_ports=ports,
-                counters=self._state.counters,
-                registers=self._state.registers,
-            )
+        outcomes = self._run(wires, TAP_INPUT, timestamps, port, ports)
         account = self._account
         results = []
         first_error = None
@@ -330,31 +301,30 @@ class NetworkDevice:
             raise first_error
         return results
 
-    def _inject_block_fallback(self, wires, timestamps, port, ports=None):
-        """Per-packet block execution with batch-identical outcomes."""
-        pipeline = self._pipeline
-        clock = self.clock_cycles
-        covered = len(timestamps) if timestamps is not None else 0
-        ports_covered = len(ports) if ports is not None else 0
-        outcomes = []
-        for index, wire in enumerate(wires):
-            timestamp = (
-                timestamps[index] if index < covered else clock
-            )
-            try:
-                run = pipeline.process(
-                    wire,
-                    ingress_port=(
-                        ports[index] if index < ports_covered else port
-                    ),
-                    timestamp=timestamp,
-                )
-            except Exception as exc:
-                outcomes.append((timestamp, None, exc))
-                continue
-            clock += run.latency_cycles
-            outcomes.append((timestamp, run, None))
-        return outcomes
+    def _run(self, wires, at, timestamps, port, ports):
+        """``(timestamp, run, error)`` per frame from the batch kernel,
+        with the pipeline's hooks for injection at ``at``."""
+        pipeline = self._require_pipeline()
+        return get_batch_program(self._compiled, self.limits).run_block(
+            wires,
+            clock=self.clock_cycles,
+            timestamps=timestamps,
+            ingress_port=port,
+            ingress_ports=ports,
+            counters=pipeline.state.counters,
+            registers=pipeline.state.registers,
+            hooks=pipeline.hooks(at),
+        )
+
+    def _run_one(self, wire, at, port, timestamp) -> TargetRun:
+        """One frame as a block of one; raises the frame's error."""
+        [(_, run, error)] = self._run(
+            (wire,), at, None if timestamp is None else (timestamp,),
+            port, None,
+        )
+        if error is not None:
+            raise error
+        return run
 
     # ------------------------------------------------------------------
     # Accounting and emission

@@ -1,31 +1,33 @@
-"""Closure-compiled program execution — the line-rate fast path.
+"""Compile a loaded program once, for line-rate execution.
 
 The spec-faithful interpreter (:mod:`repro.p4.interpreter`) walks the
 expression/statement trees for every packet, allocating a
 :class:`~repro.p4.interpreter.Trace` and formatting event strings as it
 goes. That is the right tool for defining semantics; it is the wrong
-tool for driving line-rate experiments. This module compiles each
-loaded program **once** into plain Python closures:
+tool for driving line-rate experiments. This module lowers each loaded
+program **once** into a :class:`FastProgram`:
 
-* expressions via :func:`repro.p4.expr.compile_expr` (widths and
-  truncation masks resolved at compile time, action parameters become
-  indexed tuple reads — no per-packet ``bind_expr`` tree rebuilding);
-* header extraction as one big-endian integer read per header plus
-  precomputed shift/mask pairs per field, operating on a
-  ``memoryview`` of the wire so deep parse chains never recopy the
-  tail;
-* table application with precompiled key evaluators and per-action
-  bodies, matching installed entries with exactly the interpreter's
-  selection semantics (longest prefix first, then priority);
+* **one parser** — generated Python source per program: one big-endian
+  integer read per extracted header, constant shift/mask pairs per
+  field, select cases as chained comparisons on locals;
+* **one closure per control stage** — expressions via
+  :func:`repro.p4.expr.compile_expr` (widths and truncation masks
+  resolved at compile time, action parameters become indexed tuple
+  reads) and table application with precompiled key evaluators,
+  matching installed entries with exactly the interpreter's selection
+  semantics (longest prefix first, then priority);
+* **one deparser** — generated source that emits the (budgeted) emit
+  order with one lookup per header;
 * **no tracing at all** — the null-trace fast path. Taps and checkers
   observe packets between stages (:mod:`repro.target.pipeline`), never
   through TraceEvents, so nothing is lost.
 
-The same closures serve the reference oracle
-(:mod:`repro.netdebug.oracle`) through :meth:`FastProgram.run`.
-Equivalence with tree-walking interpretation is pinned by the
-differential suite in ``tests/test_target_fastpath_differential.py``
-and, for the oracle's predictions, ``tests/test_compiled_oracle.py``.
+A :class:`FastProgram` has no driver: the batch kernel
+(:mod:`repro.target.batch`) runs every packet — device traffic and
+the reference oracle's predictions alike — through these parts.
+Equivalence with tree-walking interpretation is pinned by
+``tests/test_target_fastpath_differential.py`` and, for the oracle's
+predictions, ``tests/test_compiled_oracle.py``.
 """
 
 from __future__ import annotations
@@ -51,16 +53,8 @@ from ..p4.actions import (
     SetMeta,
 )
 from ..p4.control import ApplyTable, Call, Control, If, IfHit, Seq, Stmt
-from ..p4.expr import compile_expr
-from ..p4.interpreter import (
-    MAX_PARSER_STEPS,
-    ExitPipeline,
-    PipelineResult,
-    RuntimeState,
-    Trace,
-    Verdict,
-    stable_hash,
-)
+from ..p4.expr import BinOp, Const, FieldRef, Slice, UnOp, compile_expr
+from ..p4.interpreter import MAX_PARSER_STEPS, ExitPipeline, stable_hash
 from ..p4.parser import ACCEPT, REJECT
 from ..p4.program import P4Program
 from ..p4.table import MatchKind, Table
@@ -80,10 +74,6 @@ __all__ = [
     "compile_program",
     "control_stages",
 ]
-
-
-#: No stuck tables or frozen counters: the fault-free view.
-_NOTHING_STUCK: frozenset[str] = frozenset()
 
 
 class ExecState:
@@ -127,116 +117,336 @@ def _field_layout(spec: HeaderSpec) -> tuple[tuple[str, int, int], ...]:
 
 
 # ----------------------------------------------------------------------
-# Parser
+# Parser and deparser
 # ----------------------------------------------------------------------
-def _compile_parser(program: P4Program, honor_reject: bool):
-    """Compile the parser FSM into ``parse(wire, metadata)``.
+# Both are generated as straight-line Python source per program and
+# ``exec``d once at compile time: extraction as dict literals with
+# constant shifts/masks, select cases as chained comparisons on local
+# variables, emission as one lookup per emitted header name. Select
+# keys and verify conditions the source generator does not cover run as
+# ``compile_expr`` closures from inside the generated code.
+
+def _expr_source(expr, env, local_headers: dict[str, str]) -> str | None:
+    """Python source for ``expr``, mirroring ``compile_expr`` bit for
+    bit, or ``None`` when the node (or a referenced header that is not
+    a just-extracted local) needs a ``compile_expr`` closure. Never
+    raises: compile-time errors come from ``compile_expr``."""
+    if isinstance(expr, Const):
+        return repr(expr.value)
+    if isinstance(expr, FieldRef):
+        var = local_headers.get(expr.header)
+        spec = env.headers.get(expr.header)
+        if var is None or spec is None or not spec.has_field(expr.field):
+            return None
+        return f"{var}[{expr.field!r}]"
+    if isinstance(expr, BinOp):
+        left = _expr_source(expr.left, env, local_headers)
+        right = _expr_source(expr.right, env, local_headers)
+        if left is None or right is None:
+            return None
+        op = expr.op
+        if op == "and":
+            return f"((1 if {right} else 0) if {left} else 0)"
+        if op == "or":
+            return f"(1 if {left} else (1 if {right} else 0))"
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            return f"(1 if {left} {op} {right} else 0)"
+        if op in ("&", "|", "^", ">>"):
+            return f"({left} {op} {right})"
+        if op in ("+", "-", "*", "<<"):
+            try:
+                result_mask = mask(expr.width(env))
+            except Exception:
+                return None
+            return f"(({left} {op} {right}) & {result_mask})"
+        return None
+    if isinstance(expr, UnOp):
+        operand = _expr_source(expr.operand, env, local_headers)
+        if operand is None:
+            return None
+        if expr.op == "!":
+            return f"(0 if {operand} else 1)"
+        try:
+            operand_mask = mask(expr.operand.width(env))
+        except Exception:
+            return None
+        if expr.op == "~":
+            return f"({operand} ^ {operand_mask})"
+        if expr.op == "-":
+            return f"((-{operand}) & {operand_mask})"
+        return None
+    if isinstance(expr, Slice):
+        operand = _expr_source(expr.operand, env, local_headers)
+        if operand is None:
+            return None
+        try:
+            width = expr.operand.width(env)
+        except Exception:
+            return None
+        if not 0 <= expr.low <= expr.high < width:
+            return None  # compile_expr raises the typed error
+        return (
+            f"(({operand} >> {expr.low}) & "
+            f"{mask(expr.high - expr.low + 1)})"
+        )
+    return None
+
+
+def _parser_acyclic_unique_extracts(program) -> bool:
+    """True when no parse can ever extract the same header twice.
+
+    The generated parser's duplicate bookkeeping (a ``seen`` set with a
+    membership probe and an insert per extracted header) implements the
+    model's header-stack rejection. When the parser FSM is
+    acyclic **and** every header name appears in at most one state's
+    extract list (at most once), a duplicate extract is structurally
+    impossible — no state can run twice and no two states extract the
+    same name — so the bookkeeping is dead work on every packet and
+    the generator elides it.
+    """
+    states = program.parser.states
+    extracted: set[str] = set()
+    for state in states.values():
+        for name in state.extracts:
+            if name in extracted:
+                return False
+            extracted.add(name)
+
+    def successors(state):
+        transition = state.transition
+        if transition.is_select:
+            for case in transition.cases:
+                yield case.next_state
+        yield transition.default
+
+    # Iterative 3-colour DFS over real states (accept/reject/unknown
+    # targets are terminal); any grey→grey edge is a cycle.
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {name: WHITE for name in states}
+    for root in states:
+        if colour[root] != WHITE:
+            continue
+        stack = [(root, iter(successors(states[root])))]
+        colour[root] = GREY
+        while stack:
+            name, edges = stack[-1]
+            advanced = False
+            for target in edges:
+                if target not in states:
+                    continue
+                if colour[target] == GREY:
+                    return False
+                if colour[target] == WHITE:
+                    colour[target] = GREY
+                    stack.append(
+                        (target, iter(successors(states[target])))
+                    )
+                    advanced = True
+                    break
+            if not advanced:
+                colour[name] = BLACK
+                stack.pop()
+    return True
+
+
+def _generate_parser(program: P4Program, honor_reject: bool):
+    """Generate ``parse(wire, metadata)`` as specialized source.
 
     Returns ``(packet, payload, accepted)`` with exactly the
     interpreter's semantics, including the deviant-target behaviour
     when ``honor_reject`` is False (reject/verify failures record
-    ``parser_error`` but the packet continues as if accepted).
+    ``parser_error`` but the packet continues as if accepted). An
+    expression the model cannot compile raises its typed error here,
+    at compile time.
     """
     env = program.env
-    states: dict[str, tuple] = {}
-    for state in program.parser.states.values():
-        extracts = tuple(
-            (env.header(name), env.header(name).byte_width,
-             _field_layout(env.header(name)))
-            for name in state.extracts
-        )
+    states = list(program.parser.states.values())
+    index_of = {state.name: k for k, state in enumerate(states)}
+    cont = repr(not honor_reject)  # verdict for rejected/errored parses
+    track_duplicates = not _parser_acyclic_unique_extracts(program)
+
+    namespace: dict = {
+        "_Packet": Packet,
+        "_fast_header": _fast_header,
+        "_PacketError": PacketError,
+        "_P4ValidationError": P4ValidationError,
+    }
+    def goto(target: str, indent: str) -> list[str]:
+        if target == ACCEPT:
+            return [f"{indent}return packet, wire[offset:], True"]
+        if target == REJECT:
+            return [
+                f"{indent}metadata['parser_error'] = "
+                f"{PARSER_ERROR_REJECT!r}",
+                f"{indent}return packet, wire[offset:], {cont}",
+            ]
+        if target in index_of:
+            return [
+                f"{indent}state = {index_of[target]}",
+                f"{indent}continue",
+            ]
+        message = f"unknown parser state {target!r}"
+        return [f"{indent}raise _P4ValidationError({message!r})"]
+
+    lines = [
+        "def parse(wire, metadata):",
+        "    packet = _Packet()",
+        "    headers = packet.headers",
+    ]
+    if track_duplicates:
+        lines.append("    seen = set()")
+    lines += [
+        "    size = len(wire)",
+        "    offset = 0",
+        "    steps = 0",
+    ]
+    start = program.parser.start
+    if start in index_of:
+        lines.append(f"    state = {index_of[start]}")
+    else:
+        # Starting in accept/reject or an unknown state ends the parse
+        # before the first step (the loop below is then unreachable).
+        lines += goto(start, "    ")
+    lines += [
+        "    while True:",
+        "        steps += 1",
+        f"        if steps > {MAX_PARSER_STEPS}:",
+        f"            metadata['parser_error'] = "
+        f"{PARSER_ERROR_DEPTH_EXCEEDED!r}",
+        f"            return packet, wire[offset:], {cont}",
+    ]
+
+    for k, state in enumerate(states):
+        branch = "if" if k == 0 else "elif"
+        lines.append(f"        {branch} state == {k}:")
+        body: list[str] = []
+        pad = "            "
+        local_headers: dict[str, str] = {}
+        for name in state.extracts:
+            spec = env.header(name)
+            byte_width = spec.byte_width
+            var = f"v_{k}_{len(local_headers)}"
+            spec_var = f"_spec_{name}"
+            namespace[spec_var] = spec
+            fields = ", ".join(
+                f"{fname!r}: (w >> {shift}) & {field_mask}"
+                if shift
+                else f"{fname!r}: w & {field_mask}"
+                for fname, shift, field_mask in _field_layout(spec)
+            )
+            dup = (
+                f"duplicate header {name!r}; header stacks of the "
+                "same type are not supported by this model"
+            )
+            body += [
+                f"{pad}if size - offset < {byte_width}:",
+                f"{pad}    metadata['parser_error'] = "
+                f"{PARSER_ERROR_HEADER_TOO_SHORT!r}",
+                f"{pad}    return packet, wire[offset:], {cont}",
+            ]
+            if track_duplicates:
+                body += [
+                    f"{pad}if {name!r} in seen:",
+                    f"{pad}    raise _PacketError({dup!r})",
+                    f"{pad}seen.add({name!r})",
+                ]
+            body += [
+                f"{pad}w = int.from_bytes("
+                f"wire[offset:offset + {byte_width}], 'big')",
+                f"{pad}{var} = {{{fields}}}",
+                f"{pad}headers.append(_fast_header({spec_var}, {var}))",
+                f"{pad}offset += {byte_width}",
+            ]
+            local_headers[name] = var
         if state.verify is not None:
             cond, code = state.verify
-            verify = (
-                compile_expr(cond, env),
-                code or PARSER_ERROR_VERIFY_FAILED,
+            code = code or PARSER_ERROR_VERIFY_FAILED
+            source = _expr_source(cond, env, local_headers)
+            if source is None:
+                verify_var = f"_verify_{k}"
+                namespace[verify_var] = compile_expr(cond, env)
+                source = f"{verify_var}(packet, metadata, ())"
+            body.append(f"{pad}if not {source}:")
+            body.append(
+                f"{pad}    metadata['parser_error'] = {code!r}"
             )
-        else:
-            verify = None
+            if honor_reject:
+                body.append(
+                    f"{pad}    return packet, wire[offset:], False"
+                )
+            # Deviant target: keep parsing as if verify passed.
         transition = state.transition
         if transition.is_select:
-            key_fns = tuple(compile_expr(k, env) for k in transition.keys)
-            cases = tuple(
-                (tuple(case.patterns), case.next_state)
-                for case in transition.cases
-            )
-            compiled_transition = (key_fns, cases, transition.default)
+            key_vars = []
+            for j, key_expr in enumerate(transition.keys):
+                source = _expr_source(key_expr, env, local_headers)
+                if source is None:
+                    key_var = f"_key_{k}_{j}"
+                    namespace[key_var] = compile_expr(key_expr, env)
+                    source = f"{key_var}(packet, metadata, ())"
+                var = f"k_{j}"
+                body.append(f"{pad}{var} = {source}")
+                key_vars.append(var)
+            for case in transition.cases:
+                terms = []
+                for var, (value, key_mask) in zip(key_vars, case.patterns):
+                    if key_mask == -1:
+                        terms.append(f"{var} == {value}")
+                    else:
+                        terms.append(
+                            f"({var} & {key_mask}) == {value & key_mask}"
+                        )
+                cond_src = " and ".join(terms) if terms else "True"
+                body.append(f"{pad}if {cond_src}:")
+                body += goto(case.next_state, pad + "    ")
+            body += goto(transition.default, pad)
         else:
-            compiled_transition = (None, None, transition.default)
-        states[state.name] = (extracts, verify, compiled_transition)
+            body += goto(transition.default, pad)
+        lines += body
 
-    start = program.parser.start
+    exec(compile("\n".join(lines) + "\n", "<parser>", "exec"), namespace)
+    return namespace["parse"]
 
-    def parse(wire: bytes, metadata: dict) -> tuple[Packet, bytes, bool]:
-        packet = Packet()
-        headers = packet.headers
-        append = headers.append
-        seen: set[str] = set()
-        view = memoryview(wire)
-        size = len(wire)
-        offset = 0
-        state_name = start
-        steps = 0
-        while True:
-            if state_name == ACCEPT:
-                return packet, bytes(view[offset:]), True
-            if state_name == REJECT:
-                metadata["parser_error"] = PARSER_ERROR_REJECT
-                return packet, bytes(view[offset:]), not honor_reject
-            steps += 1
-            if steps > MAX_PARSER_STEPS:
-                metadata["parser_error"] = PARSER_ERROR_DEPTH_EXCEEDED
-                return packet, bytes(view[offset:]), not honor_reject
-            try:
-                extracts, verify, (key_fns, cases, default) = states[state_name]
-            except KeyError:
-                raise P4ValidationError(
-                    f"unknown parser state {state_name!r}"
-                ) from None
-            for spec, byte_width, layout in extracts:
-                if size - offset < byte_width:
-                    metadata["parser_error"] = PARSER_ERROR_HEADER_TOO_SHORT
-                    return packet, bytes(view[offset:]), not honor_reject
-                spec_name = spec.name
-                if spec_name in seen:
-                    # Same failure mode as Packet.append, minus the
-                    # per-extract linear scan on the happy path.
-                    raise PacketError(
-                        f"duplicate header {spec_name!r}; header stacks of "
-                        "the same type are not supported by this model"
-                    )
-                seen.add(spec_name)
-                word = int.from_bytes(
-                    view[offset:offset + byte_width], "big"
-                )
-                append(_fast_header(
-                    spec,
-                    {name: (word >> shift) & field_mask
-                     for name, shift, field_mask in layout},
-                ))
-                offset += byte_width
-            if verify is not None:
-                cond_fn, code = verify
-                if not cond_fn(packet, metadata, ()):
-                    metadata["parser_error"] = code
-                    if honor_reject:
-                        return packet, bytes(view[offset:]), False
-                    # Deviant target: keep parsing as if verify passed.
-            if key_fns is None:
-                state_name = default
-                continue
-            keys = tuple(fn(packet, metadata, ()) for fn in key_fns)
-            for patterns, next_state in cases:
-                for key, (value, key_mask) in zip(keys, patterns):
-                    if (key & key_mask) != (value & key_mask):
-                        break
-                else:
-                    state_name = next_state
-                    break
-            else:
-                state_name = default
 
-    return parse
+def _generate_deparser(program: P4Program, field_budget: int | None):
+    """Generate ``deparse(packet) -> Packet`` specialized to the emit
+    order: the headers are indexed once and the budgeted prefix (a
+    deviant field budget restricts emission to it;
+    ``Deparser.emit_prefix`` is the one definition of that semantics) is
+    emitted with direct attribute reads."""
+    emit_order = program.deparser.emit_prefix(program.env, field_budget)
+    namespace: dict = {"_Packet": Packet, "_new": Packet.__new__}
+    lines = [
+        "def deparse(packet):",
+        "    by_name = {}",
+        "    for header in packet.headers:",
+        "        name = header.spec.name",
+        "        if name not in by_name:",
+        "            by_name[name] = header",
+        "    emitted = []",
+        "    append = emitted.append",
+        "    get = by_name.get",
+    ]
+    # The emitted headers are NOT copied: the output packet shares its
+    # Header objects with the parsed input packet. Only taps and faults
+    # at the deparser/output stages see both, and the fault hook writes
+    # each shared header once (see repro.target.batch). Sharing skips a
+    # dict copy plus a Header allocation per emitted header.
+    for name in emit_order:
+        lines += [
+            f"    header = get({name!r})",
+            "    if header is not None and header.valid:",
+            "        append(header)",
+        ]
+    lines += [
+        "    out = _new(_Packet)",
+        "    out.headers = emitted",
+        "    out.payload = packet.payload",
+        "    out.metadata = dict(packet.metadata)",
+        "    return out",
+    ]
+    exec(compile("\n".join(lines) + "\n", "<deparser>", "exec"), namespace)
+    return namespace["deparse"]
 
 
 # ----------------------------------------------------------------------
@@ -428,11 +638,11 @@ def _compile_action(program: P4Program, action: Action):
     if len(body) == 1:
         return body[0]
 
-    def run(state, args):
+    def run_action(state, args):
         for fn in body:
             fn(state, args)
 
-    return run
+    return run_action
 
 
 # ----------------------------------------------------------------------
@@ -622,8 +832,9 @@ def _compile_stmt(
 def control_stages(control: Control) -> list[Stmt]:
     """The control body's top-level statements — one pipeline stage each.
 
-    Shared by the closure compiler and the batch kernel so their stage
-    lists can never drift out of index alignment.
+    Shared by the closure compiler, the batch kernel and the pipeline's
+    stage names, so their stage lists never drift out of index
+    alignment.
     """
     body = control.body
     if isinstance(body, Seq):
@@ -631,45 +842,16 @@ def control_stages(control: Control) -> list[Stmt]:
     return [body] if body is not None else []
 
 
-def _compile_deparser(program: P4Program, field_budget: int | None = None):
-    # A deviant field budget restricts emission to the budgeted prefix;
-    # Deparser.emit_prefix is the single definition of that semantics.
-    emit_order = program.deparser.emit_prefix(program.env, field_budget)
-    new_packet = Packet.__new__
-
-    def deparse(packet: Packet) -> Packet:
-        emitted = []
-        for name in emit_order:
-            for header in packet.headers:
-                if header.name == name:
-                    if header.valid:
-                        # Values were validated on the way in; copy the
-                        # dict without re-checking every field width.
-                        emitted.append(
-                            _fast_header(header.spec, dict(header._values))
-                        )
-                    break
-        # Emit order is unique by construction (Deparser.add enforces
-        # it), so skip the duplicate scan in Packet.__post_init__.
-        out = new_packet(Packet)
-        out.headers = emitted
-        out.payload = packet.payload
-        out.metadata = dict(packet.metadata)
-        return out
-
-    return deparse
-
-
 class FastProgram:
-    """A program compiled to closures, ready for per-packet execution.
+    """A program compiled once: the generated parser and deparser, one
+    closure per control stage and the per-packet metadata template.
 
     ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
     select the target's datapath semantics, including its silent
     deviations; the defaults are the spec-faithful reference semantics.
 
-    The staged pipeline (:mod:`repro.target.pipeline`) and the batch
-    kernel drive the compiled stages themselves; :meth:`run` is the
-    whole-packet driver the reference oracle predicts with.
+    It has no driver of its own: the batch kernel
+    (:mod:`repro.target.batch`) runs every packet through these parts.
     """
 
     __slots__ = (
@@ -681,7 +863,7 @@ class FastProgram:
         "ingress_stages",
         "egress_stages",
         "deparse",
-        "_metadata_template",
+        "metadata_template",
     )
 
     def __init__(
@@ -695,7 +877,7 @@ class FastProgram:
         self.honor_reject = honor_reject
         self.quantize_tcam = quantize_tcam
         self.deparse_field_budget = deparse_field_budget
-        self.parse = _compile_parser(program, honor_reject)
+        self.parse = _generate_parser(program, honor_reject)
         self.ingress_stages = [
             _compile_stmt(program, program.ingress, stmt, quantize_tcam)
             for stmt in control_stages(program.ingress)
@@ -704,58 +886,12 @@ class FastProgram:
             _compile_stmt(program, program.egress, stmt, quantize_tcam)
             for stmt in control_stages(program.egress)
         ]
-        self.deparse = _compile_deparser(program, deparse_field_budget)
+        self.deparse = _generate_deparser(program, deparse_field_budget)
+        # Standard + program metadata, all zero, copied per packet.
         template = standard_metadata_defaults()
         for name in program.env.metadata:
             template.setdefault(name, 0)
-        self._metadata_template = template
-
-    def run(
-        self,
-        wire: bytes,
-        ingress_port: int = 0,
-        timestamp: int = 0,
-        state: RuntimeState | None = None,
-    ) -> PipelineResult:
-        """Run one packet through the whole program, untraced.
-
-        Mirrors :meth:`repro.p4.interpreter.Interpreter.process`: parse,
-        ingress, skip egress when ingress left the drop flag set, drop or
-        deparse; ``exit`` skips every remaining statement. Counters and
-        registers live in ``state`` (a fresh one when omitted). The
-        result's trace is empty.
-        """
-        if state is None:
-            state = RuntimeState.for_program(self.program)
-        metadata = dict(self._metadata_template)
-        metadata["ingress_port"] = ingress_port
-        metadata["packet_length"] = len(wire) & 0xFFFF
-        metadata["ingress_global_timestamp"] = timestamp & 0xFFFFFFFFFFFF
-        packet, payload, accepted = self.parse(wire, metadata)
-        if not accepted:
-            return PipelineResult(
-                Verdict.PARSER_REJECTED, None, metadata, Trace()
-            )
-        packet.payload = payload
-        exec_state = ExecState(
-            packet, metadata, state.counters, state.registers,
-            _NOTHING_STUCK, _NOTHING_STUCK,
-        )
-        try:
-            for stage in self.ingress_stages:
-                if stage is not None:
-                    stage(exec_state)
-            if not metadata["drop"]:
-                for stage in self.egress_stages:
-                    if stage is not None:
-                        stage(exec_state)
-        except ExitPipeline:
-            pass
-        if metadata["drop"]:
-            return PipelineResult(Verdict.DROPPED, None, metadata, Trace())
-        out = self.deparse(packet)
-        metadata["egress_port"] = metadata["egress_spec"]
-        return PipelineResult(Verdict.FORWARDED, out, metadata, Trace())
+        self.metadata_template = template
 
 
 def compile_program(

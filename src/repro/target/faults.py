@@ -5,7 +5,8 @@ find: packets vanishing mid-pipeline, fields flipping, traffic emerging
 on the wrong port, tables that stop matching, counters that stop
 counting, and stages that silently slow down. Faults attach to a
 pipeline *stage* (see :meth:`repro.target.pipeline.StagedPipeline.stage_names`)
-and are applied by the pipeline as packets traverse that stage —
+and are applied by the batch kernel's hooked schedule
+(:mod:`repro.target.batch`) as packets traverse that stage —
 invisible to the program and, crucially, to any spec-level analysis.
 """
 

@@ -1,8 +1,8 @@
 """The compiled spec oracle predicts exactly what the tree oracle did.
 
-:class:`~repro.netdebug.oracle.ReferenceOracle` predicts with
-spec-faithful closures (:meth:`repro.target.fastpath.FastProgram.run`)
-and the batch kernel built over them.
+:class:`~repro.netdebug.oracle.ReferenceOracle` predicts with the
+spec-faithful compiled program run by the batch kernel, one packet as a
+block of one and a whole cell as one block.
 The oracle it replaced ran the tree-walking
 :class:`~repro.p4.interpreter.Interpreter` with ``honor_reject=True``:
 one long-lived interpreter for the stateful oracle, a fresh one per
@@ -33,7 +33,6 @@ from repro.packet.headers import ETHERNET, ipv4, mac
 from repro.sim.traffic import build_workload, default_flow
 from repro.target.batch import BatchProgram
 from repro.target.device import FLOOD_PORT
-from repro.target.fastpath import FastProgram
 from repro.target.reference import make_reference_device
 
 from tests.test_target_fastpath_differential import (
@@ -228,14 +227,8 @@ def test_flood_without_port_count_raises_alike():
 
 
 def test_missing_egress_spec_raises_alike(monkeypatch):
-    real_run = FastProgram.run
     real_block = BatchProgram.run_block
     real_process = Interpreter.process
-
-    def run_stripped(self, wire, ingress_port=0, timestamp=0, state=None):
-        result = real_run(self, wire, ingress_port, timestamp, state)
-        result.metadata.pop("egress_spec", None)
-        return result
 
     def block_stripped(self, wires, *args, **kwargs):
         outcomes = real_block(self, wires, *args, **kwargs)
@@ -249,7 +242,6 @@ def test_missing_egress_spec_raises_alike(monkeypatch):
         result.metadata.pop("egress_spec", None)
         return result
 
-    monkeypatch.setattr(FastProgram, "run", run_stripped)
     monkeypatch.setattr(BatchProgram, "run_block", block_stripped)
     monkeypatch.setattr(Interpreter, "process", process_stripped)
     device = provisioned("ipv4_router")
@@ -304,38 +296,31 @@ def test_block_oracle_matches_tree_oracle(name, kind, monkeypatch):
     compiled_cls, tree_cls = PAIRS[kind]
     num_ports = len(device.ports)
     blocks = Calls(monkeypatch, BatchProgram, "run_block")
-    closures = Calls(monkeypatch, FastProgram, "run")
     walks = Calls(monkeypatch, Interpreter, "process")
     # Stateless prediction on a register-bearing program needs fresh
-    # registers per packet, so only that case stays per-packet.
-    per_packet = kind == "stateless" and bool(device.program.registers)
+    # registers per packet, so that case and the stateful oracle
+    # predict packet by packet, each packet a block of one.
+    per_packet = kind == "stateful" or bool(device.program.registers)
     forwarded = False
     for index, workload in enumerate(WORKLOADS):
         lanes = traffic(workload, index)
         compiled = compiled_cls(device.program, num_ports=num_ports)
         tree = tree_cls(device.program, num_ports=num_ports)
 
-        before = (blocks.count, closures.count, walks.count)
+        before = (blocks.count, walks.count)
         # No label: the default labels carry each drop's verdict.
         got = all_fields(compiled, lanes)
-        assert walks.count == before[2]
-        if per_packet:
-            assert blocks.count == before[0]
-            assert closures.count - before[1] == len(lanes)
-        else:
-            # Packet-major blocks of one (stateful) or one columnar block.
-            runs = len(lanes) if kind == "stateful" else 1
-            assert blocks.count - before[0] == runs
-            assert closures.count == before[1]
+        assert walks.count == before[1]
+        # Blocks of one packet by packet, or one columnar block.
+        runs = len(lanes) if per_packet else 1
+        assert blocks.count - before[0] == runs
 
-        before = (blocks.count, closures.count, walks.count)
+        before = (blocks.count, walks.count)
         want = all_fields(tree, lanes)
         # The tree oracles really walk the tree, packet by packet.
         assert (
-            blocks.count - before[0],
-            closures.count - before[1],
-            walks.count - before[2],
-        ) == (0, 0, len(lanes))
+            blocks.count - before[0], walks.count - before[1]
+        ) == (0, len(lanes))
 
         assert got == want, f"{name}/{workload}"
         assert got[0] != "raised", f"{name}/{workload}: {got}"

@@ -87,16 +87,18 @@ class TestReferenceExpectation:
     def test_missing_egress_spec_is_clear_error(self, monkeypatch):
         """A forward prediction without egress_spec metadata must raise
         NetDebugError, not a bare KeyError."""
-        from repro.target.fastpath import FastProgram
+        from repro.target.batch import BatchProgram
 
-        real_run = FastProgram.run
+        real_block = BatchProgram.run_block
 
-        def stripped(self, wire, ingress_port=0, timestamp=0, state=None):
-            result = real_run(self, wire, ingress_port, timestamp, state)
-            result.metadata.pop("egress_spec", None)
-            return result
+        def stripped(self, wires, *args, **kwargs):
+            outcomes = real_block(self, wires, *args, **kwargs)
+            for _, run, _ in outcomes:
+                if run is not None:
+                    run.result.metadata.pop("egress_spec", None)
+            return outcomes
 
-        monkeypatch.setattr(FastProgram, "run", stripped)
+        monkeypatch.setattr(BatchProgram, "run_block", stripped)
         device = routed_device(name="ses-noegress")
         wire = routed_packets(1)[0].pack()
         with pytest.raises(NetDebugError, match="egress_spec"):
@@ -366,7 +368,7 @@ class TestWireFrameStreams:
             ):
                 device = _session_device(wrap)
                 if path == "per_packet":
-                    # An observer forces the per-packet pipeline.
+                    # An observer forces the per-packet path (hooked schedule).
                     device.attach_tap("input", lambda snapshot: None)
                 session = ValidationSession(
                     name="frames",

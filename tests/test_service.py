@@ -746,6 +746,38 @@ class TestPipelinedDispatch:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("field", ["done", "holding"])
+    def test_hello_with_bad_assignment_id_is_rejected_naming_it(
+        self, field
+    ):
+        # A non-integer id is refused with a reason, and the
+        # connection thread survives to serve the next hello.
+        service = CampaignService(secret=SECRET).start()
+        try:
+            for session, ids in ((f"bad-{field}", ["x"]),
+                                 (f"good-{field}", [])):
+                sock = socket.create_connection(service.address, timeout=10)
+                channel = Channel(sock, secret=SECRET)
+                channel.send(
+                    {
+                        "type": "hello",
+                        "mode": "service",
+                        "session": session,
+                        field: ids,
+                    }
+                )
+                reply = channel.recv()
+                channel.close()
+                if ids:
+                    assert reply["type"] == "rejected"
+                    assert repr(field) in reply["error"]
+                    assert "'x'" in reply["error"]
+                    assert service.worker_listing() == []
+                else:
+                    assert reply["type"] == "welcome"
+        finally:
+            service.close()
+
     @pytest.mark.parametrize("slots", [0, -2, "2"])
     def test_worker_refuses_bad_slots_before_connecting(self, slots):
         # Port 1 is never contacted: the check comes first.

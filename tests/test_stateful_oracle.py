@@ -205,7 +205,7 @@ class TestBatchCompatibility:
         assert _block_eligible(make_device(name="sess-sfw"), session) is None
         block = run_session(make_device(name="sess-sfw"), session)
         per_packet_device = make_device(name="sess-sfw")
-        # An observer forces the per-packet pipeline.
+        # An observer forces the per-packet path (hooked schedule).
         per_packet_device.attach_tap("input", lambda snapshot: None)
         per_packet = run_session(per_packet_device, session)
         assert block.to_dict() == per_packet.to_dict()

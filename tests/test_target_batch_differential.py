@@ -1,16 +1,25 @@
-"""Block ≡ per-packet: the batch kernel is semantically invisible.
+"""Schedule ≡ schedule: how the batch kernel runs a block is invisible.
 
-The batch kernel only counts if a block run is indistinguishable from
-per-packet execution: for every stdlib(+ext) program, on all three
-targets — including Tofino's TCAM quantization and deparse field
-budget — ``inject_block`` must produce exactly the verdicts, output
+The batch kernel is the one execution driver, with three schedules:
+stage-major (columnar) blocks, packet-major blocks of one, and the
+packet-major schedule with between-stage hooks (taps, faults,
+``inject_at``). For every stdlib(+ext) program, on all three targets —
+including Tofino's TCAM quantization and deparse field budget — a block
+through ``inject_block`` must produce exactly the verdicts, output
 bytes, egress ports, death stages, latencies, stateful-object contents
-and device accounting of ``inject`` per frame, and session reports must
-stay identical whichever path runs them. Edge cases are also pinned
-against the tree-walking spec :class:`~repro.p4.interpreter.Interpreter`
-under each artifact's deviation settings. Campaign-level byte identity
-of the forced per-packet path against the golden is pinned in
-``tests/test_campaign.py``.
+and device accounting of ``inject`` per frame (blocks of one), with and
+without a tap at every stage (the hooked schedule); session reports
+must stay identical whichever schedule runs them.
+
+These tests compare schedules of one code path. What pins the kernel
+itself against the tree-walking spec
+:class:`~repro.p4.interpreter.Interpreter` is
+``tests/test_target_fastpath_differential.py`` (per-packet ``inject``
+against the spec under each artifact's deviation settings),
+``tests/test_compiled_oracle.py`` (the oracle's predictions against
+interpreter-backed oracles) and the edge cases below. Campaign-level
+byte identity of the forced per-packet path against the golden is
+pinned in ``tests/test_campaign.py``.
 """
 
 import pytest
@@ -21,12 +30,14 @@ from repro.netdebug.diffing import baseline_matrix
 from repro.netdebug.generator import PacketGenerator, StreamSpec
 from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.stdlib import PROGRAMS
+from repro.packet.builder import ethernet_frame
 from repro.sim.traffic import default_flow, malformed_mix
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
 from repro.target.sdnet import SDNetCompiler
 from repro.target.tofino import TofinoCompiler
 
+from tests.test_compiled_oracle import drop_then_egress
 from tests.test_target_fastpath_differential import (
     ALL_FACTORIES,
     install_entries,
@@ -72,9 +83,15 @@ def normalize(outcome):
     )
 
 
-def assert_block_matches(per_packet_device, batch_device, frames):
+def assert_block_matches(per_packet_device, batch_device, frames,
+                         hooked=False):
     """One block on ``batch_device`` ≡ frame-by-frame injection on
-    ``per_packet_device`` (an identically built device)."""
+    ``per_packet_device`` (an identically built device). ``hooked``
+    first attaches a no-op tap at every stage of ``per_packet_device``,
+    which sends each frame down the kernel's hooked schedule."""
+    if hooked:
+        for stage in per_packet_device.stage_names():
+            per_packet_device.attach_tap(stage, lambda snapshot: None)
     expected = [run_one(per_packet_device, wire) for wire in frames]
     outcomes = batch_device.inject_block(frames, on_error="capture")
     got = [normalize(outcome) for outcome in outcomes]
@@ -121,12 +138,38 @@ def both_paths(name, compiler_cls, factory, frames):
 @pytest.mark.parametrize("target", sorted(COMPILERS))
 @pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
 def test_batch_block_matches_closure(name, target):
-    """Every program × target: block run ≡ per-packet closures, exactly."""
+    """Every program × target: one block ≡ blocks of one, exactly."""
     compiler_cls = COMPILERS[target]
     assert_block_matches(
         make_device(f"bd-{name}-{target}", compiler_cls, ALL_FACTORIES[name]),
         make_device(f"bd-{name}-{target}", compiler_cls, ALL_FACTORIES[name]),
         workload(),
+    )
+
+
+#: Every stdlib(+ext) program, plus one whose ``exit`` and egress drop
+#: barrier decide the output port (no stdlib program uses ``exit``).
+HOOKED_FACTORIES = dict(ALL_FACTORIES, drop_then_egress=drop_then_egress)
+
+
+@pytest.mark.parametrize("target", sorted(COMPILERS))
+@pytest.mark.parametrize("name", sorted(HOOKED_FACTORIES))
+def test_hooked_schedule_matches_block(name, target):
+    """Every program × target: frames on the hooked schedule (a no-op
+    tap at every stage) ≡ the hook-free block, exactly."""
+    compiler_cls = COMPILERS[target]
+    # ARP and IPv4 frames reach drop_then_egress's exit and drop paths.
+    frames = workload() + [
+        ethernet_frame(1, 2, ether_type, payload=b"x" * 46).pack()
+        for ether_type in (0x0806, 0x0800, 0x0806)
+    ]
+    assert_block_matches(
+        make_device(f"hk-{name}-{target}", compiler_cls,
+                    HOOKED_FACTORIES[name]),
+        make_device(f"hk-{name}-{target}", compiler_cls,
+                    HOOKED_FACTORIES[name]),
+        frames,
+        hooked=True,
     )
 
 
@@ -234,23 +277,47 @@ def test_stdlib_parsers_elide_duplicate_bookkeeping():
     """Every stdlib(+ext) parser is acyclic with unique extracts, so the
     generated source must carry no ``seen`` set — the byte-identity
     tests above then pin that the elision is semantically invisible."""
-    from repro.target.batch import (
-        _compile_block_parser,
+    from repro.target.fastpath import (
+        _generate_parser,
         _parser_acyclic_unique_extracts,
     )
 
     for name in sorted(ALL_FACTORIES):
         program = ALL_FACTORIES[name]()
         assert _parser_acyclic_unique_extracts(program), name
-        parse = _compile_block_parser(program, honor_reject=True)
-        assert parse is not None, name
+        parse = _generate_parser(program, honor_reject=True)
         assert "seen" not in parse.__code__.co_varnames, name
+
+
+def test_parser_that_cannot_compile_fails_at_load():
+    """The parser is generated at compile time, so a select key the
+    model cannot compile (a slice past the field's width) fails
+    ``load()`` with its typed error, before any packet runs."""
+    from repro.exceptions import P4TypeError
+    from repro.p4.actions import Forward
+    from repro.p4.dsl import ProgramBuilder
+    from repro.p4.expr import Const, Slice, fld
+    from repro.packet.headers import ETHERNET
+
+    b = ProgramBuilder("bad_slice")
+    b.header(ETHERNET)
+    b.parser_state("start", extracts=["ethernet"]).select(
+        Slice(fld("ethernet", "ether_type"), 20, 0),
+        [(1, "accept")],
+        default="accept",
+    )
+    b.ingress.action("fwd", [], [Forward(Const(1, 9))])
+    b.ingress.call("fwd")
+    b.emit("ethernet")
+    device = NetworkDevice("bad-slice", ReferenceCompiler())
+    with pytest.raises(P4TypeError, match="out of range"):
+        device.load(b.build())
 
 
 def test_cyclic_parser_is_ineligible():
     """A looping FSM must fail the eligibility analysis even though
     targets reject it before a device ever runs it."""
-    from repro.target.batch import _parser_acyclic_unique_extracts
+    from repro.target.fastpath import _parser_acyclic_unique_extracts
 
     assert not _parser_acyclic_unique_extracts(looping_parser_program())
 
@@ -259,18 +326,16 @@ def test_duplicate_extract_parser_keeps_guard_and_matches_closure():
     """A duplicate-extract parser is ineligible: the generated source
     keeps the guard, and block outcomes — including the
     duplicate-header error on the re-extracting frame — still match
-    per-packet execution."""
-    from repro.packet.builder import ethernet_frame
+    blocks of one."""
     from repro.packet.headers import mac
-    from repro.target.batch import (
-        _compile_block_parser,
+    from repro.target.fastpath import (
+        _generate_parser,
         _parser_acyclic_unique_extracts,
     )
 
     program = duplicate_extract_program()
     assert not _parser_acyclic_unique_extracts(program)
-    parse = _compile_block_parser(program, honor_reject=True)
-    assert parse is not None
+    parse = _generate_parser(program, honor_reject=True)
     assert "seen" in parse.__code__.co_varnames
 
     frames = [
@@ -314,9 +379,9 @@ def _oracle_session(count=12):
 
 @pytest.mark.parametrize("target", sorted(COMPILERS))
 def test_session_reports_identical_across_engines(target):
-    """Across the device's two execution engines — the batch kernel and
-    the per-packet pipeline — the block session path reproduces the
-    lockstep protocol's SessionReport exactly: findings, latencies and
+    """Whether the session runs as blocks on the hook-free schedules or,
+    with an observer attached, lockstep on the hooked schedule, it
+    reproduces the same SessionReport exactly: findings, latencies and
     stream stats."""
     reports = []
     for observed in (False, True):
@@ -324,7 +389,7 @@ def test_session_reports_identical_across_engines(target):
             f"sess-{target}", COMPILERS[target], PROGRAMS["acl_firewall"]
         )
         if observed:
-            # An observer forces the per-packet pipeline.
+            # An observer forces the lockstep path and hooked schedule.
             device.attach_tap("input", lambda snapshot: None)
         reports.append(run_session(device, _oracle_session()).to_dict())
     assert reports[0] == reports[1]
@@ -337,7 +402,7 @@ def _stream_records(*, timestamps=None, ports=None, force_per_packet=False,
         "gen-block", COMPILERS["reference"], PROGRAMS["strict_parser"]
     )
     if observed:
-        # An observer makes inject_block run the per-packet pipeline.
+        # An observer makes inject_block run the hooked schedule.
         device.attach_tap("input", lambda snapshot: None)
     packets = [
         packet
@@ -400,11 +465,10 @@ def test_run_stream_block_path_matches_per_packet(timestamps, ports):
     )
 
 
-def test_run_stream_block_path_matches_across_engines():
+def test_run_stream_block_path_matches_across_schedules():
     """The same timed, per-port stream yields identical records whether
-    ``inject_block`` runs the batch kernel or, with an observer
-    attached, the per-packet pipeline — the block path must not
-    observably differ from the engine it bypasses."""
+    ``inject_block`` runs hook-free or, with an observer attached, on
+    the hooked schedule."""
     normalized = {}
     for observed in (False, True):
         records, _ = _stream_records(
@@ -416,10 +480,10 @@ def test_run_stream_block_path_matches_across_engines():
     assert normalized[False] == normalized[True]
 
 
-def test_campaign_reports_byte_identical_across_engines(monkeypatch):
-    """The golden-baseline matrix renders to identical JSON bytes on the
-    batch kernel and with every cell forced onto the per-packet
-    pipeline — execution choice must never leak into the canonical
+def test_campaign_reports_byte_identical_across_schedules(monkeypatch):
+    """The golden-baseline matrix renders to identical JSON bytes as
+    blocks and with every cell forced onto the per-packet lockstep
+    path — execution choice must never leak into the canonical
     report."""
     from repro.netdebug import session
 

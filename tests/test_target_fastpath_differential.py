@@ -1,10 +1,11 @@
 """Differential property suite: compiled fast path ≡ tree-walking spec.
 
-The compiled closures only count if they are *semantically invisible*:
+The compiled program only counts if it is *semantically invisible*:
 for every stdlib program, on both targets, over a workload mixing
 valid, malformed, multi-protocol and degenerate frames, the device's
-per-packet pipeline must produce exactly the verdicts, output bytes,
-egress ports and stateful-object contents that the tree-walking
+per-packet ``inject`` (the batch kernel, a block of one) must produce
+exactly the verdicts, output bytes, egress ports and stateful-object
+contents that the tree-walking
 :class:`~repro.p4.interpreter.Interpreter` produces under the same
 deviation settings as the artifact — and, for the reference target,
 exactly what the raw spec interpreter produces.

@@ -94,12 +94,15 @@ class TestBlackhole:
 
 
 class TestCorruptField:
-    def test_xor_mask_applied(self):
+    # The deparsed output shares header objects with the parsed input;
+    # a corrupt at deparser/output must still flip the field once.
+    @pytest.mark.parametrize("stage", ["ingress.0", "deparser", "output"])
+    def test_xor_mask_applied(self, stage):
         device = routed_device()
         device.injector.inject(
             Fault(
                 FaultKind.CORRUPT_FIELD,
-                stage="ingress.0",
+                stage=stage,
                 header="ipv4",
                 field="ttl",
                 mask=0xFF,

@@ -1,4 +1,8 @@
-"""Staged pipeline tests: stage decomposition, taps, injection, latency."""
+"""Staged pipeline tests: stage decomposition, taps, injection, latency.
+
+Traversal and injection run through ``NetworkDevice.inject``: the
+pipeline describes the stages, the batch kernel runs the packet.
+"""
 
 import pytest
 
@@ -7,7 +11,8 @@ from repro.p4.interpreter import Verdict
 from repro.p4.stdlib import acl_firewall, ipv4_router, strict_parser
 from repro.packet.builder import ethernet_frame, udp_packet
 from repro.packet.headers import ipv4, mac
-from repro.target.reference import ReferenceCompiler, make_reference_device
+from repro.target.device import NetworkDevice
+from repro.target.reference import ReferenceCompiler
 from repro.target.sdnet import SDNetCompiler
 from repro.target.pipeline import StagedPipeline, TAP_INPUT, TAP_OUTPUT
 
@@ -17,6 +22,12 @@ def build_pipeline(program_factory=ipv4_router, compiler_cls=ReferenceCompiler):
     program = program_factory()
     compiled = compiler.compile(program)
     return StagedPipeline(compiled, compiler.limits)
+
+
+def build_device(program_factory=ipv4_router, compiler_cls=ReferenceCompiler):
+    device = NetworkDevice("pipe", compiler_cls())
+    device.load(program_factory())
+    return device
 
 
 def routed_program():
@@ -66,29 +77,29 @@ class TestTopology:
 
 class TestTraversal:
     def test_snapshots_at_every_stage(self):
-        pipeline = build_pipeline(routed_program)
+        device = build_device(routed_program)
         seen = []
-        for stage in pipeline.stage_names():
-            pipeline.attach_tap(
+        for stage in device.stage_names():
+            device.attach_tap(
                 stage, lambda s, stage=stage: seen.append((stage, s.alive))
             )
-        run = pipeline.process(ROUTED_WIRE)
+        run = device.inject(ROUTED_WIRE)
         assert run.result.verdict is Verdict.FORWARDED
-        assert [s for s, _ in seen] == pipeline.stage_names()
+        assert [s for s, _ in seen] == device.stage_names()
         assert all(alive for _, alive in seen)
 
     def test_output_tap_carries_wire(self):
-        pipeline = build_pipeline(routed_program)
+        device = build_device(routed_program)
         captured = []
-        pipeline.attach_tap(TAP_OUTPUT, captured.append)
-        run = pipeline.process(ROUTED_WIRE)
+        device.attach_tap(TAP_OUTPUT, captured.append)
+        run = device.inject(ROUTED_WIRE)
         assert captured[0].wire == run.result.packet.pack()
 
     def test_reject_dies_at_parser(self):
-        pipeline = build_pipeline(strict_parser)
+        device = build_device(strict_parser)
         dead = []
-        pipeline.attach_tap("parser", dead.append)
-        run = pipeline.process(
+        device.attach_tap("parser", dead.append)
+        run = device.inject(
             ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30).pack()
         )
         assert run.result.verdict is Verdict.PARSER_REJECTED
@@ -97,64 +108,64 @@ class TestTraversal:
         assert dead[0].verdict_hint == "parser_reject"
 
     def test_program_drop_records_stage(self):
-        pipeline = build_pipeline(ipv4_router)  # no routes -> drop
-        run = pipeline.process(ROUTED_WIRE)
+        device = build_device(ipv4_router)  # no routes -> drop
+        run = device.inject(ROUTED_WIRE)
         assert run.result.verdict is Verdict.DROPPED
         assert run.died_at == "ingress.0"
 
     def test_sdnet_pipeline_ignores_reject(self):
-        pipeline = build_pipeline(strict_parser, SDNetCompiler)
-        run = pipeline.process(
+        device = build_device(strict_parser, SDNetCompiler)
+        run = device.inject(
             ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30).pack()
         )
         assert run.result.verdict is Verdict.FORWARDED
 
     def test_latency_positive_and_grows_with_stages(self):
-        short = build_pipeline(strict_parser)
-        long = build_pipeline(acl_firewall)
+        short = build_device(strict_parser)
+        long = build_device(acl_firewall)
         wire = udp_packet(ipv4("1.1.1.1"), ipv4("2.2.2.2"), 53, 9).pack()
-        run_short = short.process(wire)
-        run_long = long.process(wire)
+        run_short = short.inject(wire)
+        run_long = long.inject(wire)
         assert run_short.latency_cycles > 0
         assert run_long.latency_cycles > run_short.latency_cycles
 
 
 class TestInjection:
     def test_inject_at_parser_equivalent_to_input(self):
-        pipeline = build_pipeline(routed_program)
-        a = pipeline.process(ROUTED_WIRE, inject_at=TAP_INPUT)
-        b = pipeline.process(ROUTED_WIRE, inject_at="parser")
+        device = build_device(routed_program)
+        a = device.inject(ROUTED_WIRE, at=TAP_INPUT)
+        b = device.inject(ROUTED_WIRE, at="parser")
         assert a.result.packet.pack() == b.result.packet.pack()
 
     def test_inject_past_stage_skips_it(self):
         """Injection downstream of a dropping stage survives."""
-        pipeline = build_pipeline(ipv4_router)  # drops on table miss
-        normal = pipeline.process(ROUTED_WIRE)
+        device = build_device(ipv4_router)  # drops on table miss
+        normal = device.inject(ROUTED_WIRE)
         assert normal.result.verdict is Verdict.DROPPED
-        past = pipeline.process(ROUTED_WIRE, inject_at="deparser")
+        past = device.inject(ROUTED_WIRE, at="deparser")
         assert past.result.verdict is Verdict.FORWARDED
 
     def test_inject_unknown_point_rejected(self):
-        pipeline = build_pipeline()
+        device = build_device()
         with pytest.raises(TargetError):
-            pipeline.process(b"", inject_at="bogus")
+            device.inject(b"", at="bogus")
 
     def test_late_injection_still_parses(self):
-        pipeline = build_pipeline(routed_program)
-        run = pipeline.process(ROUTED_WIRE, inject_at="ingress.0")
+        device = build_device(routed_program)
+        run = device.inject(ROUTED_WIRE, at="ingress.0")
         assert run.result.verdict is Verdict.FORWARDED
         # Parsed representation was available to the match-action stage.
         assert run.result.packet.has("ipv4")
 
     def test_late_injection_of_malformed_rejected(self):
-        pipeline = build_pipeline(strict_parser)
+        device = build_device(strict_parser)
         bad = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30).pack()
-        run = pipeline.process(bad, inject_at="ingress.0")
+        run = device.inject(bad, at="ingress.0")
         assert run.result.verdict is Verdict.PARSER_REJECTED
 
     def test_stages_traversed_recorded(self):
-        pipeline = build_pipeline(routed_program)
-        run = pipeline.process(ROUTED_WIRE)
-        assert run.stages_traversed == pipeline.stage_names()
-        partial = pipeline.process(ROUTED_WIRE, inject_at="deparser")
+        device = build_device(routed_program)
+        run = device.inject(ROUTED_WIRE)
+        assert run.stages_traversed == device.stage_names()
+        partial = device.inject(ROUTED_WIRE, at="deparser")
         assert partial.stages_traversed == ["deparser", TAP_OUTPUT]
