@@ -78,7 +78,6 @@ from .oracle import (
     compile_spec,
     require_known_oracle,
 )
-from . import session as _session
 from .session import ValidationSession, run_session
 
 __all__ = [
@@ -718,9 +717,6 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         checks=[sampler] if sampler is not None else [],
         expectations=expectations,
     )
-    # Looked up on the module, so a patched eligibility rule steers
-    # both run_session and the recorded reason.
-    skipped = _session._block_eligible(device, session)
     report = run_session(device, session)
     if sampler is not None:
         _grade_sla(scenario, report, sampler)
@@ -741,7 +737,6 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         suite=suite,
         cache_stats=cache_delta if any(cache_delta.values()) else None,
         coverage=bundle.coverage,
-        execution=skipped or "block",
     )
 
 
@@ -808,12 +803,6 @@ class ScenarioResult:
     #: :mod:`repro.netdebug.compression`). Serialized conditionally,
     #: so uncompressed reports keep their pre-compression bytes.
     represented_by: str | None = None
-    #: How the cell's session ran: ``"block"`` through the batch
-    #: kernel, otherwise the reason it fell back to per-packet
-    #: injection (:func:`repro.netdebug.session._block_eligible`);
-    #: None when not recorded (replayed or synthesized cells). Not
-    #: serialized, like ``cache_stats``.
-    execution: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -1111,17 +1100,6 @@ def assemble_report(
             for counter, moved in stats.items():
                 totals[counter] = totals.get(counter, 0) + moved
     report.meta["compile_cache"] = totals
-    execution: dict = {"block": 0, "per_packet": 0, "reasons": {}}
-    for result in ordered:
-        path = result.execution
-        if path == "block":
-            execution["block"] += 1
-        elif path is not None:
-            execution["per_packet"] += 1
-            reasons = execution["reasons"]
-            reasons[path] = reasons.get(path, 0) + 1
-    if execution["block"] or execution["per_packet"]:
-        report.meta["execution"] = execution
     coverage_meta = {
         result.scenario.key: result.coverage.summary()
         for result in ordered
@@ -1217,12 +1195,6 @@ def run_campaign(
     With ``record_dir`` set the campaign is also frozen to regression
     artifacts — one :class:`RegressionSuite` per scenario plus
     ``<name>.manifest.json`` — replayable via :func:`replay_campaign`.
-
-    Each cell runs through the batch kernel when the session allows it
-    (:func:`repro.netdebug.session._block_eligible`) and per packet
-    otherwise, with byte-identical reports either way.
-    ``report.meta["execution"]`` counts the cells that ran block-wise
-    and, per reason, those that ran per packet.
 
     ``oracle_factory`` overrides the matrix's named ``oracle`` with an
     arbitrary factory (called per shard as ``factory(program,

@@ -7,6 +7,14 @@ wrapping mode and injection point — and the generator materializes and
 injects them directly into the data plane under test, bypassing the
 external interfaces.
 
+:meth:`PacketGenerator.run_stream` is how every synchronous stream
+enters the device, validation sessions included: one
+:meth:`~repro.target.device.NetworkDevice.inject_block` call at the
+stream's injection point, carrying its timestamps and ingress ports
+(blocks of one only for a wrapped stream without a timestamp for every
+packet). :meth:`PacketGenerator.schedule_stream` injects packet by
+packet, driven by simulator events.
+
 In the paper the generator is itself written in P4; here its
 programmability is expressed as declarative stream specifications whose
 field programs (sweeps/fuzz) reference the same dotted ``header.field``
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..exceptions import NetDebugError
 from ..packet.checksum import update_all_checksums
@@ -39,6 +47,23 @@ def wire_of(item: Packet | bytes) -> bytes:
     """The wire bytes of one materialized stream item (a packet, or a
     frame a :attr:`StreamSpec.packets` list already carries packed)."""
     return item if isinstance(item, bytes) else item.pack()
+
+
+def _wire(stream: "StreamSpec", seq_no: int, item, clock: int) -> bytes:
+    """The wire bytes packet ``seq_no`` of ``stream`` is injected as: a
+    probe stamped with its timestamp (``clock`` when the stream has
+    none for it) when the stream wraps, else the item itself."""
+    if stream.wrap:
+        return make_probe(
+            stream.stream_id, seq_no,
+            timestamp=stream.timestamp_at(seq_no, clock), inner=item,
+        ).pack()
+    return wire_of(item)
+
+
+def _window(values: list[int] | None, lo: int, hi: int):
+    """``values[lo:hi]``, or None for a stream without the list."""
+    return None if values is None else values[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -118,9 +143,9 @@ class StreamSpec:
     def timestamp_at(self, seq_no: int, default: int) -> int:
         """The injection timestamp for packet ``seq_no``: the stream's
         own arrival process when it defines one, else ``default`` (the
-        device clock). Both injection paths (session lockstep and
-        generator run_stream) route through this so their fallback
-        semantics cannot diverge."""
+        device clock). A wrapped probe's embedded timestamp comes from
+        here, and the device falls back to the same running clock for
+        a packet the stream leaves untimed."""
         if self.timestamps is not None and seq_no < len(self.timestamps):
             return self.timestamps[seq_no]
         return default
@@ -208,12 +233,18 @@ class PacketGenerator:
     # ------------------------------------------------------------------
     # Synchronous injection (functional testing)
     # ------------------------------------------------------------------
-    def run_stream(
-        self,
-        stream_id: int,
-        on_injected: Callable[[InjectionRecord], None] | None = None,
-    ) -> list[InjectionRecord]:
+    def run_stream(self, stream_id: int) -> list[InjectionRecord]:
         """Inject every packet of one stream back-to-back.
+
+        The stream's wires are materialized up front and enter the
+        device through one :meth:`~repro.target.device.NetworkDevice.inject_block`
+        call at the stream's ``inject_at``, carrying its arrival
+        process and per-packet ingress ports — the shape a hardware
+        generator has, where the stream program is compiled once and
+        packets are emitted back to back. A wrapped stream without a
+        timestamp for every packet is the one exception: each of its
+        probes embeds the clock the previous packet left, which exists
+        only once that packet ran, so it enters as blocks of one.
 
         Each injected packet's :class:`TargetRun` is recorded, mirroring
         the hardware generator's completion feedback to the software tool.
@@ -222,72 +253,36 @@ class PacketGenerator:
             stream = self._streams[stream_id]
         except KeyError:
             raise NetDebugError(f"no stream {stream_id}") from None
-
-        # Bare streams with no per-packet callback take the block path:
-        # all wires are materialized up front and handed to the device
-        # in one call, amortizing per-packet setup — the shape a
-        # hardware generator has, where the stream program is compiled
-        # once and packets are emitted back to back. inject_block runs
-        # the batch kernel (its hooked schedule when taps or armed
-        # faults need it), carrying the stream's own arrival
-        # process and per-packet ingress ports; only a non-input
-        # injection tap still needs inject_batch, which is tap-generic.
-        batchable = not stream.wrap and on_injected is None
-        if batchable and stream.inject_at == TAP_INPUT:
-            wires = [wire_of(packet) for packet in stream.materialize()]
-            injected = self._device.inject_block(
-                wires,
-                timestamps=stream.timestamps,
-                ports=stream.ingress_ports,
-            )
-        elif (
-            batchable
-            and stream.timestamps is None
-            and stream.ingress_ports is None
-        ):
-            # inject_block only enters at the input tap; other taps
-            # keep the tap-generic batch loop (these streams carry no
-            # arrival process or per-packet ports of their own).
-            wires = [wire_of(packet) for packet in stream.materialize()]
-            injected = self._device.inject_batch(
-                wires, at=stream.inject_at
-            )
-        else:
-            injected = None
-        if injected is not None:
-            records = [
-                InjectionRecord(
-                    stream.stream_id, seq_no, wires[seq_no], timestamp,
-                    run=run,
-                )
-                for seq_no, (timestamp, run) in enumerate(injected)
-            ]
-            self.injected.extend(records)
-            return records
-
+        device = self._device
+        packets = list(stream.materialize())
+        count = len(packets)
+        timed = (
+            stream.timestamps is not None
+            and len(stream.timestamps) >= count
+        )
+        step = 1 if stream.wrap and not timed else max(count, 1)
         records: list[InjectionRecord] = []
-        for seq_no, packet in enumerate(stream.materialize()):
-            timestamp = stream.timestamp_at(
-                seq_no, self._device.clock_cycles
+        for lo in range(0, count, step):
+            hi = lo + step
+            wires = [
+                _wire(stream, seq_no, packet, device.clock_cycles)
+                for seq_no, packet in enumerate(packets[lo:hi], lo)
+            ]
+            outcomes = device.inject_block(
+                wires,
+                at=stream.inject_at,
+                timestamps=_window(stream.timestamps, lo, hi),
+                ports=_window(stream.ingress_ports, lo, hi),
             )
-            if stream.wrap:
-                wire = make_probe(
-                    stream.stream_id, seq_no, timestamp=timestamp,
-                    inner=packet,
-                ).pack()
-            else:
-                wire = wire_of(packet)
-            record = InjectionRecord(
-                stream.stream_id, seq_no, wire, timestamp
-            )
-            record.run = self._device.inject(
-                wire, at=stream.inject_at, port=stream.port_at(seq_no),
-                timestamp=timestamp,
-            )
-            records.append(record)
-            self.injected.append(record)
-            if on_injected is not None:
-                on_injected(record)
+            records += [
+                InjectionRecord(
+                    stream.stream_id, seq_no, wire, timestamp, run=run
+                )
+                for seq_no, (wire, (timestamp, run)) in enumerate(
+                    zip(wires, outcomes), lo
+                )
+            ]
+        self.injected.extend(records)
         return records
 
     def run_all(self) -> list[InjectionRecord]:
@@ -323,7 +318,8 @@ class PacketGenerator:
                     stream.stream_id, seq_no, wire, timestamp
                 )
                 record.run = self._device.inject(
-                    wire, at=stream.inject_at, timestamp=timestamp
+                    wire, at=stream.inject_at,
+                    port=stream.port_at(seq_no), timestamp=timestamp,
                 )
                 self.injected.append(record)
 

@@ -626,17 +626,14 @@ class CampaignService:
             return
         try:
             result = ScenarioResult.from_dict(message["result"])
-            # cache_stats, the execution path and a recorded suite ride
-            # the frame as sidecars (none is part of the golden to_dict
-            # bytes); restoring them keeps meta["compile_cache"] and
-            # meta["execution"] meaningful.
+            # cache_stats and a recorded suite ride the frame as
+            # sidecars (neither is part of the golden to_dict bytes);
+            # restoring them keeps meta["compile_cache"] meaningful.
             stats = message.get("cache_stats")
             if stats:
                 result.cache_stats = {
                     str(k): int(v) for k, v in stats.items()
                 }
-            if message.get("execution") is not None:
-                result.execution = str(message["execution"])
             if "suite" in message:
                 result.suite = RegressionSuite.from_dict(message["suite"])
         except (KeyError, TypeError, ValueError, NetDebugError) as exc:

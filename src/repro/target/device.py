@@ -243,9 +243,7 @@ class NetworkDevice:
         Returns ``(timestamp, run)`` per frame, where ``timestamp`` is
         the device clock at injection time (what a wrapped probe would
         carry). Each frame is a block of one, so an error stops the
-        batch at that frame, as a loop of :meth:`inject` calls would;
-        :meth:`repro.netdebug.generator.PacketGenerator.run_stream` uses
-        it for streams that enter past the ``input`` tap.
+        batch at that frame, as a loop of :meth:`inject` calls would.
         """
         results: list[tuple[int, TargetRun]] = []
         for wire in wires:
@@ -262,14 +260,22 @@ class NetworkDevice:
         port: int = 0,
         ports=None,
         on_error: str = "raise",
+        at: str = TAP_INPUT,
     ):
-        """Inject a block of test frames at the ``input`` tap.
+        """Inject a block of test frames at tap ``at``.
 
         Semantically equivalent to calling :meth:`inject` per frame
         (``timestamps`` optionally pins per-frame timestamps; missing
-        entries fall back to the running clock). With a tap attached or
-        a fault armed the block runs packet by packet on the kernel's
-        hooked schedule, so taps see and faults act on every frame.
+        entries fall back to the running clock). With a tap attached, a
+        fault armed or ``at`` past ``input`` the block runs packet by
+        packet on the kernel's hooked schedule, so taps see and faults
+        act on every frame.
+
+        The clock and :attr:`stats` are accounted after the whole
+        block: a tap callback that reads :attr:`clock_cycles` or
+        :attr:`stats` mid-block sees their values from the start of
+        the block, where an :meth:`inject` loop would show each
+        earlier frame's effect.
 
         ``ports`` optionally pins per-frame ingress ports (missing
         entries fall back to the scalar ``port``) — how bidirectional
@@ -285,7 +291,7 @@ class NetworkDevice:
             raise TargetError(
                 f"on_error must be 'raise' or 'capture', got {on_error!r}"
             )
-        outcomes = self._run(wires, TAP_INPUT, timestamps, port, ports)
+        outcomes = self._run(wires, at, timestamps, port, ports)
         account = self._account
         results = []
         first_error = None

@@ -183,91 +183,93 @@ class TestRunCampaign:
             del PROVISIONERS["test-routes"]
 
 
+def _count_calls(monkeypatch, cls, name):
+    """Count calls of ``cls.name`` for the rest of the test."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 class TestExecutionMeta:
-    """``meta["execution"]`` says which cells took the batch kernel and
-    why the others fell back, without touching canonical bytes."""
+    """How a cell executes leaves no trace in its report: every cell's
+    stream enters the device through one ``inject_block`` call, the
+    report meta records no execution path, and packets injected one by
+    one render the golden bytes."""
 
     FAULTED = {
         "baseline": (),
         "blackhole": (Fault(FaultKind.BLACKHOLE, stage="ingress.0"),),
     }
 
-    def test_seeded_matrix_runs_all_block(self):
+    def test_seeded_matrix_runs_all_block(self, monkeypatch):
         from repro.netdebug.diffing import baseline_matrix
+        from repro.target.device import NetworkDevice
 
+        injects = _count_calls(monkeypatch, NetworkDevice, "inject")
+        blocks = _count_calls(monkeypatch, NetworkDevice, "inject_block")
         report = run_campaign(baseline_matrix(), name="block")
-        assert report.meta["execution"] == {
-            "block": report.scenarios, "per_packet": 0, "reasons": {},
-        }
-        assert "execution" not in report.to_json()
+        assert (len(injects), len(blocks)) == (0, report.scenarios)
+        assert "execution" not in report.meta
 
-    def test_fault_armed_cell_runs_per_packet(self):
+    def test_fault_armed_cell_runs_per_packet(self, monkeypatch):
+        """The fault-armed cell's one block runs packet by packet on the
+        kernel's hooked schedule; the baseline cell's runs hook-free."""
+        from repro.target.batch import BatchProgram
+        from repro.target.device import NetworkDevice
+
+        blocks = _count_calls(monkeypatch, NetworkDevice, "inject_block")
+        hooked = _count_calls(monkeypatch, BatchProgram, "_run_hooked")
         report = run_campaign(tiny_matrix(faults=self.FAULTED), name="f")
-        assert report.meta["execution"] == {
-            "block": 1, "per_packet": 1, "reasons": {"faults armed": 1},
-        }
         by_fault = {r.scenario.fault: r for r in report.results}
-        assert by_fault["baseline"].execution == "block"
-        assert by_fault["blackhole"].execution == "faults armed"
-        assert "execution" not in report.to_json()
-        assert "faults armed" not in report.to_json()
-
-    def test_closure_engine_names_the_engine(self, monkeypatch):
-        """A cell steered off the batch kernel onto the per-packet
-        closures names the reason in ``meta["execution"]`` and on its
-        result, and renders to the batch kernel's bytes."""
-        from repro.netdebug import session
-
-        block = run_campaign(tiny_matrix(), name="c")
-        monkeypatch.setattr(
-            session, "_block_eligible", lambda device, s: "closure"
-        )
-        report = run_campaign(tiny_matrix(), name="c")
-        assert report.meta["execution"] == {
-            "block": 0, "per_packet": 1, "reasons": {"closure": 1},
-        }
-        assert block.results[0].execution == "block"
-        assert report.results[0].execution == "closure"
-        assert report.to_json() == block.to_json()
+        assert len(blocks) == 2
+        assert len(hooked) == by_fault["blackhole"].report.injected == 4
+        assert by_fault["baseline"].passed
+        assert by_fault["blackhole"].report.findings_of("missing_output")
+        assert "execution" not in report.meta
 
     def test_forced_per_packet_reproduces_the_golden(
         self, tmp_path, monkeypatch
     ):
-        """Every golden cell, run per packet through the pipeline's
-        closures instead of the batch kernel, renders to exactly the
-        committed ``baselines/campaign.json`` bytes, and the execution
-        meta counts every cell under the forcing reason."""
+        """Every golden cell, its packets injected one by one (a block
+        of one per packet, on the running clock) instead of as one
+        block, renders to exactly the committed
+        ``baselines/campaign.json`` bytes."""
         from pathlib import Path
 
-        from repro.netdebug import session
         from repro.netdebug.diffing import baseline_matrix
+        from repro.target.device import NetworkDevice
 
-        monkeypatch.setattr(
-            session, "_block_eligible", lambda device, s: "forced"
-        )
+        blocks = _count_calls(monkeypatch, NetworkDevice, "inject_block")
+        real = NetworkDevice.inject_block
+
+        def one_by_one(self, wires, timestamps=None, port=0, ports=None,
+                       on_error="raise", at="input"):
+            return [
+                outcome
+                for i, wire in enumerate(wires)
+                for outcome in real(
+                    self, [wire],
+                    timestamps=timestamps and timestamps[i:i + 1],
+                    port=port, ports=ports and ports[i:i + 1],
+                    on_error=on_error, at=at,
+                )
+            ]
+
+        monkeypatch.setattr(NetworkDevice, "inject_block", one_by_one)
         report = run_campaign(baseline_matrix(), name="baseline")
-        assert report.meta["execution"] == {
-            "block": 0,
-            "per_packet": report.scenarios,
-            "reasons": {"forced": report.scenarios},
-        }
+        assert len(blocks) == sum(r.report.injected for r in report.results)
         golden = (
             Path(__file__).resolve().parent.parent
             / "baselines" / "campaign.json"
         )
         fresh = report.save(tmp_path / "campaign.json")
         assert fresh.read_bytes() == golden.read_bytes()
-
-    def test_counts_survive_the_cluster_wire(self):
-        from repro.netdebug.cluster import run_cluster_campaign
-
-        matrix = tiny_matrix(faults=self.FAULTED)
-        serial = run_campaign(matrix, name="wire")
-        clustered = run_cluster_campaign(
-            matrix, workers=1, name="wire", timeout=300
-        )
-        assert clustered.meta["execution"] == serial.meta["execution"]
-        assert clustered.to_json() == serial.to_json()
 
 
 class TestDeterminism:

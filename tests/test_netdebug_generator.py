@@ -221,12 +221,28 @@ class TestGenerator:
         assert len(generator.injected) == 10
         assert sim.now == pytest.approx(9_000.0)
 
-    def test_on_injected_callback(self):
-        device = loaded_device()
-        generator = PacketGenerator(device)
-        generator.configure(
-            StreamSpec(stream_id=1, template=template(), count=3)
-        )
-        seen = []
-        generator.run_stream(1, on_injected=seen.append)
-        assert len(seen) == 3
+    def test_scheduled_stream_honours_ingress_ports(self):
+        """Simulator-timed injection enters each packet on the stream's
+        own ingress port, as ``run_stream`` does."""
+        from repro.sim.events import Simulator
+
+        entered = {}
+        for path in ("scheduled", "run_stream"):
+            generator = PacketGenerator(loaded_device())
+            generator.configure(
+                StreamSpec(
+                    stream_id=1, template=template(), count=4,
+                    ingress_ports=[0, 1, 2, 3],
+                )
+            )
+            if path == "scheduled":
+                sim = Simulator()
+                generator.schedule_stream(1, sim)
+                sim.run()
+            else:
+                generator.run_stream(1)
+            entered[path] = [
+                record.run.result.metadata["ingress_port"]
+                for record in generator.injected
+            ]
+        assert entered["scheduled"] == entered["run_stream"] == [0, 1, 2, 3]

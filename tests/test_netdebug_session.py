@@ -1,17 +1,28 @@
 """Session orchestration tests: oracles, expectations, reports."""
 
+import itertools
+
 import pytest
 
 from repro.exceptions import NetDebugError
-from repro.netdebug.checker import ExpectedOutput, ExprCheck
-from repro.netdebug.generator import StreamSpec
+from repro.netdebug.checker import (
+    ExpectedOutput,
+    ExprCheck,
+    LatencyCheck,
+    OutputChecker,
+)
+from repro.netdebug.generator import StreamSpec, wire_of
 from repro.netdebug.oracle import StatelessOracle
+from repro.netdebug.report import SessionReport
 from repro.netdebug.session import ValidationSession, run_session
+from repro.netdebug.testpacket import make_probe
 from repro.p4.expr import fld
 from repro.p4.stdlib import ipv4_router, strict_parser
 from repro.packet.builder import ethernet_frame, parse_ethernet, udp_packet
 from repro.packet.headers import ipv4, mac
 from repro.sim.traffic import default_flow, malformed_mix, udp_stream
+from repro.target.device import NetworkDevice
+from repro.target.faults import Fault, FaultKind
 from repro.target.reference import make_reference_device
 from repro.target.sdnet import make_sdnet_device
 
@@ -24,6 +35,53 @@ def routed_device(factory=make_reference_device, name="ses0"):
         [mac("aa:bb:cc:dd:ee:01"), 2],
     )
     return device
+
+
+def lockstep_reference(device, session):
+    """The session protocol packet by packet, the way a checker wired to
+    the device sees it: the checker attached at the output tap, then
+    arm → ``device.inject`` → disarm per packet."""
+    checker = OutputChecker(device)
+    for rule in session.checks:
+        checker.add_check(rule)
+    factory = session.oracle_factory or (
+        StatelessOracle if session.use_reference_oracle else None
+    )
+    oracle = factory and factory(device.program, num_ports=len(device.ports))
+    explicit = iter(session.expectations)
+    sent = {}
+    with checker:
+        for stream in session.streams:
+            sent[stream.stream_id] = 0
+            for seq_no, packet in enumerate(stream.materialize()):
+                ts = stream.timestamp_at(seq_no, device.clock_cycles)
+                port = stream.port_at(seq_no)
+                wire = make_probe(
+                    stream.stream_id, seq_no, timestamp=ts, inner=packet
+                ).pack() if stream.wrap else wire_of(packet)
+                expectation = next(explicit) if session.expectations else (
+                    oracle and oracle.expect(
+                        wire, ingress_port=port, timestamp=ts,
+                        label=f"s{stream.stream_id}#{seq_no}",
+                    )
+                )
+                if expectation is not None:
+                    checker.arm(expectation)
+                device.inject(wire, at=stream.inject_at, port=port,
+                              timestamp=ts)
+                if expectation is not None:
+                    checker.disarm()
+                sent[stream.stream_id] += 1
+        checker.finalize(
+            sent if any(s.wrap for s in session.streams) else None
+        )
+    return SessionReport(
+        session=session.name, device=device.name,
+        program=device.program.name, checks=checker.outcomes(),
+        findings=list(checker.findings), streams=dict(checker.streams),
+        latency=checker.latency, injected=sum(sent.values()),
+        observed=checker.observed,
+    )
 
 
 def routed_packets(count=5, seed=0):
@@ -223,20 +281,32 @@ class TestRunSession:
             run_session(device, session)
 
     def test_custom_oracle_callable(self):
+        """Any callable ``oracle_factory(program, num_ports=...)`` works:
+        it is called once per run and its oracle is fed every packet in
+        injection order."""
         device = routed_device()
-        calls = []
+        built, calls = [], []
 
-        def oracle(wire, port):
-            calls.append(wire)
-            return ExpectedOutput(egress_port=2)
+        class CountingOracle:
+            def __init__(self, program, num_ports):
+                built.append((program.name, num_ports))
 
+            def expect(self, wire, ingress_port, timestamp, label):
+                calls.append((wire, ingress_port, label))
+                return ExpectedOutput(egress_port=2, label=label)
+
+        packets = routed_packets(3)
         session = ValidationSession(
             name="custom",
-            streams=[StreamSpec(stream_id=1, packets=routed_packets(3))],
-            oracle=oracle,
+            streams=[StreamSpec(stream_id=1, packets=packets)],
+            oracle_factory=CountingOracle,
         )
         report = run_session(device, session)
-        assert len(calls) == 3
+        assert built == [("ipv4_router", len(device.ports))]
+        assert calls == [
+            (packet.pack(), 0, f"s1#{seq_no}")
+            for seq_no, packet in enumerate(packets)
+        ]
         assert report.passed
 
     def test_checks_applied(self):
@@ -356,20 +426,17 @@ class TestWireFrameStreams:
     @pytest.mark.parametrize("wrap", [False, True])
     @pytest.mark.parametrize("timed", [False, True])
     def test_frames_report_like_packets_on_both_paths(self, wrap, timed):
-        from repro.netdebug.session import _block_eligible
-
+        """Frames ≡ packets both through ``run_session`` and through
+        the lockstep reference, and the two paths agree."""
         packets = routed_packets(6)
         reports = {}
-        paths = {}
-        for path in ("block", "per_packet"):
+        for path, run in (
+            ("session", run_session), ("lockstep", lockstep_reference)
+        ):
             for kind, items in (
                 ("packets", packets),
                 ("frames", [packet.pack() for packet in packets]),
             ):
-                device = _session_device(wrap)
-                if path == "per_packet":
-                    # An observer forces the per-packet path (hooked schedule).
-                    device.attach_tap("input", lambda snapshot: None)
                 session = ValidationSession(
                     name="frames",
                     streams=[
@@ -385,77 +452,203 @@ class TestWireFrameStreams:
                     ],
                     use_reference_oracle=True,
                 )
-                paths[path, kind] = _block_eligible(device, session)
-                reports[path, kind] = run_session(device, session).to_dict()
+                reports[path, kind] = run(
+                    _session_device(wrap), session
+                ).to_dict()
 
-        assert paths["per_packet", "frames"] == "taps"
-        assert paths["block", "frames"] == (
-            "untimed wrapped stream" if wrap and not timed else None
-        )
-        assert paths["block", "packets"] == paths["block", "frames"]
-        for path in ("block", "per_packet"):
+        for path in ("session", "lockstep"):
             assert reports[path, "frames"] == reports[path, "packets"]
-        assert reports["block", "frames"] == reports["per_packet", "frames"]
-        assert reports["block", "frames"]["passed"]
+        assert reports["session", "frames"] == reports["lockstep", "frames"]
+        assert reports["session", "frames"]["passed"]
+
+
+def _counting_injections(monkeypatch):
+    """Count ``NetworkDevice.inject`` and ``inject_block`` calls."""
+    calls = {"inject": 0, "inject_block": 0}
+    for name in calls:
+        real = getattr(NetworkDevice, name)
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkDevice, name, counted)
+    return calls
 
 
 class TestBlockEligibility:
-    """``_block_eligible`` names why a session cannot take the kernel."""
+    """Every session runs block-wise: each condition that once sent a
+    session down a per-packet loop (taps, armed faults, a mid-pipeline
+    ``inject_at``, an untimed wrapped stream) now enters the device
+    through ``inject_block`` — never ``inject`` — and reports exactly
+    what the lockstep reference does."""
 
     @staticmethod
-    def _reason(device=None, **overrides):
-        from repro.netdebug.session import _block_eligible
+    def _check(monkeypatch, device=None, blocks=1, **stream):
+        def make():
+            return device() if device else _session_device(wrap=False)
 
-        stream = overrides.pop("stream", {})
         session = ValidationSession(
             name="why",
             streams=[
                 StreamSpec(stream_id=1, packets=routed_packets(2), **stream)
             ],
             use_reference_oracle=True,
-            **overrides,
         )
-        device = device or _session_device(wrap=False)
-        return _block_eligible(device, session)
+        expected = lockstep_reference(make(), session).to_dict()
+        calls = _counting_injections(monkeypatch)
+        report = run_session(make(), session).to_dict()
+        assert calls == {"inject": 0, "inject_block": blocks}
+        assert report == expected
 
-    def test_eligible_session_has_no_reason(self):
-        assert self._reason() is None
+    def test_eligible_session_has_no_reason(self, monkeypatch):
+        self._check(monkeypatch)
 
-    def test_engine(self):
+    def test_engine(self, monkeypatch):
         """No target's engine keeps a session off the batch kernel."""
         from repro.target.tofino import make_tofino_device
 
         for factory in (
             make_reference_device, make_sdnet_device, make_tofino_device
         ):
-            assert self._reason(routed_device(factory, name="why")) is None
+            self._check(
+                monkeypatch, lambda: routed_device(factory, name="why")
+            )
+            monkeypatch.undo()
 
-    def test_taps(self):
-        device = _session_device(wrap=False)
-        device.attach_tap("ingress.0", lambda snapshot: None)
-        assert self._reason(device) == "taps"
+    def test_taps(self, monkeypatch):
+        def tapped():
+            device = _session_device(wrap=False)
+            device.attach_tap("ingress.0", lambda snapshot: None)
+            return device
 
-    def test_faults_armed(self):
-        from repro.target.faults import Fault, FaultKind
+        self._check(monkeypatch, tapped)
 
-        device = _session_device(wrap=False)
-        device.injector.inject(Fault(FaultKind.BLACKHOLE))
-        assert self._reason(device) == "faults armed"
+    def test_faults_armed(self, monkeypatch):
+        def faulted():
+            device = _session_device(wrap=False)
+            device.injector.inject(Fault(FaultKind.BLACKHOLE))
+            return device
 
-    def test_custom_oracle(self):
-        assert self._reason(
-            oracle=lambda wire, port: ExpectedOutput(forbid=True)
-        ) == "custom oracle"
+        self._check(monkeypatch, faulted)
 
-    def test_non_output_tap(self):
-        assert self._reason(tap="ingress.0") == "non-output tap"
+    def test_mid_pipeline_inject_at(self, monkeypatch):
+        self._check(monkeypatch, inject_at="ingress.0")
 
-    def test_mid_pipeline_inject_at(self):
-        assert self._reason(stream={"inject_at": "ingress.0"}) == (
-            "mid-pipeline inject_at"
+    def test_untimed_wrapped_stream(self, monkeypatch):
+        """Blocks of one: each probe embeds the clock the previous
+        packet left."""
+        self._check(
+            monkeypatch, lambda: _session_device(wrap=True), blocks=2,
+            wrap=True,
         )
 
-    def test_untimed_wrapped_stream(self):
-        assert self._reason(stream={"wrap": True}) == (
-            "untimed wrapped stream"
-        )
+
+#: One fault per kind the reference comparison arms, by kind name.
+FAULTS = {
+    "BLACKHOLE": dict(),
+    "CORRUPT_FIELD": dict(header="ethernet", field="src_addr", mask=0xFF),
+    "MISROUTE": dict(port=3),
+    "TRUNCATE_PAYLOAD": dict(length=8),
+    "EXTRA_LATENCY": dict(extra_cycles=40),
+}
+
+#: Stream shapes: (wrap, timed).
+SHAPES = {
+    "bare-untimed": (False, False),
+    "bare-timed": (False, True),
+    "wrapped-timed": (True, True),
+    "wrapped-untimed": (True, False),
+}
+
+
+def _shaped_session(shape):
+    wrap, timed = SHAPES[shape]
+    return ValidationSession(
+        name=f"ref-{shape}",
+        streams=[
+            StreamSpec(
+                stream_id=5,
+                packets=routed_packets(6),
+                wrap=wrap,
+                timestamps=[90 * i + 3 for i in range(6)] if timed else None,
+                ingress_ports=[i % 3 for i in range(6)],
+            )
+        ],
+        checks=[LatencyCheck("sla", max_cycles=40)],
+        use_reference_oracle=True,
+    )
+
+
+class TestLockstepReference:
+    """``run_session`` ≡ the lockstep reference, byte for byte, under
+    every fault kind at every stage class and for every stream shape."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize(
+        "stage", ["parser", "ingress.0", "deparser", "output"]
+    )
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_session_matches_lockstep_reference_under_faults(
+        self, kind, stage, shape
+    ):
+        reports = []
+        for run in (run_session, lockstep_reference):
+            device = _session_device(SHAPES[shape][0], name="ref")
+            device.injector.inject(
+                Fault(FaultKind[kind], stage=stage, **FAULTS[kind])
+            )
+            reports.append(run(device, _shaped_session(shape)).to_dict())
+        assert reports[0] == reports[1]
+        assert reports[0]["injected"] == 6
+
+    def test_user_tap_sees_the_same_packets(self):
+        """A user's taps see every packet at every stage, in the same
+        order and state, and the report is unchanged by them."""
+        seen, reports = [], []
+        for run in (run_session, lockstep_reference):
+            device = _session_device(True, name="ref")
+            # Kills every other packet at the output stage.
+            parity = itertools.cycle((True, False))
+            device.injector.inject(
+                Fault(FaultKind.BLACKHOLE, stage="output",
+                      predicate=lambda packet, parity=parity: next(parity))
+            )
+            log = []
+            for stage in ("ingress.0", "output"):
+                device.attach_tap(stage, lambda snap, log=log: log.append(
+                    (snap.stage, snap.wire, snap.alive,
+                     snap.metadata.get("_cycles_elapsed"))
+                ))
+            reports.append(
+                run(device, _shaped_session("wrapped-untimed")).to_dict()
+            )
+            seen.append(log)
+        assert reports[0] == reports[1]
+        assert seen[0] == seen[1]
+        assert [alive for stage, _, alive, _ in seen[0]] == [
+            True, False, True, True,
+        ] * 3
+
+    def test_raising_packet_raises_like_lockstep(self):
+        """A packet the device cannot run raises the lockstep loop's
+        typed error with its message."""
+        from repro.exceptions import P4RuntimeError
+
+        errors = []
+        for run in (run_session, lockstep_reference):
+            device = routed_device(make_sdnet_device, name="ref-raise")
+            session = ValidationSession(
+                name="raise",
+                streams=[
+                    StreamSpec(
+                        stream_id=1,
+                        packets=[*routed_packets(2), b"\x00" * 5],
+                    )
+                ],
+                use_reference_oracle=True,
+            )
+            with pytest.raises(P4RuntimeError) as caught:
+                run(device, session)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]

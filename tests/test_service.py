@@ -218,8 +218,8 @@ class TestJobCodec:
         assert faults == matrix.faults[scenario.fault]
 
     def test_payload_carries_only_the_cell(self):
-        # No execution knob travels: the worker's device picks block or
-        # per-packet from what it can observe, like a serial run.
+        # No execution knob travels: the worker runs the cell as a
+        # serial run would.
         scenario = service_matrix().expand()[0]
         payload = encode_job(scenario, ())
         assert set(payload) == {"scenario", "faults"}
@@ -397,27 +397,6 @@ class TestService:
         assert verdict["identical"] and not verdict["regression"]
         alpha.close()
         beta.close()
-
-    def test_execution_counts_reach_the_client(self, fleet):
-        # The per-cell execution path rides the result frames into the
-        # client's report meta.
-        f = fleet()
-        f.add_worker()
-        f.wait_workers(1)
-        matrix = service_matrix(
-            faults={
-                "baseline": (),
-                "blackhole": (
-                    Fault(FaultKind.BLACKHOLE, stage="ingress.0"),
-                ),
-            },
-        )
-        report = f.client().run(matrix, name="paths")
-        serial = run_campaign(matrix, name="paths")
-        assert report.meta["execution"] == serial.meta["execution"] == {
-            "block": 2, "per_packet": 2, "reasons": {"faults armed": 2},
-        }
-        assert report.to_json() == serial.to_json()
 
     def test_worker_crash_mid_campaign_recovers(self, fleet):
         # One worker hard-exits on its second shard; after the grace

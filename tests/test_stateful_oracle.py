@@ -10,9 +10,10 @@ The oracle refactor's contract, pinned end to end:
 * **stateless control** — :class:`StatelessOracle` reproduces the
   historical fresh-state-per-packet prediction, so it must keep
   forbidding the return path even after the outbound packet;
-* **block ≡ per-packet** — register-bearing programs take the batch
-  kernel's packet-major schedule, so the stateful session protocol is
-  block-compatible and reports match the lockstep path byte-for-byte;
+* **block ≡ lockstep** — register-bearing programs take the batch
+  kernel's packet-major schedule, so a stateful session run block-wise
+  reports exactly what the lockstep reference (arm → ``inject`` →
+  disarm per packet) does;
 * **distribution identity** — the seeded ``stateful_firewall`` ×
   ``tcp_bidir`` campaign renders to identical JSON bytes run serially,
   on a 4-worker pool, and on a 2-worker localhost cluster.
@@ -23,11 +24,7 @@ import pytest
 from repro.netdebug.campaign import ScenarioMatrix, run_campaign
 from repro.netdebug.generator import StreamSpec
 from repro.netdebug.oracle import ORACLES, ReferenceOracle, StatelessOracle
-from repro.netdebug.session import (
-    ValidationSession,
-    _block_eligible,
-    run_session,
-)
+from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.interpreter import Interpreter
 from repro.p4.stdlib import strict_parser
 from repro.p4.stdlib_ext import stateful_firewall
@@ -42,6 +39,7 @@ from repro.sim.traffic import (
 from repro.target.batch import get_batch_program
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
+from tests.test_netdebug_session import lockstep_reference
 
 #: How each packet is carried through ``stateful_firewall``: the spec
 #: tree-walker over one runtime state, the device's per-packet
@@ -187,9 +185,9 @@ class TestBatchCompatibility:
         ).columnar is True
 
     def test_stateful_session_block_path_matches_lockstep(self):
-        """A session with a stateful ``oracle_factory`` stays
-        block-eligible; its block report must reproduce the per-packet
-        lockstep report exactly."""
+        """A session with a stateful ``oracle_factory`` runs
+        block-wise and reproduces the lockstep reference's report
+        exactly."""
         pairs = bidirectional_flows(default_flow(), 24, seed=11)
         session = ValidationSession(
             name="stateful-block",
@@ -202,13 +200,10 @@ class TestBatchCompatibility:
             ],
             oracle_factory=ReferenceOracle,
         )
-        assert _block_eligible(make_device(name="sess-sfw"), session) is None
         block = run_session(make_device(name="sess-sfw"), session)
-        per_packet_device = make_device(name="sess-sfw")
-        # An observer forces the per-packet path (hooked schedule).
-        per_packet_device.attach_tap("input", lambda snapshot: None)
-        per_packet = run_session(per_packet_device, session)
-        assert block.to_dict() == per_packet.to_dict()
+        lockstep = lockstep_reference(make_device(name="sess-sfw"), session)
+        assert block.to_dict() == lockstep.to_dict()
+        assert block.findings == []
 
 
 # ---------------------------------------------------------------------------

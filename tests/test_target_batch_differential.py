@@ -18,7 +18,7 @@ itself against the tree-walking spec
 against the spec under each artifact's deviation settings),
 ``tests/test_compiled_oracle.py`` (the oracle's predictions against
 interpreter-backed oracles) and the edge cases below. Campaign-level
-byte identity of the forced per-packet path against the golden is
+byte identity of packets injected one by one against the golden is
 pinned in ``tests/test_campaign.py``.
 """
 
@@ -27,7 +27,11 @@ import pytest
 from repro.exceptions import CompileError
 from repro.netdebug.campaign import run_campaign
 from repro.netdebug.diffing import baseline_matrix
-from repro.netdebug.generator import PacketGenerator, StreamSpec
+from repro.netdebug.generator import (
+    InjectionRecord,
+    PacketGenerator,
+    StreamSpec,
+)
 from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.stdlib import PROGRAMS
 from repro.packet.builder import ethernet_frame
@@ -379,25 +383,28 @@ def _oracle_session(count=12):
 
 @pytest.mark.parametrize("target", sorted(COMPILERS))
 def test_session_reports_identical_across_engines(target):
-    """Whether the session runs as blocks on the hook-free schedules or,
-    with an observer attached, lockstep on the hooked schedule, it
-    reproduces the same SessionReport exactly: findings, latencies and
-    stream stats."""
+    """Whether the session's blocks run on the hook-free schedules or,
+    with an observer attached, on the hooked schedule, it reproduces
+    the same SessionReport exactly: findings, latencies and stream
+    stats."""
     reports = []
     for observed in (False, True):
         device = make_device(
             f"sess-{target}", COMPILERS[target], PROGRAMS["acl_firewall"]
         )
         if observed:
-            # An observer forces the lockstep path and hooked schedule.
+            # An observer forces the hooked schedule.
             device.attach_tap("input", lambda snapshot: None)
         reports.append(run_session(device, _oracle_session()).to_dict())
     assert reports[0] == reports[1]
 
 
 def _stream_records(*, timestamps=None, ports=None, force_per_packet=False,
-                    observed=False):
-    """run_stream one malformed-mix stream; return records + device."""
+                    observed=False, inject_at="input"):
+    """Inject one malformed-mix stream; return records + device.
+
+    ``run_stream`` by default; ``force_per_packet`` is the control arm,
+    one ``inject`` per packet at the stream's timestamp and port."""
     device = make_device(
         "gen-block", COMPILERS["reference"], PROGRAMS["strict_parser"]
     )
@@ -408,17 +415,23 @@ def _stream_records(*, timestamps=None, ports=None, force_per_packet=False,
         packet
         for packet, _ in malformed_mix(default_flow(), 16, 0.5, seed=41)
     ]
-    generator = PacketGenerator(device)
-    generator.configure(
-        StreamSpec(
-            stream_id=3, packets=packets, timestamps=timestamps,
-            ingress_ports=ports,
-        )
+    stream = StreamSpec(
+        stream_id=3, packets=packets, timestamps=timestamps,
+        ingress_ports=ports, inject_at=inject_at,
     )
-    # A no-op per-packet callback disables the block path without
-    # changing observable semantics — the forced-fallback control arm.
-    hook = (lambda record: None) if force_per_packet else None
-    records = generator.run_stream(3, on_injected=hook)
+    if not force_per_packet:
+        generator = PacketGenerator(device)
+        generator.configure(stream)
+        return generator.run_stream(3), device
+    records = []
+    for seq_no, packet in enumerate(stream.materialize()):
+        timestamp = stream.timestamp_at(seq_no, device.clock_cycles)
+        wire = packet.pack()
+        run = device.inject(
+            wire, at=inject_at, port=stream.port_at(seq_no),
+            timestamp=timestamp,
+        )
+        records.append(InjectionRecord(3, seq_no, wire, timestamp, run))
     return records, device
 
 
@@ -446,23 +459,25 @@ def _normalize_records(records):
     ids=["bare", "timestamps", "ports", "both"],
 )
 def test_run_stream_block_path_matches_per_packet(timestamps, ports):
-    """``run_stream``'s default block path — including streams carrying
-    their own arrival process and per-packet ingress ports — is
-    byte-identical to the forced per-packet loop, records and device
-    accounting alike."""
-    blocked, block_device = _stream_records(
-        timestamps=timestamps, ports=ports
-    )
-    looped, loop_device = _stream_records(
-        timestamps=timestamps, ports=ports, force_per_packet=True
-    )
-    assert _normalize_records(blocked) == _normalize_records(looped)
-    assert block_device.clock_cycles == loop_device.clock_cycles
-    assert block_device.stats == loop_device.stats
-    assert (
-        block_device.pipeline.state.counters
-        == loop_device.pipeline.state.counters
-    )
+    """``run_stream``'s one ``inject_block`` call — including streams
+    carrying their own arrival process and per-packet ingress ports,
+    entering at ``input`` or mid-pipeline — is byte-identical to one
+    ``inject`` per packet, records and device accounting alike."""
+    for inject_at in ("input", "ingress.0"):
+        blocked, block_device = _stream_records(
+            timestamps=timestamps, ports=ports, inject_at=inject_at
+        )
+        looped, loop_device = _stream_records(
+            timestamps=timestamps, ports=ports, force_per_packet=True,
+            inject_at=inject_at,
+        )
+        assert _normalize_records(blocked) == _normalize_records(looped)
+        assert block_device.clock_cycles == loop_device.clock_cycles
+        assert block_device.stats == loop_device.stats
+        assert (
+            block_device.pipeline.state.counters
+            == loop_device.pipeline.state.counters
+        )
 
 
 def test_run_stream_block_path_matches_across_schedules():
@@ -481,17 +496,18 @@ def test_run_stream_block_path_matches_across_schedules():
 
 
 def test_campaign_reports_byte_identical_across_schedules(monkeypatch):
-    """The golden-baseline matrix renders to identical JSON bytes as
-    blocks and with every cell forced onto the per-packet lockstep
-    path — execution choice must never leak into the canonical
-    report."""
-    from repro.netdebug import session
+    """The golden-baseline matrix renders to identical JSON bytes on the
+    hook-free schedules and with every block forced onto the hooked
+    packet-major schedule — the schedule must never leak into the
+    canonical report."""
+    from repro.target.pipeline import StagedPipeline, StageHooks
 
     block = run_campaign(baseline_matrix(), name="engine-diff")
-    monkeypatch.setattr(
-        session, "_block_eligible", lambda device, s: "forced"
-    )
-    per_packet = run_campaign(baseline_matrix(), name="engine-diff")
-    assert block.meta["execution"]["per_packet"] == 0
-    assert per_packet.meta["execution"]["block"] == 0
-    assert block.to_json() == per_packet.to_json()
+
+    def always_hooked(self, inject_at="input"):
+        start = self.stage_names().index(inject_at)
+        return StageHooks(start, self._taps, self.injector)
+
+    monkeypatch.setattr(StagedPipeline, "hooks", always_hooked)
+    hooked = run_campaign(baseline_matrix(), name="engine-diff")
+    assert block.to_json() == hooked.to_json()
