@@ -25,6 +25,7 @@ from repro.p4.stdlib import PROGRAMS, ipv4_router, strict_parser
 from repro.target.faults import Fault, FaultKind
 from repro.target.reference import ReferenceCompiler, make_reference_device
 from repro.target.sdnet import make_sdnet_device
+from tests.test_netdebug_session import count_calls
 
 
 def tiny_matrix(**overrides) -> ScenarioMatrix:
@@ -183,24 +184,12 @@ class TestRunCampaign:
             del PROVISIONERS["test-routes"]
 
 
-def _count_calls(monkeypatch, cls, name):
-    """Count calls of ``cls.name`` for the rest of the test."""
-    calls = []
-    real = getattr(cls, name)
-
-    def counted(self, *args, **kwargs):
-        calls.append(name)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
 class TestExecutionMeta:
     """How a cell executes leaves no trace in its report: every cell's
     stream enters the device through one ``inject_block`` call, the
-    report meta records no execution path, and packets injected one by
-    one render the golden bytes."""
+    report meta records no execution path, a fault-armed cell renders
+    the same bytes serially and across the cluster wire, and packets
+    injected one by one render the golden bytes."""
 
     FAULTED = {
         "baseline": (),
@@ -211,8 +200,8 @@ class TestExecutionMeta:
         from repro.netdebug.diffing import baseline_matrix
         from repro.target.device import NetworkDevice
 
-        injects = _count_calls(monkeypatch, NetworkDevice, "inject")
-        blocks = _count_calls(monkeypatch, NetworkDevice, "inject_block")
+        injects = count_calls(monkeypatch, NetworkDevice, "inject")
+        blocks = count_calls(monkeypatch, NetworkDevice, "inject_block")
         report = run_campaign(baseline_matrix(), name="block")
         assert (len(injects), len(blocks)) == (0, report.scenarios)
         assert "execution" not in report.meta
@@ -223,8 +212,8 @@ class TestExecutionMeta:
         from repro.target.batch import BatchProgram
         from repro.target.device import NetworkDevice
 
-        blocks = _count_calls(monkeypatch, NetworkDevice, "inject_block")
-        hooked = _count_calls(monkeypatch, BatchProgram, "_run_hooked")
+        blocks = count_calls(monkeypatch, NetworkDevice, "inject_block")
+        hooked = count_calls(monkeypatch, BatchProgram, "_run_hooked")
         report = run_campaign(tiny_matrix(faults=self.FAULTED), name="f")
         by_fault = {r.scenario.fault: r for r in report.results}
         assert len(blocks) == 2
@@ -232,6 +221,19 @@ class TestExecutionMeta:
         assert by_fault["baseline"].passed
         assert by_fault["blackhole"].report.findings_of("missing_output")
         assert "execution" not in report.meta
+
+    def test_counts_survive_the_cluster_wire(self):
+        """The fault-armed cell's report crosses the cluster wire byte
+        for byte as a serial run renders it."""
+        from repro.netdebug.cluster import run_cluster_campaign
+
+        matrix = tiny_matrix(faults=self.FAULTED)
+        serial = run_campaign(matrix, name="wire")
+        clustered = run_cluster_campaign(
+            matrix, workers=1, name="wire", timeout=300
+        )
+        assert "execution" not in clustered.meta
+        assert clustered.to_json() == serial.to_json()
 
     def test_forced_per_packet_reproduces_the_golden(
         self, tmp_path, monkeypatch
@@ -245,7 +247,7 @@ class TestExecutionMeta:
         from repro.netdebug.diffing import baseline_matrix
         from repro.target.device import NetworkDevice
 
-        blocks = _count_calls(monkeypatch, NetworkDevice, "inject_block")
+        blocks = count_calls(monkeypatch, NetworkDevice, "inject_block")
         real = NetworkDevice.inject_block
 
         def one_by_one(self, wires, timestamps=None, port=0, ports=None,

@@ -398,6 +398,26 @@ class TestService:
         alpha.close()
         beta.close()
 
+    def test_execution_counts_reach_the_client(self, fleet):
+        # A fault-armed cell's report reaches the client byte for byte
+        # as a serial run renders it, and no execution record rides the
+        # result frames.
+        f = fleet()
+        f.add_worker()
+        f.wait_workers(1)
+        matrix = service_matrix(
+            faults={
+                "baseline": (),
+                "blackhole": (
+                    Fault(FaultKind.BLACKHOLE, stage="ingress.0"),
+                ),
+            },
+        )
+        report = f.client().run(matrix, name="paths")
+        serial = run_campaign(matrix, name="paths")
+        assert "execution" not in report.meta
+        assert report.to_json() == serial.to_json()
+
     def test_worker_crash_mid_campaign_recovers(self, fleet):
         # One worker hard-exits on its second shard; after the grace
         # its lost assignment requeues on the survivor. No dropped or
