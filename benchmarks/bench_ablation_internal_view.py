@@ -20,6 +20,7 @@ from repro.netdebug.checker import ExprCheck, OutputChecker
 from repro.netdebug.controller import NetDebugController
 from repro.netdebug.generator import StreamSpec
 from repro.netdebug.localization import localize_fault
+from repro.netdebug.oracle import StatelessOracle
 from repro.netdebug.session import ValidationSession
 from repro.p4.expr import IsValid, fld
 from repro.p4.stdlib import acl_firewall, strict_parser
@@ -116,7 +117,7 @@ def test_ablation_reference_oracle(benchmark):
                     StreamSpec(stream_id=1, packets=workload,
                                fix_checksums=False)
                 ],
-                use_reference_oracle=True,
+                oracle_factory=StatelessOracle,
             )
         )
         # Arm B: local well-formedness checks only, no oracle.

@@ -18,6 +18,7 @@ from repro.baselines.formal import (
 )
 from repro.netdebug.controller import NetDebugController
 from repro.netdebug.generator import StreamSpec
+from repro.netdebug.oracle import StatelessOracle
 from repro.netdebug.session import ValidationSession
 from repro.p4.stdlib import strict_parser
 from repro.sim.traffic import default_flow, malformed_mix
@@ -40,7 +41,7 @@ def _audit(device, workload):
                     fix_checksums=False,
                 )
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
     )
 

@@ -16,10 +16,12 @@ classes NetDebug exists for, in one run:
 
 Run with ``--workers N`` to fan shards out over N processes and
 ``--record DIR`` to freeze the campaign to replayable regression
-artifacts.
+artifacts and replay them: the script exits 1 unless every replayed
+cell's report equals the recorded one.
 """
 
 import argparse
+import sys
 
 from repro.netdebug.campaign import (
     ScenarioMatrix,
@@ -76,17 +78,26 @@ def main() -> None:
           "(the paper's §4 case study)")
     print(f"blackhole scenarios caught: {blackholed}")
 
+    mismatched = []
     if args.record:
         replayed = replay_campaign(args.record, name="sweep",
                                    workers=args.workers)
-        same = [r.verdict for r in replayed.results] == [
-            r.verdict for r in report.results
+        mismatched = [
+            live.scenario.key
+            for live, again in zip(report.results, replayed.results)
+            if again.report.to_dict() != live.report.to_dict()
         ]
-        print(f"replay from {args.record!r}: verdicts reproduced={same}")
+        print(f"replay from {args.record!r}: "
+              f"{report.scenarios - len(mismatched)}/{report.scenarios} "
+              "cell reports reproduced")
+        for key in mismatched:
+            print(f"  replay mismatch: {key}")
 
     print()
     print("campaign sweep OK" if not report.passed and leaks and blackholed
           else "campaign sweep UNEXPECTED: deviations not caught")
+    if mismatched:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

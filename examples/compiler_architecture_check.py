@@ -13,7 +13,12 @@ Run:  python examples/compiler_architecture_check.py
 """
 
 from repro.exceptions import CompileError
-from repro.netdebug import NetDebugController, StreamSpec, ValidationSession
+from repro.netdebug import (
+    NetDebugController,
+    StatelessOracle,
+    StreamSpec,
+    ValidationSession,
+)
 from repro.netdebug.usecases.architecture_check import (
     probe_match_kinds,
     probe_parse_depth,
@@ -39,7 +44,7 @@ def differential_audit(program, packets) -> int:
                 StreamSpec(stream_id=1, packets=packets,
                            fix_checksums=False)
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
     )
     return len(report.findings_of("unexpected_output"))

@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro.netdebug import (
     NetDebugController,
+    StatelessOracle,
     StreamSpec,
     ValidationSession,
 )
@@ -55,7 +56,7 @@ def main() -> None:
                 packets=list(udp_stream(flow, 20, size=128)),
             )
         ],
-        use_reference_oracle=True,
+        oracle_factory=StatelessOracle,
     )
 
     # 5. The host-side software tool runs it over the dedicated interface.

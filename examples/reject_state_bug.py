@@ -19,6 +19,7 @@ Run:  python examples/reject_state_bug.py
 from repro.baselines import SymbolicVerifier, prop_rejected_never_forwarded
 from repro.netdebug import (
     NetDebugController,
+    StatelessOracle,
     StreamSpec,
     ValidationSession,
 )
@@ -60,7 +61,7 @@ def main() -> None:
                 fix_checksums=False,
             )
         ],
-        use_reference_oracle=True,
+        oracle_factory=StatelessOracle,
     )
     audit = NetDebugController(sume).run(session)
     leaks = audit.findings_of("unexpected_output")

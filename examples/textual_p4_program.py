@@ -10,7 +10,12 @@ target to isolate where any divergence comes from.
 Run:  python examples/textual_p4_program.py
 """
 
-from repro.netdebug import NetDebugController, StreamSpec, ValidationSession
+from repro.netdebug import (
+    NetDebugController,
+    StatelessOracle,
+    StreamSpec,
+    ValidationSession,
+)
 from repro.p4 import parse_program
 from repro.packet import ipv4, mac
 from repro.sim.traffic import default_flow, malformed_mix
@@ -82,7 +87,7 @@ def validate_on(device_factory, label: str):
                 StreamSpec(stream_id=1, packets=workload,
                            fix_checksums=False)
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
     )
     return report

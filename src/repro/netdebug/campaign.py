@@ -60,9 +60,9 @@ from ..target.pipeline import PacketSnapshot
 from ..target.reference import make_reference_device
 from ..target.sdnet import make_sdnet_device
 from ..target.tofino import make_tofino_device
-from .checker import CheckRule, LatencyCheck
+from .checker import CheckRule, ExpectedOutput, LatencyCheck
 from .generator import StreamSpec
-from .regression import RegressionSuite, replay_suite
+from .regression import RegressionSuite
 from .report import (
     Capability,
     CanonicalJsonReport,
@@ -74,8 +74,7 @@ from .report import (
 from .oracle import (
     ORACLES,
     OracleFactory,
-    ReferenceOracle,
-    compile_spec,
+    build_oracle,
     require_known_oracle,
 )
 from .session import ValidationSession, run_session
@@ -628,6 +627,47 @@ def _grade_sla(scenario: "Scenario", report: SessionReport,
         )
 
 
+def _grade_cell(
+    scenario: Scenario,
+    device: NetworkDevice,
+    frames: list[bytes],
+    expectations: list[ExpectedOutput],
+    cycle_times: list[int] | None,
+    ports: list[int] | None,
+) -> SessionReport:
+    """Grade one cell's frames against its expectations: one session
+    named after the cell, its SLA graded when it has one, and the
+    clock measurements. A live shard and a replayed one differ only in
+    where the frames and expectations come from."""
+    sampler = (
+        _LatencySampler() if scenario.sla_p99_cycles is not None else None
+    )
+    # The session injects the frames the oracle predicted from: wire
+    # bytes are immutable, so nothing is copied or packed twice.
+    session = ValidationSession(
+        name=f"campaign/{scenario.index:04d}/{scenario.key}",
+        streams=[
+            StreamSpec(
+                stream_id=scenario.index + 1,
+                packets=frames,
+                fix_checksums=False,
+                timestamps=cycle_times,
+                ingress_ports=ports,
+            )
+        ],
+        checks=[sampler] if sampler is not None else [],
+        expectations=expectations,
+    )
+    report = run_session(device, session)
+    if sampler is not None:
+        _grade_sla(scenario, report, sampler)
+    report.measurements["clock_cycles"] = float(device.clock_cycles)
+    report.measurements["cycles_per_packet"] = (
+        device.clock_cycles / report.injected if report.injected else 0.0
+    )
+    return report
+
+
 def _run_shard(job: tuple) -> "ScenarioResult":
     scenario, faults, keep_suite, oracle_factory = job
     cache_before = artifact_cache.stats_snapshot()
@@ -674,55 +714,17 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     # state to thread across shard boundaries. An explicit
     # oracle_factory (threaded through the job frame) overrides the
     # scenario's named oracle.
-    factory = (
-        oracle_factory
-        if oracle_factory is not None
-        else ORACLES[getattr(scenario, "oracle", "stateless")]
+    oracle = build_oracle(
+        oracle_factory or ORACLES[scenario.oracle], device
     )
-    oracle = factory(device.program, num_ports=len(device.ports))
-    if (
-        isinstance(oracle, ReferenceOracle)
-        and oracle.program is device.program
-    ):
-        # The artifact's spec program: compiled once and kept on the
-        # artifact, so every shard over it shares one kernel and the
-        # oracle costs fresh state. An oracle over another program
-        # object compiles its own.
-        compiled = device.compiled
-        if compiled.spec is None:
-            compiled.spec = compile_spec(device.program)
-        oracle.spec = compiled.spec
     expectations = oracle.expect_all(
         frames,
         ingress_ports=ports,
         timestamps=cycle_times,
         label=scenario.key,
     )
-    sampler = (
-        _LatencySampler() if scenario.sla_p99_cycles is not None else None
-    )
-    # The session injects the frames the oracle just predicted from:
-    # wire bytes are immutable, so nothing is copied or packed twice.
-    session = ValidationSession(
-        name=f"campaign/{scenario.index:04d}/{scenario.key}",
-        streams=[
-            StreamSpec(
-                stream_id=scenario.index + 1,
-                packets=frames,
-                fix_checksums=False,
-                timestamps=cycle_times,
-                ingress_ports=ports,
-            )
-        ],
-        checks=[sampler] if sampler is not None else [],
-        expectations=expectations,
-    )
-    report = run_session(device, session)
-    if sampler is not None:
-        _grade_sla(scenario, report, sampler)
-    report.measurements["clock_cycles"] = float(device.clock_cycles)
-    report.measurements["cycles_per_packet"] = (
-        device.clock_cycles / report.injected if report.injected else 0.0
+    report = _grade_cell(
+        scenario, device, frames, expectations, cycle_times, ports
     )
     suite = (
         RegressionSuite(
@@ -752,19 +754,15 @@ def _replay_shard(job: tuple) -> "ScenarioResult":
     cache_delta = artifact_cache.stats_delta(cache_before)
     for fault in faults:
         device.injector.inject(fault)
-    # Replay at the *recorded* injection timestamps (the manifest
-    # persists the workload's arrival process): recorded expectations
-    # pin exact bytes, so time-stamping programs only reproduce their
-    # recording when the clock readings match — and reading the times
-    # from the artifact keeps old recordings replayable even after the
-    # live traffic generators change.
-    report = replay_suite(
-        device, suite, timestamps=_cycle_times(times_ns, device),
-        ports=list(ports) if ports is not None else None,
-    )
-    report.measurements["clock_cycles"] = float(device.clock_cycles)
-    report.measurements["cycles_per_packet"] = (
-        device.clock_cycles / report.injected if report.injected else 0.0
+    # Replay at the *recorded* injection timestamps and ports (the
+    # manifest persists the workload's arrival process): recorded
+    # expectations pin exact bytes, so time-stamping programs only
+    # reproduce their recording when the clock readings match — and
+    # reading them from the artifact keeps old recordings replayable
+    # even after the live traffic generators change.
+    report = _grade_cell(
+        scenario, device, suite.frames, suite.expectations,
+        _cycle_times(times_ns, device), ports,
     )
     return ScenarioResult(
         scenario=scenario,
@@ -1328,11 +1326,6 @@ def fault_from_dict(data: dict) -> Fault:
     )
 
 
-# Historical private names (compression and the manifest writer grew up
-# calling these).
-_fault_to_dict = fault_to_dict
-_fault_from_dict = fault_from_dict
-
 
 def matrix_to_dict(matrix: ScenarioMatrix) -> dict:
     """A scenario matrix as declarative JSON data (lossless inverse:
@@ -1385,28 +1378,13 @@ def _write_manifest(
     payload = {
         "name": name,
         "faults": {
-            label: [_fault_to_dict(f) for f in fault_set]
+            label: [fault_to_dict(f) for f in fault_set]
             for label, fault_set in matrix.faults.items()
         },
         "scenarios": [
             {
-                "index": s.index,
-                "program": s.program,
-                "target": s.target,
-                "fault": s.fault,
-                "workload": s.workload,
-                "count": s.count,
-                "seed": s.seed,
-                "setup": s.setup,
+                **scenario_to_dict(s),
                 "suite": _suite_name(s),
-                # Conditional for manifest stability; recorded for
-                # provenance only (replay grades recorded expectations,
-                # not live latency).
-                **(
-                    {"sla_p99_cycles": s.sla_p99_cycles}
-                    if s.sla_p99_cycles is not None
-                    else {}
-                ),
                 # Timed workloads persist their arrival process (ns):
                 # the recorded expectations pin bytes that may derive
                 # from injection time, so replay must not depend on
@@ -1423,11 +1401,6 @@ def _write_manifest(
                 **(
                     {"ingress_ports": list(ports)}
                     if ports is not None
-                    else {}
-                ),
-                **(
-                    {"oracle": s.oracle}
-                    if s.oracle != "stateless"
                     else {}
                 ),
             }
@@ -1467,9 +1440,10 @@ def replay_campaign(
     with truncated pcap captures are rejected at load). ``executor``
     and ``on_result`` behave exactly as in :func:`run_campaign` —
     replay shards ride the same dispatch/reassembly seam (the cluster
-    executor, which runs live shards only, refuses them). With a warm
-    artifact
-    cache replay skips recompilation entirely (see
+    executor, which runs live shards only, refuses them). Each replayed
+    cell is graded exactly as its live shard was, SLA included, so its
+    report reproduces the recording's. With a warm artifact cache
+    replay skips recompilation entirely (see
     :mod:`repro.target.artifact_cache`).
     """
     directory = Path(directory)
@@ -1480,23 +1454,12 @@ def replay_campaign(
         )
     payload = json.loads(manifest_path.read_text())
     faults = {
-        label: tuple(_fault_from_dict(f) for f in fault_set)
+        label: tuple(fault_from_dict(f) for f in fault_set)
         for label, fault_set in payload["faults"].items()
     }
     jobs = []
     for s in payload["scenarios"]:
-        scenario = Scenario(
-            index=s["index"],
-            program=s["program"],
-            target=s["target"],
-            fault=s["fault"],
-            workload=s["workload"],
-            count=s["count"],
-            seed=s["seed"],
-            setup=s.get("setup", ""),
-            sla_p99_cycles=s.get("sla_p99_cycles"),
-            oracle=s.get("oracle", "stateless"),
-        )
+        scenario = scenario_from_dict(s)
         # A hand-edited or version-skewed manifest must fail here with a
         # clear error, not as a KeyError inside the worker pool.
         require_known_program(
@@ -1515,16 +1478,11 @@ def replay_campaign(
                 scenario,
                 faults[scenario.fault],
                 str(directory),
-                # Pre-PR-5 manifests carry no times: replay them at
-                # the device clock, exactly as they were recorded.
-                tuple(s["times_ns"]) if "times_ns" in s else None,
-                # Pre-directional manifests carry no ports: replay on
-                # port 0, exactly as they were recorded.
-                (
-                    tuple(s["ingress_ports"])
-                    if "ingress_ports" in s
-                    else None
-                ),
+                # Untimed or directionless cells (and manifests older
+                # than either field) carry none: replay at the device
+                # clock and on port 0, exactly as they were recorded.
+                s.get("times_ns"),
+                s.get("ingress_ports"),
             )
         )
     results = _execute(

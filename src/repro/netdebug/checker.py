@@ -401,10 +401,6 @@ class OutputChecker:
     def outcomes(self) -> list[CheckOutcome]:
         return list(self._outcomes.values())
 
-    def unmatched_expectations(self) -> int:
-        """Expectations never paired with an observation."""
-        return len(self._expectations) - self._next_expectation
-
     def finalize(self, sent_per_stream: dict[int, int] | None = None) -> None:
         """Close the books: loss accounting and dangling expectations."""
         if sent_per_stream:

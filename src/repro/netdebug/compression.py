@@ -76,6 +76,7 @@ from .campaign import (
     ScenarioMatrix,
     ScenarioResult,
     _run_shard,
+    fault_to_dict,
     matrix_from_dict,
     matrix_to_dict,
 )
@@ -242,7 +243,7 @@ def _cell_signature(
     reachable = sorted(
         (
             json.dumps(
-                _fault_to_dict(f), sort_keys=True, separators=(",", ":")
+                fault_to_dict(f), sort_keys=True, separators=(",", ":")
             )
             for f in faults
             if _fault_reachable(f, ctx)

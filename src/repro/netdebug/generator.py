@@ -2,18 +2,18 @@
 
 The generator is one of NetDebug's two hardware modules (Figure 1). It is
 *programmable*: a :class:`StreamSpec` describes a stream of test packets —
-a template, field sweeps or fuzzing over template fields, rate, count,
-wrapping mode and injection point — and the generator materializes and
-injects them directly into the data plane under test, bypassing the
-external interfaces.
+a template, field sweeps or fuzzing over template fields, count,
+arrival timestamps, ingress ports, wrapping mode and injection point —
+and the generator materializes and injects them directly into the data
+plane under test, bypassing the external interfaces.
 
-:meth:`PacketGenerator.run_stream` is how every synchronous stream
-enters the device, validation sessions included: one
+:meth:`PacketGenerator.run_stream` is how every stream enters the
+device, validation sessions included: one
 :meth:`~repro.target.device.NetworkDevice.inject_block` call at the
 stream's injection point, carrying its timestamps and ingress ports
 (blocks of one only for a wrapped stream without a timestamp for every
-packet). :meth:`PacketGenerator.schedule_stream` injects packet by
-packet, driven by simulator events.
+packet). A stream's timing is its per-packet ``timestamps``, in
+device-clock cycles.
 
 In the paper the generator is itself written in P4; here its
 programmability is expressed as declarative stream specifications whose
@@ -110,8 +110,6 @@ class StreamSpec:
             inside a NetDebug probe; when False it is injected bare and
             the checker correlates by order.
         inject_at: Pipeline tap where packets enter (default: input).
-        rate_pps: Injection rate for timed runs; ignored by the
-            synchronous path.
         fix_checksums: Recompute IP/L4 checksums after sweeps/fuzzing.
         packets: Alternative to template+sweeps — an explicit list of
             packets or of wire frames (``bytes``), taking precedence
@@ -134,7 +132,6 @@ class StreamSpec:
     fuzzes: list[FieldFuzz] = dc_field(default_factory=list)
     wrap: bool = False
     inject_at: str = TAP_INPUT
-    rate_pps: float = 1e6
     fix_checksums: bool = True
     packets: list[Packet | bytes] | None = None
     timestamps: list[int] | None = None
@@ -230,9 +227,6 @@ class PacketGenerator:
     def streams(self) -> list[StreamSpec]:
         return list(self._streams.values())
 
-    # ------------------------------------------------------------------
-    # Synchronous injection (functional testing)
-    # ------------------------------------------------------------------
     def run_stream(self, stream_id: int) -> list[InjectionRecord]:
         """Inject every packet of one stream back-to-back.
 
@@ -291,37 +285,3 @@ class PacketGenerator:
         for stream_id in sorted(self._streams):
             records.extend(self.run_stream(stream_id))
         return records
-
-    # ------------------------------------------------------------------
-    # Timed injection (performance testing under a simulator)
-    # ------------------------------------------------------------------
-    def schedule_stream(self, stream_id: int, sim, start_ns: float = 0.0):
-        """Schedule a stream's injections on a simulator at its rate."""
-        try:
-            stream = self._streams[stream_id]
-        except KeyError:
-            raise NetDebugError(f"no stream {stream_id}") from None
-        gap = 1e9 / stream.rate_pps
-        packets = list(stream.materialize())
-
-        for seq_no, packet in enumerate(packets):
-            def inject(seq_no=seq_no, packet=packet) -> None:
-                timestamp = self._device.clock_cycles
-                if stream.wrap:
-                    wire = make_probe(
-                        stream.stream_id, seq_no, timestamp=timestamp,
-                        inner=packet,
-                    ).pack()
-                else:
-                    wire = wire_of(packet)
-                record = InjectionRecord(
-                    stream.stream_id, seq_no, wire, timestamp
-                )
-                record.run = self._device.inject(
-                    wire, at=stream.inject_at,
-                    port=stream.port_at(seq_no), timestamp=timestamp,
-                )
-                self.injected.append(record)
-
-            sim.schedule_at(start_ns + seq_no * gap, inject)
-        return len(packets)

@@ -34,11 +34,12 @@ for the stateful oracle, over a fresh ``RuntimeState`` for stateless
 prediction on a register-bearing program. A subclass that overrides
 ``_process`` is honoured by ``expect_all`` too.
 
-A campaign compiles one spec artifact (:func:`compile_spec`) per
-provisioned artifact, keeps it on that artifact in the campaign's
-bounded artifact tier and hands it to every oracle over the same
-program, so an oracle costs a fresh ``RuntimeState``. An oracle built
-outside a campaign compiles its own on first use.
+A session builds its oracle through :func:`build_oracle`, which
+compiles one spec artifact (:func:`compile_spec`) per device artifact,
+keeps it on that artifact (a campaign holds those in its bounded
+artifact tier) and hands it to every oracle over the same program, so
+an oracle costs a fresh ``RuntimeState``. An oracle built outside a
+session compiles its own on first use.
 
 Everything that consumes expectations (sessions, campaigns, regression
 recording) goes through an oracle object. The tree-walking
@@ -57,7 +58,7 @@ from ..p4.interpreter import RuntimeState, Verdict
 from ..p4.program import P4Program
 from ..target.batch import get_batch_program
 from ..target.compiler import CompiledProgram
-from ..target.device import FLOOD_PORT
+from ..target.device import FLOOD_PORT, NetworkDevice
 from ..target.fastpath import compile_program
 from ..target.limits import REFERENCE_LIMITS
 from .checker import ExpectedOutput
@@ -66,6 +67,7 @@ __all__ = [
     "ReferenceOracle",
     "StatelessOracle",
     "compile_spec",
+    "build_oracle",
     "ORACLES",
     "OracleFactory",
     "require_known_oracle",
@@ -112,9 +114,10 @@ class ReferenceOracle:
     of one session on one shard (state cannot thread across shards).
 
     The :attr:`spec` artifact is compiled on first use unless one is
-    assigned first (a campaign assigns the one kept on its provisioned
-    artifact). No module-level cache keyed by program exists: it would
-    pin every program object it ever saw, table entries included.
+    assigned first (:func:`build_oracle` assigns the one kept on the
+    device's artifact). No module-level cache keyed by program exists:
+    it would pin every program object it ever saw, table entries
+    included.
     """
 
     #: Whether predictions depend on the packets fed before them.
@@ -330,6 +333,27 @@ ORACLES: dict[str, OracleFactory] = {
     "stateless": StatelessOracle,
     "stateful": ReferenceOracle,
 }
+
+
+def build_oracle(
+    factory: OracleFactory, device: NetworkDevice
+) -> ReferenceOracle:
+    """``factory``'s oracle for one session on ``device``: built over
+    the device's program with the device's port count, and handed the
+    spec artifact kept on the device's compiled artifact (compiled
+    there on first use), so every session over one artifact shares one
+    spec kernel and an oracle costs fresh state. An oracle over another
+    program object compiles its own."""
+    oracle = factory(device.program, num_ports=len(device.ports))
+    if (
+        isinstance(oracle, ReferenceOracle)
+        and oracle.program is device.program
+    ):
+        compiled = device.compiled
+        if compiled.spec is None:
+            compiled.spec = compile_spec(device.program)
+        oracle.spec = compiled.spec
+    return oracle
 
 
 def require_known_oracle(oracle: str, where: str) -> None:

@@ -19,9 +19,11 @@ from pathlib import Path
 from ..exceptions import NetDebugError
 from ..packet.pcap import PcapRecord, read_pcap, write_pcap
 from ..target.device import NetworkDevice
-from .checker import ExpectedOutput, OutputChecker
-from .oracle import OracleFactory, StatelessOracle
+from .checker import ExpectedOutput
+from .generator import StreamSpec
+from .oracle import OracleFactory, StatelessOracle, build_oracle
 from .report import SessionReport
+from .session import ValidationSession, run_session
 
 __all__ = ["RegressionSuite", "record_suite", "replay_suite"]
 
@@ -199,8 +201,7 @@ def record_suite(
     expectations); ``ports`` pins per-frame ingress ports, which a
     replay must then repeat via :func:`replay_suite`.
     """
-    factory = oracle_factory or StatelessOracle
-    oracle = factory(device.program, num_ports=len(device.ports))
+    oracle = build_oracle(oracle_factory or StatelessOracle, device)
     expectations = oracle.expect_all(
         frames, ingress_ports=ports, label=name
     )
@@ -215,40 +216,31 @@ def replay_suite(
 ) -> SessionReport:
     """Replay a frozen suite on ``device`` and report divergences.
 
-    ``timestamps`` re-applies the original per-frame injection times
-    (device-clock cycles). Recorded expectations pin exact output
-    bytes, so suites captured under a workload-defined arrival process
-    only replay faithfully for time-stamping programs (e.g.
-    ``int_telemetry``) when injection happens at the same timestamps.
-    ``ports`` likewise re-applies the original per-frame ingress ports
-    (frames beyond the list fall back to port 0) — directional suites
-    replay on the ports they were recorded on or not at all.
+    The suite runs as one :func:`~repro.netdebug.session.run_session`
+    stream graded against its recorded expectations, so a replay is
+    graded exactly as a live session is. ``timestamps`` re-applies the
+    original per-frame injection times (device-clock cycles). Recorded
+    expectations pin exact output bytes, so suites captured under a
+    workload-defined arrival process only replay faithfully for
+    time-stamping programs (e.g. ``int_telemetry``) when injection
+    happens at the same timestamps. ``ports`` likewise re-applies the
+    original per-frame ingress ports (frames beyond the list fall back
+    to port 0) — directional suites replay on the ports they were
+    recorded on or not at all.
     """
-    checker = OutputChecker(device)
-    ports_covered = len(ports) if ports is not None else 0
-    with checker:
-        for index, (frame, expectation) in enumerate(
-            zip(suite.frames, suite.expectations)
-        ):
-            checker.arm(expectation)
-            device.inject(
-                frame,
-                port=ports[index] if index < ports_covered else 0,
-                timestamp=(
-                    timestamps[index]
-                    if timestamps is not None and index < len(timestamps)
-                    else None
-                ),
-            )
-            checker.disarm()
-    return SessionReport(
-        session=f"replay-{suite.name}",
-        device=device.name,
-        program=device.program.name,
-        checks=checker.outcomes(),
-        findings=list(checker.findings),
-        streams=dict(checker.streams),
-        latency=checker.latency,
-        injected=len(suite.frames),
-        observed=checker.observed,
+    return run_session(
+        device,
+        ValidationSession(
+            name=f"replay-{suite.name}",
+            streams=[
+                StreamSpec(
+                    stream_id=1,
+                    packets=suite.frames,
+                    fix_checksums=False,
+                    timestamps=timestamps,
+                    ingress_ports=ports,
+                )
+            ],
+            expectations=suite.expectations,
+        ),
     )

@@ -12,7 +12,9 @@ state.
 :func:`run_session` has one loop: every stream enters the device through
 the generator (:meth:`PacketGenerator.run_stream`, one
 :meth:`~repro.target.device.NetworkDevice.inject_block` call), and the
-checker then grades each injected packet's run in injection order.
+checker then grades each injected packet's run in injection order. It
+is the one place a packet sequence is graded: campaign cells, replayed
+recordings and regression suites all run as sessions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .oracle import (
     OracleFactory,
     ReferenceOracle,
     StatelessOracle,
+    build_oracle,
     require_known_oracle,
 )
 from .report import SessionReport
@@ -56,49 +59,25 @@ class ValidationSession:
         name: Session name for reports.
         streams: Test streams to inject (in listed order).
         checks: Programmable rules evaluated on every observed packet.
-        use_reference_oracle: Derive an expectation per injected packet
-            from the spec-faithful oracle (fresh state per packet
-            unless ``oracle_factory`` overrides the construction).
-        expectations: Explicit per-packet expectations (overrides the
-            oracle when non-empty; must match the injection count).
-        oracle_factory: How to build this session's oracle — called
-            once per :func:`run_session` as ``factory(program,
-            num_ports=...)`` and fed every packet in injection order.
-            Pass :class:`~repro.netdebug.oracle.ReferenceOracle` for
-            session-scoped stateful predictions; the default (``None``
-            with ``use_reference_oracle``) is
-            :class:`~repro.netdebug.oracle.StatelessOracle`, preserving
-            the historical per-packet fresh-state semantics.
+        expectations: Explicit per-packet expectations, consumed in
+            injection order (override the oracle when non-empty; must
+            cover every injected packet).
+        oracle_factory: How to derive an expectation per injected
+            packet when none are explicit — called once per
+            :func:`run_session` as ``factory(program, num_ports=...)``
+            and fed every packet in injection order.
+            :class:`~repro.netdebug.oracle.StatelessOracle` predicts
+            each packet on fresh state;
+            :class:`~repro.netdebug.oracle.ReferenceOracle` threads
+            register state across the session. ``None`` grades checks
+            only.
     """
 
     name: str
     streams: list[StreamSpec] = dc_field(default_factory=list)
     checks: list[CheckRule] = dc_field(default_factory=list)
-    use_reference_oracle: bool = False
     expectations: list[ExpectedOutput] = dc_field(default_factory=list)
     oracle_factory: OracleFactory | None = None
-
-
-def _session_oracle(
-    device: NetworkDevice, session: ValidationSession
-) -> ReferenceOracle | None:
-    """Build the one oracle that serves this session, or ``None``.
-
-    ``oracle_factory`` wins when set (with or without
-    ``use_reference_oracle``); ``use_reference_oracle`` alone keeps the
-    historical default, a :class:`StatelessOracle`. The oracle is
-    built exactly once per run and fed every packet in injection
-    order — the arrival-order contract stateful oracles require.
-    """
-    if session.oracle_factory is not None:
-        return session.oracle_factory(
-            device.program, num_ports=len(device.ports)
-        )
-    if session.use_reference_oracle:
-        return StatelessOracle(
-            device.program, num_ports=len(device.ports)
-        )
-    return None
 
 
 def _output_snapshot(run: TargetRun) -> PacketSnapshot | None:
@@ -130,9 +109,13 @@ def run_session(
 
     Each stream enters the device through
     :meth:`PacketGenerator.run_stream` (one block through the batch
-    kernel), then the lockstep protocol is replayed per injected
-    packet: the expectation is armed, the checker observes what the
-    ``output`` tap saw of the packet's run, and the window is closed.
+    kernel), and its expectations are resolved in one step: the next
+    slice of the explicit list, or one
+    :meth:`~repro.netdebug.oracle.ReferenceOracle.expect_all` over the
+    injected records. The lockstep protocol is then replayed per
+    injected packet: the expectation is armed, the checker observes
+    what the ``output`` tap saw of the packet's run, and the window is
+    closed.
     The kernel runs packets in arrival order, so this grades exactly
     what a checker attached to the output tap during a packet-by-packet
     injection would. The report aggregates check outcomes, stream
@@ -168,33 +151,38 @@ def run_session(
     for rule in session.checks:
         checker.add_check(rule)
 
-    oracle = _session_oracle(device, session)
-    explicit = list(session.expectations)
-    explicit_index = 0
+    oracle = (
+        build_oracle(session.oracle_factory, device)
+        if session.oracle_factory is not None
+        else None
+    )
+    graded = 0
     sent_per_stream: dict[int, int] = {}
 
     for stream in session.streams:
         # Configured again: a later stream may reuse an earlier id.
         generator.configure(stream)
         records = generator.run_stream(stream.stream_id)
-        for record in records:
-            expectation: ExpectedOutput | None = None
-            if explicit:
-                if explicit_index >= len(explicit):
-                    raise NetDebugError(
-                        f"session {session.name!r}: fewer expectations "
-                        "than injected packets"
-                    )
-                expectation = explicit[explicit_index]
-                explicit_index += 1
-            elif oracle is not None:
-                expectation = oracle.expect(
-                    record.wire,
-                    ingress_port=stream.port_at(record.seq_no),
-                    timestamp=record.timestamp,
-                    label=f"s{stream.stream_id}#{record.seq_no}",
+        # One expectation per record: the next slice of the explicit
+        # list, or the oracle's predictions for the records as injected.
+        if session.expectations:
+            expectations = session.expectations[graded:graded + len(records)]
+            if len(expectations) < len(records):
+                raise NetDebugError(
+                    f"session {session.name!r}: fewer expectations "
+                    "than injected packets"
                 )
-
+        elif oracle is not None:
+            expectations = oracle.expect_all(
+                [record.wire for record in records],
+                ingress_ports=stream.ingress_ports,
+                timestamps=[record.timestamp for record in records],
+                label=f"s{stream.stream_id}",
+            )
+        else:
+            expectations = [None] * len(records)
+        graded += len(records)
+        for record, expectation in zip(records, expectations):
             if expectation is not None:
                 checker.arm(expectation)
             snapshot = _output_snapshot(record.run)

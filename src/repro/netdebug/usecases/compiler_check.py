@@ -35,6 +35,7 @@ from ...sim.traffic import default_flow, malformed_mix
 from ...target.sdnet import REJECT_NOT_IMPLEMENTED, SDNetCompiler, make_sdnet_device
 from ..controller import NetDebugController
 from ..generator import StreamSpec
+from ..oracle import StatelessOracle
 from ..session import ValidationSession
 from .base import Challenge, UseCaseResult, score_suite
 
@@ -105,7 +106,7 @@ def _reject_state_netdebug(seed: int) -> Challenge:
         name="compiler-reject-check",
         streams=[StreamSpec(stream_id=1, packets=packets,
                             fix_checksums=False)],
-        use_reference_oracle=True,
+        oracle_factory=StatelessOracle,
     )
     report = NetDebugController(device).run(session)
     detected = bool(report.findings_of("unexpected_output"))
@@ -132,7 +133,7 @@ def _verify_ignored_netdebug() -> Challenge:
                 fix_checksums=False,
             )
         ],
-        use_reference_oracle=True,
+        oracle_factory=StatelessOracle,
     )
     report = NetDebugController(device).run(session)
     detected = bool(report.findings_of("unexpected_output"))

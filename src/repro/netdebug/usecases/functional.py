@@ -37,6 +37,7 @@ from ..checker import ExpectedOutput
 from ..controller import NetDebugController
 from ..generator import StreamSpec
 from ..localization import localize
+from ..oracle import StatelessOracle
 from ..session import ValidationSession
 from .base import Challenge, UseCaseResult, score_suite
 from .workloads import (
@@ -223,7 +224,7 @@ def _target_bug_netdebug(seed: int) -> Challenge:
         streams=[
             StreamSpec(stream_id=1, packets=packets, fix_checksums=False)
         ],
-        use_reference_oracle=True,
+        oracle_factory=StatelessOracle,
     )
     report = NetDebugController(device).run(session)
     detected = bool(report.findings_of("unexpected_output"))

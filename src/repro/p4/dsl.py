@@ -200,10 +200,6 @@ class ProgramBuilder:
         self._program.parser.add_state(state)
         return StateBuilder(state)
 
-    def start_state(self, name: str = "start") -> "ProgramBuilder":
-        self._program.parser.start = name
-        return self
-
     # -- controls -------------------------------------------------------
     @property
     def ingress(self) -> ControlBuilder:

@@ -19,6 +19,7 @@ from repro.netdebug.campaign import (
     run_campaign,
 )
 from repro.netdebug.controller import NetDebugController
+from repro.netdebug.diffing import baseline_matrix, baseline_stateful_matrix
 from repro.netdebug.localization import explain_findings
 from repro.netdebug.report import Capability
 from repro.p4.stdlib import PROGRAMS, ipv4_router, strict_parser
@@ -196,8 +197,9 @@ class TestExecutionMeta:
         "blackhole": (Fault(FaultKind.BLACKHOLE, stage="ingress.0"),),
     }
 
-    def test_seeded_matrix_runs_all_block(self, monkeypatch):
-        from repro.netdebug.diffing import baseline_matrix
+    def test_seeded_matrix_makes_one_inject_block_per_cell(
+        self, monkeypatch
+    ):
         from repro.target.device import NetworkDevice
 
         injects = count_calls(monkeypatch, NetworkDevice, "inject")
@@ -206,7 +208,7 @@ class TestExecutionMeta:
         assert (len(injects), len(blocks)) == (0, report.scenarios)
         assert "execution" not in report.meta
 
-    def test_fault_armed_cell_runs_per_packet(self, monkeypatch):
+    def test_fault_armed_cell_takes_the_hooked_schedule(self, monkeypatch):
         """The fault-armed cell's one block runs packet by packet on the
         kernel's hooked schedule; the baseline cell's runs hook-free."""
         from repro.target.batch import BatchProgram
@@ -244,7 +246,6 @@ class TestExecutionMeta:
         ``baselines/campaign.json`` bytes."""
         from pathlib import Path
 
-        from repro.netdebug.diffing import baseline_matrix
         from repro.target.device import NetworkDevice
 
         blocks = count_calls(monkeypatch, NetworkDevice, "inject_block")
@@ -299,6 +300,30 @@ class TestDeterminism:
         )
 
 
+_PAIR = dict(
+    programs=["l2_switch", "strict_parser"],
+    targets=["reference", "sdnet"],
+    count=8,
+)
+
+#: Matrices whose every replayed cell must reproduce its recording.
+REPLAY_MATRICES = {
+    "golden": baseline_matrix,
+    "sla-breach": lambda: tiny_matrix(sla_p99_cycles=1.0, **_PAIR),
+    "blackhole": lambda: tiny_matrix(
+        faults={
+            "baseline": (),
+            "blackhole": (Fault(FaultKind.BLACKHOLE, stage="ingress.0"),),
+        },
+        **_PAIR,
+    ),
+    "stateful": baseline_stateful_matrix,
+    "timed": lambda: tiny_matrix(
+        programs=["int_telemetry"], workloads=["burst"], count=6
+    ),
+}
+
+
 class TestRecordReplay:
     def test_record_then_replay_reproduces_verdicts(self, tmp_path):
         matrix = tiny_matrix(
@@ -316,6 +341,28 @@ class TestRecordReplay:
         assert [r.verdict for r in replayed.results] == [
             r.verdict for r in recorded.results
         ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(REPLAY_MATRICES))
+    def test_replay_reproduces_every_recorded_report(
+        self, tmp_path, kind, workers
+    ):
+        """Replay grades each cell exactly as its recording did: same
+        session, SLA grade, latency and clock measurements, so every
+        replayed report and verdict equals the recorded one."""
+        recorded = record_campaign(
+            REPLAY_MATRICES[kind](), tmp_path, workers=workers, name=kind
+        )
+        if kind == "sla-breach":
+            assert any(
+                r.report.findings_of("sla_breach") for r in recorded.results
+            )
+        replayed = replay_campaign(tmp_path, name=kind, workers=workers)
+
+        def graded(report):
+            return [(r.verdict, r.report.to_dict()) for r in report.results]
+
+        assert graded(replayed) == graded(recorded)
 
     def test_replay_with_faults_reproduces_failures(self, tmp_path):
         matrix = tiny_matrix(

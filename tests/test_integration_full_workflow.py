@@ -14,6 +14,7 @@ import pytest
 from repro.netdebug import (
     ExprCheck,
     NetDebugController,
+    StatelessOracle,
     StreamSpec,
     ValidationSession,
 )
@@ -100,7 +101,7 @@ class TestFullWorkflow:
                     device.program.env,
                 )
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = controller.run(session)
         assert report.passed

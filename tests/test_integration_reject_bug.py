@@ -19,6 +19,7 @@ from repro.baselines.formal import (
 )
 from repro.netdebug.controller import NetDebugController
 from repro.netdebug.generator import StreamSpec
+from repro.netdebug.oracle import StatelessOracle
 from repro.netdebug.session import ValidationSession
 from repro.p4.interpreter import Verdict
 from repro.p4.stdlib import strict_parser
@@ -74,7 +75,7 @@ class TestStep2_NetDebugDetectsImmediately:
                         fix_checksums=False,
                     )
                 ],
-                use_reference_oracle=True,
+                oracle_factory=StatelessOracle,
             )
         )
         malformed_count = sum(1 for _, bad in workload if bad)
@@ -113,7 +114,7 @@ class TestStep3_SpecCompliantTargetIsClean:
                         fix_checksums=False,
                     )
                 ],
-                use_reference_oracle=True,
+                oracle_factory=StatelessOracle,
             )
         )
         assert report.passed

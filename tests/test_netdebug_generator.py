@@ -203,46 +203,3 @@ class TestGenerator:
         generator.run_stream(1)
         assert all(p.rx_packets == 0 for p in device.ports)
         assert all(p.tx_packets == 0 for p in device.ports)
-
-    def test_scheduled_stream_on_simulator(self):
-        from repro.sim.events import Simulator
-
-        device = loaded_device()
-        generator = PacketGenerator(device)
-        generator.configure(
-            StreamSpec(
-                stream_id=1, template=template(), count=10, rate_pps=1e6
-            )
-        )
-        sim = Simulator()
-        count = generator.schedule_stream(1, sim)
-        assert count == 10
-        sim.run()
-        assert len(generator.injected) == 10
-        assert sim.now == pytest.approx(9_000.0)
-
-    def test_scheduled_stream_honours_ingress_ports(self):
-        """Simulator-timed injection enters each packet on the stream's
-        own ingress port, as ``run_stream`` does."""
-        from repro.sim.events import Simulator
-
-        entered = {}
-        for path in ("scheduled", "run_stream"):
-            generator = PacketGenerator(loaded_device())
-            generator.configure(
-                StreamSpec(
-                    stream_id=1, template=template(), count=4,
-                    ingress_ports=[0, 1, 2, 3],
-                )
-            )
-            if path == "scheduled":
-                sim = Simulator()
-                generator.schedule_stream(1, sim)
-                sim.run()
-            else:
-                generator.run_stream(1)
-            entered[path] = [
-                record.run.result.metadata["ingress_port"]
-                for record in generator.injected
-            ]
-        assert entered["scheduled"] == entered["run_stream"] == [0, 1, 2, 3]

@@ -12,8 +12,10 @@ from repro.netdebug.regression import (
 from repro.p4.stdlib import strict_parser
 from repro.packet.headers import ipv4
 from repro.sim.traffic import default_flow, malformed_mix
+from repro.target.device import NetworkDevice
 from repro.target.reference import make_reference_device
 from repro.target.sdnet import make_sdnet_device
+from tests.test_netdebug_session import count_calls
 
 
 def loaded(factory, name):
@@ -199,9 +201,10 @@ class TestTruncatedPcapReplay:
 
 
 class TestFloodExpectationRoundTrip:
-    def test_egress_ports_survive_save_load(self, tmp_path):
+    def test_egress_ports_survive_save_load(self, tmp_path, monkeypatch):
         """Flood (l2_switch broadcast) expectations keep their per-port
-        expansion through the artifact format."""
+        expansion through the artifact format, and the replay enters
+        the device as one block, like any session stream."""
         from repro.p4.stdlib import l2_switch
         from repro.packet.builder import udp_packet
 
@@ -215,5 +218,8 @@ class TestFloodExpectationRoundTrip:
         suite.save(tmp_path)
         loaded_suite = RegressionSuite.load(tmp_path, "flood")
         assert loaded_suite.expectations == suite.expectations
+        injects = count_calls(monkeypatch, NetworkDevice, "inject")
+        blocks = count_calls(monkeypatch, NetworkDevice, "inject_block")
         report = replay_suite(device, loaded_suite)
         assert report.passed
+        assert (len(injects), len(blocks)) == (0, 1)

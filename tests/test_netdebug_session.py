@@ -12,7 +12,7 @@ from repro.netdebug.checker import (
     OutputChecker,
 )
 from repro.netdebug.generator import StreamSpec, wire_of
-from repro.netdebug.oracle import StatelessOracle
+from repro.netdebug.oracle import ReferenceOracle, StatelessOracle
 from repro.netdebug.report import SessionReport
 from repro.netdebug.session import ValidationSession, run_session
 from repro.netdebug.testpacket import make_probe
@@ -44,9 +44,7 @@ def lockstep_reference(device, session):
     checker = OutputChecker(device)
     for rule in session.checks:
         checker.add_check(rule)
-    factory = session.oracle_factory or (
-        StatelessOracle if session.use_reference_oracle else None
-    )
+    factory = session.oracle_factory
     oracle = factory and factory(device.program, num_ports=len(device.ports))
     explicit = iter(session.expectations)
     sent = {}
@@ -182,7 +180,7 @@ class TestRunSession:
                     ingress_ports=[0, 9, 1],
                 )
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         with pytest.raises(
             NetDebugError,
@@ -201,7 +199,7 @@ class TestRunSession:
                     ingress_ports=[-1, 0],
                 )
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         with pytest.raises(
             NetDebugError, match=r"ingress_ports\[0\] is -1"
@@ -219,7 +217,7 @@ class TestRunSession:
                     ingress_ports=[0, 1, 2],
                 )
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = run_session(device, session)
         assert report.injected == 3
@@ -229,7 +227,7 @@ class TestRunSession:
         session = ValidationSession(
             name="ok",
             streams=[StreamSpec(stream_id=1, packets=routed_packets(8))],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = run_session(device, session)
         assert report.passed
@@ -249,7 +247,7 @@ class TestRunSession:
                 StreamSpec(stream_id=1, packets=packets,
                            fix_checksums=False)
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = run_session(device, session)
         assert not report.passed
@@ -281,14 +279,15 @@ class TestRunSession:
             run_session(device, session)
 
     def test_custom_oracle_callable(self):
-        """Any callable ``oracle_factory(program, num_ports=...)`` works:
-        it is called once per run and its oracle is fed every packet in
-        injection order."""
+        """A user oracle class works as ``oracle_factory``: it is built
+        once per run as ``factory(program, num_ports=...)`` and fed
+        every packet in injection order."""
         device = routed_device()
         built, calls = [], []
 
-        class CountingOracle:
+        class CountingOracle(ReferenceOracle):
             def __init__(self, program, num_ports):
+                super().__init__(program, num_ports)
                 built.append((program.name, num_ports))
 
             def expect(self, wire, ingress_port, timestamp, label):
@@ -354,7 +353,7 @@ class TestRunSession:
                 StreamSpec(stream_id=1, packets=routed_packets(2)),
                 StreamSpec(stream_id=2, packets=routed_packets(3, seed=1)),
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = run_session(device, session)
         assert report.injected == 5
@@ -369,7 +368,7 @@ class TestRunSession:
         session = ValidationSession(
             name="flood",
             streams=[StreamSpec(stream_id=1, packets=routed_packets(4))],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = run_session(device, session)
         assert report.passed
@@ -389,7 +388,7 @@ class TestRunSession:
         session = ValidationSession(
             name="misroute",
             streams=[StreamSpec(stream_id=1, packets=routed_packets(3))],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = run_session(device, session)
         assert not report.passed
@@ -400,7 +399,7 @@ class TestRunSession:
         session = ValidationSession(
             name="summary",
             streams=[StreamSpec(stream_id=1, packets=routed_packets(2))],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         report = run_session(device, session)
         text = report.summary()
@@ -450,7 +449,7 @@ class TestWireFrameStreams:
                             ),
                         )
                     ],
-                    use_reference_oracle=True,
+                    oracle_factory=StatelessOracle,
                 )
                 reports[path, kind] = run(
                     _session_device(wrap), session
@@ -475,7 +474,7 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
-class TestBlockEligibility:
+class TestSessionEntersThroughInjectBlock:
     """Every session runs block-wise: each condition that once sent a
     session down a per-packet loop (taps, armed faults, a mid-pipeline
     ``inject_at``, an untimed wrapped stream) now enters the device
@@ -492,7 +491,7 @@ class TestBlockEligibility:
             streams=[
                 StreamSpec(stream_id=1, packets=routed_packets(2), **stream)
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
         expected = lockstep_reference(make(), session).to_dict()
         injects = count_calls(monkeypatch, NetworkDevice, "inject")
@@ -501,11 +500,11 @@ class TestBlockEligibility:
         assert (len(injects), len(block_calls)) == (0, blocks)
         assert report == expected
 
-    def test_eligible_session_has_no_reason(self, monkeypatch):
+    def test_plain_session(self, monkeypatch):
         """A plain session: one block, no ``inject``."""
         self._check(monkeypatch)
 
-    def test_engine(self, monkeypatch):
+    def test_every_target(self, monkeypatch):
         """No target's engine keeps a session off the batch kernel."""
         from repro.target.tofino import make_tofino_device
 
@@ -577,7 +576,7 @@ def _shaped_session(shape):
             )
         ],
         checks=[LatencyCheck("sla", max_cycles=40)],
-        use_reference_oracle=True,
+        oracle_factory=StatelessOracle,
     )
 
 
@@ -647,7 +646,7 @@ class TestLockstepReference:
                         packets=[*routed_packets(2), b"\x00" * 5],
                     )
                 ],
-                use_reference_oracle=True,
+                oracle_factory=StatelessOracle,
             )
             with pytest.raises(P4RuntimeError) as caught:
                 run(device, session)

@@ -4,6 +4,7 @@ import json
 
 from repro.netdebug.controller import NetDebugController
 from repro.netdebug.generator import StreamSpec
+from repro.netdebug.oracle import StatelessOracle
 from repro.netdebug.session import ValidationSession
 from repro.p4.stdlib import strict_parser
 from repro.sim.traffic import default_flow, malformed_mix, udp_stream
@@ -23,7 +24,7 @@ def run_audit(device, count=10, seed=0):
                 StreamSpec(stream_id=1, packets=packets,
                            fix_checksums=False)
             ],
-            use_reference_oracle=True,
+            oracle_factory=StatelessOracle,
         )
     )
     return controller

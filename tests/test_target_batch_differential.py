@@ -32,6 +32,7 @@ from repro.netdebug.generator import (
     PacketGenerator,
     StreamSpec,
 )
+from repro.netdebug.oracle import StatelessOracle
 from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.stdlib import PROGRAMS
 from repro.packet.builder import ethernet_frame
@@ -377,12 +378,12 @@ def _oracle_session(count=12):
     return ValidationSession(
         name="path-diff",
         streams=[StreamSpec(stream_id=1, packets=packets)],
-        use_reference_oracle=True,
+        oracle_factory=StatelessOracle,
     )
 
 
 @pytest.mark.parametrize("target", sorted(COMPILERS))
-def test_session_reports_identical_across_engines(target):
+def test_session_reports_identical_across_schedules(target):
     """Whether the session's blocks run on the hook-free schedules or,
     with an observer attached, on the hooked schedule, it reproduces
     the same SessionReport exactly: findings, latencies and stream
