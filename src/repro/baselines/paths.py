@@ -40,6 +40,7 @@ from ..p4.parser import ACCEPT, REJECT
 from ..p4.program import P4Program
 from ..p4.table import KeyPattern, MatchKind, Table, TableEntry
 from ..packet.packet import Header, Packet
+from ..target.limits import SPEC_MODEL, DeviationModel
 from .symbolic import Infeasible, SymbolicState, ValueSet
 
 __all__ = [
@@ -57,38 +58,6 @@ MAX_CANDIDATES = 4096
 
 #: Default witness payload: small, deterministic, checksum-neutral.
 DEFAULT_PAYLOAD = b"\x00" * 16
-
-
-@dataclass(frozen=True)
-class DeviationModel:
-    """A target's behavioural model, as path-feasibility semantics.
-
-    The defaults are the specification; :meth:`from_compiled` lifts the
-    model off a :class:`~repro.target.compiler.CompiledProgram` so the
-    enumerator judges feasibility exactly the way the artifact's
-    datapath will behave.
-    """
-
-    honor_reject: bool = True
-    quantize_tcam: bool = False
-    deparse_field_budget: int | None = None
-
-    @classmethod
-    def spec(cls) -> "DeviationModel":
-        return cls()
-
-    @classmethod
-    def from_compiled(cls, compiled) -> "DeviationModel":
-        return cls(
-            honor_reject=getattr(compiled, "honor_reject", True),
-            quantize_tcam=getattr(compiled, "quantize_tcam", False),
-            deparse_field_budget=getattr(
-                compiled, "deparse_field_budget", None
-            ),
-        )
-
-
-SPEC_MODEL = DeviationModel()
 
 
 @dataclass

@@ -476,23 +476,6 @@ def _cycle_times(times_ns, device: NetworkDevice) -> list[int] | None:
     return [int(t * device.limits.clock_mhz / 1e3) for t in times_ns]
 
 
-def _scenario_arrivals(
-    scenario: "Scenario",
-) -> tuple[tuple[float, ...] | None, tuple[int, ...] | None]:
-    """The scenario's workload arrival times (ns) and per-packet
-    ingress ports, each ``None`` when the workload is untimed or
-    directionless. A zero-count probe (``()`` vs ``None``) avoids
-    generating packets for workloads that carry neither."""
-    flow = default_flow(stable_hash64(scenario.key) % 8)
-    probe = build_workload(scenario.workload, flow, 0, seed=scenario.seed)
-    if probe.times_ns is None and probe.ingress_ports is None:
-        return None, None
-    bundle = build_workload(
-        scenario.workload, flow, scenario.count, seed=scenario.seed
-    )
-    return bundle.times_ns, bundle.ingress_ports
-
-
 def _shard_device(
     program: str,
     target: str,
@@ -501,15 +484,15 @@ def _shard_device(
     """A fresh device for one shard, reusing a compiled artifact.
 
     Artifact resolution is three-tiered: the in-process tier first
-    (``memory_hits``: no build, hash or unpickle, and the batch kernel
-    an earlier shard built comes along), then the persistent on-disk
-    artifact cache (``hits`` — a loaded artifact carries its
-    provisioned table entries, so the setup provisioner is *not*
-    re-run), and only then a full compile + provision, stored back to
-    disk (``stores``). Both tiers share one content key covering the
-    pre-provision program IR, the target's deviation model and the
-    setup label, so a hit can never alias a differently-provisioned
-    artifact. Re-registering the program factory or the setup
+    (``memory_hits``: no build, hash or unpickle — the artifact comes
+    with its batch kernel), then the persistent on-disk artifact cache
+    (``hits`` — a loaded artifact carries its provisioned table
+    entries, so the setup provisioner is *not* re-run, and its kernel
+    is rebuilt on load), and only then a full compile + provision,
+    stored back to disk (``stores``). Both tiers share one content key
+    covering the pre-provision program IR, the target's deviation
+    model and the setup label, so a hit can never alias a
+    differently-provisioned artifact. Re-registering the program factory or the setup
     provisioner under the same name forces a fresh compile, which also
     overwrites the disk entry the old registration stored.
     """
@@ -668,13 +651,24 @@ def _grade_cell(
     return report
 
 
-def _run_shard(job: tuple) -> "ScenarioResult":
-    scenario, faults, keep_suite, oracle_factory = job
+def _cell_device(
+    scenario: Scenario, faults
+) -> tuple[NetworkDevice, dict[str, int] | None]:
+    """The preamble of every cell, live or replayed: a fresh device for
+    the scenario (:func:`_shard_device`) with ``faults`` armed, and the
+    compile-cache counter movement while acquiring it (``None`` when
+    nothing moved)."""
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(scenario.program, scenario.target, scenario.setup)
     cache_delta = artifact_cache.stats_delta(cache_before)
     for fault in faults:
         device.injector.inject(fault)
+    return device, cache_delta if any(cache_delta.values()) else None
+
+
+def _run_shard(job: tuple) -> "ScenarioResult":
+    scenario, faults, keep_suite, oracle_factory = job
+    device, cache_stats = _cell_device(scenario, faults)
 
     # Flow AND seed derive from the scenario key, never its matrix
     # position: growing the matrix must leave pre-existing scenarios'
@@ -726,20 +720,32 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     report = _grade_cell(
         scenario, device, frames, expectations, cycle_times, ports
     )
-    suite = (
-        RegressionSuite(
-            _suite_name(scenario), list(frames), list(expectations)
-        )
-        if keep_suite
-        else None
-    )
-    return ScenarioResult(
+    result = ScenarioResult(
         scenario=scenario,
         report=report,
-        suite=suite,
-        cache_stats=cache_delta if any(cache_delta.values()) else None,
+        cache_stats=cache_stats,
         coverage=bundle.coverage,
     )
+    if keep_suite:
+        result.suite = RegressionSuite(
+            _suite_name(scenario), list(frames), list(expectations)
+        )
+        result.arrivals = _arrivals(bundle)
+    return result
+
+
+def _arrivals(bundle) -> dict:
+    """A recorded cell's manifest arrival entries: the workload's
+    arrival times (ns) when it is timed and its per-packet ingress
+    ports when it is directional. Recorded expectations pin bytes that
+    may derive from injection time and port, so replay reads these
+    instead of relying on the live generators still producing them."""
+    arrivals: dict = {}
+    if bundle.times_ns is not None:
+        arrivals["times_ns"] = list(bundle.times_ns)
+    if bundle.ingress_ports is not None:
+        arrivals["ingress_ports"] = list(bundle.ingress_ports)
+    return arrivals
 
 
 def _suite_name(scenario: Scenario) -> str:
@@ -749,11 +755,7 @@ def _suite_name(scenario: Scenario) -> str:
 def _replay_shard(job: tuple) -> "ScenarioResult":
     scenario, faults, directory, times_ns, ports = job
     suite = RegressionSuite.load(directory, _suite_name(scenario))
-    cache_before = artifact_cache.stats_snapshot()
-    device = _shard_device(scenario.program, scenario.target, scenario.setup)
-    cache_delta = artifact_cache.stats_delta(cache_before)
-    for fault in faults:
-        device.injector.inject(fault)
+    device, cache_stats = _cell_device(scenario, faults)
     # Replay at the *recorded* injection timestamps and ports (the
     # manifest persists the workload's arrival process): recorded
     # expectations pin exact bytes, so time-stamping programs only
@@ -765,9 +767,7 @@ def _replay_shard(job: tuple) -> "ScenarioResult":
         _cycle_times(times_ns, device), ports,
     )
     return ScenarioResult(
-        scenario=scenario,
-        report=report,
-        cache_stats=cache_delta if any(cache_delta.values()) else None,
+        scenario=scenario, report=report, cache_stats=cache_stats
     )
 
 
@@ -783,6 +783,10 @@ class ScenarioResult:
     report: SessionReport
     #: Present only while recording (dropped before reports are returned).
     suite: RegressionSuite | None = None
+    #: The cell's manifest arrival entries (``times_ns`` /
+    #: ``ingress_ports``, see :func:`_arrivals`); like ``suite``,
+    #: present only while recording.
+    arrivals: dict | None = None
     #: Compile-cache counter movement while acquiring this shard's
     #: device (hits/misses/stores/memory_hits), or None when nothing
     #: moved. Like ``suite``, deliberately NOT serialized: the golden
@@ -1273,9 +1277,9 @@ def run_campaign(
         directory.mkdir(parents=True, exist_ok=True)
         for result in report.results:
             result.suite.save(directory)
-        _write_manifest(directory, name, matrix, scenarios)
+        _write_manifest(directory, name, matrix, report.results)
     for result in report.results:
-        result.suite = None
+        result.suite = result.arrivals = None
     return report
 
 
@@ -1373,7 +1377,7 @@ def _write_manifest(
     directory: Path,
     name: str,
     matrix: ScenarioMatrix,
-    scenarios: list[Scenario],
+    results: list[ScenarioResult],
 ) -> Path:
     payload = {
         "name": name,
@@ -1383,29 +1387,13 @@ def _write_manifest(
         },
         "scenarios": [
             {
-                **scenario_to_dict(s),
-                "suite": _suite_name(s),
-                # Timed workloads persist their arrival process (ns):
-                # the recorded expectations pin bytes that may derive
-                # from injection time, so replay must not depend on
-                # the *live* generators still producing these times.
-                **(
-                    {"times_ns": list(times_ns)}
-                    if times_ns is not None
-                    else {}
-                ),
-                # Directional workloads persist their per-packet
-                # ingress ports for the same reason: recorded
-                # expectations are only reproducible when replay
-                # injects each packet on the port it was recorded on.
-                **(
-                    {"ingress_ports": list(ports)}
-                    if ports is not None
-                    else {}
-                ),
+                **scenario_to_dict(result.scenario),
+                "suite": _suite_name(result.scenario),
+                # The arrival process the cell was recorded with,
+                # carried back with its result (see _arrivals).
+                **(result.arrivals or {}),
             }
-            for s in scenarios
-            for times_ns, ports in [_scenario_arrivals(s)]
+            for result in results
         ],
     }
     path = directory / f"{name}.manifest.json"

@@ -216,14 +216,17 @@ def _service_execute(message: dict) -> dict:
     except Exception:
         return {"type": "error", "error": traceback.format_exc(), **base}
     reply = {"type": "result", "result": result.to_dict(), **base}
-    # cache_stats and a recorded suite are deliberately NOT part of
-    # ScenarioResult.to_dict (golden bytes); they ride the frame as
-    # sidecars so the service can still aggregate compile-cache
-    # counters into report.meta and write regression artifacts.
+    # cache_stats and a recorded suite and arrival process are
+    # deliberately NOT part of ScenarioResult.to_dict (golden bytes);
+    # they ride the frame as sidecars so the service can still
+    # aggregate compile-cache counters into report.meta and write
+    # regression artifacts.
     if result.cache_stats:
         reply["cache_stats"] = dict(result.cache_stats)
     if result.suite is not None:
         reply["suite"] = result.suite.to_dict()
+    if result.arrivals:
+        reply["arrivals"] = result.arrivals
     return reply
 
 

@@ -27,9 +27,10 @@ executed end-to-end to compress the matrix:
   doesn't define, a stage fault on a stage the device doesn't have).
   Cells whose fault sets differ only by inert faults merge.
 * **behaviour fingerprint** — every workload packet replayed through
-  :class:`~repro.netdebug.coverage.TracingInterpreter` twice, under
+  the coverage replay (:func:`repro.netdebug.coverage._replay`, a
+  :class:`~repro.netdebug.coverage.TracingInterpreter`) twice, under
   the spec model and under the target's
-  :class:`~repro.baselines.paths.DeviationModel`, recording path
+  :class:`~repro.target.limits.DeviationModel`, recording path
   signature, egress port and output bytes. Two cells with identical
   fingerprints drive identical behaviour classes *and* identical
   observable deviations (the output-bytes flag is what separates a
@@ -63,11 +64,10 @@ from pathlib import Path
 
 from ..baselines.paths import SPEC_MODEL, DeviationModel
 from ..bitutils import stable_hash64
-from ..exceptions import NetDebugError, P4RuntimeError
+from ..exceptions import NetDebugError
 from ..p4.program import P4Program
 from ..p4.stdlib import PROGRAMS
 from ..sim.traffic import WorkloadContext, build_workload, default_flow
-from ..target.batch import _reads_metadata
 from ..target.faults import Fault, FaultKind
 from .campaign import (
     PROVISIONERS,
@@ -80,7 +80,7 @@ from .campaign import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from .coverage import TracingInterpreter, _signature
+from .coverage import _replay
 from .report import CanonicalJsonReport, SessionReport
 
 __all__ = [
@@ -128,10 +128,7 @@ def _cell_context(program: str, target: str, setup: str) -> _CellContext:
         tables=frozenset(prog.all_tables()),
         counters=frozenset(prog.counters),
         has_registers=bool(prog.registers),
-        reads_timestamp=_reads_metadata(
-            (prog.parser, prog.ingress, prog.egress),
-            "ingress_global_timestamp",
-        ),
+        reads_timestamp=not compiled.kernel.timestamp_free,
     )
 
 
@@ -153,19 +150,13 @@ def _fault_reachable(fault: Fault, ctx: _CellContext) -> bool:
 def _probe(
     program: P4Program, model: DeviationModel, wire: bytes
 ) -> tuple[str, int | None, str | None]:
-    """(path signature, egress port, output hex) of one replay."""
-    interp = TracingInterpreter(
-        program,
-        honor_reject=model.honor_reject,
-        quantize_tcam=model.quantize_tcam,
-        deparse_field_budget=model.deparse_field_budget,
-    )
-    try:
-        result = interp.process(wire)
-    except P4RuntimeError as exc:
-        return (f"!error|{exc}", None, None)
+    """(path signature, egress port, output hex) of one replay
+    (:func:`~repro.netdebug.coverage._replay`)."""
+    signature, result = _replay(program, model, wire)
+    if result is None:
+        return (signature, None, None)
     out = result.packet.pack().hex() if result.packet is not None else None
-    return (_signature(result, interp.table_choices), result.egress_port, out)
+    return (signature, result.egress_port, out)
 
 
 def _behavior_fingerprint(wires: list[bytes], ctx: _CellContext) -> str:

@@ -152,13 +152,15 @@ def _signature(
 
 def _replay(
     program: P4Program, model: DeviationModel, wire: bytes
-) -> str:
-    """One fresh-state replay of ``wire`` under ``model`` → signature.
+) -> tuple[str, PipelineResult | None]:
+    """One fresh-state replay of ``wire`` under ``model``:
+    ``(signature, result)``.
 
     Every replay starts from clean registers/counters: the coverage
     claim is per-packet path identity, not a stateful trajectory.
-    Runtime errors get their own signature class so error-raising
-    paths are identifiable (and excludable) rather than crashes.
+    Runtime errors get their own signature class (``!error|…``, with no
+    result) so error-raising paths are identifiable (and excludable)
+    rather than crashes.
     """
     interp = TracingInterpreter(
         program,
@@ -169,8 +171,8 @@ def _replay(
     try:
         result = interp.process(wire)
     except P4RuntimeError as exc:
-        return f"!error|{exc}"
-    return _signature(result, interp.table_choices)
+        return f"!error|{exc}", None
+    return _signature(result, interp.table_choices), result
 
 
 @dataclass
@@ -325,7 +327,7 @@ def covering_set(
             )
             continue
         wire = packet.pack()
-        signature = _replay(program, model, wire)
+        signature, _ = _replay(program, model, wire)
         if signature.startswith("!error|"):
             pruned.append(
                 PrunedPath(
@@ -363,7 +365,7 @@ def verify_coverage(
     from the map's. An empty list means every recorded behaviour class
     has a live witness in ``wires``.
     """
-    achieved = {_replay(program, model, wire) for wire in wires}
+    achieved = {_replay(program, model, wire)[0] for wire in wires}
     return sorted(cmap.signatures() - achieved)
 
 

@@ -9,11 +9,11 @@ every outbound packet that preceded it. So the oracle is an object with
 an explicit lifetime:
 
 * :class:`ReferenceOracle` predicts through a spec artifact
-  (:func:`compile_spec`) — the program compiled once
-  (:func:`repro.target.fastpath.compile_program` with ``honor_reject``
-  and neither TCAM quantisation nor a deparse budget) and run by the
-  batch kernel (:mod:`repro.target.batch`), the one execution driver
-  the devices use too — and owns one
+  (:func:`compile_spec`) — the program compiled once into its batch
+  kernel (:class:`~repro.target.batch.BatchProgram` under the spec
+  deviation model: ``honor_reject`` and neither TCAM quantisation nor
+  a deparse budget), the one execution driver the devices use too —
+  and owns one
   :class:`~repro.p4.interpreter.RuntimeState` whose registers and
   counters persist across :meth:`~ReferenceOracle.expect` calls. Its
   contract is **arrival order**: feed it packets in exactly the order
@@ -56,11 +56,10 @@ from typing import Callable
 from ..exceptions import NetDebugError
 from ..p4.interpreter import RuntimeState, Verdict
 from ..p4.program import P4Program
-from ..target.batch import get_batch_program
+from ..target.batch import BatchProgram
 from ..target.compiler import CompiledProgram
 from ..target.device import FLOOD_PORT, NetworkDevice
-from ..target.fastpath import compile_program
-from ..target.limits import REFERENCE_LIMITS
+from ..target.limits import REFERENCE_LIMITS, SPEC_MODEL
 from .checker import ExpectedOutput
 
 __all__ = [
@@ -79,18 +78,17 @@ OracleFactory = Callable[..., "ReferenceOracle"]
 
 
 def compile_spec(program: P4Program) -> CompiledProgram:
-    """``program`` compiled for spec-faithful prediction:
-    ``honor_reject=True``, with neither TCAM quantisation nor a deparse
-    budget. The batch kernel over it is built on first use
-    (:func:`~repro.target.batch.get_batch_program`) and kept on the
-    returned artifact. Both are read-only: all mutable state lives in
-    the ``RuntimeState`` each oracle passes in, so one spec artifact
-    serves every oracle over the same program object."""
+    """``program`` compiled for spec-faithful prediction: its kernel
+    is built under :data:`~repro.target.limits.SPEC_MODEL`
+    (``honor_reject=True``, with neither TCAM quantisation nor a deparse
+    budget). The artifact is read-only: all mutable state lives in the
+    ``RuntimeState`` each oracle passes in, so one spec artifact serves
+    every oracle over the same program object."""
     return CompiledProgram(
         program,
         "spec",
         honor_reject=True,
-        fast=compile_program(program, honor_reject=True),
+        kernel=BatchProgram(program, REFERENCE_LIMITS, SPEC_MODEL),
     )
 
 
@@ -160,9 +158,7 @@ class ReferenceOracle:
     ):
         """One packet as a block of one over ``state`` (the kernel's
         packet-major schedule); raises the packet's error."""
-        _, run, error = get_batch_program(
-            self.spec, REFERENCE_LIMITS
-        ).run_block(
+        _, run, error = self.spec.kernel.run_block(
             (wire,),
             timestamps=(timestamp,),
             ingress_ports=(ingress_port,),
@@ -317,7 +313,7 @@ class StatelessOracle(ReferenceOracle):
             return None
         # Counters are write-only, so one fresh set serves every lane.
         fresh = RuntimeState.for_program(self.program)
-        return get_batch_program(self.spec, REFERENCE_LIMITS).run_block(
+        return self.spec.kernel.run_block(
             wires,
             timestamps=timestamps,
             ingress_ports=ingress_ports,

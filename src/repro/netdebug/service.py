@@ -626,9 +626,11 @@ class CampaignService:
             return
         try:
             result = ScenarioResult.from_dict(message["result"])
-            # cache_stats and a recorded suite ride the frame as
-            # sidecars (neither is part of the golden to_dict bytes);
-            # restoring them keeps meta["compile_cache"] meaningful.
+            # cache_stats and a recorded suite and arrival process
+            # ride the frame as sidecars (none is part of the golden
+            # to_dict bytes); restoring them keeps
+            # meta["compile_cache"] meaningful and lets a recording
+            # write its manifest.
             stats = message.get("cache_stats")
             if stats:
                 result.cache_stats = {
@@ -636,6 +638,8 @@ class CampaignService:
                 }
             if "suite" in message:
                 result.suite = RegressionSuite.from_dict(message["suite"])
+            if "arrivals" in message:
+                result.arrivals = dict(message["arrivals"])
         except (KeyError, TypeError, ValueError, NetDebugError) as exc:
             self._fail_campaign_locked(
                 campaign,

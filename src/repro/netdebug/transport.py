@@ -262,7 +262,8 @@ def encode_job(
     (:func:`repro.netdebug.campaign.scenario_to_dict` /
     ``fault_to_dict``), which refuses predicate-carrying faults — a job
     frame must never need code to deserialize. ``record`` asks the
-    worker to return the cell's regression suite with the result.
+    worker to return the cell's regression suite and arrival process
+    with the result.
     ``oracle`` overrides the scenario's named oracle with another
     :data:`~repro.netdebug.oracle.ORACLES` entry, by name: no factory
     object ever crosses the wire.

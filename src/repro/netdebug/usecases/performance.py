@@ -60,7 +60,7 @@ def measure_netdebug(seed: int = 0, frame_size: int = FRAME_SIZE) -> dict:
     elapsed_s = elapsed / clock_hz
     octets = sum(p.wire_length for p in packets)
     stage_cycles = {
-        stage: device.pipeline.stage_cycles(stage, frame_size)
+        stage: device.stage_cycles(stage, frame_size)
         for stage in device.stage_names()
     }
     return {

@@ -1,11 +1,14 @@
 """Simulated hardware targets and their execution core.
 
 The package splits into the performance-first execution core —
-:mod:`~repro.target.fastpath` (compile once: generated parser and
-deparser, one closure per control stage), :mod:`~repro.target.batch`
-(the batch kernel, the one execution driver),
-:mod:`~repro.target.pipeline` (stages, taps, faults, state) and
-:mod:`~repro.target.device` (ports, stats, management interface) — and
+:mod:`~repro.target.compiler` (the artifact, built with its one
+kernel), :mod:`~repro.target.batch` (that kernel: the one execution
+driver and the one cycle model), :mod:`~repro.target.fastpath` (the
+code generators it compiles with: parser, deparser, one closure per
+control stage), :mod:`~repro.target.pipeline` (the stage names, tap
+snapshots and run records the layers share) and
+:mod:`~repro.target.device` (ports, stats, runtime state, taps and the
+management interface) — and
 the three concrete targets: the spec-faithful reference
 (:mod:`~repro.target.reference`), the SDNet-like backend whose
 datapath silently omits the parser ``reject`` state
@@ -20,19 +23,12 @@ from .artifact_cache import (
     CACHE_VERSION,
     get_artifact_cache,
 )
-from .batch import BatchProgram, build_batch_program, get_batch_program
+from .batch import BatchProgram
 from .compiler import CompiledProgram, Diagnostic, TargetCompiler
 from .device import FLOOD_PORT, DeviceStats, NetworkDevice, Port
-from .fastpath import FastProgram, compile_program
 from .faults import Fault, FaultInjector, FaultKind
 from .limits import REFERENCE_LIMITS, SDNET_LIMITS, TOFINO_LIMITS, ArchLimits
-from .pipeline import (
-    PacketSnapshot,
-    StagedPipeline,
-    TAP_INPUT,
-    TAP_OUTPUT,
-    TargetRun,
-)
+from .pipeline import PacketSnapshot, TAP_INPUT, TAP_OUTPUT, TargetRun
 from .reference import ReferenceCompiler, make_reference_device
 from .resources import (
     DeviceCapacity,
@@ -58,7 +54,6 @@ __all__ = [
     "DeviceStats",
     "FLOOD_PORT",
     # pipeline
-    "StagedPipeline",
     "PacketSnapshot",
     "TargetRun",
     "TAP_INPUT",
@@ -67,13 +62,8 @@ __all__ = [
     "TargetCompiler",
     "CompiledProgram",
     "Diagnostic",
-    # fast path
-    "FastProgram",
-    "compile_program",
     # batch kernel and artifact cache
     "BatchProgram",
-    "build_batch_program",
-    "get_batch_program",
     "ArtifactCache",
     "CACHE_VERSION",
     "get_artifact_cache",

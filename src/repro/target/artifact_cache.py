@@ -2,13 +2,13 @@
 
 Campaign workers, cluster fleets and ``replay_campaign`` all compile
 the same handful of programs over and over — once per (program,
-target, setup) per process. The closures themselves cannot be
-pickled, but everything *around* them can: diagnostics, deviation
-model, resource estimates, and — crucially — the program IR with its
-installed table entries. This module stores that picklable core and
-rebuilds the closures on load, which is much cheaper than a full
-``TargetCompiler.compile`` (no validation, limit checking or resource
-fitting).
+target, setup) per process. The batch kernel's generated code and
+closures cannot be pickled, but everything *around* them can:
+diagnostics, deviation model, resource estimates, and — crucially —
+the program IR with its installed table entries. This module stores
+that picklable core and rebuilds the kernel on load, which is much
+cheaper than a full ``TargetCompiler.compile`` (no validation, limit
+checking or resource fitting).
 
 Layout and keying
 -----------------
@@ -53,8 +53,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from .batch import BatchProgram
 from .compiler import CompiledProgram, TargetCompiler
-from .fastpath import compile_program
+from .limits import DeviationModel
 
 __all__ = [
     "CACHE_VERSION",
@@ -69,7 +70,7 @@ __all__ = [
 
 #: Bump when the on-disk artifact format changes. Also stamped into
 #: cluster job frames so a stale worker fails fast (see transport.py).
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 _ENV_VAR = "REPRO_COMPILE_CACHE"
 _DISABLED = {"off", "0", "none", "disabled"}
@@ -178,7 +179,7 @@ class ArtifactCache:
     def load(
         self, key: str, compiler: TargetCompiler
     ) -> CompiledProgram | None:
-        """Load the artifact for ``key``, rebuilding its closures.
+        """Load the artifact for ``key``, rebuilding its kernel.
 
         Any failure — missing file, truncated pickle, version or key
         mismatch — is a miss; corrupt files are deleted so they cannot
@@ -196,11 +197,10 @@ class ArtifactCache:
             compiled: CompiledProgram = payload["artifact"]
             if compiled.target_name != compiler.limits.name:
                 raise ValueError("artifact/target mismatch")
-            compiled.fast = compile_program(
+            compiled.kernel = BatchProgram(
                 compiled.program,
-                compiled.honor_reject,
-                quantize_tcam=compiled.quantize_tcam,
-                deparse_field_budget=compiled.deparse_field_budget,
+                compiler.limits,
+                DeviationModel.from_compiled(compiled),
             )
         except FileNotFoundError:
             _STATS["misses"] += 1
@@ -220,9 +220,9 @@ class ArtifactCache:
         payload = {
             "version": CACHE_VERSION,
             "key": key,
-            # Closures cannot pickle; they are rebuilt on load.
+            # The kernel cannot pickle; it is rebuilt on load.
             "artifact": dataclasses.replace(
-                compiled, fast=None, batch=None, spec=None
+                compiled, kernel=None, spec=None
             ),
         }
         try:

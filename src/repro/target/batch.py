@@ -1,10 +1,14 @@
 """The batch kernel — the one execution driver.
 
-Every packet a device runs, and every prediction the reference oracle
-makes, goes through a :class:`BatchProgram`: the program's
-:class:`~repro.target.fastpath.FastProgram` (generated parser, one
-closure per control stage, generated deparser) driven over a
-struct-of-arrays packet block:
+A :class:`BatchProgram` is what a compiled artifact runs: it is built
+with the artifact (``CompiledProgram.kernel``, see
+:mod:`repro.target.compiler`) from the program, the target's limits and
+its deviation model, and every packet a device runs, and every
+prediction the reference oracle makes, goes through one. The
+construction compiles the program once — the generated parser and
+deparser and one closure per control stage
+(:mod:`repro.target.fastpath`), each stage compiled exactly once — and
+``run_block`` drives those parts over a struct-of-arrays packet block:
 
 * per-packet control state lives in parallel arrays (``exited``,
   ``errors``, ``drop_stage``, word costs, timestamps) instead of being
@@ -19,6 +23,12 @@ struct-of-arrays packet block:
 * verdicts, egress, latency and deparse are emitted column-wise with
   the cycle model evaluated *analytically* per death class rather than
   accumulated stage by stage.
+
+The kernel also holds the one cycle model (``_TAP_CYCLES``,
+``_STMT_CYCLES`` and :func:`_frame_cycles` for the parser and deparser,
+read per stage by :meth:`BatchProgram.stage_cycles`): the hooked
+schedule accumulates it stage by stage, the columnar schedule sums it
+per death class, and the device reports it.
 
 What happens *between* closures is written once, in the stage
 functions (:func:`_generic_stage`, :func:`_exact_table_stage`: exit,
@@ -47,8 +57,9 @@ Schedules
   no cross-packet amortization. A single injected packet and a single
   oracle prediction are blocks of one.
 * **packet-major with hooks** — the packet-major schedule with
-  between-stage hooks (:class:`~repro.target.pipeline.StageHooks`):
-  attached taps receive :class:`~repro.target.pipeline.PacketSnapshot`
+  between-stage hooks (:class:`~repro.target.pipeline.StageHooks`,
+  built by :meth:`~repro.target.device.NetworkDevice.hooks`): attached
+  taps receive :class:`~repro.target.pipeline.PacketSnapshot`
   s, armed faults (:mod:`repro.target.faults`) act on the packet, and
   the packet may enter at any stage (``inject_at``). It visits every
   stage name, empty statements included, so taps and faults may target
@@ -69,22 +80,54 @@ from __future__ import annotations
 import dataclasses
 
 from ..bitutils import mask
+from ..exceptions import TargetError
 from ..p4.control import ApplyTable
 from ..p4.expr import MetaRef, compile_expr
 from ..p4.interpreter import ExitPipeline, PipelineResult, Trace, Verdict
+from ..p4.program import P4Program
 from ..p4.table import MatchKind
-from .compiler import CompiledProgram
-from .fastpath import ExecState, _compile_action, control_stages
+from ..p4.types import standard_metadata_defaults
+from .fastpath import (
+    ExecState,
+    _compile_action,
+    _compile_stmt,
+    _generate_deparser,
+    _generate_parser,
+    control_stages,
+)
 from .faults import FaultKind
-from .limits import ArchLimits
+from .limits import ArchLimits, DeviationModel
 from .pipeline import PacketSnapshot, StageHooks, TargetRun, stage_names
 
-__all__ = ["BatchProgram", "build_batch_program", "get_batch_program"]
+__all__ = ["BatchProgram"]
 
 _EMPTY_SET: frozenset = frozenset()
 
-#: Cycle cost of one match-action stage (mirrors StagedPipeline).
+# ----------------------------------------------------------------------
+# The cycle model
+# ----------------------------------------------------------------------
+#: Cycle cost of a tap point (``input``, ``output``).
+_TAP_CYCLES = 1
+#: Cycle cost of one match-action stage, empty statements included.
 _STMT_CYCLES = 12
+
+
+def _frame_cycles(frame_bytes: int, bus_bytes: int) -> int:
+    """Cycle cost of the parser or the deparser for one frame: 4 plus
+    one per bus word (an empty frame still occupies one word)."""
+    return 4 + -(-max(1, frame_bytes) // bus_bytes)
+
+
+def _traversal(rows) -> tuple[list[str], int, int]:
+    """A traversal over the hooked schedule's stage rows as
+    ``(names, fixed cycles, frame-sized stages)``: the traversal costs
+    ``fixed + frame-sized stages * _frame_cycles(size, bus)``."""
+    return (
+        [row[0] for row in rows],
+        sum(row[3] for row in rows if row[3] is not None),
+        sum(1 for row in rows if row[3] is None),
+    )
+
 
 _TS_MASK = 0xFFFFFFFFFFFF
 
@@ -123,7 +166,7 @@ def _reads_metadata(root, name: str) -> bool:
 # ----------------------------------------------------------------------
 # Block-wise stage compilation
 # ----------------------------------------------------------------------
-def _generic_stage(stage_name: str, fast_fn):
+def _generic_stage(stage_name: str, stage_fn):
     """Wrap one compiled closure stage for block execution.
 
     This is the one definition of a match-action stage's per-packet
@@ -140,7 +183,7 @@ def _generic_stage(stage_name: str, fast_fn):
                 continue
             state = states[i]
             try:
-                fast_fn(state)
+                stage_fn(state)
             except ExitPipeline:
                 exited[i] = True
             except Exception as exc:  # captured per lane, see module doc
@@ -228,9 +271,11 @@ def _exact_table_stage(program, table, stage_name: str):
     return run
 
 
-def _compile_control_block(program, control, fast_stages):
+def _compile_control(program, control, quantize_tcam: bool):
     """Block-wise stage function per control statement, index-aligned
-    with the pipeline's stage names; ``None`` for an empty statement."""
+    with the pipeline's stage names; ``None`` for an empty statement.
+    Each statement is compiled once: an all-EXACT table apply into its
+    dict-get column, anything else into a closure."""
     fns = []
     for index, stmt in enumerate(control_stages(control)):
         name = f"{control.name}.{index}"
@@ -248,10 +293,9 @@ def _compile_control_block(program, control, fast_stages):
                     program, control.table(stmt.table), name
                 )
             )
-        elif fast_stages[index] is not None:
-            fns.append(_generic_stage(name, fast_stages[index]))
-        else:
-            fns.append(None)
+            continue
+        fn = _compile_stmt(program, control, stmt, quantize_tcam)
+        fns.append(None if fn is None else _generic_stage(name, fn))
     return fns
 
 
@@ -279,7 +323,15 @@ def _corrupt_field(fault, *packets) -> None:
 
 
 class BatchProgram:
-    """A program compiled for block execution on one target."""
+    """A program compiled for block execution on one target.
+
+    Built from the program, the target's :class:`ArchLimits` (the bus
+    width the cycle model charges per word) and its
+    :class:`DeviationModel` (the datapath semantics, silent deviations
+    included). Read-only once built: all mutable state (counters,
+    registers, metadata) comes in per run, so one kernel serves every
+    device installing its artifact.
+    """
 
     __slots__ = (
         "program",
@@ -288,79 +340,85 @@ class BatchProgram:
         "bus_bytes",
         "columnar",
         "timestamp_free",
+        "stage_names",
         "_template",
         "_ingress_fns",
         "_egress_fns",
         "_stages",
-        "n_ingress",
+        "_stage_costs",
         "n_egress",
-        "_stmt_cycles_total",
-        "_names_forwarded",
-        "_names_egress_barrier",
-        "_names_deparse_barrier",
-        "_names_rejected",
+        "_rejected",
+        "_egress_barrier",
+        "_deparse_barrier",
+        "_forwarded",
         "_null_trace",
-        "_last_before_egress",
-        "_last_before_deparse",
     )
 
-    def __init__(self, compiled: CompiledProgram, limits: ArchLimits):
-        fast = compiled.fast
-        if fast is None:
-            raise ValueError(
-                "batch compilation requires the compiled closures; "
-                "rebuild the artifact with TargetCompiler.compile"
-            )
-        program = compiled.program
+    def __init__(
+        self,
+        program: P4Program,
+        limits: ArchLimits,
+        model: DeviationModel,
+    ):
         self.program = program
         self.bus_bytes = limits.bus_bytes
-        self.parse = fast.parse
-        self.deparse = fast.deparse
-        self._template = fast.metadata_template
+        self.parse = _generate_parser(program, model.honor_reject)
+        self.deparse = _generate_deparser(
+            program, model.deparse_field_budget
+        )
+        # Standard + program metadata, all zero, copied per packet.
+        template = standard_metadata_defaults()
+        for name in program.env.metadata:
+            template.setdefault(name, 0)
+        self._template = template
 
-        ingress = _compile_control_block(
-            program, program.ingress, fast.ingress_stages
+        ingress = _compile_control(
+            program, program.ingress, model.quantize_tcam
         )
-        egress = _compile_control_block(
-            program, program.egress, fast.egress_stages
+        egress = _compile_control(
+            program, program.egress, model.quantize_tcam
         )
-        n_ing = self.n_ingress = len(ingress)
+        n_ing = len(ingress)
         n_eg = self.n_egress = len(egress)
         # The hook-free schedules elide empty stages: an empty stage
         # cannot change the drop flag, so skipping it preserves the
         # drop-origin invariant.
         self._ingress_fns = [fn for fn in ingress if fn is not None]
         self._egress_fns = [fn for fn in egress if fn is not None]
-        self._stmt_cycles_total = _STMT_CYCLES * (n_ing + n_eg)
 
-        # The hooked schedule's stage table, one row per stage name:
-        # (name, kind, stage fn, fixed cycle cost or None for the
-        # frame-size-dependent parser/deparser, drop barrier). The
-        # barriers sit at egress.0 and at the deparser.
-        names = stage_names(program)
+        # The stage table, one row per stage name: (name, kind, stage
+        # fn, fixed cycle cost or None for the frame-sized
+        # parser/deparser, drop barrier). The barriers sit at egress.0
+        # and at the deparser. The hooked schedule walks it; the cycle
+        # model and the columnar death classes are read off it.
+        names = self.stage_names = stage_names(program)
         kinds = (
             [_INPUT, _PARSER] + [_STMT] * (n_ing + n_eg)
             + [_DEPARSER, _OUTPUT]
         )
         fns = [None, None] + ingress + egress + [None, None]
-        costs = [1, None] + [_STMT_CYCLES] * (n_ing + n_eg) + [None, 1]
+        costs = (
+            [_TAP_CYCLES, None] + [_STMT_CYCLES] * (n_ing + n_eg)
+            + [None, _TAP_CYCLES]
+        )
         egress_0, deparser = 2 + n_ing, 2 + n_ing + n_eg
-        self._stages = tuple(
+        stages = self._stages = tuple(
             (name, kind, fn, cost,
              index == deparser or (index == egress_0 and n_eg > 0))
             for index, (name, kind, fn, cost) in enumerate(
                 zip(names, kinds, fns, costs)
             )
         )
+        self._stage_costs = dict(zip(names, costs))
 
-        # Traversals of the hook-free schedules, one shared list per
-        # death class: no consumer mutates a TargetRun's traversal list.
-        self._names_forwarded = names
-        self._names_deparse_barrier = names[:-2]
-        self._names_egress_barrier = names[:2 + n_ing]
-        self._names_rejected = names[:2]
-        self._last_before_egress = names[1 + n_ing]
-        self._last_before_deparse = names[1 + n_ing + n_eg]
+        # The hook-free schedules' death classes, each a traversal with
+        # its cost: one shared name list per class, as no consumer
+        # mutates a TargetRun's traversal list. A drop no stage claimed
+        # dies at the last stage before its barrier.
+        self._rejected = _traversal(stages[:2])
+        self._egress_barrier = _traversal(stages[:egress_0])
+        self._deparse_barrier = _traversal(stages[:deparser])
+        self._forwarded = _traversal(stages)
         # Kernel runs never trace (the null-trace fast path), and no
         # consumer mutates a TargetRun's trace, so one shared instance
         # per kernel replaces a per-packet allocation.
@@ -374,6 +432,18 @@ class BatchProgram:
             (program.parser, program.ingress, program.egress),
             "ingress_global_timestamp",
         )
+
+    def stage_cycles(self, stage: str, frame_bytes: int) -> int:
+        """The cycle model: what ``stage`` costs one frame of
+        ``frame_bytes`` bytes. A run's ``latency_cycles`` is the sum
+        over its ``stages_traversed``, plus any EXTRA_LATENCY fault."""
+        try:
+            cost = self._stage_costs[stage]
+        except KeyError:
+            raise TargetError(f"no pipeline stage {stage!r}") from None
+        if cost is None:
+            return _frame_cycles(frame_bytes, self.bus_bytes)
+        return cost
 
     # ------------------------------------------------------------------
     # Block execution
@@ -472,6 +542,7 @@ class BatchProgram:
         template = self._template
         null_trace = self._null_trace
         bus = self.bus_bytes
+        rejected_names, rejected_fixed, rejected_words = self._rejected
 
         states = [None] * n
         word = [0] * n
@@ -486,7 +557,7 @@ class BatchProgram:
         for i in range(n):
             wire = wires[i]
             size = len(wire)
-            w = 4 + -(-max(1, size) // bus)
+            w = _frame_cycles(size, bus)
             word[i] = w
             metadata = dict(template)
             metadata["ingress_port"] = ports[i]
@@ -505,9 +576,9 @@ class BatchProgram:
                             Verdict.PARSER_REJECTED, None, metadata,
                             null_trace,
                         ),
-                        self._names_rejected,
+                        rejected_names,
                         "parser",
-                        1 + w,
+                        rejected_fixed + rejected_words * w,
                     ),
                     None,
                 )
@@ -524,9 +595,8 @@ class BatchProgram:
         # Egress drop barrier (exists only when egress has stages).
         if self.n_egress:
             kept = []
-            drop_cycles = 1 + _STMT_CYCLES * self.n_ingress
-            names = self._names_egress_barrier
-            last = self._last_before_egress
+            names, fixed, words = self._egress_barrier
+            last = names[-1]
             for i in live:
                 if errors[i] is not None:
                     outs[i] = (ts_list[i], None, errors[i])
@@ -540,7 +610,7 @@ class BatchProgram:
                             ),
                             names,
                             drop_stage[i] or last,
-                            drop_cycles + word[i],
+                            fixed + words * word[i],
                         ),
                         None,
                     )
@@ -553,9 +623,8 @@ class BatchProgram:
 
         # Deparser drop barrier.
         kept = []
-        drop_cycles = 1 + self._stmt_cycles_total
-        names = self._names_deparse_barrier
-        last = self._last_before_deparse
+        names, fixed, words = self._deparse_barrier
+        last = names[-1]
         for i in live:
             if errors[i] is not None:
                 outs[i] = (ts_list[i], None, errors[i])
@@ -569,7 +638,7 @@ class BatchProgram:
                         ),
                         names,
                         drop_stage[i] or last,
-                        drop_cycles + word[i],
+                        fixed + words * word[i],
                     ),
                     None,
                 )
@@ -579,8 +648,7 @@ class BatchProgram:
 
         # Deparse + forward column.
         deparse = self.deparse
-        names = self._names_forwarded
-        base_cycles = 2 + self._stmt_cycles_total
+        names, fixed, words = self._forwarded
         for i in live:
             state = states[i]
             metadata = state.metadata
@@ -599,7 +667,7 @@ class BatchProgram:
                     ),
                     names,
                     None,
-                    base_cycles + 2 * word[i],
+                    fixed + words * word[i],
                 ),
                 None,
             )
@@ -629,7 +697,7 @@ class BatchProgram:
             stuck = frozen = _EMPTY_SET
         null_trace = self._null_trace
         size = len(wire)
-        w = 4 + -(-max(1, size) // self.bus_bytes)
+        w = _frame_cycles(size, self.bus_bytes)
         metadata = dict(self._template)
         metadata["ingress_port"] = port
         metadata["packet_length"] = size & 0xFFFF
@@ -747,20 +815,3 @@ class BatchProgram:
             result, traversed, died_at, cycles, injected_at, output_wire
         )
 
-
-def build_batch_program(
-    compiled: CompiledProgram, limits: ArchLimits
-) -> BatchProgram:
-    """Compile ``compiled`` for block execution (no caching)."""
-    return BatchProgram(compiled, limits)
-
-
-def get_batch_program(
-    compiled: CompiledProgram, limits: ArchLimits
-) -> BatchProgram:
-    """Batch kernel for ``compiled``, built once per artifact."""
-    batch = compiled.batch
-    if batch is None:
-        batch = BatchProgram(compiled, limits)
-        compiled.batch = batch
-    return batch

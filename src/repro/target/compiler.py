@@ -1,13 +1,14 @@
-"""The base target compiler: limit checking, capacity fitting, fast-path
-code generation.
+"""The base target compiler: limit checking, capacity fitting, kernel
+construction.
 
 ``compile`` is what :meth:`repro.target.device.NetworkDevice.load` runs:
 it validates the program, checks it against the target's published
 :class:`~repro.target.limits.ArchLimits`, fits the estimated resources
 into the device capacity, records any *silent deviations* the backend
-introduces, and — the performance core — lowers the program once into
-closures (:mod:`repro.target.fastpath`) so per-packet execution never
-walks an expression tree.
+introduces, and — the performance core — builds the artifact's one
+batch kernel (:class:`~repro.target.batch.BatchProgram`), which lowers
+the program once into generated code and closures so per-packet
+execution never walks an expression tree.
 
 Diagnostics model real toolchain output: limit violations are errors
 (the compile fails loudly), everything else is at most a warning. A
@@ -23,8 +24,8 @@ from ..exceptions import CompileError
 from ..p4.program import P4Program
 from ..p4.table import MatchKind
 from ..p4.validation import validate_program
-from .fastpath import FastProgram, compile_program
-from .limits import ArchLimits
+from .batch import BatchProgram
+from .limits import ArchLimits, DeviationModel
 from .resources import (
     DeviceCapacity,
     ResourceUsage,
@@ -55,6 +56,10 @@ class CompiledProgram:
     backend generated, including its silent deviations. They are ground
     truth for differential testing (``silent_deviations`` carries the
     matching tags) and are deliberately absent from ``diagnostics``.
+
+    ``kernel`` is the artifact's one batch kernel, built with it (by
+    :meth:`TargetCompiler.compile`, or by the artifact cache's load,
+    which stores the artifact without it).
     """
 
     program: P4Program
@@ -64,14 +69,11 @@ class CompiledProgram:
     silent_deviations: list[str] = field(default_factory=list)
     resources: ResourceUsage = field(default_factory=ResourceUsage)
     utilization: dict[str, float] = field(default_factory=dict)
-    fast: FastProgram | None = field(default=None, repr=False)
-    quantize_tcam: bool = False
-    deparse_field_budget: int | None = None
-    #: Lazily-built block kernel (repro.target.batch); one per artifact,
-    #: excluded from pickling by the artifact cache like ``fast``.
-    batch: object | None = field(
+    kernel: BatchProgram | None = field(
         default=None, repr=False, compare=False
     )
+    quantize_tcam: bool = False
+    deparse_field_budget: int | None = None
     #: Lazily-built spec-faithful artifact the reference oracle predicts
     #: with (:func:`repro.netdebug.oracle.compile_spec`) over this
     #: artifact's provisioned program; one per artifact, not pickled
@@ -245,11 +247,8 @@ class TargetCompiler:
             silent_deviations=self.deviations(program),
             resources=resources,
             utilization=self.capacity.utilization(resources),
-            fast=compile_program(
-                program,
-                self.honor_reject,
-                quantize_tcam=self.quantize_tcam,
-                deparse_field_budget=self.deparse_field_budget,
+            kernel=BatchProgram(
+                program, self.limits, DeviationModel.from_compiled(self)
             ),
             quantize_tcam=self.quantize_tcam,
             deparse_field_budget=self.deparse_field_budget,

@@ -1,12 +1,13 @@
 """The simulated network device: ports, pipeline, management interface.
 
-A :class:`NetworkDevice` wires a :class:`~repro.target.pipeline.StagedPipeline`
-behind external traffic ports, tracks per-port and device-wide
-statistics, advances a clock by the pipeline's cycle model, and exposes
-the *dedicated management interface* NetDebug relies on: loading
-programs, the control plane, internal taps, direct mid-pipeline
-injection (which never touches the traffic ports), fault injection, and
-structured status reads.
+A :class:`NetworkDevice` wires an installed artifact's batch kernel
+(``CompiledProgram.kernel``, :mod:`repro.target.batch`) behind external
+traffic ports, holds its runtime state, taps and fault injector, tracks
+per-port and device-wide statistics, advances a clock by the kernel's
+cycle model, and exposes the *dedicated management interface* NetDebug
+relies on: loading programs, the control plane, internal taps, direct
+mid-pipeline injection (which never touches the traffic ports), fault
+injection, and structured status reads.
 
 Two traffic paths exist:
 
@@ -19,13 +20,12 @@ Two traffic paths exist:
   statistics still account for them (the hardware did process the
   packet); port counters do not.
 
-A device has one execution driver: the artifact's batch kernel
-(:mod:`repro.target.batch`). :meth:`inject_block` hands it a whole
-block; :meth:`process`, :meth:`inject` and :meth:`inject_batch` hand it
-blocks of one. When a tap is attached, a fault is armed or a packet
-enters past ``input``, the pipeline's hooks
-(:meth:`~repro.target.pipeline.StagedPipeline.hooks`) send the block
-down the kernel's packet-major schedule with hooks; otherwise it runs
+A device has one execution driver: the artifact's batch kernel.
+:meth:`inject_block` hands it a whole block; :meth:`process`,
+:meth:`inject` and :meth:`inject_batch` hand it blocks of one. When a
+tap is attached, a fault is armed or a packet enters past ``input``,
+the device's :meth:`~NetworkDevice.hooks` send the block down the
+kernel's packet-major schedule with hooks; otherwise it runs
 hook-free.
 """
 
@@ -37,11 +37,10 @@ from ..controlplane import RuntimeAPI
 from ..exceptions import TargetError
 from ..p4.interpreter import RuntimeState, Verdict
 from ..p4.program import P4Program
-from .batch import get_batch_program
 from .compiler import CompiledProgram, TargetCompiler
 from .faults import FaultInjector
 from .limits import ArchLimits
-from .pipeline import StagedPipeline, TAP_INPUT, TargetRun
+from .pipeline import StageHooks, TAP_INPUT, TargetRun
 
 __all__ = [
     "FLOOD_PORT",
@@ -102,9 +101,12 @@ class NetworkDevice:
         self.injector = FaultInjector()
         self.clock_cycles = 0
         self._compiled: CompiledProgram | None = None
-        self._pipeline: StagedPipeline | None = None
         self._control: RuntimeAPI | None = None
         self._state: RuntimeState | None = None
+        #: Stage name -> index in the kernel's stage table, and the
+        #: callbacks attached at each stage (both set by ``install``).
+        self._stage_index: dict[str, int] = {}
+        self._taps: dict[str, list] = {}
 
     # ------------------------------------------------------------------
     # Program lifecycle
@@ -116,12 +118,12 @@ class NetworkDevice:
     def install(self, compiled: CompiledProgram) -> CompiledProgram:
         """Install an already-compiled artifact, skipping compilation.
 
-        The artifact itself is stateless — fast-path closures read all
-        mutable state (counters, registers, metadata) from per-run
-        structures — so one :class:`CompiledProgram` can back many
-        devices. This is the campaign worker path: each worker compiles
-        a program once and stamps out a fresh device (fresh runtime
-        state, stats, clock, fault set) per shard. Note the *program*
+        The artifact itself is stateless — its kernel reads all mutable
+        state (counters, registers, metadata) from per-run structures —
+        so one :class:`CompiledProgram` can back many devices. This is
+        the campaign worker path: each worker compiles a program once
+        and stamps out a fresh device (fresh runtime state, stats,
+        clock, fault set, taps) per shard. Note the *program*
         object (and its installed table entries) is shared by every
         device installing the same artifact.
         """
@@ -136,20 +138,10 @@ class NetworkDevice:
         self._compiled = compiled
         self._state = state
         self._control = RuntimeAPI(program, state)
-        self._pipeline = StagedPipeline(
-            compiled,
-            self.limits,
-            state=state,
-            injector=self.injector,
-        )
+        names = compiled.kernel.stage_names
+        self._stage_index = {name: index for index, name in enumerate(names)}
+        self._taps = {name: [] for name in names}
         return compiled
-
-    def _require_pipeline(self) -> StagedPipeline:
-        if self._pipeline is None:
-            raise TargetError(
-                f"device {self.name!r} has no program loaded"
-            )
-        return self._pipeline
 
     @property
     def compiled(self) -> CompiledProgram:
@@ -172,20 +164,64 @@ class NetworkDevice:
         return self._control
 
     @property
-    def pipeline(self) -> StagedPipeline:
-        return self._require_pipeline()
+    def state(self) -> RuntimeState:
+        """The installed program's runtime state (counters, registers)."""
+        if self._state is None:
+            raise TargetError(
+                f"device {self.name!r} has no program loaded"
+            )
+        return self._state
 
     # ------------------------------------------------------------------
-    # Management interface: taps and topology
+    # Management interface: taps, topology, cycle model
     # ------------------------------------------------------------------
     def stage_names(self) -> list[str]:
-        return self._require_pipeline().stage_names()
+        """All stage/tap names, in traversal order."""
+        return list(self.compiled.kernel.stage_names)
+
+    def _stage_taps(self, stage: str) -> list:
+        self.compiled  # raises when no program is loaded
+        try:
+            return self._taps[stage]
+        except KeyError:
+            raise TargetError(f"no tap point {stage!r}") from None
 
     def attach_tap(self, stage: str, callback) -> None:
-        self._require_pipeline().attach_tap(stage, callback)
+        """Attach ``callback`` to observe snapshots at ``stage``."""
+        self._stage_taps(stage).append(callback)
 
     def detach_tap(self, stage: str, callback) -> None:
-        self._require_pipeline().detach_tap(stage, callback)
+        try:
+            self._stage_taps(stage).remove(callback)
+        except ValueError:
+            raise TargetError(
+                f"callback is not attached at tap {stage!r}"
+            ) from None
+
+    def stage_cycles(self, stage: str, frame_bytes: int) -> int:
+        """Deterministic cycle cost of one stage for one frame (the
+        kernel's cycle model,
+        :meth:`~repro.target.batch.BatchProgram.stage_cycles`)."""
+        return self.compiled.kernel.stage_cycles(stage, frame_bytes)
+
+    def hooks(self, inject_at: str = TAP_INPUT) -> StageHooks | None:
+        """The kernel hooks for packets entering at ``inject_at``, or
+        ``None`` when nothing observes, perturbs or skips a stage: no
+        tap attached, no fault armed, injection at ``input``."""
+        try:
+            start = self._stage_index[inject_at]
+        except KeyError:
+            raise TargetError(
+                f"unknown injection point {inject_at!r}"
+            ) from None
+        injector = self.injector
+        if (
+            start == 0
+            and not injector._active
+            and not any(self._taps.values())
+        ):
+            return None
+        return StageHooks(start, self._taps, injector)
 
     # ------------------------------------------------------------------
     # External traffic path
@@ -197,7 +233,7 @@ class NetworkDevice:
         timestamp: int | None = None,
     ) -> list[tuple[int, bytes]]:
         """One frame in on a port; returns ``(port, wire)`` outputs."""
-        self._require_pipeline()
+        self.compiled  # raises when no program is loaded
         if not 0 <= ingress_port < len(self.ports):
             raise TargetError(
                 f"device {self.name!r} has no port {ingress_port}"
@@ -309,17 +345,18 @@ class NetworkDevice:
 
     def _run(self, wires, at, timestamps, port, ports):
         """``(timestamp, run, error)`` per frame from the batch kernel,
-        with the pipeline's hooks for injection at ``at``."""
-        pipeline = self._require_pipeline()
-        return get_batch_program(self._compiled, self.limits).run_block(
+        with the device's hooks for injection at ``at``."""
+        kernel = self.compiled.kernel
+        state = self._state
+        return kernel.run_block(
             wires,
             clock=self.clock_cycles,
             timestamps=timestamps,
             ingress_port=port,
             ingress_ports=ports,
-            counters=pipeline.state.counters,
-            registers=pipeline.state.registers,
-            hooks=pipeline.hooks(at),
+            counters=state.counters,
+            registers=state.registers,
+            hooks=self.hooks(at),
         )
 
     def _run_one(self, wire, at, port, timestamp) -> TargetRun:

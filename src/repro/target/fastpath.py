@@ -4,27 +4,29 @@ The spec-faithful interpreter (:mod:`repro.p4.interpreter`) walks the
 expression/statement trees for every packet, allocating a
 :class:`~repro.p4.interpreter.Trace` and formatting event strings as it
 goes. That is the right tool for defining semantics; it is the wrong
-tool for driving line-rate experiments. This module lowers each loaded
-program **once** into a :class:`FastProgram`:
+tool for driving line-rate experiments. This module holds the code
+generators that lower a program **once**, which the batch kernel's
+constructor (:class:`repro.target.batch.BatchProgram`) calls:
 
-* **one parser** — generated Python source per program: one big-endian
-  integer read per extracted header, constant shift/mask pairs per
-  field, select cases as chained comparisons on locals;
-* **one closure per control stage** — expressions via
-  :func:`repro.p4.expr.compile_expr` (widths and truncation masks
-  resolved at compile time, action parameters become indexed tuple
-  reads) and table application with precompiled key evaluators,
-  matching installed entries with exactly the interpreter's selection
-  semantics (longest prefix first, then priority);
-* **one deparser** — generated source that emits the (budgeted) emit
-  order with one lookup per header;
+* **one parser** (:func:`_generate_parser`) — generated Python source
+  per program: one big-endian integer read per extracted header,
+  constant shift/mask pairs per field, select cases as chained
+  comparisons on locals;
+* **one closure per control stage** (:func:`_compile_stmt`) —
+  expressions via :func:`repro.p4.expr.compile_expr` (widths and
+  truncation masks resolved at compile time, action parameters become
+  indexed tuple reads) and table application with precompiled key
+  evaluators, matching installed entries with exactly the
+  interpreter's selection semantics (longest prefix first, then
+  priority);
+* **one deparser** (:func:`_generate_deparser`) — generated source that
+  emits the (budgeted) emit order with one lookup per header;
 * **no tracing at all** — the null-trace fast path. Taps and checkers
   observe packets between stages (:mod:`repro.target.pipeline`), never
   through TraceEvents, so nothing is lost.
 
-A :class:`FastProgram` has no driver: the batch kernel
-(:mod:`repro.target.batch`) runs every packet — device traffic and
-the reference oracle's predictions alike — through these parts.
+``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget`` select
+the target's datapath semantics, including its silent deviations.
 Equivalence with tree-walking interpretation is pinned by
 ``tests/test_target_fastpath_differential.py`` and, for the oracle's
 predictions, ``tests/test_compiled_oracle.py``.
@@ -63,15 +65,12 @@ from ..p4.types import (
     PARSER_ERROR_HEADER_TOO_SHORT,
     PARSER_ERROR_REJECT,
     PARSER_ERROR_VERIFY_FAILED,
-    standard_metadata_defaults,
 )
 from ..packet.fields import HeaderSpec
 from ..packet.packet import Header, Packet
 
 __all__ = [
     "ExecState",
-    "FastProgram",
-    "compile_program",
     "control_stages",
 ]
 
@@ -832,7 +831,7 @@ def _compile_stmt(
 def control_stages(control: Control) -> list[Stmt]:
     """The control body's top-level statements — one pipeline stage each.
 
-    Shared by the closure compiler, the batch kernel and the pipeline's
+    Shared by the batch kernel's stage compiler and the pipeline's
     stage names, so their stage lists never drift out of index
     alignment.
     """
@@ -841,66 +840,3 @@ def control_stages(control: Control) -> list[Stmt]:
         return list(body.body)
     return [body] if body is not None else []
 
-
-class FastProgram:
-    """A program compiled once: the generated parser and deparser, one
-    closure per control stage and the per-packet metadata template.
-
-    ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
-    select the target's datapath semantics, including its silent
-    deviations; the defaults are the spec-faithful reference semantics.
-
-    It has no driver of its own: the batch kernel
-    (:mod:`repro.target.batch`) runs every packet through these parts.
-    """
-
-    __slots__ = (
-        "program",
-        "honor_reject",
-        "quantize_tcam",
-        "deparse_field_budget",
-        "parse",
-        "ingress_stages",
-        "egress_stages",
-        "deparse",
-        "metadata_template",
-    )
-
-    def __init__(
-        self,
-        program: P4Program,
-        honor_reject: bool,
-        quantize_tcam: bool = False,
-        deparse_field_budget: int | None = None,
-    ):
-        self.program = program
-        self.honor_reject = honor_reject
-        self.quantize_tcam = quantize_tcam
-        self.deparse_field_budget = deparse_field_budget
-        self.parse = _generate_parser(program, honor_reject)
-        self.ingress_stages = [
-            _compile_stmt(program, program.ingress, stmt, quantize_tcam)
-            for stmt in control_stages(program.ingress)
-        ]
-        self.egress_stages = [
-            _compile_stmt(program, program.egress, stmt, quantize_tcam)
-            for stmt in control_stages(program.egress)
-        ]
-        self.deparse = _generate_deparser(program, deparse_field_budget)
-        # Standard + program metadata, all zero, copied per packet.
-        template = standard_metadata_defaults()
-        for name in program.env.metadata:
-            template.setdefault(name, 0)
-        self.metadata_template = template
-
-
-def compile_program(
-    program: P4Program,
-    honor_reject: bool = True,
-    quantize_tcam: bool = False,
-    deparse_field_budget: int | None = None,
-) -> FastProgram:
-    """Compile ``program`` once for closure-based execution."""
-    return FastProgram(
-        program, honor_reject, quantize_tcam, deparse_field_budget
-    )

@@ -4,7 +4,7 @@ Faults model the below-the-program failure modes NetDebug exists to
 find: packets vanishing mid-pipeline, fields flipping, traffic emerging
 on the wrong port, tables that stop matching, counters that stop
 counting, and stages that silently slow down. Faults attach to a
-pipeline *stage* (see :meth:`repro.target.pipeline.StagedPipeline.stage_names`)
+pipeline *stage* (see :meth:`repro.target.device.NetworkDevice.stage_names`)
 and are applied by the batch kernel's hooked schedule
 (:mod:`repro.target.batch`) as packets traverse that stage —
 invisible to the program and, crucially, to any spec-level analysis.

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 from ..p4.table import MatchKind
 
-__all__ = ["ArchLimits", "REFERENCE_LIMITS", "SDNET_LIMITS", "TOFINO_LIMITS"]
+__all__ = [
+    "ArchLimits",
+    "DeviationModel",
+    "SPEC_MODEL",
+    "REFERENCE_LIMITS",
+    "SDNET_LIMITS",
+    "TOFINO_LIMITS",
+]
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,38 @@ class ArchLimits:
     def line_rate_gbps(self) -> float:
         """Peak datapath rate: one bus word per clock cycle."""
         return self.clock_mhz * self.bus_bytes * 8 / 1000.0
+
+
+@dataclass(frozen=True)
+class DeviationModel:
+    """A target's behavioural model: the datapath semantics its backend
+    generates, silent deviations included.
+
+    The defaults are the specification. The batch kernel
+    (:mod:`repro.target.batch`) is built from one, and the path
+    enumerator (:mod:`repro.baselines.paths`) judges feasibility with
+    one; :meth:`from_compiled` lifts it off a
+    :class:`~repro.target.compiler.CompiledProgram` (or a
+    :class:`~repro.target.compiler.TargetCompiler`) so both see exactly
+    the artifact's datapath.
+    """
+
+    honor_reject: bool = True
+    quantize_tcam: bool = False
+    deparse_field_budget: int | None = None
+
+    @classmethod
+    def from_compiled(cls, compiled) -> "DeviationModel":
+        return cls(
+            honor_reject=getattr(compiled, "honor_reject", True),
+            quantize_tcam=getattr(compiled, "quantize_tcam", False),
+            deparse_field_budget=getattr(
+                compiled, "deparse_field_budget", None
+            ),
+        )
+
+
+SPEC_MODEL = DeviationModel()
 
 
 #: The spec-faithful reference target: generous limits, a wide bus, and

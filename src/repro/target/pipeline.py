@@ -1,7 +1,6 @@
-"""The staged pipeline: topology, tap points, fault hooks, state.
+"""The pipeline's shared vocabulary: stage names, taps, run records.
 
-A :class:`StagedPipeline` describes a compiled program as hardware
-pipeline stages::
+A compiled program runs as hardware pipeline stages::
 
     input -> parser -> ingress.0 .. ingress.N -> egress.0 .. -> deparser -> output
 
@@ -11,14 +10,15 @@ act on the packet and attached taps receive :class:`PacketSnapshot`\\ s
 — this is NetDebug's internal visibility: checkers and localization
 observe *between* stages, so execution itself needs no tracing.
 
-The pipeline owns no execution loop. It holds the stage names, the
-taps, the cycle model, the runtime state and the fault injector, and
-:meth:`StagedPipeline.hooks` hands the batch kernel
-(:mod:`repro.target.batch`) what it needs to publish snapshots, apply
-faults and start at an injection point. The kernel runs every packet;
-a packet with hooks takes its packet-major schedule, which still visits
-every stage name (empty ones included), so taps and faults may target
-any of them.
+This module holds only the types the layers share: the stage names
+(:func:`stage_names`), the tap snapshot, the run record
+(:class:`TargetRun`) and the hooks (:class:`StageHooks`) a device hands
+its artifact's batch kernel (:mod:`repro.target.batch`) to publish
+snapshots, apply faults and start at an injection point. The device
+(:class:`~repro.target.device.NetworkDevice`) owns the taps and builds
+the hooks; the kernel runs every packet, and a packet with hooks takes
+its packet-major schedule, which still visits every stage name (empty
+ones included), so taps and faults may target any of them.
 
 Packets may be injected at any stage (``inject_at``), which is how
 NetDebug's generator bypasses the external ports and how active fault
@@ -29,14 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import TargetError
-from ..p4.interpreter import PipelineResult, RuntimeState
+from ..p4.interpreter import PipelineResult
 from ..p4.program import P4Program
 from ..packet.packet import Packet
-from .compiler import CompiledProgram
 from .fastpath import control_stages
 from .faults import FaultInjector
-from .limits import ArchLimits
 
 __all__ = [
     "TAP_INPUT",
@@ -44,7 +41,6 @@ __all__ = [
     "PacketSnapshot",
     "TargetRun",
     "StageHooks",
-    "StagedPipeline",
     "stage_names",
 ]
 
@@ -105,82 +101,3 @@ class StageHooks:
     taps: dict[str, list]
     injector: FaultInjector | None
 
-
-class StagedPipeline:
-    """One compiled program's stages, taps, faults and runtime state."""
-
-    def __init__(
-        self,
-        compiled: CompiledProgram,
-        limits: ArchLimits,
-        state: RuntimeState | None = None,
-        injector: FaultInjector | None = None,
-    ):
-        self.compiled = compiled
-        self.program = compiled.program
-        self.limits = limits
-        self.state = state or RuntimeState.for_program(self.program)
-        self.injector = injector
-        self._stage_names = stage_names(self.program)
-        self._stage_index = {
-            name: index for index, name in enumerate(self._stage_names)
-        }
-        self._taps: dict[str, list] = {name: [] for name in self._stage_names}
-
-    # ------------------------------------------------------------------
-    # Topology and management
-    # ------------------------------------------------------------------
-    def stage_names(self) -> list[str]:
-        """All stage/tap names, in traversal order."""
-        return list(self._stage_names)
-
-    def attach_tap(self, stage: str, callback) -> None:
-        """Attach ``callback`` to observe snapshots at ``stage``."""
-        try:
-            self._taps[stage].append(callback)
-        except KeyError:
-            raise TargetError(f"no tap point {stage!r}") from None
-
-    def detach_tap(self, stage: str, callback) -> None:
-        try:
-            callbacks = self._taps[stage]
-        except KeyError:
-            raise TargetError(f"no tap point {stage!r}") from None
-        try:
-            callbacks.remove(callback)
-        except ValueError:
-            raise TargetError(
-                f"callback is not attached at tap {stage!r}"
-            ) from None
-
-    def has_taps(self) -> bool:
-        """True when any tap is attached anywhere."""
-        return any(self._taps.values())
-
-    def stage_cycles(self, stage: str, frame_bytes: int) -> int:
-        """Deterministic cycle cost of one stage for one frame."""
-        if stage in (TAP_INPUT, TAP_OUTPUT):
-            return 1
-        if stage in ("parser", "deparser"):
-            words = -(-max(1, frame_bytes) // self.limits.bus_bytes)
-            return 4 + words
-        return 12  # one match-action stage
-
-    def hooks(self, inject_at: str = TAP_INPUT) -> StageHooks | None:
-        """The kernel hooks for packets entering at ``inject_at``, or
-        ``None`` when nothing observes, perturbs or skips a stage: no
-        tap attached, no fault armed, injection at ``input``."""
-        try:
-            start = self._stage_index[inject_at]
-        except KeyError:
-            raise TargetError(
-                f"unknown injection point {inject_at!r}"
-            ) from None
-        injector = self.injector
-        if (
-            start == 0
-            and not (injector is not None and injector._active)
-            and not self.has_taps()
-        ):
-            return None
-        return StageHooks(start, self._taps, injector)

@@ -68,7 +68,7 @@ def test_key_changes_with_installed_entries(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_store_load_round_trip_is_behavioral(tmp_path):
-    """A loaded artifact (closures rebuilt) runs packets identically."""
+    """A loaded artifact (kernel rebuilt) runs packets identically."""
     cache = ArtifactCache(tmp_path)
     program, compiler, compiled = _compile()
     key = cache.key_for(program, compiler)
@@ -78,7 +78,7 @@ def test_store_load_round_trip_is_behavioral(tmp_path):
     delta = stats_delta(before)
     assert delta["stores"] == 1 and delta["hits"] == 1
     assert loaded is not None
-    assert loaded.fast is not None
+    assert loaded.kernel is not None
 
     original = make_reference_device("orig")
     original.install(compiled)
@@ -165,7 +165,7 @@ def test_previous_version_artifact_is_a_miss(tmp_path):
     Version1Pickler(buffer).dump({
         "version": 1,
         "key": key,
-        "artifact": dataclasses.replace(compiled, fast=None, batch=None),
+        "artifact": dataclasses.replace(compiled, kernel=None, spec=None),
     })
     path = cache._path(key)
     path.write_bytes(buffer.getvalue())

@@ -24,7 +24,8 @@ from repro.netdebug.campaign import (
 )
 from repro.netdebug.diffing import baseline_matrix
 from repro.p4.stdlib import PROGRAMS
-from repro.target import artifact_cache, compiler, fastpath
+from repro.target.batch import BatchProgram
+from repro.target.compiler import CompiledProgram
 
 COUNTERS = ("hits", "misses", "stores", "memory_hits")
 
@@ -174,17 +175,17 @@ def test_campaign_tier_never_exceeds_its_capacity(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _spec_compiles(monkeypatch) -> list:
-    """Record every ``compile_program(..., honor_reject=True)`` call."""
+    """Record every kernel built with ``honor_reject`` (spec kernels
+    among them)."""
     calls: list = []
-    real = fastpath.compile_program
+    real = BatchProgram.__init__
 
-    def recording(program, honor_reject=True, *args, **kwargs):
-        if honor_reject:
+    def recording(self, program, limits, model):
+        if model.honor_reject:
             calls.append(program.name)
-        return real(program, honor_reject, *args, **kwargs)
+        real(self, program, limits, model)
 
-    for module in (fastpath, compiler, artifact_cache, oracle):
-        monkeypatch.setattr(module, "compile_program", recording)
+    monkeypatch.setattr(BatchProgram, "__init__", recording)
     return calls
 
 
@@ -381,6 +382,6 @@ def test_live_spec_kernels_never_exceed_the_tier_capacity(monkeypatch):
 
 def _live_kernels() -> int:
     return sum(
-        isinstance(o, compiler.CompiledProgram) and o.target_name == "spec"
+        isinstance(o, CompiledProgram) and o.target_name == "spec"
         for o in gc.get_objects()
     )

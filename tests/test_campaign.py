@@ -42,6 +42,36 @@ def tiny_matrix(**overrides) -> ScenarioMatrix:
     return ScenarioMatrix(**base)
 
 
+def _fresh_manifest(matrix, cells, name) -> str:
+    """The manifest a recording of ``matrix`` must write, with every
+    timed or directional cell's arrival process generated afresh."""
+    from repro.bitutils import stable_hash64
+    from repro.netdebug.campaign import fault_to_dict, scenario_to_dict
+    from repro.sim.traffic import build_workload, default_flow
+
+    scenarios = []
+    for s in cells:
+        bundle = build_workload(
+            s.workload, default_flow(stable_hash64(s.key) % 8), s.count,
+            seed=s.seed,
+        )
+        entry = {**scenario_to_dict(s), "suite": f"scenario-{s.index:04d}"}
+        if bundle.times_ns is not None:
+            entry["times_ns"] = list(bundle.times_ns)
+        if bundle.ingress_ports is not None:
+            entry["ingress_ports"] = list(bundle.ingress_ports)
+        scenarios.append(entry)
+    payload = {
+        "name": name,
+        "faults": {
+            label: [fault_to_dict(f) for f in fault_set]
+            for label, fault_set in matrix.faults.items()
+        },
+        "scenarios": scenarios,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestMatrix:
     def test_expand_is_full_cross_product_in_order(self):
         matrix = tiny_matrix(
@@ -408,6 +438,49 @@ class TestRecordReplay:
             scenario.pop("times_ns")
         manifest_path.write_text(json.dumps(manifest))
         assert not replay_campaign(tmp_path, name="timed2").passed
+
+    def test_recording_builds_each_workload_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Each recorded cell's arrival process rides back with its
+        result, so recording builds every workload exactly once (in
+        the process that runs the cell) and the manifest still holds
+        the bytes freshly generated workloads give: serially, on a
+        2-worker pool and across the cluster wire."""
+        from repro.netdebug import campaign
+        from repro.netdebug.cluster import ClusterExecutor
+
+        matrix = tiny_matrix(
+            programs=["int_telemetry"],
+            workloads=["burst", "udp", "tcp_bidir"],
+            count=6,
+        )
+        cells = matrix.expand()
+        expected = _fresh_manifest(matrix, cells, "arrivals")
+        calls = []
+        real = campaign.build_workload
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "build_workload", counted)
+        record_campaign(matrix, tmp_path / "serial", name="arrivals")
+        assert sorted(calls) == sorted(s.workload for s in cells)
+        del calls[:]
+        record_campaign(
+            matrix, tmp_path / "pool", workers=2, name="arrivals"
+        )
+        run_campaign(
+            matrix, name="arrivals", record_dir=tmp_path / "cluster",
+            executor=ClusterExecutor(workers=2, timeout=300),
+        )
+        # Pool and cluster workers build the workloads; the recording
+        # process builds none.
+        assert calls == []
+        for run in ("serial", "pool", "cluster"):
+            manifest = tmp_path / run / "arrivals.manifest.json"
+            assert manifest.read_text() == expected, run
 
     def test_predicate_faults_cannot_be_recorded(self, tmp_path):
         matrix = tiny_matrix(

@@ -69,7 +69,7 @@ class TestPassive:
         # No taps left behind: a new injection publishes to nobody.
         assert all(
             not observers
-            for observers in device.pipeline._taps.values()
+            for observers in device._taps.values()
         )
 
 

@@ -36,7 +36,6 @@ from repro.sim.traffic import (
     bidirectional_flows,
     default_flow,
 )
-from repro.target.batch import get_batch_program
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
 from tests.test_netdebug_session import lockstep_reference
@@ -175,14 +174,10 @@ class TestBatchCompatibility:
         programs run packet-major: arrival order is preserved exactly.
         A register-free program keeps the columnar schedule."""
         stateful = make_device(name="pm-sfw")
-        assert get_batch_program(
-            stateful.compiled, stateful.limits
-        ).columnar is False
+        assert stateful.compiled.kernel.columnar is False
         stateless = NetworkDevice("pm-sp", ReferenceCompiler(), num_ports=8)
         stateless.load(strict_parser())
-        assert get_batch_program(
-            stateless.compiled, stateless.limits
-        ).columnar is True
+        assert stateless.compiled.kernel.columnar is True
 
     def test_stateful_session_block_path_matches_lockstep(self):
         """A session with a stateful ``oracle_factory`` runs

@@ -103,8 +103,8 @@ def assert_block_matches(per_packet_device, batch_device, frames,
     for index, (g, e) in enumerate(zip(got, expected)):
         assert g == e, f"frame {index}: {g} != {e}"
     assert len(got) == len(expected)
-    fast_state = batch_device.pipeline.state
-    slow_state = per_packet_device.pipeline.state
+    fast_state = batch_device.state
+    slow_state = per_packet_device.state
     assert fast_state.counters == slow_state.counters
     assert fast_state.registers == slow_state.registers
     assert batch_device.clock_cycles == per_packet_device.clock_cycles
@@ -122,7 +122,7 @@ def assert_block_matches_spec(batch_device, frames):
         got = normalize(outcome)[:3]
         want = run_spec(interpreter, wire)
         assert got == want, f"frame {index}: {got} != {want}"
-    state = batch_device.pipeline.state
+    state = batch_device.state
     assert state.counters == interpreter.state.counters
     assert state.registers == interpreter.state.registers
     return outcomes
@@ -292,6 +292,28 @@ def test_stdlib_parsers_elide_duplicate_bookkeeping():
         assert _parser_acyclic_unique_extracts(program), name
         parse = _generate_parser(program, honor_reject=True)
         assert "seen" not in parse.__code__.co_varnames, name
+
+
+def test_each_control_stage_compiles_once(monkeypatch):
+    """The kernel compiles every control stage exactly once: an
+    all-EXACT table stage becomes its dict-get column and gets no
+    scanning closure besides (l2_switch's ``dmac`` is the stdlib's one
+    such stage)."""
+    from repro.target import fastpath
+
+    applied = []
+    real = fastpath._compile_table_apply
+
+    def recording(program, table, quantize_tcam=False):
+        applied.append(table.name)
+        return real(program, table, quantize_tcam)
+
+    monkeypatch.setattr(fastpath, "_compile_table_apply", recording)
+    make_device("once", ReferenceCompiler, PROGRAMS["l2_switch"])
+    assert "dmac" not in applied
+    del applied[:]
+    make_device("once", ReferenceCompiler, PROGRAMS["acl_firewall"])
+    assert sorted(applied) == ["acl", "fwd"]
 
 
 def test_parser_that_cannot_compile_fails_at_load():
@@ -476,8 +498,8 @@ def test_run_stream_block_path_matches_per_packet(timestamps, ports):
         assert block_device.clock_cycles == loop_device.clock_cycles
         assert block_device.stats == loop_device.stats
         assert (
-            block_device.pipeline.state.counters
-            == loop_device.pipeline.state.counters
+            block_device.state.counters
+            == loop_device.state.counters
         )
 
 
@@ -501,7 +523,7 @@ def test_campaign_reports_byte_identical_across_schedules(monkeypatch):
     hook-free schedules and with every block forced onto the hooked
     packet-major schedule — the schedule must never leak into the
     canonical report."""
-    from repro.target.pipeline import StagedPipeline, StageHooks
+    from repro.target.pipeline import StageHooks
 
     block = run_campaign(baseline_matrix(), name="engine-diff")
 
@@ -509,6 +531,6 @@ def test_campaign_reports_byte_identical_across_schedules(monkeypatch):
         start = self.stage_names().index(inject_at)
         return StageHooks(start, self._taps, self.injector)
 
-    monkeypatch.setattr(StagedPipeline, "hooks", always_hooked)
+    monkeypatch.setattr(NetworkDevice, "hooks", always_hooked)
     hooked = run_campaign(baseline_matrix(), name="engine-diff")
     assert block.to_json() == hooked.to_json()

@@ -164,8 +164,8 @@ def test_compiled_matches_interpreted(name, compiler_cls):
         assert fast == slow, f"{name} frame {index}: {fast} != {slow}"
 
     # Stateful objects must agree cell for cell after the whole run.
-    assert device.pipeline.state.counters == interpreter.state.counters
-    assert device.pipeline.state.registers == interpreter.state.registers
+    assert device.state.counters == interpreter.state.counters
+    assert device.state.registers == interpreter.state.registers
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FACTORIES))

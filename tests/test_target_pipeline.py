@@ -1,7 +1,7 @@
-"""Staged pipeline tests: stage decomposition, taps, injection, latency.
+"""Pipeline tests: stage decomposition, taps, injection, latency.
 
-Traversal and injection run through ``NetworkDevice.inject``: the
-pipeline describes the stages, the batch kernel runs the packet.
+Everything runs through ``NetworkDevice``: the device holds the stage
+index and taps, the artifact's batch kernel runs the packet.
 """
 
 import pytest
@@ -14,14 +14,7 @@ from repro.packet.headers import ipv4, mac
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
 from repro.target.sdnet import SDNetCompiler
-from repro.target.pipeline import StagedPipeline, TAP_INPUT, TAP_OUTPUT
-
-
-def build_pipeline(program_factory=ipv4_router, compiler_cls=ReferenceCompiler):
-    compiler = compiler_cls()
-    program = program_factory()
-    compiled = compiler.compile(program)
-    return StagedPipeline(compiled, compiler.limits)
+from repro.target.pipeline import TAP_INPUT, TAP_OUTPUT
 
 
 def build_device(program_factory=ipv4_router, compiler_cls=ReferenceCompiler):
@@ -49,8 +42,8 @@ ROUTED_WIRE = udp_packet(
 
 class TestTopology:
     def test_stage_names_shape(self):
-        pipeline = build_pipeline()
-        names = pipeline.stage_names()
+        device = build_device()
+        names = device.stage_names()
         assert names[0] == TAP_INPUT
         assert names[1] == "parser"
         assert names[-2] == "deparser"
@@ -58,21 +51,21 @@ class TestTopology:
         assert any(n.startswith("ingress.") for n in names)
 
     def test_multi_statement_controls_get_stages(self):
-        pipeline = build_pipeline(acl_firewall)
+        device = build_device(acl_firewall)
         ingress_stages = [
-            n for n in pipeline.stage_names() if n.startswith("ingress.")
+            n for n in device.stage_names() if n.startswith("ingress.")
         ]
         assert len(ingress_stages) == 2  # acl block + fwd conditional
 
     def test_attach_unknown_tap_rejected(self):
-        pipeline = build_pipeline()
+        device = build_device()
         with pytest.raises(TargetError):
-            pipeline.attach_tap("nowhere", lambda s: None)
+            device.attach_tap("nowhere", lambda s: None)
 
     def test_detach_unattached_rejected(self):
-        pipeline = build_pipeline()
+        device = build_device()
         with pytest.raises(TargetError):
-            pipeline.detach_tap(TAP_INPUT, lambda s: None)
+            device.detach_tap(TAP_INPUT, lambda s: None)
 
 
 class TestTraversal:
@@ -169,3 +162,58 @@ class TestInjection:
         assert run.stages_traversed == device.stage_names()
         partial = device.inject(ROUTED_WIRE, at="deparser")
         assert partial.stages_traversed == ["deparser", TAP_OUTPUT]
+
+
+class TestCycleModel:
+    """One cycle model: every run's latency is the sum of
+    ``device.stage_cycles`` over the stages it traversed, on both the
+    hook-free and the hooked schedule and for every death class."""
+
+    def test_latency_is_the_sum_of_traversed_stage_cycles(self):
+        from repro.p4.stdlib import PROGRAMS
+        from repro.target.tofino import TofinoCompiler
+        from tests.test_target_fastpath_differential import (
+            install_entries,
+            workload,
+        )
+
+        frames = workload()
+        seen: dict[bool, set] = {False: set(), True: set()}
+        for name in sorted(PROGRAMS):
+            for compiler_cls in (
+                ReferenceCompiler, SDNetCompiler, TofinoCompiler
+            ):
+                device = build_device(PROGRAMS[name], compiler_cls)
+                install_entries(device)
+                for hooked in (False, True):
+                    if hooked:
+                        device.attach_tap(TAP_INPUT, lambda s: None)
+                    outcomes = device.inject_block(
+                        frames, on_error="capture"
+                    )
+                    for wire, (_, run) in zip(frames, outcomes):
+                        if isinstance(run, Exception):
+                            continue  # deviant targets may raise
+                        assert run.latency_cycles == sum(
+                            device.stage_cycles(stage, len(wire))
+                            for stage in run.stages_traversed
+                        ), (name, compiler_cls.__name__, hooked)
+                        seen[hooked].add(run.result.verdict)
+        every = {
+            Verdict.FORWARDED, Verdict.DROPPED, Verdict.PARSER_REJECTED
+        }
+        assert seen[False] == seen[True] == every
+
+    def test_stage_cycles_shape(self):
+        device = build_device(acl_firewall)
+        bus = device.limits.bus_bytes
+        assert device.stage_cycles(TAP_INPUT, 64) == 1
+        assert device.stage_cycles(TAP_OUTPUT, 64) == 1
+        assert device.stage_cycles("ingress.1", 64) == 12
+        assert device.stage_cycles("parser", 0) == 5
+        assert device.stage_cycles("deparser", 2 * bus + 1) == 4 + 3
+
+    def test_unknown_stage_rejected(self):
+        device = build_device()
+        with pytest.raises(TargetError):
+            device.stage_cycles("nowhere", 64)
