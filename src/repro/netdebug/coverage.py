@@ -57,7 +57,12 @@ from ..baselines.paths import (
 )
 from ..baselines.symbolic import Infeasible
 from ..bitutils import stable_hash64
-from ..exceptions import NetDebugError, P4RuntimeError, SimulationError
+from ..exceptions import (
+    NetDebugError,
+    P4RuntimeError,
+    PacketError,
+    SimulationError,
+)
 from ..p4.interpreter import Interpreter, PipelineResult
 from ..p4.program import P4Program
 from ..sim.traffic import (
@@ -158,9 +163,10 @@ def _replay(
 
     Every replay starts from clean registers/counters: the coverage
     claim is per-packet path identity, not a stateful trajectory.
-    Runtime errors get their own signature class (``!error|…``, with no
-    result) so error-raising paths are identifiable (and excludable)
-    rather than crashes.
+    Runtime errors — including header-stack errors such as a duplicate
+    extract or a push behind an absent header — get their own signature
+    class (``!error|…``, with no result) so error-raising paths are
+    identifiable (and excludable) rather than crashes.
     """
     interp = TracingInterpreter(
         program,
@@ -170,7 +176,7 @@ def _replay(
     )
     try:
         result = interp.process(wire)
-    except P4RuntimeError as exc:
+    except (P4RuntimeError, PacketError) as exc:
         return f"!error|{exc}", None
     return _signature(result, interp.table_choices), result
 
@@ -319,7 +325,9 @@ def covering_set(
             packet = enumerator.build_packet_object(
                 spec.path, spec.sym, payload
             )
-        except Infeasible as exc:
+        except (Infeasible, PacketError) as exc:
+            # PacketError: the path extracts one header twice, which no
+            # concrete packet can carry.
             pruned.append(
                 PrunedPath(
                     spec.describe(), f"witness construction: {exc}"

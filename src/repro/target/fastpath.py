@@ -333,10 +333,7 @@ def _generate_parser(program: P4Program, honor_reject: bool):
                 else f"{fname!r}: w & {field_mask}"
                 for fname, shift, field_mask in _field_layout(spec)
             )
-            dup = (
-                f"duplicate header {name!r}; header stacks of the "
-                "same type are not supported by this model"
-            )
+            dup = f"packet already has header {name!r}"
             body += [
                 f"{pad}if size - offset < {byte_width}:",
                 f"{pad}    metadata['parser_error'] = "

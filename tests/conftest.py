@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 
 @pytest.fixture(autouse=True)
@@ -16,3 +17,9 @@ def _isolated_compile_cache(tmp_path, monkeypatch):
         "REPRO_COMPILE_CACHE", str(tmp_path / "compile-cache")
     )
     yield
+
+
+# ``--hypothesis-profile=ci``: the golden CI job's run of the
+# generated-program suite (tests/test_generated_programs.py), which
+# takes the profile's budget instead of tier-1's fixed sample.
+settings.register_profile("ci", max_examples=500, deadline=None)

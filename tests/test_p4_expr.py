@@ -1,9 +1,10 @@
 """Tests for the P4 expression AST: widths, evaluation, operator sugar."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import P4RuntimeError, P4TypeError
+from repro.p4.actions import Param
 from repro.p4.expr import (
     BinOp,
     Concat,
@@ -15,12 +16,14 @@ from repro.p4.expr import (
     Mux,
     Slice,
     UnOp,
+    compile_expr,
     const,
     fld,
     meta,
 )
+from repro.p4.interpreter import bind_expr
 from repro.p4.types import TypeEnv
-from repro.packet.headers import ETHERNET, IPV4
+from repro.packet.headers import ETHERNET, IPV4, TCP
 from repro.packet.packet import Header, Packet
 
 
@@ -246,3 +249,152 @@ class TestProperties:
         high = Slice(Const(value, 16), 15, 8)
         low = Slice(Const(value, 16), 7, 0)
         assert Concat(high, low).eval(ctx, env) == value
+
+
+# ---------------------------------------------------------------------------
+# The compiled lowering ≡ tree-walking ``eval``
+# ---------------------------------------------------------------------------
+#: The lowering's environment: two declared layouts (ipv4 may be valid,
+#: invalid or absent per example), a declared-but-absent ``tcp`` and
+#: two user metadata fields that may be set or unset.
+_LOWER_ENV = TypeEnv()
+for _spec in (ETHERNET, IPV4, TCP):
+    _LOWER_ENV.declare_header(_spec)
+_LOWER_ENV.declare_metadata("scratch", 16)
+_LOWER_ENV.declare_metadata("wide", 40)
+
+#: Action parameters in positional order: (name, bits).
+_PARAMS = (("port", 9), ("mac", 48), ("flag", 1))
+
+_FIELDS = [
+    (spec.name, f.name, f.width)
+    for spec in (ETHERNET, IPV4, TCP)
+    for f in spec.fields
+]
+_META = ("scratch", "wide", "ingress_port", "drop")
+_BIN = ("+", "-", "*", "&", "|", "^", "==", "!=", "<", "<=", ">", ">=",
+        "and", "or")
+
+
+def _leaves():
+    consts = (
+        st.integers(min_value=0, max_value=(1 << 48) - 1).map(Const)
+        | st.integers(min_value=0, max_value=255).map(lambda v: Const(v, 8))
+    )
+    fields = st.sampled_from(_FIELDS).map(lambda f: FieldRef(f[0], f[1]))
+    metas = st.sampled_from(_META).map(MetaRef)
+    params = st.sampled_from(_PARAMS).map(lambda p: Param(p[0], p[1]))
+    valids = st.sampled_from(["ethernet", "ipv4", "tcp"]).map(IsValid)
+    return consts | fields | metas | params | valids
+
+
+def _small_shift(amount):
+    """Bound a shift amount to 6 bits so ``<<`` stays small."""
+    width = amount.width(_LOWER_ENV)
+    return Slice(amount, min(width, 6) - 1, 0)
+
+
+def _extend(children):
+    binops = st.builds(BinOp, st.sampled_from(_BIN), children, children)
+    shifts = st.builds(
+        lambda op, left, right: BinOp(op, left, _small_shift(right)),
+        st.sampled_from(["<<", ">>"]), children, children,
+    )
+    unops = st.builds(UnOp, st.sampled_from(["~", "!", "-"]), children)
+
+    @st.composite
+    def slices(draw):
+        operand = draw(children)
+        width = operand.width(_LOWER_ENV)
+        low = draw(st.integers(min_value=0, max_value=width - 1))
+        high = draw(st.integers(min_value=low, max_value=width - 1))
+        return Slice(operand, high, low)
+
+    concats = st.builds(Concat, children, children)
+    muxes = st.builds(Mux, children, children, children)
+    return binops | shifts | unops | slices() | concats | muxes
+
+
+_EXPRS = st.recursive(_leaves(), _extend, max_leaves=12)
+
+
+@st.composite
+def _lowering_contexts(draw):
+    """A packet (ipv4 valid, invalid or absent), metadata with each
+    user field set or unset, and action data fitting each parameter."""
+    headers = [
+        Header(ETHERNET, {
+            "dst_addr": draw(st.integers(0, (1 << 48) - 1)),
+            "ether_type": draw(st.sampled_from([0x0800, 0x86DD, 0])),
+        })
+    ]
+    ipv4_state = draw(st.sampled_from(["valid", "invalid", "absent"]))
+    if ipv4_state != "absent":
+        headers.append(Header(
+            IPV4,
+            {
+                "ttl": draw(st.integers(0, 255)),
+                "dst_addr": draw(st.integers(0, (1 << 32) - 1)),
+                "protocol": draw(st.integers(0, 255)),
+            },
+            valid=ipv4_state == "valid",
+        ))
+    metadata = {"ingress_port": draw(st.integers(0, 511)), "drop": 0}
+    for name, width in (("scratch", 16), ("wide", 40)):
+        if draw(st.booleans()):
+            metadata[name] = draw(st.integers(0, (1 << width) - 1))
+    args = tuple(
+        draw(st.integers(0, (1 << bits) - 1)) for _, bits in _PARAMS
+    )
+    return Packet(headers=headers), metadata, args
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except Exception as exc:  # compared by class and message
+        return ("raised", type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRS, _lowering_contexts())
+def test_compiled_expression_matches_eval(expr, context):
+    """``compile_expr`` ≡ ``bind_expr(...).eval(...)``: the same value,
+    or the same error class with the same message, over random trees of
+    every node kind — action parameters, valid/invalid/absent headers,
+    set and unset metadata."""
+    packet, metadata, args = context
+    names = tuple(name for name, _ in _PARAMS)
+    compiled = compile_expr(expr, _LOWER_ENV, names)
+    binding = dict(zip(names, args))
+    expected = _outcome(
+        lambda: bind_expr(expr, binding).eval(
+            EvalContext(packet, metadata), _LOWER_ENV
+        )
+    )
+    got = _outcome(lambda: compiled(packet, metadata, args))
+    assert got == expected
+
+
+@pytest.mark.parametrize("op,left", [("and", 0), ("or", 1)])
+def test_compiled_logic_short_circuits(op, left):
+    """A decided ``&&``/``||`` never evaluates its right operand: the
+    right side here reads an absent header and would raise."""
+    expr = BinOp(op, Const(left), FieldRef("tcp", "dst_port"))
+    compiled = compile_expr(expr, _LOWER_ENV)
+    assert compiled(Packet(), {}, ()) == left
+    with pytest.raises(P4RuntimeError, match="invalid header"):
+        compile_expr(
+            BinOp(op, Const(1 - left), FieldRef("tcp", "dst_port")),
+            _LOWER_ENV,
+        )(Packet(), {}, ())
+
+
+def test_compiled_unbound_param_is_a_compile_time_error():
+    with pytest.raises(P4RuntimeError, match="unbound"):
+        compile_expr(Param("missing", 8) + 1, _LOWER_ENV, ("port",))
+
+
+def test_compiled_bad_slice_is_a_compile_time_error():
+    with pytest.raises(P4TypeError, match="out of range"):
+        compile_expr(Slice(FieldRef("ipv4", "ttl"), 9, 0), _LOWER_ENV)

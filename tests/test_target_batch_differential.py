@@ -384,7 +384,9 @@ def test_duplicate_extract_parser_keeps_guard_and_matches_closure():
             "dup-guard2", ReferenceCompiler, duplicate_extract_program
         ).inject_block(frames, on_error="capture")[0]
     )
-    assert outcome[0] == "raised" and "duplicate header" in outcome[2]
+    assert outcome == (
+        "raised", "PacketError", "packet already has header 'ethernet'"
+    )
 
 
 # ---------------------------------------------------------------------------
