@@ -1,7 +1,7 @@
 """EXP-ORACLE — what session-scoped prediction costs.
 
-Both oracles predict with the program's spec-faithful compiled
-closures. The stateful oracle threads one register file through the
+Both oracles predict with the program's spec-faithful generated
+kernel. The stateful oracle threads one register file through the
 whole packet sequence; the stateless one starts every packet from
 fresh registers. Two things are worth pinning on a big bidirectional
 sweep:

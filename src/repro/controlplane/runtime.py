@@ -17,6 +17,16 @@ from ..p4.table import KeyPattern, MatchKind, Table, TableEntry
 __all__ = ["RuntimeAPI"]
 
 
+def _key_label(key_decl) -> str:
+    """How an error names a match key: its display name, else the
+    field or metadata it reads, else the expression."""
+    expr = key_decl.expr
+    label = key_decl.name or getattr(expr, "path", None) or getattr(
+        expr, "name", None
+    )
+    return repr(label) if label else repr(expr)
+
+
 class RuntimeAPI:
     """Configure a program's tables and inspect its stateful objects."""
 
@@ -42,7 +52,9 @@ class RuntimeAPI:
 
         Each element of ``keys`` must suit the table's match kind at that
         position: an int for EXACT, ``(value, prefix_len)`` for LPM,
-        ``(value, mask)`` for TERNARY, ``(low, high)`` for RANGE.
+        ``(value, mask)`` for TERNARY, ``(low, high)`` for RANGE. Every
+        value, mask and bound must fit the key's width ``w`` (lie in
+        ``[0, 2**w)``) and a prefix length must lie in ``[0, w]``.
         """
         tbl = self._table(table)
         if len(keys) != len(tbl.keys):
@@ -52,20 +64,40 @@ class RuntimeAPI:
         patterns: list[KeyPattern] = []
         for key_decl, key in zip(tbl.keys, keys):
             kind = key_decl.kind
+            width = key_decl.expr.width(self._program.env)
+
+            def fits(what: str, number: int) -> None:
+                if not 0 <= number < 1 << width:
+                    raise ControlPlaneError(
+                        f"table {table!r} key {_key_label(key_decl)}: "
+                        f"{what} {number} does not fit {width} bits"
+                    )
+
             if kind is MatchKind.EXACT:
                 if not isinstance(key, int):
                     raise ControlPlaneError(
                         f"exact key must be an int, got {key!r}"
                     )
+                fits("value", key)
                 patterns.append(KeyPattern.exact(key))
             elif kind is MatchKind.LPM:
                 value, prefix_len = self._expect_pair(key, "LPM")
+                fits("value", value)
+                if not 0 <= prefix_len <= width:
+                    raise ControlPlaneError(
+                        f"table {table!r} key {_key_label(key_decl)}: "
+                        f"prefix length {prefix_len} outside [0, {width}]"
+                    )
                 patterns.append(KeyPattern.lpm(value, prefix_len))
             elif kind is MatchKind.TERNARY:
                 value, mask = self._expect_pair(key, "ternary")
+                fits("value", value)
+                fits("mask", mask)
                 patterns.append(KeyPattern.ternary(value, mask))
             elif kind is MatchKind.RANGE:
                 low, high = self._expect_pair(key, "range")
+                fits("low bound", low)
+                fits("high bound", high)
                 if low > high:
                     raise ControlPlaneError(
                         f"range key low {low} > high {high}"

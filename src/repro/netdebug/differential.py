@@ -9,7 +9,7 @@ different ways, this module makes that claim executable:
 * :class:`DeviantOracle` — a **tree-walking** interpreter parameterized
   by a backend's behavioural model (``honor_reject`` /
   ``quantize_tcam`` / ``deparse_field_budget``). Devices execute
-  compiled closures, so the oracle is an independent implementation
+  generated code, so the oracle is an independent implementation
   of the same semantics — a genuine differential counterpart, not a
   tautology.
 * :func:`seeded_batch` — deterministic randomized packet batches
@@ -78,7 +78,7 @@ class DeviantOracle(Interpreter):
     With the default parameters this *is* the spec oracle; the deviation
     knobs (``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``)
     are the base interpreter's own, so there is exactly one tree-walking
-    definition of each deviation — independent of the compiled closures
+    definition of each deviation — independent of the generated code
     the devices actually run, which is what makes the comparison a
     genuine differential.
     """

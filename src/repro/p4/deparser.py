@@ -38,8 +38,9 @@ class Deparser:
         total past the budget — and everything after it — is cut.
         ``None`` means no budget (the full emit order). This is the
         single definition of the Tofino-like deparse-truncation
-        deviation, shared by the closure compiler, the tree-walking
-        interpreter and the differential oracles so they cannot drift.
+        deviation, shared by the kernel's source generator, the
+        tree-walking interpreter and the differential oracles so they
+        cannot drift.
         """
         emit_order = tuple(self.emit_order)
         if field_budget is None:

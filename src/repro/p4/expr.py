@@ -35,6 +35,7 @@ __all__ = [
     "const",
     "fld",
     "meta",
+    "Lowering",
     "compile_expr",
 ]
 
@@ -379,181 +380,262 @@ def meta(name: str) -> MetaRef:
 
 
 # ----------------------------------------------------------------------
-# Closure compilation (the target fast path)
+# Lowering to Python source (the kernel and the checker)
 # ----------------------------------------------------------------------
-def compile_expr(expr: Expr, env: "TypeEnv", params: tuple[str, ...] = ()):
-    """Compile ``expr`` once into a closure ``f(packet, metadata, args)``.
+class _Absent:
+    """Stands in for a header the packet does not carry."""
 
-    Tree-walking ``eval`` re-dispatches on node types and recomputes
-    widths for every packet; the compiled form resolves node types,
-    field widths and truncation masks exactly once, so per-packet cost
-    is a chain of plain Python calls. Semantics match ``eval`` bit for
-    bit, including short-circuit ``&&``/``||`` and the
-    :class:`~repro.exceptions.P4RuntimeError` raised on reads of invalid
-    headers or unset metadata.
+    __slots__ = ()
+    valid = False
 
-    ``params`` names the enclosing action's parameters in positional
-    order; :class:`~repro.p4.actions.Param` nodes compile into indexed
-    reads of the ``args`` tuple. An unknown ``Param`` raises
-    :class:`P4RuntimeError` at compile time, mirroring ``bind_expr``.
+
+#: Globals every lowered source refers to.
+LOWERING_GLOBALS = {"_P4RuntimeError": P4RuntimeError, "_ABSENT": _Absent()}
+
+
+class Lowering:
+    """Lowers expressions to Python source, one statement at a time.
+
+    The one expression lowering: :func:`compile_expr`, the batch
+    kernel's generated parser, control stages and actions
+    (:mod:`repro.target.fastpath`) all emit through it. :meth:`expr`
+    appends the statements an expression needs to ``lines`` — field and
+    metadata reads with their typed errors, and the branches of
+    short-circuit ``&&``/``||`` and ``?:`` — and returns a Python
+    expression for its value that cannot raise. Widths and truncation
+    masks become constants; evaluation order and every error class and
+    message match ``eval``. The generated code reads ``packet`` and
+    ``metadata``; temporaries are ``_t<n>`` and ``_h``.
+    ``metadata_reads`` collects every metadata field the lowered code
+    reads.
     """
-    from .actions import Param
 
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda packet, metadata, args: value
+    def __init__(self, env: "TypeEnv", lines: list[str] | None = None):
+        self.env = env
+        self.lines = [] if lines is None else lines
+        self.metadata_reads: set[str] = set()
+        self._temps = 0
 
-    if isinstance(expr, Param):
-        name = expr.name
-        try:
-            index = params.index(name)
-        except ValueError:
-            raise P4RuntimeError(
-                f"action parameter {name!r} is unbound"
-            ) from None
-        return lambda packet, metadata, args: args[index]
+    def temp(self) -> str:
+        self._temps += 1
+        return f"_t{self._temps}"
 
-    if isinstance(expr, FieldRef):
-        header_name = expr.header
-        field_name = expr.field
-        path = expr.path
-        spec = env.headers.get(header_name)
-        if spec is not None and spec.has_field(field_name):
-            # Known layout: read the value dict directly. The KeyError
-            # guard costs nothing on the happy path and keeps a
-            # same-named header with a different layout (checker env vs
-            # device program) inside the ReproError family.
-            def read_field(packet, metadata, args):
-                for header in packet.headers:
-                    if header.name == header_name:
-                        if header.valid:
-                            try:
-                                return header._values[field_name]
-                            except KeyError:
-                                raise P4RuntimeError(
-                                    f"header {header_name!r} has no "
-                                    f"field {field_name!r}"
-                                ) from None
-                        break
-                raise P4RuntimeError(
-                    f"read of field {path!r} on invalid header"
-                )
+    def find_header(self, pad: str, var: str, name: str) -> None:
+        """Bind ``var`` to the packet's first header called ``name``,
+        or to the absent stand-in (whose ``valid`` is False)."""
+        self.lines += [
+            f"{pad}for {var} in packet.headers:",
+            f"{pad}    if {var}.spec.name == {name!r}:",
+            f"{pad}        break",
+            f"{pad}else:",
+            f"{pad}    {var} = _ABSENT",
+        ]
 
-            return read_field
+    def _capture(self, expr, pad, params, headers):
+        """Lower ``expr`` at ``pad``, returning ``(source, lines)``
+        without leaving the lines in place."""
+        mark = len(self.lines)
+        source = self.expr(expr, pad, params, headers)
+        lines = self.lines[mark:]
+        del self.lines[mark:]
+        return source, lines
 
-        # Unknown layout (checker expressions over foreign headers):
-        # fall back to the validating item access.
-        def read_field_checked(packet, metadata, args):
-            header = packet.get_or_none(header_name)
-            if header is None or not header.valid:
-                raise P4RuntimeError(
-                    f"read of field {path!r} on invalid header"
-                )
-            return header[field_name]
+    def expr(
+        self,
+        expr: Expr,
+        pad: str,
+        params: dict[str, str] | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> str:
+        """Source for ``expr``'s value, after emitting its statements at
+        indentation ``pad``.
 
-        return read_field_checked
+        ``params`` maps action parameter names to source (an unbound
+        :class:`~repro.p4.actions.Param` raises
+        :class:`P4RuntimeError` here, mirroring ``bind_expr``);
+        ``headers`` maps a header name to a local dict holding its
+        just-extracted field values (the generated parser's headers).
+        A bad slice raises :class:`P4TypeError` and an unknown node
+        type :class:`P4TypeError`, both at lowering time.
+        """
+        from .actions import Param
 
-    if isinstance(expr, MetaRef):
-        name = expr.name
+        env = self.env
+        lines = self.lines
+        if isinstance(expr, Const):
+            return repr(expr.value)
 
-        def read_meta(packet, metadata, args):
+        if isinstance(expr, Param):
             try:
-                return metadata[name]
+                return (params or {})[expr.name]
             except KeyError:
                 raise P4RuntimeError(
-                    f"read of unset metadata field {name!r}"
+                    f"action parameter {expr.name!r} is unbound"
                 ) from None
 
-        return read_meta
+        if isinstance(expr, FieldRef):
+            name, field = expr.header, expr.field
+            spec = env.headers.get(name)
+            known = spec is not None and spec.has_field(field)
+            if known and headers and name in headers:
+                return f"{headers[name]}[{field!r}]"
+            out = self.temp()
+            self.find_header(pad, "_h", name)
+            invalid = f"read of field {expr.path!r} on invalid header"
+            lines += [
+                f"{pad}if not _h.valid:",
+                f"{pad}    raise _P4RuntimeError({invalid!r})",
+            ]
+            if not known:
+                # A layout the environment does not describe (checker
+                # expressions over foreign headers): the validating read.
+                lines.append(f"{pad}{out} = _h[{field!r}]")
+                return out
+            # The KeyError guard keeps a same-named header with another
+            # layout (checker env vs device program) inside the
+            # ReproError family; it costs nothing on the happy path.
+            missing = f"header {name!r} has no field {field!r}"
+            lines += [
+                f"{pad}try:",
+                f"{pad}    {out} = _h._values[{field!r}]",
+                f"{pad}except KeyError:",
+                f"{pad}    raise _P4RuntimeError({missing!r}) from None",
+            ]
+            return out
 
-    if isinstance(expr, IsValid):
-        name = expr.header
+        if isinstance(expr, MetaRef):
+            self.metadata_reads.add(expr.name)
+            out = self.temp()
+            unset = f"read of unset metadata field {expr.name!r}"
+            lines += [
+                f"{pad}try:",
+                f"{pad}    {out} = metadata[{expr.name!r}]",
+                f"{pad}except KeyError:",
+                f"{pad}    raise _P4RuntimeError({unset!r}) from None",
+            ]
+            return out
 
-        def is_valid(packet, metadata, args):
-            for header in packet.headers:
-                if header.name == name and header.valid:
-                    return 1
-            return 0
+        if isinstance(expr, IsValid):
+            out = self.temp()
+            lines += [
+                f"{pad}{out} = 0",
+                f"{pad}for _h in packet.headers:",
+                f"{pad}    if _h.spec.name == {expr.header!r} and _h.valid:",
+                f"{pad}        {out} = 1",
+                f"{pad}        break",
+            ]
+            return out
 
-        return is_valid
+        if isinstance(expr, BinOp):
+            op = expr.op
+            left = self.expr(expr.left, pad, params, headers)
+            if op in ("and", "or"):
+                # The right operand runs only when the left one does
+                # not decide (it may read an invalid header).
+                right, right_lines = self._capture(
+                    expr.right, pad + "    ", params, headers
+                )
+                truth = f"(1 if {right} else 0)"
+                if not right_lines:
+                    if op == "and":
+                        return f"({truth} if {left} else 0)"
+                    return f"(1 if {left} else {truth})"
+                out = self.temp()
+                if op == "and":
+                    lines.append(f"{pad}if {left}:")
+                    lines += right_lines
+                    lines += [
+                        f"{pad}    {out} = {truth}",
+                        f"{pad}else:",
+                        f"{pad}    {out} = 0",
+                    ]
+                else:
+                    lines += [
+                        f"{pad}if {left}:",
+                        f"{pad}    {out} = 1",
+                        f"{pad}else:",
+                    ]
+                    lines += right_lines
+                    lines.append(f"{pad}    {out} = {truth}")
+                return out
+            right = self.expr(expr.right, pad, params, headers)
+            if op in ("==", "!=", "<", "<=", ">", ">="):
+                return f"(1 if {left} {op} {right} else 0)"
+            if op in ("&", "|", "^", ">>"):
+                return f"({left} {op} {right})"
+            # + - * << wrap at the result width.
+            return f"(({left} {op} {right}) & {mask(expr.width(env))})"
 
-    if isinstance(expr, BinOp):
-        op = expr.op
-        lf = compile_expr(expr.left, env, params)
-        rf = compile_expr(expr.right, env, params)
-        if op == "and":
-            return lambda p, m, a: (1 if rf(p, m, a) else 0) if lf(p, m, a) else 0
-        if op == "or":
-            return lambda p, m, a: 1 if lf(p, m, a) else (1 if rf(p, m, a) else 0)
-        if op == "==":
-            return lambda p, m, a: 1 if lf(p, m, a) == rf(p, m, a) else 0
-        if op == "!=":
-            return lambda p, m, a: 1 if lf(p, m, a) != rf(p, m, a) else 0
-        if op == "<":
-            return lambda p, m, a: 1 if lf(p, m, a) < rf(p, m, a) else 0
-        if op == "<=":
-            return lambda p, m, a: 1 if lf(p, m, a) <= rf(p, m, a) else 0
-        if op == ">":
-            return lambda p, m, a: 1 if lf(p, m, a) > rf(p, m, a) else 0
-        if op == ">=":
-            return lambda p, m, a: 1 if lf(p, m, a) >= rf(p, m, a) else 0
-        if op == "&":
-            return lambda p, m, a: lf(p, m, a) & rf(p, m, a)
-        if op == "|":
-            return lambda p, m, a: lf(p, m, a) | rf(p, m, a)
-        if op == "^":
-            return lambda p, m, a: lf(p, m, a) ^ rf(p, m, a)
-        if op == ">>":
-            return lambda p, m, a: lf(p, m, a) >> rf(p, m, a)
-        result_mask = mask(expr.width(env))
-        if op == "+":
-            return lambda p, m, a: (lf(p, m, a) + rf(p, m, a)) & result_mask
-        if op == "-":
-            return lambda p, m, a: (lf(p, m, a) - rf(p, m, a)) & result_mask
-        if op == "*":
-            return lambda p, m, a: (lf(p, m, a) * rf(p, m, a)) & result_mask
-        if op == "<<":
-            return lambda p, m, a: (lf(p, m, a) << rf(p, m, a)) & result_mask
-        raise P4RuntimeError(f"unhandled operator {op!r}")
+        if isinstance(expr, UnOp):
+            operand = self.expr(expr.operand, pad, params, headers)
+            if expr.op == "!":
+                return f"(0 if {operand} else 1)"
+            operand_mask = mask(expr.operand.width(env))
+            if expr.op == "~":
+                return f"({operand} ^ {operand_mask})"
+            return f"((-{operand}) & {operand_mask})"
 
-    if isinstance(expr, UnOp):
-        op = expr.op
-        of = compile_expr(expr.operand, env, params)
-        if op == "!":
-            return lambda p, m, a: 0 if of(p, m, a) else 1
-        operand_mask = mask(expr.operand.width(env))
-        if op == "~":
-            return lambda p, m, a: of(p, m, a) ^ operand_mask
-        if op == "-":
-            return lambda p, m, a: (-of(p, m, a)) & operand_mask
-        raise P4RuntimeError(f"unhandled operator {op!r}")
+        if isinstance(expr, Slice):
+            operand = self.expr(expr.operand, pad, params, headers)
+            operand_width = expr.operand.width(env)
+            high, low = expr.high, expr.low
+            if not 0 <= low <= high < operand_width:
+                raise P4TypeError(
+                    f"slice [{high}:{low}] out of range for a "
+                    f"{operand_width}-bit value"
+                )
+            return f"(({operand} >> {low}) & {mask(high - low + 1)})"
 
-    if isinstance(expr, Slice):
-        of = compile_expr(expr.operand, env, params)
-        operand_width = expr.operand.width(env)
-        high, low = expr.high, expr.low
-        if not 0 <= low <= high < operand_width:
-            raise P4TypeError(
-                f"slice [{high}:{low}] out of range for a "
-                f"{operand_width}-bit value"
+        if isinstance(expr, Concat):
+            left = self.expr(expr.left, pad, params, headers)
+            right = self.expr(expr.right, pad, params, headers)
+            return f"(({left} << {expr.right.width(env)}) | {right})"
+
+        if isinstance(expr, Mux):
+            cond = self.expr(expr.cond, pad, params, headers)
+            inner = pad + "    "
+            then, then_lines = self._capture(expr.then, inner, params, headers)
+            other, other_lines = self._capture(
+                expr.otherwise, inner, params, headers
             )
-        slice_mask = mask(high - low + 1)
-        return lambda p, m, a: (of(p, m, a) >> low) & slice_mask
+            if not then_lines and not other_lines:
+                return f"({then} if {cond} else {other})"
+            out = self.temp()
+            lines.append(f"{pad}if {cond}:")
+            lines += then_lines
+            lines += [f"{inner}{out} = {then}", f"{pad}else:"]
+            lines += other_lines
+            lines.append(f"{inner}{out} = {other}")
+            return out
 
-    if isinstance(expr, Concat):
-        lf = compile_expr(expr.left, env, params)
-        rf = compile_expr(expr.right, env, params)
-        right_width = expr.right.width(env)
-        return lambda p, m, a: (lf(p, m, a) << right_width) | rf(p, m, a)
+        raise P4TypeError(
+            f"cannot compile expression node {type(expr).__name__}"
+        )
 
-    if isinstance(expr, Mux):
-        cf = compile_expr(expr.cond, env, params)
-        tf = compile_expr(expr.then, env, params)
-        ef = compile_expr(expr.otherwise, env, params)
-        return lambda p, m, a: tf(p, m, a) if cf(p, m, a) else ef(p, m, a)
 
-    # Unknown node type (extensions): fall back to tree-walking eval.
-    def eval_fallback(packet, metadata, args):
-        return expr.eval(EvalContext(packet, metadata), env)
+def compile_expr(expr: Expr, env: "TypeEnv", params: tuple[str, ...] = ()):
+    """Compile ``expr`` once into a function ``f(packet, metadata, args)``.
 
-    return eval_fallback
+    The function is :class:`Lowering`'s source for the expression,
+    ``exec``'d once: node types, field widths and truncation masks are
+    resolved here, so a call runs straight-line code. It returns
+    ``eval``'s value or raises ``eval``'s error class and message
+    (:class:`~repro.exceptions.P4RuntimeError` on reads of invalid
+    headers or unset metadata), short-circuiting ``&&``/``||``.
+
+    ``params`` names the enclosing action's parameters in positional
+    order; :class:`~repro.p4.actions.Param` nodes read the ``args``
+    tuple. An unknown ``Param`` raises :class:`P4RuntimeError` here,
+    mirroring ``bind_expr``.
+    """
+    lowering = Lowering(env)
+    value = lowering.expr(
+        expr, "    ", {name: f"args[{i}]" for i, name in enumerate(params)}
+    )
+    source = "\n".join(
+        ["def lowered(packet, metadata, args):", *lowering.lines,
+         f"    return {value}", ""]
+    )
+    namespace = dict(LOWERING_GLOBALS)
+    exec(compile(source, "<expr>", "exec"), namespace)
+    return namespace["lowered"]

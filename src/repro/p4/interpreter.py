@@ -209,7 +209,7 @@ class Interpreter:
     with a compiled artifact's settings (as
     :class:`~repro.netdebug.differential.DeviantOracle` does), the
     interpreter is the one tree-walking definition of that target's
-    deviant datapath, which devices' compiled closures are checked
+    deviant datapath, which devices' generated kernels are checked
     against.
     """
 

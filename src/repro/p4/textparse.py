@@ -132,7 +132,15 @@ def tokenize(source: str) -> list[Token]:
             continue
         if kind == "comment":
             continue
-        if kind == "hex":
+        if kind in ("hex", "num"):
+            # Checked here, so every later int(text, 0) succeeds.
+            try:
+                int(text, 0)
+            except ValueError:
+                raise ParseError(
+                    f"line {line}: malformed number {text!r} (leading "
+                    "zeros are not allowed; write hex as 0x...)"
+                ) from None
             tokens.append(Token("num", text, line))
         else:
             tokens.append(Token(kind, text, line))
@@ -452,7 +460,14 @@ class _Parser:
             self.expect(":")
             if keyword == "key":
                 expr = self._expr()
-                kind = MatchKind(self.expect_kind("id").text)
+                token = self.expect_kind("id")
+                try:
+                    kind = MatchKind(token.text)
+                except ValueError:
+                    raise ParseError(
+                        f"line {token.line}: unknown match kind "
+                        f"{token.text!r}"
+                    ) from None
                 table.keys.append(TableKey(expr, kind))
                 self.expect(";")
             elif keyword == "actions":

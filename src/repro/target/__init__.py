@@ -4,8 +4,9 @@ The package splits into the performance-first execution core —
 :mod:`~repro.target.compiler` (the artifact, built with its one
 kernel), :mod:`~repro.target.batch` (that kernel: the one execution
 driver and the one cycle model), :mod:`~repro.target.fastpath` (the
-code generators it compiles with: parser, deparser, one closure per
-control stage), :mod:`~repro.target.pipeline` (the stage names, tap
+one source generator it compiles with: parser, deparser, one function
+per action and per control stage), :mod:`~repro.target.pipeline` (the
+stage names, tap
 snapshots and run records the layers share) and
 :mod:`~repro.target.device` (ports, stats, runtime state, taps and the
 management interface) — and

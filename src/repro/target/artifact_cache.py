@@ -2,8 +2,8 @@
 
 Campaign workers, cluster fleets and ``replay_campaign`` all compile
 the same handful of programs over and over — once per (program,
-target, setup) per process. The batch kernel's generated code and
-closures cannot be pickled, but everything *around* them can:
+target, setup) per process. The batch kernel's generated, ``exec``'d
+functions cannot be pickled, but everything *around* them can:
 diagnostics, deviation model, resource estimates, and — crucially —
 the program IR with its installed table entries. This module stores
 that picklable core and rebuilds the kernel on load, which is much

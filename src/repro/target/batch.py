@@ -5,9 +5,10 @@ with the artifact (``CompiledProgram.kernel``, see
 :mod:`repro.target.compiler`) from the program, the target's limits and
 its deviation model, and every packet a device runs, and every
 prediction the reference oracle makes, goes through one. The
-construction compiles the program once — the generated parser and
-deparser and one closure per control stage
-(:mod:`repro.target.fastpath`), each stage compiled exactly once — and
+construction lowers the program once into one generated module
+(:func:`repro.target.fastpath.generate_kernel`: parser, deparser, one
+function per action and per control stage, compiled with one
+``compile()`` call; the text stays on the kernel as ``source``) and
 ``run_block`` drives those parts over a struct-of-arrays packet block:
 
 * per-packet control state lives in parallel arrays (``exited``,
@@ -15,11 +16,11 @@ deparser and one closure per control stage
   rediscovered inside a per-packet stage loop;
 * the parser partitions the block once into accepted / rejected /
   raised lanes — the per-stage loops only ever visit live lanes;
-* an all-``EXACT`` table apply is specialized into a dict-get over a
-  key column: entries are snapshotted into a hash map once per block
-  (highest priority wins, first installed wins ties — exactly the
-  table closures' ``rank > best_rank`` selection) and each packet
-  costs one dict lookup instead of a scan over the entry list;
+* an all-``EXACT`` table apply, nested or not, is a dict lookup:
+  entries are indexed into a hash map once per stage call (highest
+  priority wins, first installed wins ties — exactly the scan's
+  ``rank > best_rank`` selection) and each packet costs one dict
+  lookup instead of a scan over the entry list;
 * verdicts, egress, latency and deparse are emitted column-wise with
   the cycle model evaluated *analytically* per death class rather than
   accumulated stage by stage.
@@ -30,9 +31,9 @@ read per stage by :meth:`BatchProgram.stage_cycles`): the hooked
 schedule accumulates it stage by stage, the columnar schedule sums it
 per death class, and the device reports it.
 
-What happens *between* closures is written once, in the stage
-functions (:func:`_generic_stage`, :func:`_exact_table_stage`: exit,
-drop-origin tracking, per-lane error capture), and in the two drop
+What happens *between* statements is written once, in the generated
+stage functions' per-lane loop (exit, drop-origin tracking, per-lane
+error capture), and in the two drop
 barriers, entering egress and entering the deparser, which discard a
 packet whose drop flag survived the preceding control — the
 interpreter's "skip egress, don't deparse" semantics.
@@ -48,9 +49,9 @@ Schedules
   commute; register read/write order does not) and the block must not
   need mid-block clock feedback — either every packet's timestamp is
   supplied up front, or the program provably never reads
-  ``ingress_global_timestamp`` (checked by walking the IR for
-  ``MetaRef`` nodes), in which case timestamps are backfilled from the
-  running clock after the block completes.
+  ``ingress_global_timestamp`` (the lowering records every metadata
+  field the generated code reads), in which case timestamps are
+  backfilled from the running clock after the block completes.
 * **packet-major** — blocks of one, with the device clock advanced
   between packets. Used for register-coupled or timestamp-coupled
   untimed blocks; same stage functions, so identical semantics, just
@@ -77,24 +78,12 @@ per frame.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..bitutils import mask
 from ..exceptions import TargetError
-from ..p4.control import ApplyTable
-from ..p4.expr import MetaRef, compile_expr
-from ..p4.interpreter import ExitPipeline, PipelineResult, Trace, Verdict
+from ..p4.interpreter import PipelineResult, Trace, Verdict
 from ..p4.program import P4Program
-from ..p4.table import MatchKind
 from ..p4.types import standard_metadata_defaults
-from .fastpath import (
-    ExecState,
-    _compile_action,
-    _compile_stmt,
-    _generate_deparser,
-    _generate_parser,
-    control_stages,
-)
+from .fastpath import generate_kernel
 from .faults import FaultKind
 from .limits import ArchLimits, DeviationModel
 from .pipeline import PacketSnapshot, StageHooks, TargetRun, stage_names
@@ -135,170 +124,6 @@ _TS_MASK = 0xFFFFFFFFFFFF
 _INPUT, _PARSER, _STMT, _DEPARSER, _OUTPUT = range(5)
 
 
-def _reads_metadata(root, name: str) -> bool:
-    """Walk the IR for a ``MetaRef(name)`` read, generically.
-
-    Every IR node is a dataclass; containers are dicts/tuples/lists.
-    Anything else (ints, strings, enums, callables) is a leaf.
-    """
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, MetaRef):
-            if node.name == name:
-                return True
-            continue
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            for f in dataclasses.fields(node):
-                stack.append(getattr(node, f.name))
-        elif isinstance(node, dict):
-            stack.extend(node.keys())
-            stack.extend(node.values())
-        elif isinstance(node, (list, tuple, set, frozenset)):
-            stack.extend(node)
-    return False
-
-
-# ----------------------------------------------------------------------
-# Block-wise stage compilation
-# ----------------------------------------------------------------------
-def _generic_stage(stage_name: str, stage_fn):
-    """Wrap one compiled closure stage for block execution.
-
-    This is the one definition of a match-action stage's per-packet
-    bookkeeping, on every schedule: lanes that exited or raised are
-    skipped, ExitPipeline marks the lane exited (drop tracking still
-    runs for that stage), any other exception parks the lane, and the
-    drop-origin tracker records the stage that set a still-set drop
-    flag (a later statement may clear it again).
-    """
-
-    def run(states, live, exited, errors, drop_stage, stuck):
-        for i in live:
-            if exited[i] or errors[i] is not None:
-                continue
-            state = states[i]
-            try:
-                stage_fn(state)
-            except ExitPipeline:
-                exited[i] = True
-            except Exception as exc:  # captured per lane, see module doc
-                errors[i] = exc
-                continue
-            if state.metadata["drop"]:
-                if drop_stage[i] is None:
-                    drop_stage[i] = stage_name
-            else:
-                drop_stage[i] = None
-
-    return run
-
-
-def _exact_table_stage(program, table, stage_name: str):
-    """Specialize an all-EXACT ``table.apply()`` into a dict-get column.
-
-    Entries are snapshotted into ``{key-column value: entry}`` once per
-    block; a later entry replaces an earlier one only on strictly
-    higher priority, reproducing the table closures'
-    ``rank > best_rank`` selection (rank is ``(0, priority)`` for
-    EXACT-only tables, so first-installed wins ties). Control-plane
-    updates between blocks stay visible because the snapshot reads the
-    live entry list. Lane bookkeeping is :func:`_generic_stage`'s.
-    """
-    env = program.env
-    key_fns = tuple(compile_expr(key.expr, env) for key in table.keys)
-    action_fns = {
-        name: _compile_action(program, action)
-        for name, action in table.actions.items()
-    }
-    table_name = table.name
-    single = len(key_fns) == 1
-    first_key = key_fns[0] if single else None
-
-    def run(states, live, exited, errors, drop_stage, stuck):
-        stuck_miss = table_name in stuck
-        lookup: dict = {}
-        if not stuck_miss:
-            for entry in table.entries:
-                patterns = entry.patterns
-                key = (
-                    patterns[0].value
-                    if single
-                    else tuple(p.value for p in patterns)
-                )
-                prev = lookup.get(key)
-                if prev is None or entry.priority > prev.priority:
-                    lookup[key] = entry
-        get = lookup.get
-        default_fn = action_fns[table.default_action]
-        default_data = table.default_action_data
-        for i in live:
-            if exited[i] or errors[i] is not None:
-                continue
-            state = states[i]
-            packet, metadata = state.packet, state.metadata
-            try:
-                if stuck_miss:
-                    entry = None
-                else:
-                    key = (
-                        first_key(packet, metadata, ())
-                        if single
-                        else tuple(
-                            fn(packet, metadata, ()) for fn in key_fns
-                        )
-                    )
-                    entry = get(key)
-                if entry is None:
-                    default_fn(state, default_data)
-                else:
-                    action_fns[entry.action](state, entry.action_data)
-            except ExitPipeline:
-                exited[i] = True
-            except Exception as exc:
-                errors[i] = exc
-                continue
-            if metadata["drop"]:
-                if drop_stage[i] is None:
-                    drop_stage[i] = stage_name
-            else:
-                drop_stage[i] = None
-
-    return run
-
-
-def _compile_control(program, control, quantize_tcam: bool):
-    """Block-wise stage function per control statement, index-aligned
-    with the pipeline's stage names; ``None`` for an empty statement.
-    Each statement is compiled once: an all-EXACT table apply into its
-    dict-get column, anything else into a closure."""
-    fns = []
-    for index, stmt in enumerate(control_stages(control)):
-        name = f"{control.name}.{index}"
-        if (
-            isinstance(stmt, ApplyTable)
-            and all(
-                key.kind is MatchKind.EXACT
-                for key in control.table(stmt.table).keys
-            )
-        ):
-            # EXACT matching is unaffected by TCAM quantization, so the
-            # specialization is valid on every target.
-            fns.append(
-                _exact_table_stage(
-                    program, control.table(stmt.table), name
-                )
-            )
-            continue
-        fn = _compile_stmt(program, control, stmt, quantize_tcam)
-        fns.append(None if fn is None else _generic_stage(name, fn))
-    return fns
-
-
 def _corrupt_field(fault, *packets) -> None:
     """Apply a CORRUPT_FIELD fault to each distinct header it names in
     ``packets`` (no-op where absent). The deparsed output shares Header
@@ -335,6 +160,7 @@ class BatchProgram:
 
     __slots__ = (
         "program",
+        "source",
         "parse",
         "deparse",
         "bus_bytes",
@@ -362,22 +188,20 @@ class BatchProgram:
     ):
         self.program = program
         self.bus_bytes = limits.bus_bytes
-        self.parse = _generate_parser(program, model.honor_reject)
-        self.deparse = _generate_deparser(
-            program, model.deparse_field_budget
+        code = generate_kernel(
+            program, model.honor_reject, model.quantize_tcam,
+            model.deparse_field_budget,
         )
+        self.source, self.parse, self.deparse = (
+            code.source, code.parse, code.deparse
+        )
+        ingress, egress = code.ingress, code.egress
         # Standard + program metadata, all zero, copied per packet.
         template = standard_metadata_defaults()
         for name in program.env.metadata:
             template.setdefault(name, 0)
         self._template = template
 
-        ingress = _compile_control(
-            program, program.ingress, model.quantize_tcam
-        )
-        egress = _compile_control(
-            program, program.egress, model.quantize_tcam
-        )
         n_ing = len(ingress)
         n_eg = self.n_egress = len(egress)
         # The hook-free schedules elide empty stages: an empty stage
@@ -428,9 +252,8 @@ class BatchProgram:
         # through shared state: registers serialize (read/write order
         # across packets is observable); counter increments commute.
         self.columnar = not program.registers
-        self.timestamp_free = not _reads_metadata(
-            (program.parser, program.ingress, program.egress),
-            "ingress_global_timestamp",
+        self.timestamp_free = (
+            "ingress_global_timestamp" not in code.metadata_reads
         )
 
     def stage_cycles(self, stage: str, frame_bytes: int) -> int:
@@ -544,7 +367,8 @@ class BatchProgram:
         bus = self.bus_bytes
         rejected_names, rejected_fixed, rejected_words = self._rejected
 
-        states = [None] * n
+        packets = [None] * n
+        metas = [None] * n
         word = [0] * n
         errors = [None] * n
         exited = [False] * n
@@ -584,13 +408,13 @@ class BatchProgram:
                 )
                 continue
             packet.payload = payload
-            states[i] = ExecState(
-                packet, metadata, counters, registers, _EMPTY_SET, _EMPTY_SET
-            )
+            packets[i] = packet
+            metas[i] = metadata
             live.append(i)
 
         for fn in self._ingress_fns:
-            fn(states, live, exited, errors, drop_stage, _EMPTY_SET)
+            fn(packets, metas, live, exited, errors, drop_stage,
+               counters, registers, _EMPTY_SET, _EMPTY_SET)
 
         # Egress drop barrier (exists only when egress has stages).
         if self.n_egress:
@@ -600,13 +424,12 @@ class BatchProgram:
             for i in live:
                 if errors[i] is not None:
                     outs[i] = (ts_list[i], None, errors[i])
-                elif states[i].metadata["drop"]:
+                elif metas[i]["drop"]:
                     outs[i] = (
                         ts_list[i],
                         TargetRun(
                             PipelineResult(
-                                Verdict.DROPPED, None,
-                                states[i].metadata, null_trace,
+                                Verdict.DROPPED, None, metas[i], null_trace,
                             ),
                             names,
                             drop_stage[i] or last,
@@ -619,7 +442,8 @@ class BatchProgram:
             live = kept
 
             for fn in self._egress_fns:
-                fn(states, live, exited, errors, drop_stage, _EMPTY_SET)
+                fn(packets, metas, live, exited, errors, drop_stage,
+                   counters, registers, _EMPTY_SET, _EMPTY_SET)
 
         # Deparser drop barrier.
         kept = []
@@ -628,13 +452,12 @@ class BatchProgram:
         for i in live:
             if errors[i] is not None:
                 outs[i] = (ts_list[i], None, errors[i])
-            elif states[i].metadata["drop"]:
+            elif metas[i]["drop"]:
                 outs[i] = (
                     ts_list[i],
                     TargetRun(
                         PipelineResult(
-                            Verdict.DROPPED, None,
-                            states[i].metadata, null_trace,
+                            Verdict.DROPPED, None, metas[i], null_trace,
                         ),
                         names,
                         drop_stage[i] or last,
@@ -650,10 +473,9 @@ class BatchProgram:
         deparse = self.deparse
         names, fixed, words = self._forwarded
         for i in live:
-            state = states[i]
-            metadata = state.metadata
+            metadata = metas[i]
             try:
-                out_packet = deparse(state.packet)
+                out_packet = deparse(packets[i])
             except Exception as exc:
                 outs[i] = (ts_list[i], None, exc)
                 continue
@@ -717,8 +539,7 @@ class BatchProgram:
             )
 
         # A block of one for the stage functions.
-        lane = [ExecState(packet, metadata, counters, registers, stuck,
-                          frozen)]
+        lane_packets, lane_metas = [packet], [metadata]
         live, exited, errors, drop_stage = [0], [False], [None], [None]
         taps = hooks.taps
         deparse = self.deparse
@@ -738,7 +559,8 @@ class BatchProgram:
             cycles += w if cost is None else cost
             if kind == _STMT:
                 if fn is not None:
-                    fn(lane, live, exited, errors, drop_stage, stuck)
+                    fn(lane_packets, lane_metas, live, exited, errors,
+                       drop_stage, counters, registers, stuck, frozen)
                     if errors[0] is not None:
                         raise errors[0]
             elif kind == _PARSER:

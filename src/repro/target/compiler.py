@@ -7,8 +7,9 @@ it validates the program, checks it against the target's published
 into the device capacity, records any *silent deviations* the backend
 introduces, and — the performance core — builds the artifact's one
 batch kernel (:class:`~repro.target.batch.BatchProgram`), which lowers
-the program once into generated code and closures so per-packet
-execution never walks an expression tree.
+the program once into one generated module (parser, deparser, actions
+and control stages) so per-packet execution never walks an expression
+tree.
 
 Diagnostics model real toolchain output: limit violations are errors
 (the compile fails loudly), everything else is at most a warning. A

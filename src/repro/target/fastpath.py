@@ -1,45 +1,54 @@
-"""Compile a loaded program once, for line-rate execution.
+"""Lower a loaded program once into generated source, for line-rate
+execution.
 
 The spec-faithful interpreter (:mod:`repro.p4.interpreter`) walks the
 expression/statement trees for every packet, allocating a
 :class:`~repro.p4.interpreter.Trace` and formatting event strings as it
 goes. That is the right tool for defining semantics; it is the wrong
-tool for driving line-rate experiments. This module holds the code
-generators that lower a program **once**, which the batch kernel's
-constructor (:class:`repro.target.batch.BatchProgram`) calls:
+tool for driving line-rate experiments. :func:`generate_kernel` lowers a
+program **once** into one Python module — generated source, ``exec``'d
+with a single ``compile()`` per artifact — which the batch kernel's
+constructor (:class:`repro.target.batch.BatchProgram`) calls. The
+module holds:
 
-* **one parser** (:func:`_generate_parser`) — generated Python source
-  per program: one big-endian integer read per extracted header,
-  constant shift/mask pairs per field, select cases as chained
-  comparisons on locals;
-* **one closure per control stage** (:func:`_compile_stmt`) —
-  expressions via :func:`repro.p4.expr.compile_expr` (widths and
-  truncation masks resolved at compile time, action parameters become
-  indexed tuple reads) and table application with precompiled key
-  evaluators, matching installed entries with exactly the
-  interpreter's selection semantics (longest prefix first, then
-  priority);
-* **one deparser** (:func:`_generate_deparser`) — generated source that
-  emits the (budgeted) emit order with one lookup per header;
+* **the parser** (``parse``) — one big-endian integer read per
+  extracted header, constant shift/mask pairs per field, select cases as
+  chained comparisons on locals;
+* **one function per action** a table can invoke — the primitive bodies
+  inlined, widths and masks as constants, parameters read from the
+  entry's action data;
+* **one function per control stage** — the statement tree inlined (an
+  ``If`` is a Python ``if``, a ``Seq`` and a direct ``Call`` are inlined
+  bodies) inside the per-lane loop that carries the block bookkeeping
+  (exit, per-lane error capture, drop origin). A table apply evaluates
+  its keys and matches installed entries with exactly the interpreter's
+  selection semantics (longest prefix first, then priority); an
+  all-``EXACT`` table looks its key up in a dict built once per stage
+  call instead (highest priority wins, first installed wins ties);
+* **the deparser** (``deparse``) — the (budgeted) emit order with one
+  lookup per header;
 * **no tracing at all** — the null-trace fast path. Taps and checkers
   observe packets between stages (:mod:`repro.target.pipeline`), never
   through TraceEvents, so nothing is lost.
 
-``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget`` select
-the target's datapath semantics, including its silent deviations.
-Equivalence with tree-walking interpretation is pinned by
-``tests/test_target_fastpath_differential.py`` and, for the oracle's
-predictions, ``tests/test_compiled_oracle.py``.
+Every expression — select keys, verify conditions, branch conditions,
+table keys and primitive operands — goes through the one expression
+lowering, :class:`repro.p4.expr.Lowering`, which ``compile_expr`` also
+uses. ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
+select the target's datapath semantics, including its silent
+deviations. Equivalence with tree-walking interpretation is pinned by
+``tests/test_target_fastpath_differential.py``,
+``tests/test_generated_programs.py`` and, for the oracle's predictions,
+``tests/test_compiled_oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..bitutils import mask, quantize_range, quantize_ternary_mask
 from ..exceptions import P4RuntimeError, P4ValidationError, PacketError
 from ..p4.actions import (
-    Action,
     AddHeader,
     CountPacket,
     Drop,
@@ -47,7 +56,6 @@ from ..p4.actions import (
     Forward,
     HashField,
     NoOp,
-    Primitive,
     RegisterRead,
     RegisterWrite,
     RemoveHeader,
@@ -55,7 +63,7 @@ from ..p4.actions import (
     SetMeta,
 )
 from ..p4.control import ApplyTable, Call, Control, If, IfHit, Seq, Stmt
-from ..p4.expr import BinOp, Const, FieldRef, Slice, UnOp, compile_expr
+from ..p4.expr import LOWERING_GLOBALS, Lowering
 from ..p4.interpreter import MAX_PARSER_STEPS, ExitPipeline, stable_hash
 from ..p4.parser import ACCEPT, REJECT
 from ..p4.program import P4Program
@@ -69,32 +77,16 @@ from ..p4.types import (
 from ..packet.fields import HeaderSpec
 from ..packet.packet import Header, Packet
 
-__all__ = [
-    "ExecState",
-    "control_stages",
-]
+__all__ = ["GeneratedKernel", "control_stages", "generate_kernel"]
 
-
-class ExecState:
-    """Mutable per-packet execution state threaded through closures."""
-
-    __slots__ = (
-        "packet",
-        "metadata",
-        "counters",
-        "registers",
-        "stuck_tables",
-        "frozen_counters",
-    )
-
-    def __init__(self, packet, metadata, counters, registers,
-                 stuck_tables, frozen_counters):
-        self.packet = packet
-        self.metadata = metadata
-        self.counters = counters
-        self.registers = registers
-        self.stuck_tables = stuck_tables
-        self.frozen_counters = frozen_counters
+#: Signature of every generated stage function: the block's parallel
+#: lane arrays, then the run's stateful objects and fault sets.
+STAGE_PARAMS = (
+    "packets, metas, live, exited, errors, drop_stage, "
+    "counters, registers, stuck, frozen"
+)
+#: Signature of every generated action function.
+ACTION_PARAMS = "packet, metadata, args, counters, registers, frozen"
 
 
 def _fast_header(spec: HeaderSpec, values: dict[str, int]) -> Header:
@@ -115,80 +107,42 @@ def _field_layout(spec: HeaderSpec) -> tuple[tuple[str, int, int], ...]:
     )
 
 
-# ----------------------------------------------------------------------
-# Parser and deparser
-# ----------------------------------------------------------------------
-# Both are generated as straight-line Python source per program and
-# ``exec``d once at compile time: extraction as dict literals with
-# constant shifts/masks, select cases as chained comparisons on local
-# variables, emission as one lookup per emitted header name. Select
-# keys and verify conditions the source generator does not cover run as
-# ``compile_expr`` closures from inside the generated code.
-
-def _expr_source(expr, env, local_headers: dict[str, str]) -> str | None:
-    """Python source for ``expr``, mirroring ``compile_expr`` bit for
-    bit, or ``None`` when the node (or a referenced header that is not
-    a just-extracted local) needs a ``compile_expr`` closure. Never
-    raises: compile-time errors come from ``compile_expr``."""
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, FieldRef):
-        var = local_headers.get(expr.header)
-        spec = env.headers.get(expr.header)
-        if var is None or spec is None or not spec.has_field(expr.field):
-            return None
-        return f"{var}[{expr.field!r}]"
-    if isinstance(expr, BinOp):
-        left = _expr_source(expr.left, env, local_headers)
-        right = _expr_source(expr.right, env, local_headers)
-        if left is None or right is None:
-            return None
-        op = expr.op
-        if op == "and":
-            return f"((1 if {right} else 0) if {left} else 0)"
-        if op == "or":
-            return f"(1 if {left} else (1 if {right} else 0))"
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return f"(1 if {left} {op} {right} else 0)"
-        if op in ("&", "|", "^", ">>"):
-            return f"({left} {op} {right})"
-        if op in ("+", "-", "*", "<<"):
-            try:
-                result_mask = mask(expr.width(env))
-            except Exception:
-                return None
-            return f"(({left} {op} {right}) & {result_mask})"
-        return None
-    if isinstance(expr, UnOp):
-        operand = _expr_source(expr.operand, env, local_headers)
-        if operand is None:
-            return None
-        if expr.op == "!":
-            return f"(0 if {operand} else 1)"
-        try:
-            operand_mask = mask(expr.operand.width(env))
-        except Exception:
-            return None
-        if expr.op == "~":
-            return f"({operand} ^ {operand_mask})"
-        if expr.op == "-":
-            return f"((-{operand}) & {operand_mask})"
-        return None
-    if isinstance(expr, Slice):
-        operand = _expr_source(expr.operand, env, local_headers)
-        if operand is None:
-            return None
-        try:
-            width = expr.operand.width(env)
-        except Exception:
-            return None
-        if not 0 <= expr.low <= expr.high < width:
-            return None  # compile_expr raises the typed error
-        return (
-            f"(({operand} >> {expr.low}) & "
-            f"{mask(expr.high - expr.low + 1)})"
+def _exact_index(table: Table) -> dict:
+    """An all-EXACT table's installed entries by key value (a tuple for
+    several keys): the highest priority wins and the first installed
+    wins ties, the scan's ``rank > best_rank`` selection. Read from the
+    live entry list, so control-plane updates between blocks stay
+    visible."""
+    single = len(table.keys) == 1
+    index: dict = {}
+    for entry in table.entries:
+        patterns = entry.patterns
+        key = (
+            patterns[0].value if single
+            else tuple(pattern.value for pattern in patterns)
         )
-    return None
+        prev = index.get(key)
+        if prev is None or entry.priority > prev.priority:
+            index[key] = entry
+    return index
+
+
+def _out_of_range(kind: str, name: str, index: int, size: int):
+    return P4RuntimeError(
+        f"{kind} {name!r} index {index} out of range [0, {size})"
+    )
+
+
+def _tuple(items) -> str:
+    """Source for a tuple of the given element sources (any length)."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _is_empty(stmt: Stmt | None) -> bool:
+    """True for a statement that lowers to nothing at all."""
+    if stmt is None:
+        return True
+    return isinstance(stmt, Seq) and all(map(_is_empty, stmt.body))
 
 
 def _parser_acyclic_unique_extracts(program) -> bool:
@@ -248,587 +202,591 @@ def _parser_acyclic_unique_extracts(program) -> bool:
     return True
 
 
-def _generate_parser(program: P4Program, honor_reject: bool):
-    """Generate ``parse(wire, metadata)`` as specialized source.
+class _KernelSource:
+    """Builds the artifact's one generated module.
 
-    Returns ``(packet, payload, accepted)`` with exactly the
-    interpreter's semantics, including the deviant-target behaviour
-    when ``honor_reject`` is False (reject/verify failures record
-    ``parser_error`` but the packet continues as if accepted). An
-    expression the model cannot compile raises its typed error here,
-    at compile time.
+    Each function is generated into its own line buffer (the lowering
+    writes wherever ``self.lower.lines`` points) and appended to
+    ``module`` when complete, so a table apply met while generating a
+    stage can generate its action functions on the side.
     """
-    env = program.env
-    states = list(program.parser.states.values())
-    index_of = {state.name: k for k, state in enumerate(states)}
-    cont = repr(not honor_reject)  # verdict for rejected/errored parses
-    track_duplicates = not _parser_acyclic_unique_extracts(program)
 
-    namespace: dict = {
-        "_Packet": Packet,
-        "_fast_header": _fast_header,
-        "_PacketError": PacketError,
-        "_P4ValidationError": P4ValidationError,
-    }
-    def goto(target: str, indent: str) -> list[str]:
-        if target == ACCEPT:
-            return [f"{indent}return packet, wire[offset:], True"]
-        if target == REJECT:
-            return [
-                f"{indent}metadata['parser_error'] = "
-                f"{PARSER_ERROR_REJECT!r}",
-                f"{indent}return packet, wire[offset:], {cont}",
-            ]
-        if target in index_of:
-            return [
-                f"{indent}state = {index_of[target]}",
-                f"{indent}continue",
-            ]
-        message = f"unknown parser state {target!r}"
-        return [f"{indent}raise _P4ValidationError({message!r})"]
+    def __init__(self, program: P4Program, quantize_tcam: bool):
+        self.env = program.env
+        self.registers = program.registers
+        self.quantize = quantize_tcam
+        self.module: list[str] = []
+        self.lower = Lowering(program.env)
+        self.namespace: dict = dict(
+            LOWERING_GLOBALS,
+            _Packet=Packet,
+            _new=Packet.__new__,
+            _Header=Header,
+            _fast_header=_fast_header,
+            _setattr=object.__setattr__,
+            _PacketError=PacketError,
+            _P4ValidationError=P4ValidationError,
+            _ExitPipeline=ExitPipeline,
+            _stable_hash=stable_hash,
+            _exact_index=_exact_index,
+            _out_of_range=_out_of_range,
+            _qmask=quantize_ternary_mask,
+            _qrange=quantize_range,
+        )
+        self._constants: dict[int, str] = {}
+        self._actions: dict[int, str] = {}
+        self._action_maps: dict[int, str] = {}
+        self._stages = 0
 
-    lines = [
-        "def parse(wire, metadata):",
-        "    packet = _Packet()",
-        "    headers = packet.headers",
-    ]
-    if track_duplicates:
-        lines.append("    seen = set()")
-    lines += [
-        "    size = len(wire)",
-        "    offset = 0",
-        "    steps = 0",
-    ]
-    start = program.parser.start
-    if start in index_of:
-        lines.append(f"    state = {index_of[start]}")
-    else:
-        # Starting in accept/reject or an unknown state ends the parse
-        # before the first step (the loop below is then unreachable).
-        lines += goto(start, "    ")
-    lines += [
-        "    while True:",
-        "        steps += 1",
-        f"        if steps > {MAX_PARSER_STEPS}:",
-        f"            metadata['parser_error'] = "
-        f"{PARSER_ERROR_DEPTH_EXCEEDED!r}",
-        f"            return packet, wire[offset:], {cont}",
-    ]
+    # -- plumbing --------------------------------------------------------
+    def emit(self, line: str) -> None:
+        self.lower.lines.append(line)
 
-    for k, state in enumerate(states):
-        branch = "if" if k == 0 else "elif"
-        lines.append(f"        {branch} state == {k}:")
-        body: list[str] = []
-        pad = "            "
-        local_headers: dict[str, str] = {}
-        for name in state.extracts:
-            spec = env.header(name)
-            byte_width = spec.byte_width
-            var = f"v_{k}_{len(local_headers)}"
-            spec_var = f"_spec_{name}"
-            namespace[spec_var] = spec
-            fields = ", ".join(
-                f"{fname!r}: (w >> {shift}) & {field_mask}"
-                if shift
-                else f"{fname!r}: w & {field_mask}"
-                for fname, shift, field_mask in _field_layout(spec)
-            )
-            dup = f"packet already has header {name!r}"
-            body += [
-                f"{pad}if size - offset < {byte_width}:",
-                f"{pad}    metadata['parser_error'] = "
-                f"{PARSER_ERROR_HEADER_TOO_SHORT!r}",
-                f"{pad}    return packet, wire[offset:], {cont}",
-            ]
-            if track_duplicates:
-                body += [
-                    f"{pad}if {name!r} in seen:",
-                    f"{pad}    raise _PacketError({dup!r})",
-                    f"{pad}seen.add({name!r})",
-                ]
-            body += [
-                f"{pad}w = int.from_bytes("
-                f"wire[offset:offset + {byte_width}], 'big')",
-                f"{pad}{var} = {{{fields}}}",
-                f"{pad}headers.append(_fast_header({spec_var}, {var}))",
-                f"{pad}offset += {byte_width}",
-            ]
-            local_headers[name] = var
-        if state.verify is not None:
-            cond, code = state.verify
-            code = code or PARSER_ERROR_VERIFY_FAILED
-            source = _expr_source(cond, env, local_headers)
-            if source is None:
-                verify_var = f"_verify_{k}"
-                namespace[verify_var] = compile_expr(cond, env)
-                source = f"{verify_var}(packet, metadata, ())"
-            body.append(f"{pad}if not {source}:")
-            body.append(
-                f"{pad}    metadata['parser_error'] = {code!r}"
-            )
-            if honor_reject:
-                body.append(
-                    f"{pad}    return packet, wire[offset:], False"
-                )
-            # Deviant target: keep parsing as if verify passed.
-        transition = state.transition
-        if transition.is_select:
-            key_vars = []
-            for j, key_expr in enumerate(transition.keys):
-                source = _expr_source(key_expr, env, local_headers)
-                if source is None:
-                    key_var = f"_key_{k}_{j}"
-                    namespace[key_var] = compile_expr(key_expr, env)
-                    source = f"{key_var}(packet, metadata, ())"
-                var = f"k_{j}"
-                body.append(f"{pad}{var} = {source}")
-                key_vars.append(var)
-            for case in transition.cases:
-                terms = []
-                for var, (value, key_mask) in zip(key_vars, case.patterns):
-                    if key_mask == -1:
-                        terms.append(f"{var} == {value}")
-                    else:
-                        terms.append(
-                            f"({var} & {key_mask}) == {value & key_mask}"
-                        )
-                cond_src = " and ".join(terms) if terms else "True"
-                body.append(f"{pad}if {cond_src}:")
-                body += goto(case.next_state, pad + "    ")
-            body += goto(transition.default, pad)
-        else:
-            body += goto(transition.default, pad)
-        lines += body
+    def constant(self, obj) -> str:
+        """A module global bound to ``obj`` (one per object)."""
+        name = self._constants.get(id(obj))
+        if name is None:
+            name = self._constants[id(obj)] = f"_k{len(self._constants)}"
+            self.namespace[name] = obj
+        return name
 
-    exec(compile("\n".join(lines) + "\n", "<parser>", "exec"), namespace)
-    return namespace["parse"]
+    def function(self, header: str, body) -> None:
+        """Generate ``header`` plus ``body()``'s lines as one module
+        function (``pass`` if the body emitted nothing)."""
+        saved = self.lower.lines
+        lines = self.lower.lines = [header]
+        body()
+        if len(lines) == 1:
+            lines.append("    pass")
+        self.lower.lines = saved
+        self.module += lines
 
+    def block(self, emit_body, pad: str) -> None:
+        """``emit_body()`` as an indented block, ``pass`` if empty."""
+        mark = len(self.lower.lines)
+        emit_body()
+        if len(self.lower.lines) == mark:
+            self.emit(f"{pad}pass")
 
-def _generate_deparser(program: P4Program, field_budget: int | None):
-    """Generate ``deparse(packet) -> Packet`` specialized to the emit
-    order: the headers are indexed once and the budgeted prefix (a
-    deviant field budget restricts emission to it;
-    ``Deparser.emit_prefix`` is the one definition of that semantics) is
-    emitted with direct attribute reads."""
-    emit_order = program.deparser.emit_prefix(program.env, field_budget)
-    namespace: dict = {"_Packet": Packet, "_new": Packet.__new__}
-    lines = [
-        "def deparse(packet):",
-        "    by_name = {}",
-        "    for header in packet.headers:",
-        "        name = header.spec.name",
-        "        if name not in by_name:",
-        "            by_name[name] = header",
-        "    emitted = []",
-        "    append = emitted.append",
-        "    get = by_name.get",
-    ]
-    # The emitted headers are NOT copied: the output packet shares its
-    # Header objects with the parsed input packet. Only taps and faults
-    # at the deparser/output stages see both, and the fault hook writes
-    # each shared header once (see repro.target.batch). Sharing skips a
-    # dict copy plus a Header allocation per emitted header.
-    for name in emit_order:
-        lines += [
-            f"    header = get({name!r})",
-            "    if header is not None and header.valid:",
-            "        append(header)",
-        ]
-    lines += [
-        "    out = _new(_Packet)",
-        "    out.headers = emitted",
-        "    out.payload = packet.payload",
-        "    out.metadata = dict(packet.metadata)",
-        "    return out",
-    ]
-    exec(compile("\n".join(lines) + "\n", "<deparser>", "exec"), namespace)
-    return namespace["deparse"]
+    def text(self) -> str:
+        return "\n".join(self.module) + "\n"
 
+    # -- parser and deparser ---------------------------------------------
+    def parser(self, program: P4Program, honor_reject: bool) -> None:
+        """``parse(wire, metadata) -> (packet, payload, accepted)`` with
+        exactly the interpreter's semantics, including the deviant
+        behaviour when ``honor_reject`` is False (reject/verify failures
+        record ``parser_error`` but the packet continues as if
+        accepted)."""
+        env = program.env
+        states = list(program.parser.states.values())
+        index_of = {state.name: k for k, state in enumerate(states)}
+        cont = repr(not honor_reject)  # verdict for rejected/errored parses
+        track_duplicates = not _parser_acyclic_unique_extracts(program)
+        emit = self.emit
 
-# ----------------------------------------------------------------------
-# Actions and primitives
-# ----------------------------------------------------------------------
-def _compile_primitive(
-    program: P4Program, primitive: Primitive, params: tuple[str, ...]
-) -> Callable[[ExecState, tuple], None] | None:
-    env = program.env
-
-    if isinstance(primitive, NoOp):
-        return None
-
-    if isinstance(primitive, SetField):
-        header_name, field_name = primitive.header, primitive.field
-        value_fn = compile_expr(primitive.value, env, params)
-        width_mask = mask(env.field_width(header_name, field_name))
-
-        def set_field(state, args):
-            packet = state.packet
-            for header in packet.headers:
-                if header.name == header_name:
-                    if header.valid:
-                        header._values[field_name] = (
-                            value_fn(packet, state.metadata, args)
-                            & width_mask
-                        )
-                        return
-                    break
-            raise P4RuntimeError(
-                f"write to field of invalid header {header_name!r}"
-            )
-
-        return set_field
-
-    if isinstance(primitive, SetMeta):
-        name = primitive.name
-        value_fn = compile_expr(primitive.value, env, params)
-        width_mask = mask(env.metadata_width(name))
-
-        def set_meta(state, args):
-            metadata = state.metadata
-            metadata[name] = value_fn(state.packet, metadata, args) & width_mask
-
-        return set_meta
-
-    if isinstance(primitive, AddHeader):
-        spec = env.header(primitive.header)
-        header_name, after = primitive.header, primitive.after
-
-        def add_header(state, args):
-            packet = state.packet
-            existing = packet.get_or_none(header_name)
-            if existing is not None:
-                object.__setattr__(existing, "valid", True)
+        def goto(target: str, pad: str) -> None:
+            if target == ACCEPT:
+                emit(f"{pad}return packet, wire[offset:], True")
+            elif target == REJECT:
+                emit(f"{pad}metadata['parser_error'] = "
+                     f"{PARSER_ERROR_REJECT!r}")
+                emit(f"{pad}return packet, wire[offset:], {cont}")
+            elif target in index_of:
+                emit(f"{pad}state = {index_of[target]}")
+                emit(f"{pad}continue")
             else:
-                packet.push(Header(spec), after=after)
+                message = f"unknown parser state {target!r}"
+                emit(f"{pad}raise _P4ValidationError({message!r})")
 
-        return add_header
+        def body() -> None:
+            emit("    packet = _Packet()")
+            emit("    headers = packet.headers")
+            if track_duplicates:
+                emit("    seen = set()")
+            emit("    size = len(wire)")
+            emit("    offset = 0")
+            emit("    steps = 0")
+            start = program.parser.start
+            if start in index_of:
+                emit(f"    state = {index_of[start]}")
+            else:
+                # Starting in accept/reject or an unknown state ends the
+                # parse before the first step (the loop is unreachable).
+                goto(start, "    ")
+            emit("    while True:")
+            emit("        steps += 1")
+            emit(f"        if steps > {MAX_PARSER_STEPS}:")
+            emit(f"            metadata['parser_error'] = "
+                 f"{PARSER_ERROR_DEPTH_EXCEEDED!r}")
+            emit(f"            return packet, wire[offset:], {cont}")
+            pad = "            "
+            for k, state in enumerate(states):
+                emit(f"        {'if' if k == 0 else 'elif'} state == {k}:")
+                local_headers: dict[str, str] = {}
+                for name in state.extracts:
+                    spec = env.header(name)
+                    byte_width = spec.byte_width
+                    var = f"v_{k}_{len(local_headers)}"
+                    fields = ", ".join(
+                        f"{fname!r}: (w >> {shift}) & {field_mask}"
+                        if shift
+                        else f"{fname!r}: w & {field_mask}"
+                        for fname, shift, field_mask in _field_layout(spec)
+                    )
+                    emit(f"{pad}if size - offset < {byte_width}:")
+                    emit(f"{pad}    metadata['parser_error'] = "
+                         f"{PARSER_ERROR_HEADER_TOO_SHORT!r}")
+                    emit(f"{pad}    return packet, wire[offset:], {cont}")
+                    if track_duplicates:
+                        dup = f"packet already has header {name!r}"
+                        emit(f"{pad}if {name!r} in seen:")
+                        emit(f"{pad}    raise _PacketError({dup!r})")
+                        emit(f"{pad}seen.add({name!r})")
+                    emit(f"{pad}w = int.from_bytes("
+                         f"wire[offset:offset + {byte_width}], 'big')")
+                    emit(f"{pad}{var} = {{{fields}}}")
+                    emit(f"{pad}headers.append(_fast_header("
+                         f"{self.constant(spec)}, {var}))")
+                    emit(f"{pad}offset += {byte_width}")
+                    local_headers[name] = var
+                if state.verify is not None:
+                    cond, code = state.verify
+                    code = code or PARSER_ERROR_VERIFY_FAILED
+                    source = self.lower.expr(cond, pad, None, local_headers)
+                    emit(f"{pad}if not {source}:")
+                    emit(f"{pad}    metadata['parser_error'] = {code!r}")
+                    # A deviant target keeps parsing as if verify passed.
+                    if honor_reject:
+                        emit(f"{pad}    return packet, wire[offset:], False")
+                transition = state.transition
+                if transition.is_select:
+                    key_vars = []
+                    for j, key_expr in enumerate(transition.keys):
+                        source = self.lower.expr(
+                            key_expr, pad, None, local_headers
+                        )
+                        emit(f"{pad}k_{j} = {source}")
+                        key_vars.append(f"k_{j}")
+                    for case in transition.cases:
+                        terms = []
+                        for var, (value, key_mask) in zip(
+                            key_vars, case.patterns
+                        ):
+                            if key_mask == -1:
+                                terms.append(f"{var} == {value}")
+                            else:
+                                terms.append(
+                                    f"({var} & {key_mask}) == "
+                                    f"{value & key_mask}"
+                                )
+                        emit(f"{pad}if {' and '.join(terms) or 'True'}:")
+                        goto(case.next_state, pad + "    ")
+                goto(transition.default, pad)
 
-    if isinstance(primitive, RemoveHeader):
-        header_name = primitive.header
+        self.function("def parse(wire, metadata):", body)
 
-        def remove_header(state, args):
-            header = state.packet.get_or_none(header_name)
-            if header is not None:
-                object.__setattr__(header, "valid", False)
+    def deparser(self, program: P4Program, field_budget: int | None) -> None:
+        """``deparse(packet) -> Packet`` specialized to the emit order:
+        the headers are indexed once and the budgeted prefix (a deviant
+        field budget restricts emission to it; ``Deparser.emit_prefix``
+        is the one definition of that semantics) is emitted with direct
+        attribute reads."""
+        emit_order = program.deparser.emit_prefix(program.env, field_budget)
 
-        return remove_header
+        def body() -> None:
+            emit = self.emit
+            emit("    by_name = {}")
+            emit("    for header in packet.headers:")
+            emit("        name = header.spec.name")
+            emit("        if name not in by_name:")
+            emit("            by_name[name] = header")
+            emit("    emitted = []")
+            emit("    append = emitted.append")
+            emit("    get = by_name.get")
+            # The emitted headers are NOT copied: the output packet
+            # shares its Header objects with the parsed input packet.
+            # Only taps and faults at the deparser/output stages see
+            # both, and the fault hook writes each shared header once
+            # (see repro.target.batch). Sharing skips a dict copy plus a
+            # Header allocation per emitted header.
+            for name in emit_order:
+                emit(f"    header = get({name!r})")
+                emit("    if header is not None and header.valid:")
+                emit("        append(header)")
+            emit("    out = _new(_Packet)")
+            emit("    out.headers = emitted")
+            emit("    out.payload = packet.payload")
+            emit("    out.metadata = dict(packet.metadata)")
+            emit("    return out")
 
-    if isinstance(primitive, Drop):
-        def drop(state, args):
-            state.metadata["drop"] = 1
+        self.function("def deparse(packet):", body)
 
-        return drop
+    # -- controls --------------------------------------------------------
+    def control(self, control: Control) -> list[str | None]:
+        """One stage function per top-level statement, index-aligned
+        with the pipeline's stage names; ``None`` for an empty one."""
+        names: list[str | None] = []
+        for index, stmt in enumerate(control_stages(control)):
+            if _is_empty(stmt):
+                names.append(None)
+                continue
+            name = f"stage_{self._stages}"
+            self._stages += 1
+            self.stage(control, stmt, name, f"{control.name}.{index}")
+            names.append(name)
+        return names
 
-    if isinstance(primitive, Forward):
-        port_fn = compile_expr(primitive.port, env, params)
+    def stage(self, control, stmt, name: str, stage_name: str) -> None:
+        """The stage's per-lane loop around its inlined statement: lanes
+        that exited or raised are skipped, ``ExitPipeline`` marks the
+        lane exited (drop tracking still runs for that stage), any other
+        exception parks the lane, and the drop-origin tracker records
+        the stage that set a still-set drop flag (a later statement may
+        clear it again). Per-call set-up (EXACT indexes, stuck flags)
+        runs once before the loop."""
+        prologue: dict[str, str] = {}
 
-        def forward(state, args):
-            metadata = state.metadata
-            metadata["egress_spec"] = (
-                port_fn(state.packet, metadata, args) & 0x1FF
+        def body() -> None:
+            lower = self.lower
+            saved, lower.lines = lower.lines, []
+            self.stmt(control, stmt, " " * 12, prologue)
+            inner, lower.lines = lower.lines, saved
+            lower.lines += [
+                *(f"    {var} = {value}" for var, value in prologue.items()),
+                "    for i in live:",
+                "        if exited[i] or errors[i] is not None:",
+                "            continue",
+                "        packet = packets[i]",
+                "        metadata = metas[i]",
+                "        try:",
+                *(inner or ["            pass"]),
+                "        except _ExitPipeline:",
+                "            exited[i] = True",
+                "        except Exception as exc:",
+                "            errors[i] = exc",
+                "            continue",
+                "        if metadata['drop']:",
+                "            if drop_stage[i] is None:",
+                f"                drop_stage[i] = {stage_name!r}",
+                "        else:",
+                "            drop_stage[i] = None",
+            ]
+
+        self.function(f"def {name}({STAGE_PARAMS}):", body)
+
+    def stmt(self, control, stmt, pad: str, prologue) -> None:
+        if stmt is None:
+            return
+        inner = pad + "    "
+        if isinstance(stmt, Seq):
+            for child in stmt.body:
+                self.stmt(control, child, pad, prologue)
+        elif isinstance(stmt, If):
+            cond = self.lower.expr(stmt.cond, pad)
+            self.emit(f"{pad}if {cond}:")
+            self.block(
+                lambda: self.stmt(control, stmt.then, inner, prologue), inner
             )
-            metadata["drop"] = 0
-
-        return forward
-
-    if isinstance(primitive, CountPacket):
-        name = primitive.name
-        index_fn = compile_expr(primitive.index, env, params)
-
-        def count(state, args):
-            if name in state.frozen_counters:
-                return
-            cells = state.counters.get(name)
-            if cells is None:
-                raise P4RuntimeError(f"undeclared counter {name!r}")
-            index = index_fn(state.packet, state.metadata, args)
-            if not 0 <= index < len(cells):
-                raise P4RuntimeError(
-                    f"counter {name!r} index {index} out of range "
-                    f"[0, {len(cells)})"
-                )
-            cells[index] += 1
-
-        return count
-
-    if isinstance(primitive, RegisterWrite):
-        name = primitive.name
-        index_fn = compile_expr(primitive.index, env, params)
-        value_fn = compile_expr(primitive.value, env, params)
-        decl = program.registers.get(name)
-        width_mask = mask(decl.width) if decl is not None else 0
-
-        def register_write(state, args):
-            cells = state.registers.get(name)
-            if cells is None:
-                raise P4RuntimeError(f"undeclared register {name!r}")
-            packet, metadata = state.packet, state.metadata
-            index = index_fn(packet, metadata, args)
-            if not 0 <= index < len(cells):
-                raise P4RuntimeError(
-                    f"register {name!r} index {index} out of range "
-                    f"[0, {len(cells)})"
-                )
-            cells[index] = value_fn(packet, metadata, args) & width_mask
-
-        return register_write
-
-    if isinstance(primitive, RegisterRead):
-        name = primitive.name
-        into = primitive.into
-        index_fn = compile_expr(primitive.index, env, params)
-        width_mask = mask(env.metadata_width(into))
-
-        def register_read(state, args):
-            cells = state.registers.get(name)
-            if cells is None:
-                raise P4RuntimeError(f"undeclared register {name!r}")
-            metadata = state.metadata
-            index = index_fn(state.packet, metadata, args)
-            if not 0 <= index < len(cells):
-                raise P4RuntimeError(
-                    f"register {name!r} index {index} out of range "
-                    f"[0, {len(cells)})"
-                )
-            metadata[into] = cells[index] & width_mask
-
-        return register_read
-
-    if isinstance(primitive, HashField):
-        into = primitive.into
-        modulo = primitive.modulo
-        input_fns = tuple(
-            compile_expr(expr, env, params) for expr in primitive.inputs
-        )
-        width_mask = mask(env.metadata_width(into))
-
-        def hash_field(state, args):
-            packet, metadata = state.packet, state.metadata
-            values = tuple(fn(packet, metadata, args) for fn in input_fns)
-            metadata[into] = stable_hash(values, modulo) & width_mask
-
-        return hash_field
-
-    if isinstance(primitive, Exit):
-        def do_exit(state, args):
-            raise ExitPipeline()
-
-        return do_exit
-
-    raise P4RuntimeError(f"unknown primitive {type(primitive).__name__}")
-
-
-def _compile_action(program: P4Program, action: Action):
-    """Compile an action body into ``run(state, args)``."""
-    params = tuple(action.param_names)
-    body = [
-        fn
-        for fn in (
-            _compile_primitive(program, primitive, params)
-            for primitive in action.body
-        )
-        if fn is not None
-    ]
-    if not body:
-        return lambda state, args: None
-    if len(body) == 1:
-        return body[0]
-
-    def run_action(state, args):
-        for fn in body:
-            fn(state, args)
-
-    return run_action
-
-
-# ----------------------------------------------------------------------
-# Tables and control flow
-# ----------------------------------------------------------------------
-def _compile_table_apply(
-    program: P4Program, table: Table, quantize_tcam: bool = False
-):
-    """Compile ``table.apply()`` into ``apply(state) -> hit``.
-
-    Entries are read live from the shared :class:`Table`, so control
-    plane updates are visible immediately; only the key evaluators,
-    widths and action bodies are frozen at compile time.
-    ``quantize_tcam`` selects the deviant TCAM semantics: ternary masks
-    and range bounds are quantized to power-of-two boundaries at match
-    time (entries change dynamically, so quantization cannot be frozen
-    per entry here) — mirroring ``Table.lookup(..., quantize=True)``.
-    """
-    env = program.env
-    key_fns = tuple(compile_expr(key.expr, env) for key in table.keys)
-    kinds = tuple(key.kind for key in table.keys)
-    widths = tuple(key.expr.width(env) for key in table.keys)
-    key_count = len(key_fns)
-    action_fns = {
-        name: _compile_action(program, action)
-        for name, action in table.actions.items()
-    }
-    table_name = table.name
-    EXACT, LPM = MatchKind.EXACT, MatchKind.LPM
-    TERNARY, RANGE = MatchKind.TERNARY, MatchKind.RANGE
-
-    def apply(state) -> bool:
-        packet, metadata = state.packet, state.metadata
-        best = None
-        if table_name not in state.stuck_tables:
-            values = [fn(packet, metadata, ()) for fn in key_fns]
-            best_rank = (-1, -1)
-            for entry in table.entries:
-                patterns = entry.patterns
-                prefix_total = 0
-                matched = True
-                for i in range(key_count):
-                    kind = kinds[i]
-                    pattern = patterns[i]
-                    value = values[i]
-                    if kind is EXACT:
-                        if value != pattern.value:
-                            matched = False
-                            break
-                    elif kind is LPM:
-                        prefix_len = pattern.prefix_len
-                        if prefix_len is None:
-                            raise P4RuntimeError(
-                                "LPM pattern missing prefix_len"
-                            )
-                        if prefix_len:
-                            shift = widths[i] - prefix_len
-                            if (value >> shift) != (pattern.value >> shift):
-                                matched = False
-                                break
-                        prefix_total += prefix_len
-                    elif kind is TERNARY:
-                        key_mask = pattern.mask
-                        if key_mask is None:
-                            raise P4RuntimeError("ternary pattern missing mask")
-                        if quantize_tcam:
-                            key_mask = quantize_ternary_mask(
-                                key_mask, widths[i]
-                            )
-                        if (value & key_mask) != (pattern.value & key_mask):
-                            matched = False
-                            break
-                    elif kind is RANGE:
-                        high = pattern.high
-                        if high is None:
-                            raise P4RuntimeError(
-                                "range pattern missing high bound"
-                            )
-                        low = pattern.value
-                        if quantize_tcam:
-                            low, high = quantize_range(low, high, widths[i])
-                        if not low <= value <= high:
-                            matched = False
-                            break
-                if not matched:
-                    continue
-                rank = (prefix_total, entry.priority)
-                if best is None or rank > best_rank:
-                    best = entry
-                    best_rank = rank
-        if best is None:
-            action_fns[table.default_action](
-                state, table.default_action_data
+            if not _is_empty(stmt.otherwise):
+                self.emit(f"{pad}else:")
+                self.block(lambda: self.stmt(
+                    control, stmt.otherwise, inner, prologue
+                ), inner)
+        elif isinstance(stmt, ApplyTable):
+            self.apply(control.table(stmt.table), pad, prologue)
+        elif isinstance(stmt, IfHit):
+            best = self.apply(control.table(stmt.table), pad, prologue)
+            self.emit(f"{pad}if {best} is not None:")
+            self.block(
+                lambda: self.stmt(control, stmt.then, inner, prologue), inner
             )
-            return False
-        action_fns[best.action](state, best.action_data)
-        return True
+            if not _is_empty(stmt.otherwise):
+                self.emit(f"{pad}else:")
+                self.block(lambda: self.stmt(
+                    control, stmt.otherwise, inner, prologue
+                ), inner)
+        elif isinstance(stmt, Call):
+            action = control.action(stmt.action)
+            action.bind(stmt.args)  # arity check once, at compile time
+            self.body(action, pad, {
+                name: repr(value)
+                for name, value in zip(action.param_names, stmt.args)
+            })
+        else:
+            raise P4RuntimeError(
+                f"unknown statement type {type(stmt).__name__}"
+            )
 
-    return apply
+    # -- tables ----------------------------------------------------------
+    def apply(self, table: Table, pad: str, prologue) -> str:
+        """``table.apply()`` at ``pad``; returns the local naming the
+        winning entry (``None`` on a miss)."""
+        lower, emit = self.lower, self.emit
+        inner = pad + "    "
+        best = lower.temp()
+        exact = all(key.kind is MatchKind.EXACT for key in table.keys)
+        tbl = self.constant(table)
+        stuck = f"{table.name!r} in stuck"
+        if exact:
+            # Built once per stage call, not per packet.
+            index = f"_x{tbl}"
+            prologue[index] = f"None if {stuck} else _exact_index({tbl})"
+            emit(f"{pad}if {index} is None:")
+            emit(f"{inner}{best} = None")
+            emit(f"{pad}else:")
+        else:
+            index = f"_s{tbl}"
+            prologue[index] = stuck
+            emit(f"{pad}{best} = None")
+            emit(f"{pad}if not {index}:")
+        keys = []
+        for key in table.keys:
+            var = lower.temp()
+            emit(f"{inner}{var} = {lower.expr(key.expr, inner)}")
+            keys.append(var)
+        if exact:
+            key = keys[0] if len(keys) == 1 else _tuple(keys)
+            emit(f"{inner}{best} = {index}.get({key})")
+        else:
+            self.scan(table, tbl, keys, best, inner)
+        actions = self.action_map(table)
+        emit(f"{pad}if {best} is None:")
+        emit(f"{inner}{actions}[{tbl}.default_action](packet, metadata, "
+             f"{tbl}.default_action_data, counters, registers, frozen)")
+        emit(f"{pad}else:")
+        emit(f"{inner}{actions}[{best}.action](packet, metadata, "
+             f"{best}.action_data, counters, registers, frozen)")
+        return best
+
+    def scan(self, table: Table, tbl: str, keys, best: str, pad: str) -> None:
+        """Match every installed entry, read live: the best rank wins,
+        rank being (total LPM prefix length, priority) — longest prefix
+        first, then priority, the first installed winning ties.
+        ``quantize_tcam`` quantizes ternary masks and range bounds at
+        match time, mirroring ``Table.lookup(..., quantize=True)``."""
+        env, emit = self.env, self.emit
+        inner, body = pad + "    ", pad + "        "
+        prefixes = []
+        emit(f"{pad}_br = (-1, -1)")
+        emit(f"{pad}for _e in {tbl}.entries:")
+        emit(f"{inner}_p = _e.patterns")
+        for i, (key, var) in enumerate(zip(table.keys, keys)):
+            width = key.expr.width(env)
+            emit(f"{inner}_q = _p[{i}]")
+            kind = key.kind
+            if kind is MatchKind.EXACT:
+                emit(f"{inner}if {var} != _q.value:")
+            elif kind is MatchKind.LPM:
+                length = f"_l{i}"
+                prefixes.append(length)
+                missing = "LPM pattern missing prefix_len"
+                shift = f"({width} - {length})"
+                emit(f"{inner}{length} = _q.prefix_len")
+                emit(f"{inner}if {length} is None:")
+                emit(f"{body}raise _P4RuntimeError({missing!r})")
+                emit(f"{inner}if {length} and ({var} >> {shift}) != "
+                     f"(_q.value >> {shift}):")
+            elif kind is MatchKind.TERNARY:
+                missing = "ternary pattern missing mask"
+                emit(f"{inner}_m = _q.mask")
+                emit(f"{inner}if _m is None:")
+                emit(f"{body}raise _P4RuntimeError({missing!r})")
+                if self.quantize:
+                    emit(f"{inner}_m = _qmask(_m, {width})")
+                emit(f"{inner}if ({var} & _m) != (_q.value & _m):")
+            else:
+                missing = "range pattern missing high bound"
+                emit(f"{inner}_hi = _q.high")
+                emit(f"{inner}if _hi is None:")
+                emit(f"{body}raise _P4RuntimeError({missing!r})")
+                emit(f"{inner}_lo = _q.value")
+                if self.quantize:
+                    emit(f"{inner}_lo, _hi = _qrange(_lo, _hi, {width})")
+                emit(f"{inner}if not _lo <= {var} <= _hi:")
+            emit(f"{body}continue")
+        emit(f"{inner}_r = ({' + '.join(prefixes) or '0'}, _e.priority)")
+        emit(f"{inner}if _r > _br:")
+        emit(f"{body}{best} = _e")
+        emit(f"{body}_br = _r")
+
+    def action_map(self, table: Table) -> str:
+        """A module global mapping the table's action names to their
+        generated functions."""
+        name = self._action_maps.get(id(table))
+        if name is None:
+            name = self._action_maps[id(table)] = (
+                f"_actions{len(self._action_maps)}"
+            )
+            functions = {
+                action_name: self.action(action)
+                for action_name, action in table.actions.items()
+            }
+            self.module.append(f"{name} = {{" + ", ".join(
+                f"{key!r}: {fn}" for key, fn in functions.items()
+            ) + "}")
+        return name
+
+    # -- actions and primitives ------------------------------------------
+    def action(self, action) -> str:
+        """The action's generated function, called with the entry's
+        action data as ``args``."""
+        name = self._actions.get(id(action))
+        if name is None:
+            name = self._actions[id(action)] = f"action_{len(self._actions)}"
+            params = {
+                param: f"args[{i}]"
+                for i, param in enumerate(action.param_names)
+            }
+            self.function(
+                f"def {name}({ACTION_PARAMS}):",
+                lambda: self.body(action, "    ", params),
+            )
+        return name
+
+    def body(self, action, pad: str, params: dict[str, str]) -> None:
+        for primitive in action.body:
+            self.primitive(primitive, pad, params)
+
+    def primitive(self, primitive, pad: str, params) -> None:
+        env, lower, emit = self.env, self.lower, self.emit
+        inner = pad + "    "
+
+        def value(expr) -> str:
+            return lower.expr(expr, pad, params)
+
+        def index(expr, kind: str, name: str, pad: str = pad) -> str:
+            var = lower.temp()
+            emit(f"{pad}{var} = {lower.expr(expr, pad, params)}")
+            emit(f"{pad}if not 0 <= {var} < len(_c):")
+            emit(f"{pad}    raise _out_of_range({kind!r}, {name!r}, "
+                 f"{var}, len(_c))")
+            return var
+
+        def cells(kind: str, name: str, source: str, pad: str = pad):
+            undeclared = f"undeclared {kind} {name!r}"
+            emit(f"{pad}_c = {source}.get({name!r})")
+            emit(f"{pad}if _c is None:")
+            emit(f"{pad}    raise _P4RuntimeError({undeclared!r})")
+
+        if isinstance(primitive, NoOp):
+            return
+        if isinstance(primitive, SetField):
+            # The header is checked before its value is evaluated.
+            header = lower.temp()
+            invalid = f"write to field of invalid header {primitive.header!r}"
+            lower.find_header(pad, header, primitive.header)
+            emit(f"{pad}if not {header}.valid:")
+            emit(f"{inner}raise _P4RuntimeError({invalid!r})")
+            source = value(primitive.value)
+            width_mask = mask(env.field_width(primitive.header,
+                                              primitive.field))
+            emit(f"{pad}{header}._values[{primitive.field!r}] = "
+                 f"{source} & {width_mask}")
+        elif isinstance(primitive, SetMeta):
+            source = value(primitive.value)
+            width_mask = mask(env.metadata_width(primitive.name))
+            emit(f"{pad}metadata[{primitive.name!r}] = "
+                 f"{source} & {width_mask}")
+        elif isinstance(primitive, AddHeader):
+            spec = self.constant(env.header(primitive.header))
+            emit(f"{pad}for _h in packet.headers:")
+            emit(f"{inner}if _h.spec.name == {primitive.header!r}:")
+            emit(f"{inner}    _setattr(_h, 'valid', True)")
+            emit(f"{inner}    break")
+            emit(f"{pad}else:")
+            emit(f"{inner}packet.push(_Header({spec}), "
+                 f"after={primitive.after!r})")
+        elif isinstance(primitive, RemoveHeader):
+            emit(f"{pad}for _h in packet.headers:")
+            emit(f"{inner}if _h.spec.name == {primitive.header!r}:")
+            emit(f"{inner}    _setattr(_h, 'valid', False)")
+            emit(f"{inner}    break")
+        elif isinstance(primitive, Drop):
+            emit(f"{pad}metadata['drop'] = 1")
+        elif isinstance(primitive, Forward):
+            emit(f"{pad}metadata['egress_spec'] = "
+                 f"{value(primitive.port)} & 511")
+            emit(f"{pad}metadata['drop'] = 0")
+        elif isinstance(primitive, CountPacket):
+            emit(f"{pad}if {primitive.name!r} not in frozen:")
+            cells("counter", primitive.name, "counters", inner)
+            slot = index(primitive.index, "counter", primitive.name, inner)
+            emit(f"{inner}_c[{slot}] += 1")
+        elif isinstance(primitive, RegisterWrite):
+            cells("register", primitive.name, "registers")
+            slot = index(primitive.index, "register", primitive.name)
+            source = value(primitive.value)
+            decl = self.registers.get(primitive.name)
+            width_mask = mask(decl.width) if decl is not None else 0
+            emit(f"{pad}_c[{slot}] = {source} & {width_mask}")
+        elif isinstance(primitive, RegisterRead):
+            cells("register", primitive.name, "registers")
+            slot = index(primitive.index, "register", primitive.name)
+            width_mask = mask(env.metadata_width(primitive.into))
+            emit(f"{pad}metadata[{primitive.into!r}] = "
+                 f"_c[{slot}] & {width_mask}")
+        elif isinstance(primitive, HashField):
+            inputs = [value(expr) for expr in primitive.inputs]
+            width_mask = mask(env.metadata_width(primitive.into))
+            emit(f"{pad}metadata[{primitive.into!r}] = _stable_hash("
+                 f"{_tuple(inputs)}, {primitive.modulo!r}) & {width_mask}")
+        elif isinstance(primitive, Exit):
+            emit(f"{pad}raise _ExitPipeline()")
+        else:
+            raise P4RuntimeError(
+                f"unknown primitive {type(primitive).__name__}"
+            )
 
 
-def _compile_stmt(
+class GeneratedKernel(NamedTuple):
+    """A program lowered by :func:`generate_kernel`."""
+
+    #: The generated module's text.
+    source: str
+    parse: Callable
+    deparse: Callable
+    #: Per control, the stage functions index-aligned with
+    #: :func:`control_stages` (``None`` for an empty statement).
+    ingress: list
+    egress: list
+    #: Every metadata field the generated code reads.
+    metadata_reads: frozenset
+
+
+def generate_kernel(
     program: P4Program,
-    control: Control,
-    stmt: Stmt | None,
-    quantize_tcam: bool = False,
-):
-    """Compile one statement tree into ``run(state)``."""
-    if stmt is None:
-        return None
+    honor_reject: bool,
+    quantize_tcam: bool,
+    deparse_field_budget: int | None,
+) -> GeneratedKernel:
+    """Lower ``program`` into one generated module, compiled once.
 
-    if isinstance(stmt, Seq):
-        body = [
-            fn
-            for fn in (
-                _compile_stmt(program, control, child, quantize_tcam)
-                for child in stmt.body
-            )
-            if fn is not None
-        ]
-        if not body:
-            return None
-        if len(body) == 1:
-            return body[0]
-
-        def run_seq(state):
-            for fn in body:
-                fn(state)
-
-        return run_seq
-
-    if isinstance(stmt, If):
-        cond_fn = compile_expr(stmt.cond, program.env)
-        then_fn = _compile_stmt(program, control, stmt.then, quantize_tcam)
-        else_fn = _compile_stmt(
-            program, control, stmt.otherwise, quantize_tcam
-        )
-
-        def run_if(state):
-            branch = then_fn if cond_fn(state.packet, state.metadata, ()) \
-                else else_fn
-            if branch is not None:
-                branch(state)
-
-        return run_if
-
-    if isinstance(stmt, ApplyTable):
-        apply_fn = _compile_table_apply(
-            program, control.table(stmt.table), quantize_tcam
-        )
-
-        def run_apply(state):
-            apply_fn(state)
-
-        return run_apply
-
-    if isinstance(stmt, IfHit):
-        apply_fn = _compile_table_apply(
-            program, control.table(stmt.table), quantize_tcam
-        )
-        then_fn = _compile_stmt(program, control, stmt.then, quantize_tcam)
-        else_fn = _compile_stmt(
-            program, control, stmt.otherwise, quantize_tcam
-        )
-
-        def run_if_hit(state):
-            branch = then_fn if apply_fn(state) else else_fn
-            if branch is not None:
-                branch(state)
-
-        return run_if_hit
-
-    if isinstance(stmt, Call):
-        action = control.action(stmt.action)
-        action.bind(stmt.args)  # arity check once, at compile time
-        action_fn = _compile_action(program, action)
-        args = tuple(stmt.args)
-
-        def run_call(state):
-            action_fn(state, args)
-
-        return run_call
-
-    raise P4RuntimeError(f"unknown statement type {type(stmt).__name__}")
+    An expression, slice or statement the model cannot lower raises its
+    typed error here, at compile time.
+    """
+    source = _KernelSource(program, quantize_tcam)
+    source.parser(program, honor_reject)
+    source.deparser(program, deparse_field_budget)
+    ingress = source.control(program.ingress)
+    egress = source.control(program.egress)
+    text = source.text()
+    namespace = source.namespace
+    exec(compile(text, f"<kernel {program.name}>", "exec"), namespace)
+    return GeneratedKernel(
+        text,
+        namespace["parse"],
+        namespace["deparse"],
+        [namespace[name] if name else None for name in ingress],
+        [namespace[name] if name else None for name in egress],
+        frozenset(source.lower.metadata_reads),
+    )
 
 
 def control_stages(control: Control) -> list[Stmt]:
     """The control body's top-level statements — one pipeline stage each.
 
-    Shared by the batch kernel's stage compiler and the pipeline's
+    Shared by the batch kernel's stage generator and the pipeline's
     stage names, so their stage lists never drift out of index
     alignment.
     """
@@ -836,4 +794,3 @@ def control_stages(control: Control) -> list[Stmt]:
     if isinstance(body, Seq):
         return list(body.body)
     return [body] if body is not None else []
-

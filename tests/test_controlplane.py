@@ -61,6 +61,72 @@ class TestTableAdd:
             api.table_add("port_ranges", "to_cpu", [(20, 10)], [])
 
 
+class TestPatternsFitTheKey:
+    """Every value, mask and bound must fit the key's width and a prefix
+    length must lie in ``[0, width]``; the refusal names the table, the
+    key and the value."""
+
+    @pytest.mark.parametrize("prefix_len", [40, 33, -3])
+    def test_lpm_prefix_length_outside_width(self, prefix_len):
+        program, api = api_for(ipv4_router())
+        with pytest.raises(
+            ControlPlaneError,
+            match=rf"^table 'ipv4_lpm' key 'dst_ip': prefix length "
+                  rf"{prefix_len} outside \[0, 32\]$",
+        ):
+            api.table_add(
+                "ipv4_lpm", "route", [(ipv4("10.0.0.0"), prefix_len)], [1, 2]
+            )
+        assert program.table("ipv4_lpm").entries == []
+
+    @pytest.mark.parametrize("prefix_len", [0, 32])
+    def test_lpm_prefix_length_bounds_accepted(self, prefix_len):
+        program, api = api_for(ipv4_router())
+        api.table_add(
+            "ipv4_lpm", "route", [(ipv4("10.0.0.0"), prefix_len)], [1, 2]
+        )
+        assert len(program.table("ipv4_lpm").entries) == 1
+
+    def test_value_wider_than_key(self):
+        _, api = api_for(ipv4_router())
+        with pytest.raises(
+            ControlPlaneError,
+            match=r"^table 'ipv4_lpm' key 'dst_ip': value 4294967296 "
+                  r"does not fit 32 bits$",
+        ):
+            api.table_add("ipv4_lpm", "route", [(1 << 32, 8)], [1, 2])
+
+    def test_exact_value_outside_width(self):
+        _, api = api_for(acl_firewall())
+        with pytest.raises(ControlPlaneError, match="'fwd' key 'dst_mac'"):
+            api.table_add("fwd", "forward", [1 << 48], [1])
+        with pytest.raises(ControlPlaneError, match="value -1 does not fit"):
+            api.table_add("fwd", "forward", [-1], [1])
+
+    def test_ternary_mask_outside_width(self):
+        _, api = api_for(acl_firewall())
+        with pytest.raises(
+            ControlPlaneError,
+            match=r"^table 'acl' key 'proto': mask 256 does not fit 8 bits$",
+        ):
+            api.table_add(
+                "acl", "deny",
+                [(0, 0), (0, 0), (6, 0x100), (0, 0), (0, 0)], [],
+            )
+
+    def test_range_bound_outside_width(self):
+        from repro.netdebug.usecases.compiler_check import (
+            range_match_program,
+        )
+
+        program = range_match_program()
+        api = RuntimeAPI(program, RuntimeState.for_program(program))
+        with pytest.raises(ControlPlaneError, match="high bound 65536"):
+            api.table_add("port_ranges", "to_cpu", [(10, 1 << 16)], [])
+        with pytest.raises(ControlPlaneError, match="low bound -1"):
+            api.table_add("port_ranges", "to_cpu", [(-1, 10)], [])
+
+
 class TestTableManagement:
     def test_delete_and_clear(self):
         program, api = api_for(ipv4_router())

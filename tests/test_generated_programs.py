@@ -632,9 +632,57 @@ def _minimal(egress_body=(), duplicate_extract=False):
     )
 
 
-#: Shrunk counterexamples the search found, kept as regression programs:
+def _overlapping_priorities():
+    """Entries that overlap with distinct and with equal priorities,
+    both tables nested under an ``if``: a ternary table whose
+    protocol-17 entry outranks an earlier wildcard and ties a later
+    one, then an EXACT table holding duplicate keys — protocol 17 at priorities 0 and 9, protocol
+    6 twice at priority 3. The highest priority must win and the first
+    installed must win ties."""
+    def rewrite(name, src):
+        return ActionRecipe(name, (), (
+            SetField("ethernet", "src_addr", Const(src)),
+        ))
+
+    def forward(name, port):
+        return ActionRecipe(name, (), (Forward(Const(port, 9)),))
+
+    protocol = FieldRef("ipv4", "protocol")
+    actions = (rewrite("mark_a", 0xA), rewrite("mark_b", 0xB),
+               rewrite("mark_c", 0xC), forward("to_4", 4),
+               forward("to_5", 5), forward("to_6", 6), forward("to_7", 7))
+    tables = (
+        TableRecipe("ranked", ((protocol, MatchKind.TERNARY),),
+                    ("mark_a", "mark_b", "mark_c"), ("mark_a", ()), (
+                        (((0, 0),), "mark_a", (), 0),
+                        (((17, 0xFF),), "mark_b", (), 5),
+                        (((0, 0),), "mark_c", (), 5),
+                    )),
+        TableRecipe("keyed", ((protocol, MatchKind.EXACT),),
+                    ("to_4", "to_5", "to_6", "to_7"), ("to_4", ()), (
+                        ((17,), "to_5", (), 0),
+                        ((17,), "to_6", (), 9),
+                        ((6,), "to_7", (), 3),
+                        ((6,), "to_4", (), 3),
+                    )),
+    )
+    return Recipe(
+        duplicate_extract=False, start_default="accept",
+        vlan_default="accept", ipv4_verify=None, counters=False,
+        registers=False, actions={"ingress": actions, "egress": ()},
+        tables={"ingress": tables, "egress": ()},
+        bodies={"ingress": (If(IsValid("ipv4"), Seq((
+                    ApplyTable("ranked"), ApplyTable("keyed"),
+                ))),),
+                "egress": ()},
+    )
+
+
+#: Shrunk counterexamples the search found, kept as regression programs,
+#: and hand-written programs pinning what the search rarely reaches:
 #: name -> (recipe, traffic seed).
 REGRESSIONS = {
+    "overlapping_priorities": (_overlapping_priorities(), 90),
     # The kernel's parser named a duplicate extract differently from
     # the spec ("duplicate header ..." vs "packet already has header"),
     # and coverage witness construction crashed on the duplicate path.

@@ -287,6 +287,42 @@ class TestErrors:
             parse_program(source)
 
 
+def _example_source() -> str:
+    """The SOURCE of examples/textual_p4_program.py."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "examples" / "textual_p4_program.py"
+    spec = importlib.util.spec_from_file_location("textual_example", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SOURCE
+
+
+class TestBadTokens:
+    """A bad token is a ParseError naming its line and the token, never
+    a bare ValueError from int() or MatchKind()."""
+
+    @pytest.mark.parametrize(
+        "good,bad,detail",
+        [
+            ("ipv4.dst_addr lpm", "ipv4.dst_addr lp",
+             "unknown match kind 'lp'"),
+            ("0x0800", "0800", "malformed number '0800'"),
+            ("ipv4.ihl >= 5", "ipv4.ihl >= 05", "malformed number '05'"),
+        ],
+    )
+    def test_example_source_with_bad_token(self, good, bad, detail):
+        source = _example_source()
+        assert good in source
+        source = source.replace(good, bad, 1)
+        line = source[:source.index(bad)].count("\n") + 1
+        with pytest.raises(Exception) as excinfo:
+            parse_program(source)
+        assert type(excinfo.value) is ParseError
+        assert str(excinfo.value).startswith(f"line {line}: {detail}")
+
+
 class TestFileLoading:
     def test_parse_program_file(self, tmp_path):
         path = tmp_path / "router.p4t"

@@ -4,8 +4,8 @@ The oracle refactor's contract, pinned end to end:
 
 * **register round-trip** — an outbound ``stateful_firewall`` packet
   opens a flow slot, after which the oracle predicts (and the spec
-  interpreter, the device's per-packet closures and its batch kernel
-  all deliver) the return-path packet *forwarded*; a cold inbound
+  interpreter, the device's kernel per packet and over a block all
+  deliver) the return-path packet *forwarded*; a cold inbound
   packet is predicted (and observed) dropped;
 * **stateless control** — :class:`StatelessOracle` reproduces the
   historical fresh-state-per-packet prediction, so it must keep
@@ -41,8 +41,9 @@ from repro.target.reference import ReferenceCompiler
 from tests.test_netdebug_session import lockstep_reference
 
 #: How each packet is carried through ``stateful_firewall``: the spec
-#: tree-walker over one runtime state, the device's per-packet
-#: closures (``inject``), or its batch kernel (``inject_block``).
+#: tree-walker over one runtime state, the device's kernel packet by
+#: packet (``inject``, the "closure" path's historical name), or over
+#: one block (``inject_block``).
 PATHS = ("tree", "closure", "batch")
 
 

@@ -278,42 +278,64 @@ def duplicate_extract_program():
     return b.build()
 
 
+def spec_kernel(program):
+    """The batch kernel for ``program`` on the reference target."""
+    from repro.target.batch import BatchProgram
+    from repro.target.limits import REFERENCE_LIMITS, SPEC_MODEL
+
+    return BatchProgram(program, REFERENCE_LIMITS, SPEC_MODEL)
+
+
 def test_stdlib_parsers_elide_duplicate_bookkeeping():
     """Every stdlib(+ext) parser is acyclic with unique extracts, so the
     generated source must carry no ``seen`` set — the byte-identity
     tests above then pin that the elision is semantically invisible."""
-    from repro.target.fastpath import (
-        _generate_parser,
-        _parser_acyclic_unique_extracts,
-    )
+    from repro.target.fastpath import _parser_acyclic_unique_extracts
 
     for name in sorted(ALL_FACTORIES):
         program = ALL_FACTORIES[name]()
         assert _parser_acyclic_unique_extracts(program), name
-        parse = _generate_parser(program, honor_reject=True)
+        parse = spec_kernel(program).parse
         assert "seen" not in parse.__code__.co_varnames, name
 
 
 def test_each_control_stage_compiles_once(monkeypatch):
-    """The kernel compiles every control stage exactly once: an
-    all-EXACT table stage becomes its dict-get column and gets no
-    scanning closure besides (l2_switch's ``dmac`` is the stdlib's one
-    such stage)."""
+    """The kernel generates every control stage exactly once, into one
+    module compiled with one ``compile()`` call, and its generated
+    source shows how each table is matched: an all-EXACT table looks
+    its key up in a dict built once per stage call and carries no entry
+    scan (l2_switch's ``dmac``; acl_firewall's ``fwd``, nested under an
+    ``if``), while acl_firewall's ternary ``acl`` scans its entries."""
     from repro.target import fastpath
 
-    applied = []
-    real = fastpath._compile_table_apply
-
-    def recording(program, table, quantize_tcam=False):
-        applied.append(table.name)
-        return real(program, table, quantize_tcam)
-
-    monkeypatch.setattr(fastpath, "_compile_table_apply", recording)
-    make_device("once", ReferenceCompiler, PROGRAMS["l2_switch"])
-    assert "dmac" not in applied
-    del applied[:]
-    make_device("once", ReferenceCompiler, PROGRAMS["acl_firewall"])
-    assert sorted(applied) == ["acl", "fwd"]
+    compiled = []
+    monkeypatch.setattr(
+        fastpath, "compile",
+        lambda *args: compiled.append(args[1]) or compile(*args),
+        raising=False,
+    )
+    for name, exact, scanned in (
+        ("l2_switch", ["dmac"], []),
+        ("acl_firewall", ["fwd"], ["acl"]),
+    ):
+        del compiled[:]
+        kernel = make_device(
+            "once", ReferenceCompiler, PROGRAMS[name]
+        ).compiled.kernel
+        assert len(compiled) == 1, name
+        source = kernel.source
+        stages = [row[2] for row in kernel._stages if row[2] is not None]
+        assert source.count("\ndef stage_") == len(stages) > 0, name
+        assert all(
+            fn.__code__.co_filename == compiled[0] for fn in stages
+        ), name
+        for table in exact:
+            assert source.count(f"{table!r} in stuck else _exact_index(") \
+                == 1, (name, table)
+        assert source.count("_exact_index(") == len(exact), name
+        assert source.count(".entries:") == len(scanned), name
+        for table in scanned:
+            assert f"= {table!r} in stuck" in source, (name, table)
 
 
 def test_parser_that_cannot_compile_fails_at_load():
@@ -355,15 +377,11 @@ def test_duplicate_extract_parser_keeps_guard_and_matches_closure():
     duplicate-header error on the re-extracting frame — still match
     blocks of one."""
     from repro.packet.headers import mac
-    from repro.target.fastpath import (
-        _generate_parser,
-        _parser_acyclic_unique_extracts,
-    )
+    from repro.target.fastpath import _parser_acyclic_unique_extracts
 
     program = duplicate_extract_program()
     assert not _parser_acyclic_unique_extracts(program)
-    parse = _generate_parser(program, honor_reject=True)
-    assert "seen" in parse.__code__.co_varnames
+    assert "seen" in spec_kernel(program).parse.__code__.co_varnames
 
     frames = [
         ethernet_frame(

@@ -144,7 +144,7 @@ def run_one(device, wire: bytes, timestamp=None):
 @pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
 def test_compiled_matches_interpreted(name, compiler_cls):
     """Identical verdicts/outputs/state across every program and target:
-    the device's per-packet closures against the tree-walking spec under
+    the device's per-packet kernel runs against the tree-walking spec under
     the artifact's own deviation settings."""
     from repro.exceptions import CompileError
     from repro.target.device import NetworkDevice

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import TargetError
 from repro.p4.interpreter import Verdict
-from repro.p4.stdlib import ipv4_router, l2_switch
+from repro.p4.stdlib import acl_firewall, ipv4_router, l2_switch
 from repro.packet.builder import udp_packet
 from repro.packet.headers import ipv4, mac
 from repro.target.faults import Fault, FaultInjector, FaultKind
@@ -172,3 +172,40 @@ class TestStuckTable:
         # Route exists but lookups are stuck at miss -> default drop.
         assert device.process(WIRE, 0) == []
         assert device.stats.dropped == 1
+
+    @pytest.mark.parametrize(
+        "factory,table,action,args",
+        [
+            # A top-level all-EXACT table stage ...
+            (l2_switch, "dmac", "forward", [1]),
+            # ... and an all-EXACT table nested under an ``if``.
+            (acl_firewall, "fwd", "forward", [3]),
+        ],
+    )
+    def test_exact_table_stuck_at_miss(self, factory, table, action, args):
+        """A stuck EXACT table (a dict lookup in the kernel) runs exactly
+        like the same table with no entries installed, and recovers
+        when the fault is removed."""
+        dst = mac("02:00:00:00:00:02")
+        wire = udp_packet(
+            ipv4("10.3.3.3"), ipv4("192.168.0.1"), 53, 99, eth_dst=dst,
+        ).pack()
+
+        def egress(device):
+            return device.inject(wire, timestamp=0).result.metadata[
+                "egress_spec"
+            ]
+
+        empty = make_reference_device("stuck-empty")
+        empty.load(factory())
+        device = make_reference_device("stuck")
+        device.load(factory())
+        device.control_plane.table_add(table, action, [dst], args)
+        hit = egress(device)
+        assert hit == args[0] != egress(empty)
+        fault = device.injector.inject(
+            Fault(FaultKind.TABLE_STUCK_MISS, stage="ingress.0", table=table)
+        )
+        assert egress(device) == egress(empty)
+        device.injector.remove(fault)
+        assert egress(device) == hit

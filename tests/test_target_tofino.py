@@ -130,7 +130,7 @@ class TestDeparseTruncation:
         assert got[:14] == want[:14]
 
     def test_both_engines_truncate_identically(self):
-        """The device's closures and the tree-walking spec, given the
+        """The device's kernel and the tree-walking spec, given the
         artifact's deparse field budget, truncate byte-identically."""
         device = make_tofino_device("tof-fast")
         device.load(strict_parser())
@@ -173,7 +173,7 @@ class TestQuantizedMatching:
         assert tofino.inject(wire).result.verdict.value == "dropped"
 
     def test_engines_agree_on_quantized_verdicts(self):
-        """The device's closures and the tree-walking spec, given the
+        """The device's kernel and the tree-walking spec, given the
         artifact's TCAM quantization, agree on every verdict."""
         fast = self._gated_device(make_tofino_device, "tof-acl-fast")
         spec = spec_interpreter(fast)
