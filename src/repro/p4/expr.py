@@ -3,8 +3,9 @@
 Expressions appear in action bodies, control-flow conditions, select keys
 and table keys. The AST is deliberately small and closed: every node knows
 its bit width (given a :class:`~repro.p4.types.TypeEnv`) and can be
-evaluated concretely here, or symbolically by the formal-verification
-baseline which walks the same node types.
+evaluated concretely here, lowered to Python source by :class:`Lowering`
+(the batch kernel's and :func:`compile_expr`'s one lowering), or walked
+symbolically by the formal-verification baseline.
 """
 
 from __future__ import annotations
@@ -389,8 +390,31 @@ class _Absent:
     valid = False
 
 
+def _read_field(packet: "Packet", name: str, field: str) -> int:
+    """A field of the packet's first header called ``name``, which must
+    be valid; the lowered read of a field whose layout is known."""
+    for header in packet.headers:
+        if header.spec.name == name:
+            if header.valid:
+                try:
+                    return header._values[field]
+                except KeyError:
+                    # A same-named header with another layout (checker
+                    # env vs device program) stays a ReproError.
+                    raise P4RuntimeError(
+                        f"header {name!r} has no field {field!r}"
+                    ) from None
+            break
+    path = f"{name}.{field}"
+    raise P4RuntimeError(f"read of field {path!r} on invalid header")
+
+
 #: Globals every lowered source refers to.
-LOWERING_GLOBALS = {"_P4RuntimeError": P4RuntimeError, "_ABSENT": _Absent()}
+LOWERING_GLOBALS = {
+    "_P4RuntimeError": P4RuntimeError,
+    "_ABSENT": _Absent(),
+    "_read_field": _read_field,
+}
 
 
 class Lowering:
@@ -399,10 +423,11 @@ class Lowering:
     The one expression lowering: :func:`compile_expr`, the batch
     kernel's generated parser, control stages and actions
     (:mod:`repro.target.fastpath`) all emit through it. :meth:`expr`
-    appends the statements an expression needs to ``lines`` — field and
-    metadata reads with their typed errors, and the branches of
-    short-circuit ``&&``/``||`` and ``?:`` — and returns a Python
-    expression for its value that cannot raise. Widths and truncation
+    appends the statements an expression needs to ``lines`` — field
+    reads (one ``_read_field`` call each, or a local dict lookup for a
+    header the parser just extracted), metadata reads with their typed
+    errors, and the branches of short-circuit ``&&``/``||`` and ``?:``
+    — and returns a Python expression for its value that cannot raise. Widths and truncation
     masks become constants; evaluation order and every error class and
     message match ``eval``. The generated code reads ``packet`` and
     ``metadata``; temporaries are ``_t<n>`` and ``_h``.
@@ -410,9 +435,9 @@ class Lowering:
     reads.
     """
 
-    def __init__(self, env: "TypeEnv", lines: list[str] | None = None):
+    def __init__(self, env: "TypeEnv"):
         self.env = env
-        self.lines = [] if lines is None else lines
+        self.lines: list[str] = []
         self.metadata_reads: set[str] = set()
         self._temps = 0
 
@@ -480,26 +505,19 @@ class Lowering:
             if known and headers and name in headers:
                 return f"{headers[name]}[{field!r}]"
             out = self.temp()
+            if known:
+                lines.append(
+                    f"{pad}{out} = _read_field(packet, {name!r}, {field!r})"
+                )
+                return out
+            # A layout the environment does not describe (checker
+            # expressions over foreign headers): the validating read.
             self.find_header(pad, "_h", name)
             invalid = f"read of field {expr.path!r} on invalid header"
             lines += [
                 f"{pad}if not _h.valid:",
                 f"{pad}    raise _P4RuntimeError({invalid!r})",
-            ]
-            if not known:
-                # A layout the environment does not describe (checker
-                # expressions over foreign headers): the validating read.
-                lines.append(f"{pad}{out} = _h[{field!r}]")
-                return out
-            # The KeyError guard keeps a same-named header with another
-            # layout (checker env vs device program) inside the
-            # ReproError family; it costs nothing on the happy path.
-            missing = f"header {name!r} has no field {field!r}"
-            lines += [
-                f"{pad}try:",
-                f"{pad}    {out} = _h._values[{field!r}]",
-                f"{pad}except KeyError:",
-                f"{pad}    raise _P4RuntimeError({missing!r}) from None",
+                f"{pad}{out} = _h[{field!r}]",
             ]
             return out
 

@@ -261,6 +261,14 @@ class _KernelSource:
         self.lower.lines = saved
         self.module += lines
 
+    def local(self, source: str, pad: str) -> str:
+        """A local name holding ``source``'s value (itself if it is one)."""
+        if source.isidentifier():
+            return source
+        var = self.lower.temp()
+        self.emit(f"{pad}{var} = {source}")
+        return var
+
     def block(self, emit_body, pad: str) -> None:
         """``emit_body()`` as an indented block, ``pass`` if empty."""
         mark = len(self.lower.lines)
@@ -540,11 +548,10 @@ class _KernelSource:
             prologue[index] = stuck
             emit(f"{pad}{best} = None")
             emit(f"{pad}if not {index}:")
-        keys = []
-        for key in table.keys:
-            var = lower.temp()
-            emit(f"{inner}{var} = {lower.expr(key.expr, inner)}")
-            keys.append(var)
+        keys = [
+            self.local(lower.expr(key.expr, inner), inner)
+            for key in table.keys
+        ]
         if exact:
             key = keys[0] if len(keys) == 1 else _tuple(keys)
             emit(f"{inner}{best} = {index}.get({key})")
@@ -656,8 +663,7 @@ class _KernelSource:
             return lower.expr(expr, pad, params)
 
         def index(expr, kind: str, name: str, pad: str = pad) -> str:
-            var = lower.temp()
-            emit(f"{pad}{var} = {lower.expr(expr, pad, params)}")
+            var = self.local(lower.expr(expr, pad, params), pad)
             emit(f"{pad}if not 0 <= {var} < len(_c):")
             emit(f"{pad}    raise _out_of_range({kind!r}, {name!r}, "
                  f"{var}, len(_c))")

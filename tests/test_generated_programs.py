@@ -601,7 +601,10 @@ def check_recipe(recipe, seed: int) -> int:
         for index, wire in enumerate(frames):
             got = run_one(device, wire, timestamp=0)[:3]
             want = run_spec(interpreter, wire)
-            assert got == want, f"{target} frame {index}: {got} != {want}"
+            assert got == want, (
+                f"{target} frame {index} ({wire.hex()}): {got} != {want}\n"
+                f"generated kernel:\n{device.compiled.kernel.source}"
+            )
         assert device.state.counters == interpreter.state.counters
         assert device.state.registers == interpreter.state.registers
 
