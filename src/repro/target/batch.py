@@ -33,10 +33,10 @@ per death class, and the device reports it.
 
 What happens *between* statements is written once, in the generated
 stage functions' per-lane loop (exit, drop-origin tracking, per-lane
-error capture), and in the two drop
-barriers, entering egress and entering the deparser, which discard a
-packet whose drop flag survived the preceding control — the
-interpreter's "skip egress, don't deparse" semantics.
+error capture), and in the two drop barriers, entering egress and
+entering the deparser, which discard a packet whose drop flag survived
+the preceding control — the interpreter's "skip egress, don't deparse"
+semantics.
 
 Schedules
 ---------
