@@ -8,13 +8,17 @@ table (visible with ``pytest -s`` or in the saved benchmark JSON).
 
 Every timed run also appends one entry to ``BENCH_perf.json`` at the
 repository root: per-benchmark median timings plus the ``extra_info``
-rows. The file is the repo's performance trajectory — diff entries
-across commits to see a hot path regress or improve.
+rows, and a ``host`` block (CPU count, Python, platform, load average)
+so a slow host can be told apart from a regression. The file is the
+repo's performance trajectory — diff entries across commits to see a
+hot path regress or improve.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 import time
 from pathlib import Path
@@ -102,6 +106,13 @@ def pytest_sessionfinish(session, exitstatus):
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "exit_status": int(exitstatus),
+            "host": {
+                "cpus": os.cpu_count(),
+                "python": platform.python_version(),
+                "implementation": platform.python_implementation(),
+                "platform": platform.platform(),
+                "loadavg": list(os.getloadavg()),
+            },
             "benchmarks": rows,
         }
     )

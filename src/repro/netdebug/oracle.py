@@ -25,14 +25,16 @@ an explicit lifetime:
   campaigns and the committed golden baselines are unaffected unless a
   matrix opts into ``stateful``.
 
-On a register-free program, the stateless oracle's
-:meth:`~ReferenceOracle.expect_all` predicts a whole cell as one
-columnar block through the spec kernel. Everywhere else prediction is
-per packet (:meth:`~ReferenceOracle.expect`), each packet a block of
-one (the kernel's packet-major schedule): over the oracle's own state
-for the stateful oracle, over a fresh ``RuntimeState`` for stateless
-prediction on a register-bearing program. A subclass that overrides
-``_process`` is honoured by ``expect_all`` too.
+:meth:`~ReferenceOracle.expect_all` predicts a whole stream as one
+stage-major block through the spec kernel: the stateful oracle
+whenever the kernel is columnar (no register touched from two stages),
+over its own state; the stateless oracle on a register-free program.
+A block whose lane raises, or cannot become an expectation, is rolled
+back and predicted again packet by packet, so the first error and the
+final state are those of per-packet prediction. Everywhere else, and
+for a subclass that overrides ``expect`` or ``_process``, prediction
+is per packet (:meth:`~ReferenceOracle.expect`), each packet a block
+of one.
 
 A session builds its oracle through :func:`build_oracle`, which
 compiles one spec artifact (:func:`compile_spec`) per device artifact,
@@ -266,25 +268,55 @@ class ReferenceOracle:
         labels = (
             [f"{label}#{i}" for i in range(n)] if label else [""] * n
         )
-        # Only the stateless oracle's own ``_process`` has a block form;
-        # a subclass overriding ``_process`` predicts packet by packet.
-        outcomes = (
-            self._process_block(wires, ports, times)
-            if type(self)._process is StatelessOracle._process
+        # Only the built-in predictions have a block form; a subclass
+        # overriding ``expect`` or ``_process`` predicts packet by packet.
+        cls = type(self)
+        state = (
+            self._block_state()
+            if cls.expect is ReferenceOracle.expect and cls._process in (
+                ReferenceOracle._process, StatelessOracle._process
+            )
             else None
         )
-        if outcomes is None:
-            return [
-                self.expect(wire, ports[i], times[i], labels[i])
-                for i, wire in enumerate(wires)
+        if state is not None:
+            saved = [
+                (cells, cells[:])
+                for table in (state.counters, state.registers)
+                for cells in table.values()
             ]
-        expectation = self._expectation
-        expectations = []
-        for i, (_, run, error) in enumerate(outcomes):
-            if error is not None:
-                raise error
-            expectations.append(expectation(run.result, ports[i], labels[i]))
-        return expectations
+            outcomes = self.spec.kernel.run_block(
+                wires,
+                timestamps=times,
+                ingress_ports=ports,
+                counters=state.counters,
+                registers=state.registers,
+            )
+            expectation = self._expectation
+            expectations = []
+            try:
+                for i, (_, run, error) in enumerate(outcomes):
+                    if error is not None:
+                        raise error
+                    expectations.append(
+                        expectation(run.result, ports[i], labels[i])
+                    )
+                return expectations
+            except Exception:
+                # A lane raised or cannot become an expectation: restore
+                # the state the block found, so that prediction packet by
+                # packet stops at that error with per-packet state.
+                for cells, snapshot in saved:
+                    cells[:] = snapshot
+        return [
+            self.expect(wire, ports[i], times[i], labels[i])
+            for i, wire in enumerate(wires)
+        ]
+
+    def _block_state(self) -> RuntimeState | None:
+        """The state ``expect_all`` runs one block over, or ``None`` to
+        predict packet by packet: the oracle's own, when the spec
+        kernel is columnar (the schedule cannot show)."""
+        return self.state if self.spec.kernel.columnar else None
 
 
 class StatelessOracle(ReferenceOracle):
@@ -305,21 +337,12 @@ class StatelessOracle(ReferenceOracle):
             RuntimeState.for_program(self.program),
         )
 
-    def _process_block(self, wires, ingress_ports, timestamps):
-        """Kernel outcomes ``(timestamp, run, error)`` of one columnar
-        block, or ``None`` to predict packet by packet."""
+    def _block_state(self) -> RuntimeState | None:
+        # Fresh registers per packet cannot share one block; counters
+        # are write-only, so one fresh set serves every lane.
         if self.program.registers:
-            # Fresh registers per packet cannot share one block.
             return None
-        # Counters are write-only, so one fresh set serves every lane.
-        fresh = RuntimeState.for_program(self.program)
-        return self.spec.kernel.run_block(
-            wires,
-            timestamps=timestamps,
-            ingress_ports=ingress_ports,
-            counters=fresh.counters,
-            registers=fresh.registers,
-        )
+        return RuntimeState.for_program(self.program)
 
 
 #: Named oracle factories scenario matrices reference (``oracle=`` axis).

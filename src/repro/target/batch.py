@@ -44,19 +44,23 @@ Schedules
 ``run_block`` picks one of three schedules:
 
 * **stage-major (columnar)** — every live packet runs stage ``k``
-  before any packet runs stage ``k+1``. Valid only when packets cannot
-  couple: the program must be register-free (counter increments
-  commute; register read/write order does not) and the block must not
-  need mid-block clock feedback — either every packet's timestamp is
-  supplied up front, or the program provably never reads
-  ``ingress_global_timestamp`` (the lowering records every metadata
-  field the generated code reads), in which case timestamps are
-  backfilled from the running clock after the block completes.
+  before any packet runs stage ``k+1``. Valid only when the schedule
+  cannot show: no register is touched from two stages (ingress and
+  egress stages differ; the lowering records the stages that touch
+  each register, through every action a stage reaches) — a stage
+  function runs each lane's whole statement before the next lane's,
+  so such a register sees the same reads and writes in the same order;
+  counter increments commute — and the block needs no mid-block clock
+  feedback: either every packet's timestamp is supplied up front, or
+  the program provably never reads ``ingress_global_timestamp`` (the
+  lowering records every metadata field the generated code reads), in
+  which case timestamps are backfilled from the running clock after
+  the block completes.
 * **packet-major** — blocks of one, with the device clock advanced
-  between packets. Used for register-coupled or timestamp-coupled
-  untimed blocks; same stage functions, so identical semantics, just
-  no cross-packet amortization. A single injected packet and a single
-  oracle prediction are blocks of one.
+  between packets. Used for blocks that couple across stages through
+  a register, or through the clock when untimed; same stage functions,
+  so identical semantics, just no cross-packet amortization. A single
+  injected packet is a block of one.
 * **packet-major with hooks** — the packet-major schedule with
   between-stage hooks (:class:`~repro.target.pipeline.StageHooks`,
   built by :meth:`~repro.target.device.NetworkDevice.hooks`): attached
@@ -248,10 +252,11 @@ class BatchProgram:
         # per kernel replaces a per-packet allocation.
         self._null_trace = Trace()
 
-        # Stage-major execution is valid only when packets cannot couple
-        # through shared state: registers serialize (read/write order
-        # across packets is observable); counter increments commute.
-        self.columnar = not program.registers
+        # Stage-major execution is valid only when no register couples
+        # two stages (see the module docstring).
+        self.columnar = all(
+            len(stages) == 1 for stages in code.register_stages.values()
+        )
         self.timestamp_free = (
             "ingress_global_timestamp" not in code.metadata_reads
         )
@@ -292,9 +297,9 @@ class BatchProgram:
         lanes beyond the list falling back to the scalar
         ``ingress_port``. ``hooks`` selects the packet-major schedule
         with hooks (see the module docstring). Lane order equals
-        arrival order on every schedule — the packet-major paths
-        additionally feed each lane's state to the next, so stateful
-        oracles tracking the same sequence stay in sync.
+        arrival order on every schedule, and so is the order in which
+        lanes read and write each register, so stateful oracles
+        tracking the same sequence stay in sync.
         """
         wires = list(wires)
         n = len(wires)

@@ -34,7 +34,9 @@ module holds:
 Every expression — select keys, verify conditions, branch conditions,
 table keys and primitive operands — goes through the one expression
 lowering, :class:`repro.p4.expr.Lowering`, which ``compile_expr`` also
-uses. ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
+uses. The lowering also records what the batch kernel's schedule needs:
+the metadata fields the code reads and the stages that touch each
+register. ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
 select the target's datapath semantics, including its silent
 deviations. Equivalence with tree-walking interpretation is pinned by
 ``tests/test_target_fastpath_differential.py``,
@@ -44,6 +46,7 @@ deviations. Equivalence with tree-walking interpretation is pinned by
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, NamedTuple
 
 from ..bitutils import mask, quantize_range, quantize_ternary_mask
@@ -64,7 +67,7 @@ from ..p4.actions import (
 )
 from ..p4.control import ApplyTable, Call, Control, If, IfHit, Seq, Stmt
 from ..p4.expr import LOWERING_GLOBALS, Lowering
-from ..p4.interpreter import MAX_PARSER_STEPS, ExitPipeline, stable_hash
+from ..p4.interpreter import MAX_PARSER_STEPS, ExitPipeline
 from ..p4.parser import ACCEPT, REJECT
 from ..p4.program import P4Program
 from ..p4.table import MatchKind, Table
@@ -227,16 +230,22 @@ class _KernelSource:
             _PacketError=PacketError,
             _P4ValidationError=P4ValidationError,
             _ExitPipeline=ExitPipeline,
-            _stable_hash=stable_hash,
+            _crc32=zlib.crc32,
             _exact_index=_exact_index,
             _out_of_range=_out_of_range,
             _qmask=quantize_ternary_mask,
             _qrange=quantize_range,
         )
         self._constants: dict[int, str] = {}
-        self._actions: dict[int, str] = {}
-        self._action_maps: dict[int, str] = {}
+        # id -> (name, registers touched), for code generated once and
+        # reached from any number of stages.
+        self._actions: dict[int, tuple[str, set]] = {}
+        self._action_maps: dict[int, tuple[str, set]] = {}
         self._stages = 0
+        #: Registers the code being generated touches.
+        self.touched: set[str] = set()
+        #: Register name -> the stage functions that touch it.
+        self.register_stages: dict[str, set[str]] = {}
 
     # -- plumbing --------------------------------------------------------
     def emit(self, line: str) -> None:
@@ -260,6 +269,18 @@ class _KernelSource:
             lines.append("    pass")
         self.lower.lines = saved
         self.module += lines
+
+    def shared(self, cache: dict, obj, generate) -> str:
+        """The module global ``generate()`` defines for ``obj``, generated
+        once; the registers its code touches are charged to every stage
+        that reaches it, not only to the first."""
+        hit = cache.get(id(obj))
+        if hit is None:
+            outer, self.touched = self.touched, set()
+            hit = cache[id(obj)] = (generate(), self.touched)
+            self.touched = outer
+        self.touched |= hit[1]
+        return hit[0]
 
     def local(self, source: str, pad: str) -> str:
         """A local name holding ``source``'s value (itself if it is one)."""
@@ -454,6 +475,7 @@ class _KernelSource:
         clear it again). Per-call set-up (EXACT indexes, stuck flags)
         runs once before the loop."""
         prologue: dict[str, str] = {}
+        self.touched = set()
 
         def body() -> None:
             lower = self.lower
@@ -482,6 +504,8 @@ class _KernelSource:
             ]
 
         self.function(f"def {name}({STAGE_PARAMS}):", body)
+        for register in self.touched:
+            self.register_stages.setdefault(register, set()).add(name)
 
     def stmt(self, control, stmt, pad: str, prologue) -> None:
         if stmt is None:
@@ -620,11 +644,8 @@ class _KernelSource:
     def action_map(self, table: Table) -> str:
         """A module global mapping the table's action names to their
         generated functions."""
-        name = self._action_maps.get(id(table))
-        if name is None:
-            name = self._action_maps[id(table)] = (
-                f"_actions{len(self._action_maps)}"
-            )
+        def generate() -> str:
+            name = f"_actions{len(self._action_maps)}"
             functions = {
                 action_name: self.action(action)
                 for action_name, action in table.actions.items()
@@ -632,15 +653,16 @@ class _KernelSource:
             self.module.append(f"{name} = {{" + ", ".join(
                 f"{key!r}: {fn}" for key, fn in functions.items()
             ) + "}")
-        return name
+            return name
+
+        return self.shared(self._action_maps, table, generate)
 
     # -- actions and primitives ------------------------------------------
     def action(self, action) -> str:
         """The action's generated function, called with the entry's
         action data as ``args``."""
-        name = self._actions.get(id(action))
-        if name is None:
-            name = self._actions[id(action)] = f"action_{len(self._actions)}"
+        def generate() -> str:
+            name = f"action_{len(self._actions)}"
             params = {
                 param: f"args[{i}]"
                 for i, param in enumerate(action.param_names)
@@ -649,7 +671,9 @@ class _KernelSource:
                 f"def {name}({ACTION_PARAMS}):",
                 lambda: self.body(action, "    ", params),
             )
-        return name
+            return name
+
+        return self.shared(self._actions, action, generate)
 
     def body(self, action, pad: str, params: dict[str, str]) -> None:
         for primitive in action.body:
@@ -678,13 +702,14 @@ class _KernelSource:
         if isinstance(primitive, NoOp):
             return
         if isinstance(primitive, SetField):
-            # The header is checked before its value is evaluated.
+            # The value is evaluated before the header is checked: the
+            # right-hand side first, as in P4 and the interpreter.
+            source = self.local(value(primitive.value), pad)
             header = lower.temp()
             invalid = f"write to field of invalid header {primitive.header!r}"
             lower.find_header(pad, header, primitive.header)
             emit(f"{pad}if not {header}.valid:")
             emit(f"{inner}raise _P4RuntimeError({invalid!r})")
-            source = value(primitive.value)
             width_mask = mask(env.field_width(primitive.header,
                                               primitive.field))
             emit(f"{pad}{header}._values[{primitive.field!r}] = "
@@ -720,6 +745,7 @@ class _KernelSource:
             slot = index(primitive.index, "counter", primitive.name, inner)
             emit(f"{inner}_c[{slot}] += 1")
         elif isinstance(primitive, RegisterWrite):
+            self.touched.add(primitive.name)
             cells("register", primitive.name, "registers")
             slot = index(primitive.index, "register", primitive.name)
             source = value(primitive.value)
@@ -727,16 +753,23 @@ class _KernelSource:
             width_mask = mask(decl.width) if decl is not None else 0
             emit(f"{pad}_c[{slot}] = {source} & {width_mask}")
         elif isinstance(primitive, RegisterRead):
+            self.touched.add(primitive.name)
             cells("register", primitive.name, "registers")
             slot = index(primitive.index, "register", primitive.name)
             width_mask = mask(env.metadata_width(primitive.into))
             emit(f"{pad}metadata[{primitive.into!r}] = "
                  f"_c[{slot}] & {width_mask}")
         elif isinstance(primitive, HashField):
-            inputs = [value(expr) for expr in primitive.inputs]
+            # ``stable_hash`` inlined: each input in its minimal
+            # big-endian byte length (one byte for zero).
+            inputs = [self.local(value(e), pad) for e in primitive.inputs]
+            blobs = [
+                f"{var}.to_bytes(({var}.bit_length() + 7) // 8 or 1, 'big')"
+                for var in inputs
+            ]
             width_mask = mask(env.metadata_width(primitive.into))
-            emit(f"{pad}metadata[{primitive.into!r}] = _stable_hash("
-                 f"{_tuple(inputs)}, {primitive.modulo!r}) & {width_mask}")
+            emit(f"{pad}metadata[{primitive.into!r}] = (_crc32(b''.join("
+                 f"{_tuple(blobs)})) % {primitive.modulo!r}) & {width_mask}")
         elif isinstance(primitive, Exit):
             emit(f"{pad}raise _ExitPipeline()")
         else:
@@ -758,6 +791,10 @@ class GeneratedKernel(NamedTuple):
     egress: list
     #: Every metadata field the generated code reads.
     metadata_reads: frozenset
+    #: Register name -> the stage functions (``stage_0``, … across
+    #: both controls) whose code touches it, through any action the
+    #: stage can reach.
+    register_stages: dict
 
 
 def generate_kernel(
@@ -786,6 +823,8 @@ def generate_kernel(
         [namespace[name] if name else None for name in ingress],
         [namespace[name] if name else None for name in egress],
         frozenset(source.lower.metadata_reads),
+        {name: frozenset(stages)
+         for name, stages in source.register_stages.items()},
     )
 
 

@@ -22,10 +22,18 @@ import pytest
 
 from repro.exceptions import NetDebugError
 from repro.netdebug.oracle import ReferenceOracle, StatelessOracle
-from repro.p4.actions import CountPacket, Drop, Exit, Forward
+from repro.netdebug.checker import ExpectedOutput
+from repro.p4.actions import (
+    CountPacket,
+    Drop,
+    Exit,
+    Forward,
+    RegisterRead,
+    RegisterWrite,
+)
 from repro.p4.control import Call, If
 from repro.p4.dsl import ProgramBuilder
-from repro.p4.expr import Const, fld
+from repro.p4.expr import BinOp, Const, MetaRef, fld
 from repro.p4.interpreter import Interpreter
 from repro.p4.stdlib import PROGRAMS, l2_switch
 from repro.packet.builder import ethernet_frame, udp_packet, vlan_tagged
@@ -298,9 +306,11 @@ def test_block_oracle_matches_tree_oracle(name, kind, monkeypatch):
     blocks = Calls(monkeypatch, BatchProgram, "run_block")
     walks = Calls(monkeypatch, Interpreter, "process")
     # Stateless prediction on a register-bearing program needs fresh
-    # registers per packet, so that case and the stateful oracle
-    # predict packet by packet, each packet a block of one.
-    per_packet = kind == "stateful" or bool(device.program.registers)
+    # registers per packet, so it predicts packet by packet, each
+    # packet a block of one. The stateful oracle runs one block over
+    # its state: no stdlib program touches a register from two stages.
+    per_packet = kind == "stateless" and bool(device.program.registers)
+    assert compiled_cls(device.program).spec.kernel.columnar
     forwarded = False
     for index, workload in enumerate(WORKLOADS):
         lanes = traffic(workload, index)
@@ -426,3 +436,99 @@ def test_subclass_overriding_process_is_honoured_by_expect_all():
     program = l2_switch()
     wires = [wire for wire, _, _ in traffic("udp", 0)]
     assert {e.egress_port for e in Silent(program).expect_all(wires)} == {7}
+
+
+def test_stateless_subclass_overriding_expect_is_honoured_by_expect_all():
+    calls = []
+
+    class Pinned(StatelessOracle):
+        def expect(self, wire, ingress_port=0, timestamp=0, label=""):
+            calls.append(wire)
+            return ExpectedOutput(egress_port=2, label=label)
+
+    program = l2_switch()
+    wires = [wire for wire, _, _ in traffic("udp", 0)]
+    got = Pinned(program).expect_all(wires)
+    assert [e.egress_port for e in got] == [2] * len(wires)
+    assert calls == wires
+
+
+def tally(flood_type=None):
+    """Counts every packet in register ``seen`` (read, then write plus
+    one) and marks its EtherType in the 0x0810-cell register
+    ``by_type``; a larger EtherType raises an out-of-range error in
+    that lane after ``seen`` counted it. Frames of ``flood_type`` are
+    flooded, the rest go to port 1. One ingress stage touches both
+    registers, so the kernel is columnar."""
+    b = ProgramBuilder("tally")
+    b.header(ETHERNET)
+    b.metadata("n", 16)
+    b.register("seen", 1, 16)
+    b.register("by_type", 0x0810, 1)
+    b.parser_state("start", extracts=["ethernet"]).accept()
+    ether_type = fld("ethernet", "ether_type")
+    b.ingress.action("count", [], [
+        RegisterRead("seen", Const(0, 1), "n"),
+        RegisterWrite("seen", Const(0, 1),
+                      BinOp("+", MetaRef("n"), Const(1, 16))),
+        RegisterWrite("by_type", ether_type, Const(1, 1)),
+    ])
+    b.ingress.action("fwd", [], [Forward(Const(1, 9))])
+    b.ingress.action("flood", [], [Forward(Const(FLOOD_PORT, 9))])
+    b.ingress.call("count")
+    if flood_type is None:
+        b.ingress.call("fwd")
+    else:
+        b.ingress.stmt(If(
+            ether_type.eq(Const(flood_type, 16)), Call("flood"), Call("fwd"),
+        ))
+    b.emit("ethernet")
+    return b.build()
+
+
+def per_packet_state(program, lanes):
+    """The stateful oracle's registers after per-packet ``expect``,
+    stopping at the first error as ``expect_all`` does."""
+    oracle = ReferenceOracle(program)
+    for wire, port, timestamp in lanes:
+        try:
+            oracle.expect(wire, port, timestamp)
+        except Exception:
+            break
+    return oracle.state.registers
+
+
+#: Packet 2 fails: its EtherType is out of ``by_type``'s range (a lane
+#: error), or it floods on an oracle without ``num_ports`` (an
+#: expectation error).
+MID_STREAM_ERRORS = {
+    "lane": (None, (0x0800, 0x0806, 0x88B5, 0x0800), "P4RuntimeError"),
+    "expectation": (
+        0x0801, (0x0800, 0x0806, 0x0801, 0x0800), "NetDebugError",
+    ),
+}
+
+
+@pytest.mark.parametrize("error", sorted(MID_STREAM_ERRORS))
+def test_block_error_mid_stream_leaves_per_packet_state(error, monkeypatch):
+    """An error at packet 2 of 4: the stateful block is rolled back and
+    predicted again packet by packet, so the error and the registers
+    are those of per-packet prediction, and packet 3 never ran."""
+    flood_type, ether_types, raised = MID_STREAM_ERRORS[error]
+    program = tally(flood_type)
+    lanes = [
+        (ethernet_frame(1, 2, t, payload=b"x" * 46).pack(), 0, 0)
+        for t in ether_types
+    ]
+    compiled, tree = ReferenceOracle(program), TreeOracle(program)
+    assert compiled.spec.kernel.columnar
+    blocks = Calls(monkeypatch, BatchProgram, "run_block")
+    got = all_fields(compiled, lanes)
+    # One block, rolled back, then packets 0-2 one by one.
+    assert blocks.count == 1 + 3
+    assert got == all_fields(tree, lanes)
+    assert got[:2] == ("raised", raised)
+    assert compiled.state.registers == tree.interpreter.state.registers
+    assert compiled.state.registers == per_packet_state(program, lanes)
+    assert compiled.state.registers["seen"] == [3]
+    assert compiled.state.registers["by_type"][0x0800] == 1

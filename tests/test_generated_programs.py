@@ -14,12 +14,13 @@ witnesses plus seeded traffic, every program must satisfy:
   and for a raised error its class and message — and the same counter
   and register cells afterwards;
 * hook-free block ≡ blocks of one ≡ the hooked schedule (a no-op tap
-  at every stage), in outcomes, clocks, accounting and state.
+  at every stage), in outcomes, clocks, accounting and state; the
+  hook-free block runs untimed and with explicit timestamps, and a
+  columnar kernel (no register touched from two stages) must run it
+  stage-major, in one pass.
 
-One deliberate kernel/spec difference is kept out of the programs: a
-``SetField`` on an invalid header raises before its value is evaluated
-in the kernel, after it in the interpreter, so generated ``SetField``
-values read no header fields.
+Tables share one action object per action name, as in a program parsed
+from text, so an action generated once is reached from several stages.
 
 Tier-1 runs a small derandomized sample. The golden CI job runs this
 module under ``--hypothesis-profile=ci`` (registered in ``conftest.py``)
@@ -40,6 +41,7 @@ from repro.bitutils import mask
 from repro.exceptions import CompileError
 from repro.netdebug.coverage import covering_set
 from repro.p4.actions import (
+    Action,
     AddHeader,
     CountPacket,
     Drop,
@@ -239,6 +241,8 @@ class Recipe:
     bodies: dict = field(hash=False)  # control -> tuple[Stmt]
 
     def build(self):
+        """A fresh program whose tables share one action object per
+        action name, across both controls."""
         b = ProgramBuilder("generated")
         for spec in HEADERS.values():
             b.header(spec)
@@ -270,19 +274,23 @@ class Recipe:
             default="accept",
         )
         b.parser_state("parse_udp", extracts=["udp"]).accept()
+        shared = {}
         for control in ("ingress", "egress"):
             builder = getattr(b, control)
-            by_name = {action.name: action for action in self.actions[control]}
-            for action in by_name.values():
+            for action in self.actions[control]:
                 builder.action(action.name, list(action.params),
                                list(action.body))
+                shared.setdefault(action.name, Action(
+                    action.name,
+                    [Param(name, bits) for name, bits in action.params],
+                    list(action.body),
+                ))
             for table in self.tables[control]:
                 tb = builder.table(table.name)
                 for expr, kind in table.keys:
                     tb.key(expr, kind)
                 for name in table.actions:
-                    action = by_name[name]
-                    tb.action(name, list(action.params), list(action.body))
+                    tb.declare(shared[name])
                 tb.default(*table.default)
             for stmt in self.bodies[control]:
                 builder.stmt(stmt)
@@ -324,8 +332,6 @@ def in_range_index(draw, params, size):
 @st.composite
 def primitives(draw, params, counters, registers):
     any_expr = expressions(params=params, max_leaves=4)
-    # SetField values read no header field (see the module docstring).
-    field_free = expressions(headers=(), params=params, max_leaves=3)
     options = ["set_field", "set_meta", "forward", "drop", "add", "remove",
                "hash", "exit", "noop"]
     if counters:
@@ -335,7 +341,7 @@ def primitives(draw, params, counters, registers):
     kind = draw(st.sampled_from(options))
     if kind == "set_field":
         target = draw(st.sampled_from(_field_refs(HEADERS)))
-        return SetField(target.header, target.field, draw(field_free))
+        return SetField(target.header, target.field, draw(any_expr))
     if kind == "set_meta":
         return SetMeta(draw(st.sampled_from(sorted(USER_METADATA)
                                             + ["egress_spec"])),
@@ -608,13 +614,20 @@ def check_recipe(recipe, seed: int) -> int:
         assert device.state.counters == interpreter.state.counters
         assert device.state.registers == interpreter.state.registers
 
-        for hooked in (False, True):
-            assert_block_matches(
+        # Untimed, then with explicit timestamps: a columnar kernel runs
+        # either block stage-major, in one pass over every frame.
+        kernel = device.compiled.kernel
+        stage_major = [len(frames)] if kernel.columnar else [1] * len(frames)
+        timed = [1000 * i for i in range(len(frames))]
+        for hooked, timestamps in ((False, None), (True, timed)):
+            passes = assert_block_matches(
                 _device(recipe, target, f"twin-{target}"),
                 _device(recipe, target, f"twin-{target}"),
                 frames,
                 hooked=hooked,
+                timestamps=timestamps,
             )
+            assert passes == stage_major, "schedule"
     return built
 
 
@@ -681,6 +694,64 @@ def _overlapping_priorities():
     )
 
 
+def _register_program(ingress, egress=(), ingress_tables=(),
+                      egress_tables=()):
+    """Forward to port 7, then the given statements, on a program with
+    the ``last`` register and these actions: ``swap`` reads cell 0
+    into ``m16``, writes the packet's EtherType there and stamps the
+    value it read into ``ethernet.src_addr``; ``load`` only reads and
+    stamps, ``store`` only writes. Which stages touch ``last`` decides
+    the schedule; the packets' outputs show the order of its reads and
+    writes."""
+    read = RegisterRead("last", Const(0), "m16")
+    write = RegisterWrite("last", Const(0), FieldRef("ethernet",
+                                                     "ether_type"))
+    stamp = SetField("ethernet", "src_addr", MetaRef("m16"))
+    actions = (
+        ActionRecipe("fwd", (), (Forward(Const(7, 9)),)),
+        ActionRecipe("swap", (), (read, write, stamp)),
+        ActionRecipe("load", (), (read, stamp)),
+        ActionRecipe("store", (), (write,)),
+    )
+    return Recipe(
+        duplicate_extract=False, start_default="accept",
+        vlan_default="accept", ipv4_verify=None, counters=False,
+        registers=True, actions={"ingress": actions, "egress": actions},
+        tables={"ingress": ingress_tables, "egress": egress_tables},
+        bodies={"ingress": (Call("fwd"), *ingress), "egress": egress},
+    )
+
+
+def _swap_table(name):
+    """A table with no entries: every packet runs its default,
+    ``swap``."""
+    return TableRecipe(name, ((FieldRef("ethernet", "ether_type"),
+                               MatchKind.EXACT),),
+                       ("swap",), ("swap", ()), ())
+
+
+#: Programs whose one register is touched from one stage (columnar) or
+#: from two (packet-major), by name -> (recipe, columnar).
+REGISTER_SHAPES = {
+    "register_one_stage": (_register_program((Call("swap"),)), True),
+    # Read in ingress, written in egress: each packet reads what the
+    # previous one wrote.
+    "register_across_controls": (
+        _register_program((Call("load"),), (Call("store"),)), False,
+    ),
+    # One action object reached from an ingress and an egress table:
+    # its function is generated once, for the first, and still belongs
+    # to both stages.
+    "register_shared_action": (
+        _register_program(
+            (ApplyTable("in_swap"),), (ApplyTable("eg_swap"),),
+            (_swap_table("in_swap"),), (_swap_table("eg_swap"),),
+        ),
+        False,
+    ),
+}
+
+
 #: Shrunk counterexamples the search found, kept as regression programs,
 #: and hand-written programs pinning what the search rarely reaches:
 #: name -> (recipe, traffic seed).
@@ -695,6 +766,7 @@ REGRESSIONS = {
     "push_behind_absent_header": (
         _minimal(egress_body=(AddHeader("udp", after="ipv4"),)), 0,
     ),
+    **{name: (recipe, 7) for name, (recipe, _) in REGISTER_SHAPES.items()},
 }
 
 
@@ -710,3 +782,14 @@ def test_generated_program_kernel_matches_spec(recipe, seed):
 def test_generated_regression_program(name):
     recipe, seed = REGRESSIONS[name]
     assert check_recipe(recipe, seed) == len(COMPILERS)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTER_SHAPES))
+def test_register_stages_decide_the_schedule(name):
+    """A register touched from one stage keeps the kernel columnar; one
+    touched from two stages, ingress and egress or through a shared
+    action, makes it packet-major."""
+    recipe, columnar = REGISTER_SHAPES[name]
+    for target in sorted(COMPILERS):
+        device = _device(recipe, target, f"shape-{target}")
+        assert device.compiled.kernel.columnar is columnar

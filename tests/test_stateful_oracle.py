@@ -10,10 +10,11 @@ The oracle refactor's contract, pinned end to end:
 * **stateless control** — :class:`StatelessOracle` reproduces the
   historical fresh-state-per-packet prediction, so it must keep
   forbidding the return path even after the outbound packet;
-* **block ≡ lockstep** — register-bearing programs take the batch
-  kernel's packet-major schedule, so a stateful session run block-wise
-  reports exactly what the lockstep reference (arm → ``inject`` →
-  disarm per packet) does;
+* **block ≡ lockstep** — ``stateful_firewall`` touches its register
+  from one stage, so the batch kernel runs it stage-major and the
+  stateful oracle predicts a stream as one block; a stateful session
+  run block-wise reports exactly what the lockstep reference (arm →
+  ``inject`` → disarm per packet) does;
 * **distribution identity** — the seeded ``stateful_firewall`` ×
   ``tcp_bidir`` campaign renders to identical JSON bytes run serially,
   on a 4-worker pool, and on a 2-worker localhost cluster.
@@ -36,8 +37,10 @@ from repro.sim.traffic import (
     bidirectional_flows,
     default_flow,
 )
+from repro.target.batch import BatchProgram
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
+from tests.test_generated_programs import REGISTER_SHAPES
 from tests.test_netdebug_session import lockstep_reference
 
 #: How each packet is carried through ``stateful_firewall``: the spec
@@ -171,14 +174,54 @@ class TestRegisterRoundTrip:
 
 class TestBatchCompatibility:
     def test_register_programs_take_packet_major_path(self):
-        """The stateful oracle is block-compatible *because* register
-        programs run packet-major: arrival order is preserved exactly.
-        A register-free program keeps the columnar schedule."""
+        """Only a register touched from two stages sends a program
+        packet-major; there, arrival order needs blocks of one.
+        ``stateful_firewall`` touches its flow table from its single
+        ingress stage, so it runs stage-major like a register-free
+        program: each lane's whole statement runs before the next
+        lane's, so the register sees arrival order either way."""
         stateful = make_device(name="pm-sfw")
-        assert stateful.compiled.kernel.columnar is False
+        assert stateful.compiled.kernel.columnar is True
         stateless = NetworkDevice("pm-sp", ReferenceCompiler(), num_ports=8)
         stateless.load(strict_parser())
         assert stateless.compiled.kernel.columnar is True
+        recipe, columnar = REGISTER_SHAPES["register_across_controls"]
+        coupled = NetworkDevice("pm-rc", ReferenceCompiler(), num_ports=8)
+        coupled.load(recipe.build())
+        assert coupled.compiled.kernel.columnar is columnar is False
+
+    def test_stateful_cell_runs_one_block_per_stream(self, monkeypatch):
+        """A ``stateful_firewall`` × ``tcp_bidir`` cell under the
+        stateful oracle: the device and the oracle each run the cell's
+        one stream as one block, in one stage-major pass."""
+        count = 30
+        blocks, passes = [], []
+        run_block, run_columnar = (
+            BatchProgram.run_block, BatchProgram._run_columnar
+        )
+
+        def counted_block(kernel, wires, *args, **kwargs):
+            wires = list(wires)
+            blocks.append((id(kernel), len(wires)))
+            return run_block(kernel, wires, *args, **kwargs)
+
+        def counted_pass(kernel, wires, *args):
+            passes.append((id(kernel), len(wires)))
+            return run_columnar(kernel, wires, *args)
+
+        monkeypatch.setattr(BatchProgram, "run_block", counted_block)
+        monkeypatch.setattr(BatchProgram, "_run_columnar", counted_pass)
+        matrix = ScenarioMatrix(
+            programs=["stateful_firewall"], targets=["reference"],
+            faults={"baseline": ()}, workloads=["tcp_bidir"],
+            count=count, seed=2018, oracle="stateful",
+        )
+        report = run_campaign(matrix, workers=1, name="one-block")
+        assert report.passed and report.injected == count
+        # Two kernels, the device's and the oracle's spec kernel.
+        assert len({kernel for kernel, _ in blocks}) == 2
+        assert [n for _, n in blocks] == [count, count]
+        assert passes == blocks
 
     def test_stateful_session_block_path_matches_lockstep(self):
         """A session with a stateful ``oracle_factory`` runs

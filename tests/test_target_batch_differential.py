@@ -22,6 +22,8 @@ byte identity of packets injected one by one against the golden is
 pinned in ``tests/test_campaign.py``.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.exceptions import CompileError
@@ -37,6 +39,7 @@ from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.stdlib import PROGRAMS
 from repro.packet.builder import ethernet_frame
 from repro.sim.traffic import default_flow, malformed_mix
+from repro.target.batch import BatchProgram
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
 from repro.target.sdnet import SDNetCompiler
@@ -89,16 +92,35 @@ def normalize(outcome):
 
 
 def assert_block_matches(per_packet_device, batch_device, frames,
-                         hooked=False):
+                         hooked=False, timestamps=None):
     """One block on ``batch_device`` ≡ frame-by-frame injection on
     ``per_packet_device`` (an identically built device). ``hooked``
     first attaches a no-op tap at every stage of ``per_packet_device``,
-    which sends each frame down the kernel's hooked schedule."""
+    which sends each frame down the kernel's hooked schedule.
+    ``timestamps`` pins every frame's timestamp on both sides.
+
+    Returns the size of each hook-free kernel pass the block made: one
+    pass over every frame on the stage-major schedule, one pass per
+    frame on the packet-major one."""
     if hooked:
         for stage in per_packet_device.stage_names():
             per_packet_device.attach_tap(stage, lambda snapshot: None)
-    expected = [run_one(per_packet_device, wire) for wire in frames]
-    outcomes = batch_device.inject_block(frames, on_error="capture")
+    stamps = timestamps or [None] * len(frames)
+    expected = [
+        run_one(per_packet_device, wire, timestamp)
+        for wire, timestamp in zip(frames, stamps)
+    ]
+    passes = []
+    real = BatchProgram._run_columnar
+
+    def counted(self, wires, *args):
+        passes.append(len(wires))
+        return real(self, wires, *args)
+
+    with mock.patch.object(BatchProgram, "_run_columnar", counted):
+        outcomes = batch_device.inject_block(
+            frames, timestamps=timestamps, on_error="capture"
+        )
     got = [normalize(outcome) for outcome in outcomes]
     for index, (g, e) in enumerate(zip(got, expected)):
         assert g == e, f"frame {index}: {g} != {e}"
@@ -109,6 +131,7 @@ def assert_block_matches(per_packet_device, batch_device, frames,
     assert fast_state.registers == slow_state.registers
     assert batch_device.clock_cycles == per_packet_device.clock_cycles
     assert batch_device.stats == per_packet_device.stats
+    return passes
 
 
 def assert_block_matches_spec(batch_device, frames):

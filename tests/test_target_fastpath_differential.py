@@ -12,14 +12,20 @@ exactly what the raw spec interpreter produces.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.controlplane import RuntimeAPI
-from repro.p4.interpreter import Interpreter, RuntimeState, Verdict
+from repro.p4.actions import HashField, Param
+from repro.p4.dsl import ProgramBuilder
+from repro.p4.expr import fld
+from repro.p4.interpreter import Interpreter, RuntimeState, Verdict, stable_hash
 from repro.p4.stdlib import PROGRAMS
 from repro.p4.stdlib_ext import int_telemetry, stateful_firewall
 from repro.packet.builder import ethernet_frame, tcp_packet, udp_packet, vlan_tagged
-from repro.packet.headers import ipv4, mac
+from repro.packet.headers import ETHERNET, ipv4, mac
 from repro.sim.traffic import default_flow, imix_stream, malformed_mix
+from repro.target.batch import BatchProgram
+from repro.target.limits import REFERENCE_LIMITS, SPEC_MODEL
 from repro.target.reference import ReferenceCompiler, make_reference_device
 from repro.target.sdnet import SDNetCompiler
 
@@ -258,3 +264,38 @@ def test_batched_paths_match_single_packet():
         assert run.latency_cycles == expected.latency_cycles
     # Injection never touches the traffic ports, batched or not.
     assert all(p.rx_packets == 0 for p in injected.ports)
+
+
+EDGE_VALUES = (0, 255, 256, 2**48 - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    values=st.lists(
+        st.sampled_from(EDGE_VALUES) | st.integers(0, 2**48 - 1),
+        min_size=1, max_size=6,
+    ),
+    modulo=st.integers(1, 2**32),
+)
+@example(values=list(EDGE_VALUES), modulo=2**32)
+@example(values=[0], modulo=1)
+def test_lowered_hash_matches_stable_hash(values, modulo):
+    """The kernel inlines ``HashField``'s hash; it must equal the
+    spec's ``stable_hash``, minimal byte-length encoding included.
+    The inputs arrive as a table's default action data."""
+    b = ProgramBuilder("hash")
+    b.header(ETHERNET)
+    b.metadata("h", 32)
+    b.parser_state("start", extracts=["ethernet"]).accept()
+    params = [(f"p{i}", 48) for i in range(len(values))]
+    inputs = tuple(Param(name, bits) for name, bits in params)
+    table = b.ingress.table("t").key(fld("ethernet", "ether_type"))
+    table.action("hash", params, [HashField("h", inputs, modulo)])
+    table.default("hash", tuple(values))
+    b.ingress.apply("t")
+    b.emit("ethernet")
+    kernel = BatchProgram(b.build(), REFERENCE_LIMITS, SPEC_MODEL)
+    wire = ethernet_frame(1, 2, 0x0800, payload=b"x" * 46).pack()
+    [(_, run, error)] = kernel.run_block([wire], timestamps=[0])
+    assert error is None
+    assert run.result.metadata["h"] == stable_hash(tuple(values), modulo)
