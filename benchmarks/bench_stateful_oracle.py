@@ -5,17 +5,18 @@ kernel. The stateful oracle threads one register file through the
 whole packet sequence; the stateless one starts every packet from
 fresh registers. ``stateful_firewall`` touches its register from one
 stage, so its kernel is columnar: the stateful oracle predicts the
-whole sequence as one stage-major block over its own registers, and
-the stateless oracle, which needs fresh registers per packet, predicts
-packet by packet. Three things are worth pinning on a big
-bidirectional sweep:
+sequence as stage-major blocks of at most ``BLOCK_LANES`` packets over
+its own registers, and the stateless oracle, which needs fresh
+registers per packet, predicts packet by packet. Three things are
+worth pinning on a big bidirectional sweep:
 
 * **throughput** — expectations per second for the stateful vs the
   stateless oracle over the same 10k-packet ``tcp_bidir``-style
   workload (both rows land in ``BENCH_perf.json``);
-* **schedule** — the stateful oracle predicts the sweep in exactly one
-  kernel ``run_block`` call. A count, not a timing, so it means the
-  same on a 1-CPU CI host;
+* **schedule** — the stateful oracle predicts the sweep in exactly
+  ``ceil(10_000 / BLOCK_LANES)`` kernel ``run_block`` calls, not one
+  per packet. A count, not a timing, so it means the same on a 1-CPU
+  CI host;
 * **semantics** — the two predictions must actually diverge on the
   sweep: the stateful oracle forwards the return-path packets of
   opened flows that the stateless oracle keeps forbidding.
@@ -25,7 +26,11 @@ import time
 
 from conftest import emit
 
-from repro.netdebug.oracle import ReferenceOracle, StatelessOracle
+from repro.netdebug.oracle import (
+    BLOCK_LANES,
+    ReferenceOracle,
+    StatelessOracle,
+)
 from repro.p4.stdlib_ext import stateful_firewall
 from repro.sim.traffic import OUTSIDE_PORT, bidirectional_flows, default_flow
 from repro.target.batch import BatchProgram
@@ -55,8 +60,9 @@ def _throughput(factory, frames, ports):
     return len(frames) / best, expectations
 
 
-def test_stateful_oracle_predicts_the_sweep_in_one_block(monkeypatch):
-    """The 10k sweep is one ``run_block`` call on the stateful oracle."""
+def test_stateful_oracle_predicts_the_sweep_in_blocks(monkeypatch):
+    """The 10k sweep is one ``run_block`` call per ``BLOCK_LANES``
+    packets on the stateful oracle."""
     frames, ports = _sweep()
     calls = []
     run_block = BatchProgram.run_block
@@ -69,7 +75,7 @@ def test_stateful_oracle_predicts_the_sweep_in_one_block(monkeypatch):
     oracle = ReferenceOracle(stateful_firewall(), num_ports=8)
     expectations = oracle.expect_all(frames, ingress_ports=ports)
     assert len(expectations) == SWEEP_PACKETS
-    assert calls == [oracle.spec.kernel]
+    assert calls == [oracle.spec.kernel] * -(-SWEEP_PACKETS // BLOCK_LANES)
 
 
 def test_stateful_vs_stateless_oracle_throughput(benchmark):

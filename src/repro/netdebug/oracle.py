@@ -25,13 +25,14 @@ an explicit lifetime:
   campaigns and the committed golden baselines are unaffected unless a
   matrix opts into ``stateful``.
 
-:meth:`~ReferenceOracle.expect_all` predicts a whole stream as one
-stage-major block through the spec kernel: the stateful oracle
-whenever the kernel is columnar (no register touched from two stages),
-over its own state; the stateless oracle on a register-free program.
-A block whose lane raises, or cannot become an expectation, is rolled
-back and predicted again packet by packet, so the first error and the
-final state are those of per-packet prediction. Everywhere else, and
+:meth:`~ReferenceOracle.expect_all` predicts a stream as stage-major
+blocks of at most :data:`BLOCK_LANES` packets through the spec kernel:
+the stateful oracle whenever the kernel is columnar (no register
+touched from two stages), over its own state; the stateless oracle on
+a register-free program. A stream whose lane raises, or cannot become
+an expectation, is rolled back to the state its first block found and
+predicted again packet by packet, so the first error and the final
+state are those of per-packet prediction. Everywhere else, and
 for a subclass that overrides ``expect`` or ``_process``, prediction
 is per packet (:meth:`~ReferenceOracle.expect`), each packet a block
 of one.
@@ -92,6 +93,12 @@ def compile_spec(program: P4Program) -> CompiledProgram:
         honor_reject=True,
         kernel=BatchProgram(program, REFERENCE_LIMITS, SPEC_MODEL),
     )
+
+
+#: Most lanes ``expect_all`` runs in one kernel block. A longer stream
+#: runs as consecutive blocks over the same state, which predicts the
+#: same as one block while bounding the lanes alive at once.
+BLOCK_LANES = 128
 
 
 def _prefix_then_zero(values, n: int) -> list:
@@ -255,8 +262,8 @@ class ReferenceOracle:
         ``ingress_ports`` / ``timestamps`` cover a prefix (short or
         ``None`` falls back to port 0 / timestamp 0, matching the
         injection paths' fallbacks); ``label`` becomes ``label#i``.
-        The sequence runs as one block through the spec kernel where
-        the oracle allows it (see the module docstring); either way the
+        The sequence runs as blocks through the spec kernel where the
+        oracle allows it (see the module docstring); either way the
         expectations, the final state and the first error raised — its
         type, message and packet index — are those of calling
         :meth:`expect` once per packet.
@@ -284,27 +291,35 @@ class ReferenceOracle:
                 for table in (state.counters, state.registers)
                 for cells in table.values()
             ]
-            outcomes = self.spec.kernel.run_block(
-                wires,
-                timestamps=times,
-                ingress_ports=ports,
-                counters=state.counters,
-                registers=state.registers,
-            )
+            run_block = self.spec.kernel.run_block
             expectation = self._expectation
             expectations = []
             try:
-                for i, (_, run, error) in enumerate(outcomes):
-                    if error is not None:
-                        raise error
-                    expectations.append(
-                        expectation(run.result, ports[i], labels[i])
+                # Consecutive blocks of at most BLOCK_LANES lanes, over
+                # the same state: each block's runs are dropped once they
+                # are expectations, so a long stream keeps no more than
+                # one block of lanes alive.
+                for start in range(0, n, BLOCK_LANES):
+                    stop = start + BLOCK_LANES
+                    outcomes = run_block(
+                        wires[start:stop],
+                        timestamps=times[start:stop],
+                        ingress_ports=ports[start:stop],
+                        counters=state.counters,
+                        registers=state.registers,
                     )
+                    for i, (_, run, error) in enumerate(outcomes, start):
+                        if error is not None:
+                            raise error
+                        expectations.append(
+                            expectation(run.result, ports[i], labels[i])
+                        )
                 return expectations
             except Exception:
                 # A lane raised or cannot become an expectation: restore
-                # the state the block found, so that prediction packet by
-                # packet stops at that error with per-packet state.
+                # the state the first block found, so that prediction
+                # packet by packet stops at that error with per-packet
+                # state.
                 for cells, snapshot in saved:
                     cells[:] = snapshot
         return [

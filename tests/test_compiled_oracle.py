@@ -21,6 +21,7 @@ expectations, the same final state and the same first error.
 import pytest
 
 from repro.exceptions import NetDebugError
+from repro.netdebug import oracle as oracle_module
 from repro.netdebug.oracle import ReferenceOracle, StatelessOracle
 from repro.netdebug.checker import ExpectedOutput
 from repro.p4.actions import (
@@ -509,26 +510,51 @@ MID_STREAM_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("error", sorted(MID_STREAM_ERRORS))
-def test_block_error_mid_stream_leaves_per_packet_state(error, monkeypatch):
-    """An error at packet 2 of 4: the stateful block is rolled back and
-    predicted again packet by packet, so the error and the registers
-    are those of per-packet prediction, and packet 3 never ran."""
-    flood_type, ether_types, raised = MID_STREAM_ERRORS[error]
-    program = tally(flood_type)
-    lanes = [
+def tally_lanes(ether_types):
+    return [
         (ethernet_frame(1, 2, t, payload=b"x" * 46).pack(), 0, 0)
         for t in ether_types
     ]
+
+
+@pytest.mark.parametrize("block_lanes", [oracle_module.BLOCK_LANES, 2])
+@pytest.mark.parametrize("error", sorted(MID_STREAM_ERRORS))
+def test_block_error_mid_stream_leaves_per_packet_state(
+    error, block_lanes, monkeypatch
+):
+    """An error at packet 2 of 4, in the first block or, two lanes to a
+    block, in the second: the stateful blocks are rolled back to the
+    state the first one found and predicted again packet by packet, so
+    the error and the registers are those of per-packet prediction, and
+    packet 3 never ran."""
+    flood_type, ether_types, raised = MID_STREAM_ERRORS[error]
+    program = tally(flood_type)
+    lanes = tally_lanes(ether_types)
     compiled, tree = ReferenceOracle(program), TreeOracle(program)
     assert compiled.spec.kernel.columnar
+    monkeypatch.setattr(oracle_module, "BLOCK_LANES", block_lanes)
     blocks = Calls(monkeypatch, BatchProgram, "run_block")
     got = all_fields(compiled, lanes)
-    # One block, rolled back, then packets 0-2 one by one.
-    assert blocks.count == 1 + 3
+    # The blocks up to the failing one, rolled back, then packets 0-2
+    # one by one.
+    assert blocks.count == 2 // block_lanes + 1 + 3
     assert got == all_fields(tree, lanes)
     assert got[:2] == ("raised", raised)
     assert compiled.state.registers == tree.interpreter.state.registers
     assert compiled.state.registers == per_packet_state(program, lanes)
     assert compiled.state.registers["seen"] == [3]
     assert compiled.state.registers["by_type"][0x0800] == 1
+
+
+def test_long_stream_runs_as_consecutive_blocks(monkeypatch):
+    """Five packets, two lanes to a block: three blocks over the one
+    state predict what per-packet prediction does."""
+    program = tally()
+    lanes = tally_lanes((0x0800, 0x0806, 0x0800, 0x0801, 0x0806))
+    compiled, tree = ReferenceOracle(program), TreeOracle(program)
+    monkeypatch.setattr(oracle_module, "BLOCK_LANES", 2)
+    blocks = Calls(monkeypatch, BatchProgram, "run_block")
+    assert all_fields(compiled, lanes) == all_fields(tree, lanes)
+    assert blocks.count == 3
+    assert compiled.state.registers == tree.interpreter.state.registers
+    assert compiled.state.registers["seen"] == [5]

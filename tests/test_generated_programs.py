@@ -14,9 +14,9 @@ witnesses plus seeded traffic, every program must satisfy:
   and for a raised error its class and message — and the same counter
   and register cells afterwards;
 * hook-free block ≡ blocks of one ≡ the hooked schedule (a no-op tap
-  at every stage), in outcomes, clocks, accounting and state; the
-  hook-free block runs untimed and with explicit timestamps, and a
-  columnar kernel (no register touched from two stages) must run it
+  at every stage), in outcomes, clocks, accounting and state, each
+  compared untimed and with explicit timestamps; a columnar kernel (no
+  register touched from two stages) must run every hook-free block
   stage-major, in one pass.
 
 Tables share one action object per action name, as in a program parsed
@@ -31,6 +31,7 @@ search shrinks land in :data:`REGRESSIONS` and run on every tier-1 run.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -614,12 +615,14 @@ def check_recipe(recipe, seed: int) -> int:
         assert device.state.counters == interpreter.state.counters
         assert device.state.registers == interpreter.state.registers
 
-        # Untimed, then with explicit timestamps: a columnar kernel runs
-        # either block stage-major, in one pass over every frame.
+        # Hook-free and hooked per-packet runs, each untimed and with
+        # explicit timestamps: a columnar kernel runs every hook-free
+        # block stage-major, in one pass over every frame.
         kernel = device.compiled.kernel
         stage_major = [len(frames)] if kernel.columnar else [1] * len(frames)
         timed = [1000 * i for i in range(len(frames))]
-        for hooked, timestamps in ((False, None), (True, timed)):
+        for hooked, timestamps in itertools.product((False, True),
+                                                    (None, timed)):
             passes = assert_block_matches(
                 _device(recipe, target, f"twin-{target}"),
                 _device(recipe, target, f"twin-{target}"),

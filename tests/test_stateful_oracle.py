@@ -40,7 +40,6 @@ from repro.sim.traffic import (
 from repro.target.batch import BatchProgram
 from repro.target.device import NetworkDevice
 from repro.target.reference import ReferenceCompiler
-from tests.test_generated_programs import REGISTER_SHAPES
 from tests.test_netdebug_session import lockstep_reference
 
 #: How each packet is carried through ``stateful_firewall``: the spec
@@ -174,21 +173,17 @@ class TestRegisterRoundTrip:
 
 class TestBatchCompatibility:
     def test_register_programs_take_packet_major_path(self):
-        """Only a register touched from two stages sends a program
-        packet-major; there, arrival order needs blocks of one.
-        ``stateful_firewall`` touches its flow table from its single
-        ingress stage, so it runs stage-major like a register-free
-        program: each lane's whole statement runs before the next
-        lane's, so the register sees arrival order either way."""
+        """``stateful_firewall`` stays columnar, like a register-free
+        program: it touches its flow table from its single ingress
+        stage, and a stage function runs each lane's whole statement
+        before the next lane's, so the register sees arrival order on
+        either schedule. Only a register touched from two stages sends
+        a program packet-major (see ``test_generated_programs``)."""
         stateful = make_device(name="pm-sfw")
         assert stateful.compiled.kernel.columnar is True
         stateless = NetworkDevice("pm-sp", ReferenceCompiler(), num_ports=8)
         stateless.load(strict_parser())
         assert stateless.compiled.kernel.columnar is True
-        recipe, columnar = REGISTER_SHAPES["register_across_controls"]
-        coupled = NetworkDevice("pm-rc", ReferenceCompiler(), num_ports=8)
-        coupled.load(recipe.build())
-        assert coupled.compiled.kernel.columnar is columnar is False
 
     def test_stateful_cell_runs_one_block_per_stream(self, monkeypatch):
         """A ``stateful_firewall`` × ``tcp_bidir`` cell under the
