@@ -115,12 +115,7 @@ def test_compiled_fastpath_speedup(benchmark):
         device = make_reference_device("fastpath")
         device.load(strict_parser(forward_port=0))
         compiled = device.compiled
-        spec = Interpreter(
-            compiled.program,
-            honor_reject=compiled.honor_reject,
-            quantize_tcam=compiled.quantize_tcam,
-            deparse_field_budget=compiled.deparse_field_budget,
-        )
+        spec = Interpreter(compiled.program, model=compiled.model)
 
         def compiled_arm():
             for wire in wires:

@@ -201,7 +201,7 @@ class SymbolicVerifier:
             p.name == "no-invalid-header-access" for p in properties
         )
         for wire in candidates:
-            interp = Interpreter(self.program, honor_reject=True)
+            interp = Interpreter(self.program)
             try:
                 result = interp.process(wire)
             except P4RuntimeError as exc:
@@ -249,7 +249,7 @@ def equivalence_check(
         seen.add(wire)
         results = []
         for program in (program_a, program_b):
-            interp = Interpreter(program, honor_reject=True)
+            interp = Interpreter(program)
             try:
                 result = interp.process(wire)
                 results.append(

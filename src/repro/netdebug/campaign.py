@@ -73,7 +73,6 @@ from .report import (
 )
 from .oracle import (
     ORACLES,
-    OracleFactory,
     build_oracle,
     require_known_oracle,
 )
@@ -667,7 +666,7 @@ def _cell_device(
 
 
 def _run_shard(job: tuple) -> "ScenarioResult":
-    scenario, faults, keep_suite, oracle_factory = job
+    scenario, faults, keep_suite = job
     device, cache_stats = _cell_device(scenario, faults)
 
     # Flow AND seed derive from the scenario key, never its matrix
@@ -705,12 +704,8 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     )
     # One oracle per shard, fed the whole cell in arrival order — the
     # sharding unit IS the session, so stateful oracles never need
-    # state to thread across shard boundaries. An explicit
-    # oracle_factory (threaded through the job frame) overrides the
-    # scenario's named oracle.
-    oracle = build_oracle(
-        oracle_factory or ORACLES[scenario.oracle], device
-    )
+    # state to thread across shard boundaries.
+    oracle = build_oracle(ORACLES[scenario.oracle], device)
     expectations = oracle.expect_all(
         frames,
         ingress_ports=ports,
@@ -1156,16 +1151,12 @@ def _execute(
 
 
 def _shard_jobs(
-    scenarios: list[Scenario],
-    faults: dict,
-    record: bool = False,
-    oracle_factory: OracleFactory | None = None,
+    scenarios: list[Scenario], faults: dict, record: bool = False
 ) -> list[tuple]:
     """:func:`_run_shard` job tuples for ``scenarios`` — what every
     executor, and the campaign service, dispatches."""
     return [
-        (scenario, faults[scenario.fault], record, oracle_factory)
-        for scenario in scenarios
+        (scenario, faults[scenario.fault], record) for scenario in scenarios
     ]
 
 
@@ -1177,7 +1168,6 @@ def run_campaign(
     executor: ShardExecutor | None = None,
     on_result: Callable[[str, SessionReport, CampaignProgress], None]
     | None = None,
-    oracle_factory: OracleFactory | None = None,
     compress: bool | object = False,
 ) -> CampaignReport:
     """Expand ``matrix`` and execute every scenario shard.
@@ -1198,15 +1188,11 @@ def run_campaign(
     artifacts — one :class:`RegressionSuite` per scenario plus
     ``<name>.manifest.json`` — replayable via :func:`replay_campaign`.
 
-    ``oracle_factory`` overrides the matrix's named ``oracle`` with an
-    arbitrary factory (called per shard as ``factory(program,
-    num_ports=...)``). Pool workers receive it pickled, so it must be a
-    module-level class or function; the cluster executor sends it by
-    name, so there it must be an :data:`~repro.netdebug.oracle.ORACLES`
-    entry. Sharding is
-    per *scenario cell*, each cell's packets staying on one shard in
-    arrival order, which is exactly the state boundary stateful oracles
-    need.
+    Each cell is graded by the oracle its scenario names (the matrix's
+    ``oracle`` axis, an :data:`~repro.netdebug.oracle.ORACLES` entry),
+    so the report names the oracle that ran. Sharding is per *scenario
+    cell*, each cell's packets staying on one shard in arrival order,
+    which is exactly the state boundary stateful oracles need.
 
     ``compress=True`` buckets the expanded matrix by static behaviour
     signature (:func:`repro.netdebug.compression.compress_matrix`),
@@ -1255,7 +1241,7 @@ def run_campaign(
                         "callable; recorded campaigns must be fully "
                         "declarative to replay from JSON"
                     )
-    jobs = _shard_jobs(run_scenarios, matrix.faults, record, oracle_factory)
+    jobs = _shard_jobs(run_scenarios, matrix.faults, record)
     results = _execute(
         jobs, _run_shard, workers, executor,
         _streaming_ingest(on_result, len(jobs)),

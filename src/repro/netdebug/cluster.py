@@ -507,15 +507,11 @@ def run_cluster_campaign(
     on_result=None,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     timeout: float | None = None,
-    oracle_factory=None,
     compress: bool | object = False,
 ) -> CampaignReport:
     """Run ``matrix`` on an ephemeral localhost service with ``workers``
     worker processes — the one-call launcher tests, CI and benchmarks
     use. Byte-identical to ``run_campaign`` on the same matrix.
-    ``oracle_factory`` travels to the workers by name,
-    so it must be an :data:`~repro.netdebug.oracle.ORACLES` entry; any
-    other callable is refused with a :class:`ClusterError`.
     ``compress`` behaves exactly as in :func:`run_campaign`: only bucket
     representatives are fanned out to the workers; the report is
     re-expanded in this process."""
@@ -527,7 +523,6 @@ def run_cluster_campaign(
             workers=workers, retry_budget=retry_budget, timeout=timeout
         ),
         on_result=on_result,
-        oracle_factory=oracle_factory,
         compress=compress,
     )
 

@@ -123,7 +123,7 @@ def _cell_context(program: str, target: str, setup: str) -> _CellContext:
     return _CellContext(
         program=prog,
         compiled=compiled,
-        model=DeviationModel.from_compiled(compiled),
+        model=compiled.model,
         stages=frozenset(device.stage_names()),
         tables=frozenset(prog.all_tables()),
         counters=frozenset(prog.counters),
@@ -562,9 +562,7 @@ def run_pruned_cell(
         oracle=pruned.oracle,
         pinned_key=rep_key,
     )
-    return _run_shard(
-        (hybrid, compressed.matrix.faults[pruned.fault], False, None)
-    )
+    return _run_shard((hybrid, compressed.matrix.faults[pruned.fault], False))
 
 
 def equivalence_view(payload: dict, include_timing: bool = True) -> dict:

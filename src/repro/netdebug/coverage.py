@@ -121,7 +121,7 @@ class TracingInterpreter(Interpreter):
     def apply_table(self, control, table_name, ctx, trace):
         table = control.table(table_name)
         result = table.lookup(
-            ctx, self.program.env, quantize=self.quantize_tcam
+            ctx, self.program.env, quantize=self._quantize
         )
         index = None
         if result.entry is not None:
@@ -168,12 +168,7 @@ def _replay(
     class (``!error|…``, with no result) so error-raising paths are
     identifiable (and excludable) rather than crashes.
     """
-    interp = TracingInterpreter(
-        program,
-        honor_reject=model.honor_reject,
-        quantize_tcam=model.quantize_tcam,
-        deparse_field_budget=model.deparse_field_budget,
-    )
+    interp = TracingInterpreter(program, model=model)
     try:
         result = interp.process(wire)
     except (P4RuntimeError, PacketError) as exc:
@@ -414,7 +409,7 @@ def _materialize_context(
         compiled = device.load(PROGRAMS[context.program]())
         if context.setup:
             PROVISIONERS[context.setup](device)
-    return compiled.program, DeviationModel.from_compiled(compiled)
+    return compiled.program, compiled.model
 
 
 def _coverage_workload(

@@ -7,8 +7,8 @@ backends (:data:`repro.netdebug.campaign.TARGETS`) deviating in three
 different ways, this module makes that claim executable:
 
 * :class:`DeviantOracle` — a **tree-walking** interpreter parameterized
-  by a backend's behavioural model (``honor_reject`` /
-  ``quantize_tcam`` / ``deparse_field_budget``). Devices execute
+  by a backend's behavioural model
+  (:class:`~repro.target.limits.DeviationModel`). Devices execute
   generated code, so the oracle is an independent implementation
   of the same semantics — a genuine differential counterpart, not a
   tautology.
@@ -19,8 +19,10 @@ different ways, this module makes that claim executable:
   target's device, diffs the observations against the spec oracle, and
   classifies every divergence: a diff is **explained** when the
   target's declared deviation tags (``silent_deviations`` on the
-  compiled artifact) reproduce it — i.e. the artifact's full deviant
-  model predicts exactly the observed behaviour — and **unexplained**
+  compiled artifact) reproduce it — each tag through its
+  single-deviation model (:meth:`DeviationModel.only
+  <repro.target.limits.DeviationModel.only>`), with the artifact's full
+  model predicting exactly the observed behaviour — and **unexplained**
   otherwise. An unexplained diff is a real bug: either an undeclared
   deviation or a datapath divergence.
 
@@ -55,8 +57,7 @@ from ..sim.traffic import (
 )
 from ..target.compiler import CompiledProgram
 from ..target.device import NetworkDevice
-from ..target.sdnet import REJECT_NOT_IMPLEMENTED
-from ..target.tofino import DEPARSE_FIELD_BUDGET_EXCEEDED, TCAM_QUANTIZED
+from ..target.limits import SPEC_MODEL
 
 __all__ = [
     "DeviantOracle",
@@ -75,12 +76,11 @@ __all__ = [
 class DeviantOracle(Interpreter):
     """A tree-walking oracle running one backend's behavioural model.
 
-    With the default parameters this *is* the spec oracle; the deviation
-    knobs (``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``)
-    are the base interpreter's own, so there is exactly one tree-walking
-    definition of each deviation — independent of the generated code
-    the devices actually run, which is what makes the comparison a
-    genuine differential.
+    Under :data:`~repro.target.limits.SPEC_MODEL` this *is* the spec
+    oracle; the model is the base interpreter's own, so there is exactly
+    one tree-walking definition of each deviation — independent of the
+    generated code the devices actually run, which is what makes the
+    comparison a genuine differential.
     """
 
     def observe(
@@ -104,20 +104,6 @@ class DeviantOracle(Interpreter):
                 wire, ingress_port=ingress_port, timestamp=timestamp
             )
         )
-
-
-def tag_model(
-    compiled: CompiledProgram, tag: str
-) -> tuple[bool, bool, int | None]:
-    """The ``(honor_reject, quantize_tcam, deparse_field_budget)`` model
-    of exactly one deviation tag on ``compiled``'s backend."""
-    return (
-        tag != REJECT_NOT_IMPLEMENTED,
-        tag == TCAM_QUANTIZED,
-        compiled.deparse_field_budget
-        if tag == DEPARSE_FIELD_BUDGET_EXCEEDED
-        else None,
-    )
 
 
 @dataclass(frozen=True)
@@ -618,9 +604,8 @@ class DifferentialRunner:
         recorded on the cell. ``count`` caps the set: exceeding it is
         a loud error, never a silent truncation of the claim."""
         from .coverage import covering_set, verify_coverage
-        from ..baselines.paths import DeviationModel
 
-        model = DeviationModel.from_compiled(compiled)
+        model = compiled.model
         wires, cmap = covering_set(
             compiled.program, model, seed=seed, target=target
         )
@@ -653,28 +638,15 @@ class DifferentialRunner:
         # oracle observes EVERY frame: for stateful programs that keeps
         # each model's counters/registers evolving in lockstep with the
         # device, which sees the same frame sequence.
-        oracles: dict[tuple, DeviantOracle] = {}
-
-        def oracle_for(honor_reject, quantize, budget) -> DeviantOracle:
-            key = (honor_reject, quantize, budget)
-            if key not in oracles:
-                oracles[key] = DeviantOracle(
-                    compiled.program,
-                    honor_reject=honor_reject,
-                    quantize_tcam=quantize,
-                    deparse_field_budget=budget,
-                )
-            return oracles[key]
-
-        spec_oracle = oracle_for(True, False, None)
-        model_oracle = oracle_for(
-            compiled.honor_reject,
-            compiled.quantize_tcam,
-            compiled.deparse_field_budget,
-        )
-        tag_oracles = {
-            tag: oracle_for(*tag_model(compiled, tag))
-            for tag in compiled.silent_deviations
+        full_model = compiled.model
+        tag_models = {
+            tag: full_model.only(tag) for tag in compiled.silent_deviations
+        }
+        oracles = {
+            model: DeviantOracle(compiled.program, model=model)
+            for model in dict.fromkeys(
+                (SPEC_MODEL, full_model, *tag_models.values())
+            )
         }
         for index, (wire, port) in enumerate(pairs):
             cell.packets += 1
@@ -687,17 +659,11 @@ class DifferentialRunner:
                 )
                 for key, oracle in oracles.items()
             }
-            spec = predictions[(True, False, None)]
-            model = predictions[
-                (
-                    compiled.honor_reject,
-                    compiled.quantize_tcam,
-                    compiled.deparse_field_budget,
-                )
-            ]
+            spec = predictions[SPEC_MODEL]
+            model = predictions[full_model]
             fired = {
-                tag: predictions[tag_model(compiled, tag)].diff_kinds(spec)
-                for tag in tag_oracles
+                tag: predictions[only].diff_kinds(spec)
+                for tag, only in tag_models.items()
             }
             run = device.inject(wire, port=port, timestamp=timestamp)
             observed = Observation.from_result(run.result)

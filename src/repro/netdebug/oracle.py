@@ -8,12 +8,11 @@ means the spec-correct prediction for an inbound packet depends on
 every outbound packet that preceded it. So the oracle is an object with
 an explicit lifetime:
 
-* :class:`ReferenceOracle` predicts through a spec artifact
-  (:func:`compile_spec`) — the program compiled once into its batch
-  kernel (:class:`~repro.target.batch.BatchProgram` under the spec
-  deviation model: ``honor_reject`` and neither TCAM quantisation nor
-  a deparse budget), the one execution driver the devices use too —
-  and owns one
+* :class:`ReferenceOracle` predicts through a spec artifact — the
+  program compiled once into its batch kernel
+  (:class:`~repro.target.batch.BatchProgram` under
+  :data:`~repro.target.limits.SPEC_MODEL`), the one execution driver
+  the devices use too — and owns one
   :class:`~repro.p4.interpreter.RuntimeState` whose registers and
   counters persist across :meth:`~ReferenceOracle.expect` calls. Its
   contract is **arrival order**: feed it packets in exactly the order
@@ -37,12 +36,13 @@ for a subclass that overrides ``expect`` or ``_process``, prediction
 is per packet (:meth:`~ReferenceOracle.expect`), each packet a block
 of one.
 
-A session builds its oracle through :func:`build_oracle`, which
-compiles one spec artifact (:func:`compile_spec`) per device artifact,
-keeps it on that artifact (a campaign holds those in its bounded
-artifact tier) and hands it to every oracle over the same program, so
-an oracle costs a fresh ``RuntimeState``. An oracle built outside a
-session compiles its own on first use.
+A session builds its oracle through :func:`build_oracle`, which hands
+it a spec artifact per device artifact: the device's artifact itself
+when its model is the spec, else one spec artifact
+(:func:`compile_spec`) kept on the device's artifact (a campaign holds
+those in its bounded artifact tier). Every oracle over the same program
+shares it, so an oracle costs a fresh ``RuntimeState``. An oracle built
+outside a session compiles its own on first use.
 
 Everything that consumes expectations (sessions, campaigns, regression
 recording) goes through an oracle object. The tree-walking
@@ -82,15 +82,13 @@ OracleFactory = Callable[..., "ReferenceOracle"]
 
 def compile_spec(program: P4Program) -> CompiledProgram:
     """``program`` compiled for spec-faithful prediction: its kernel
-    is built under :data:`~repro.target.limits.SPEC_MODEL`
-    (``honor_reject=True``, with neither TCAM quantisation nor a deparse
-    budget). The artifact is read-only: all mutable state lives in the
+    is built under :data:`~repro.target.limits.SPEC_MODEL`. The
+    artifact is read-only: all mutable state lives in the
     ``RuntimeState`` each oracle passes in, so one spec artifact serves
     every oracle over the same program object."""
     return CompiledProgram(
         program,
         "spec",
-        honor_reject=True,
         kernel=BatchProgram(program, REFERENCE_LIMITS, SPEC_MODEL),
     )
 
@@ -121,8 +119,8 @@ class ReferenceOracle:
     of one session on one shard (state cannot thread across shards).
 
     The :attr:`spec` artifact is compiled on first use unless one is
-    assigned first (:func:`build_oracle` assigns the one kept on the
-    device's artifact). No module-level cache keyed by program exists:
+    assigned first (:func:`build_oracle` assigns the device's artifact
+    or the one kept on it). No module-level cache keyed by program exists:
     it would pin every program object it ever saw, table entries
     included.
     """
@@ -361,8 +359,7 @@ class StatelessOracle(ReferenceOracle):
 
 
 #: Named oracle factories scenario matrices reference (``oracle=`` axis).
-#: Module-level classes only: campaign job tuples carry the factory into
-#: worker processes by pickle-by-reference.
+#: A campaign cell carries the name; every worker resolves it here.
 ORACLES: dict[str, OracleFactory] = {
     "stateless": StatelessOracle,
     "stateful": ReferenceOracle,
@@ -373,20 +370,24 @@ def build_oracle(
     factory: OracleFactory, device: NetworkDevice
 ) -> ReferenceOracle:
     """``factory``'s oracle for one session on ``device``: built over
-    the device's program with the device's port count, and handed the
-    spec artifact kept on the device's compiled artifact (compiled
-    there on first use), so every session over one artifact shares one
-    spec kernel and an oracle costs fresh state. An oracle over another
-    program object compiles its own."""
+    the device's program with the device's port count, and handed a
+    spec artifact over that program, so every session over one artifact
+    shares one spec kernel and an oracle costs fresh state. A spec-model
+    artifact is its own spec artifact (the bus width, which differs,
+    only feeds the cycle model); a deviant one keeps a
+    :func:`compile_spec` artifact, compiled there on first use. An
+    oracle over another program object compiles its own."""
     oracle = factory(device.program, num_ports=len(device.ports))
     if (
         isinstance(oracle, ReferenceOracle)
         and oracle.program is device.program
     ):
         compiled = device.compiled
-        if compiled.spec is None:
-            compiled.spec = compile_spec(device.program)
-        oracle.spec = compiled.spec
+        if compiled.model != SPEC_MODEL:
+            if compiled.spec is None:
+                compiled.spec = compile_spec(device.program)
+            compiled = compiled.spec
+        oracle.spec = compiled
     return oracle
 
 

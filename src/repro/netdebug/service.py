@@ -102,7 +102,6 @@ from .cluster import (
     tags_eligible,
 )
 from .diffing import diff_campaigns
-from .oracle import ORACLES
 from .regression import RegressionSuite
 from .transport import SECRET_ENV, Channel, encode_job, resolve_secret, \
     stamp_cache_version
@@ -139,20 +138,6 @@ class _Assignment:
     dispatched_at: float
 
 
-def _oracle_name(factory) -> str | None:
-    """The registry name a job's ``oracle_factory`` travels under."""
-    if factory is None:
-        return None
-    for name, registered in ORACLES.items():
-        if registered is factory:
-            return name
-    raise ClusterError(
-        f"oracle_factory {factory!r} is not registered in "
-        f"repro.netdebug.oracle.ORACLES ({', '.join(sorted(ORACLES))}); "
-        "service workers receive oracles by registry name, never as code"
-    )
-
-
 def _hello_assignment_ids(hello: dict, field: str) -> set[int]:
     """The hello's ``field`` list as assignment ids, or a
     :class:`ClusterError` naming the field and the value: the ids key
@@ -180,7 +165,7 @@ class _Campaign:
     launcher (:meth:`CampaignService.run_jobs`) passes the ones
     :func:`~repro.netdebug.campaign.run_campaign` built. Each job is
     encoded once, up front, so a job that cannot travel (a predicate
-    fault, an unregistered oracle factory) is refused at admission.
+    fault) is refused at admission.
     """
 
     def __init__(
@@ -199,11 +184,8 @@ class _Campaign:
         self.weight = weight
         self.jobs = list(jobs)
         self.payloads = [
-            encode_job(
-                scenario, faults, record=record,
-                oracle=_oracle_name(factory),
-            )
-            for scenario, faults, record, factory in self.jobs
+            encode_job(scenario, faults, record=record)
+            for scenario, faults, record in self.jobs
         ]
         self.pending: deque[int] = deque(range(len(self.jobs)))
         #: job index -> aids currently dispatched for it (>1 = stolen).

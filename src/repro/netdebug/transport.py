@@ -249,12 +249,7 @@ def recv_message(
     return message
 
 
-def encode_job(
-    scenario,
-    faults,
-    record: bool = False,
-    oracle: str | None = None,
-) -> dict:
+def encode_job(scenario, faults, record: bool = False) -> dict:
     """One ``run`` shard job as a JSON payload.
 
     The inverse of :func:`decode_job`. Scenario and fault objects go
@@ -263,10 +258,8 @@ def encode_job(
     ``fault_to_dict``), which refuses predicate-carrying faults — a job
     frame must never need code to deserialize. ``record`` asks the
     worker to return the cell's regression suite and arrival process
-    with the result.
-    ``oracle`` overrides the scenario's named oracle with another
-    :data:`~repro.netdebug.oracle.ORACLES` entry, by name: no factory
-    object ever crosses the wire.
+    with the result. The cell's oracle travels by name, as the
+    scenario's ``oracle`` axis: no factory object ever crosses the wire.
     """
     from .campaign import fault_to_dict, scenario_to_dict
 
@@ -276,8 +269,6 @@ def encode_job(
     }
     if record:
         payload["record"] = True
-    if oracle is not None:
-        payload["oracle"] = oracle
     return payload
 
 
@@ -285,15 +276,12 @@ def decode_job(payload: dict) -> tuple:
     """Rebuild a :func:`repro.netdebug.campaign._run_shard` job tuple
     from its :func:`encode_job` payload."""
     from .campaign import fault_from_dict, scenario_from_dict
-    from .oracle import ORACLES
 
     try:
-        oracle = payload.get("oracle")
         return (
             scenario_from_dict(payload["scenario"]),
             tuple(fault_from_dict(f) for f in payload["faults"]),
             bool(payload.get("record", False)),
-            ORACLES[oracle] if oracle is not None else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ClusterError(

@@ -36,7 +36,14 @@ from ...p4.program import P4Program
 from ...p4.stdlib import acl_firewall, strict_parser
 from ...p4.table import MatchKind
 from ...packet.fields import HeaderSpec
-from ...target.limits import REFERENCE_LIMITS, SDNET_LIMITS, TOFINO_LIMITS
+from ...target.limits import (
+    DEPARSE_FIELD_BUDGET_EXCEEDED,
+    REFERENCE_LIMITS,
+    REJECT_NOT_IMPLEMENTED,
+    SDNET_LIMITS,
+    TCAM_QUANTIZED,
+    TOFINO_LIMITS,
+)
 from ...target.reference import ReferenceCompiler
 from ...target.sdnet import SDNetCompiler, make_sdnet_device
 from ...target.tofino import TofinoCompiler
@@ -236,18 +243,19 @@ def run(tool: str, seed: int = 0) -> UseCaseResult:
             and tcam_budget == TOFINO_LIMITS.tcam_bits_per_stage
         )
         # Keyed on the same ArchLimits .name constants the probe uses,
-        # so a limits rename cannot silently zero this challenge.
+        # and on the tag constants the compilers emit, so a rename of
+        # either cannot silently zero this challenge.
         deviations = probe_backend_deviations()
         deviations_ok = (
             deviations.get(REFERENCE_LIMITS.name) == {}
             and deviations.get(SDNET_LIMITS.name, {}).get(
-                "parser-reject-not-implemented"
+                REJECT_NOT_IMPLEMENTED
             ) == "parser"
             and deviations.get(TOFINO_LIMITS.name, {}).get(
-                "ternary-range-quantized-pow2"
+                TCAM_QUANTIZED
             ) == "ingress"
             and deviations.get(TOFINO_LIMITS.name, {}).get(
-                "deparse-field-budget-exceeded"
+                DEPARSE_FIELD_BUDGET_EXCEEDED
             ) == "deparser"
         )
         challenges = [

@@ -17,6 +17,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from ..bitutils import truncate
 from ..exceptions import P4RuntimeError
@@ -49,6 +50,9 @@ from .types import (
     PARSER_ERROR_VERIFY_FAILED,
     standard_metadata_defaults,
 )
+
+if TYPE_CHECKING:
+    from ..target.limits import DeviationModel
 
 __all__ = [
     "Verdict",
@@ -195,18 +199,14 @@ class Interpreter:
     Attributes:
         program: The program under execution.
         state: Stateful objects (counters/registers), shared across packets.
-        honor_reject: When False, a parser transition to ``reject`` is
-            silently treated as ``accept`` — the SDNet deviation the paper's
-            case study discovered. Reference semantics use True.
-        quantize_tcam: When True, ternary/range table patterns are
-            quantized to power-of-two boundaries at match time — the
-            Tofino-like TCAM deviation. Reference semantics use False.
-        deparse_field_budget: When set, only the emit-order prefix
-            within this header-field budget is deparsed — the
-            Tofino-like deparse deviation. Reference semantics use None.
+        model: The :class:`~repro.target.limits.DeviationModel` whose
+            datapath semantics this interpreter runs: a parser
+            ``reject`` ignored (the SDNet deviation the paper's case
+            study discovered), TCAM patterns quantized at match time,
+            or a deparse field budget. ``None`` means the spec
+            (:data:`~repro.target.limits.SPEC_MODEL`).
 
-    The three deviation knobs default to spec-faithful values; built
-    with a compiled artifact's settings (as
+    Built with a compiled artifact's ``model`` (as
     :class:`~repro.netdebug.differential.DeviantOracle` does), the
     interpreter is the one tree-walking definition of that target's
     deviant datapath, which devices' generated kernels are checked
@@ -217,16 +217,20 @@ class Interpreter:
         self,
         program: P4Program,
         state: RuntimeState | None = None,
-        honor_reject: bool = True,
-        quantize_tcam: bool = False,
-        deparse_field_budget: int | None = None,
+        model: DeviationModel | None = None,
     ):
+        if model is None:
+            # Deferred: importing repro.target imports this module.
+            from ..target.limits import SPEC_MODEL
+
+            model = SPEC_MODEL
         self.program = program
         self.state = state or RuntimeState.for_program(program)
-        self.honor_reject = honor_reject
-        self.quantize_tcam = quantize_tcam
+        self.model = model
+        # Copied off the model: every table apply reads it.
+        self._quantize = model.quantize_tcam
         self._emit_prefix = program.deparser.emit_prefix(
-            program.env, deparse_field_budget
+            program.env, model.deparse_field_budget
         )
 
     # ------------------------------------------------------------------
@@ -285,7 +289,7 @@ class Interpreter:
 
         def reject(code: int, why: str) -> tuple[Packet, bytes, bool]:
             metadata["parser_error"] = code
-            if self.honor_reject:
+            if self.model.honor_reject:
                 trace.add("parser_reject", why, stage="parser")
                 return packet, wire[offset:], False
             # SDNet deviation: the reject state is not implemented; the
@@ -338,7 +342,7 @@ class Interpreter:
                         error_code or PARSER_ERROR_VERIFY_FAILED,
                         f"verify failed in {state_name}",
                     )
-                    if self.honor_reject:
+                    if self.model.honor_reject:
                         return result
                     # Deviant target: fall through and keep parsing as if
                     # the verify had succeeded.
@@ -401,7 +405,7 @@ class Interpreter:
     ) -> bool:
         table = control.table(table_name)
         result = table.lookup(
-            ctx, self.program.env, quantize=self.quantize_tcam
+            ctx, self.program.env, quantize=self._quantize
         )
         trace.add(
             "table_apply",
@@ -578,7 +582,7 @@ class Interpreter:
     def deparse(self, packet: Packet, trace: Trace) -> Packet:
         """Re-serialize per the deparser's emit order.
 
-        A deviant ``deparse_field_budget`` restricts emission to the
+        A model's deparse field budget restricts emission to the
         budgeted prefix (:meth:`repro.p4.deparser.Deparser.emit_prefix`).
         """
         emitted: list[Header] = []

@@ -21,8 +21,8 @@ back to ``~/.cache/repro-target``. The key is a SHA-256 over:
 * a canonical recursive serialization of the *pre-provisioning*
   program IR (dataclass fields in declaration order, dict items
   sorted, enums by value) — so any program edit changes the key;
-* the target name and its deviation model (``honor_reject``,
-  ``quantize_tcam``, ``deparse_field_budget``);
+* the target name and the ``repr`` of its
+  :class:`~repro.target.limits.DeviationModel` (``compiler.model``);
 * a caller-supplied extra tag (campaigns use the setup label, since
   provisioned table entries are stored inside the artifact);
 * :data:`CACHE_VERSION` and the interpreter version.
@@ -55,7 +55,6 @@ from pathlib import Path
 
 from .batch import BatchProgram
 from .compiler import CompiledProgram, TargetCompiler
-from .limits import DeviationModel
 
 __all__ = [
     "CACHE_VERSION",
@@ -70,7 +69,7 @@ __all__ = [
 
 #: Bump when the on-disk artifact format changes. Also stamped into
 #: cluster job frames so a stale worker fails fast (see transport.py).
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 _ENV_VAR = "REPRO_COMPILE_CACHE"
 _DISABLED = {"off", "0", "none", "disabled"}
@@ -144,9 +143,7 @@ def fingerprint(program, compiler: TargetCompiler, extra: str = "") -> str:
         f"v{CACHE_VERSION}",
         f"py{sys.version_info[0]}.{sys.version_info[1]}",
         compiler.limits.name,
-        repr(compiler.honor_reject),
-        repr(compiler.quantize_tcam),
-        repr(compiler.deparse_field_budget),
+        repr(compiler.model),
         extra,
         "|",
     ]
@@ -198,9 +195,7 @@ class ArtifactCache:
             if compiled.target_name != compiler.limits.name:
                 raise ValueError("artifact/target mismatch")
             compiled.kernel = BatchProgram(
-                compiled.program,
-                compiler.limits,
-                DeviationModel.from_compiled(compiled),
+                compiled.program, compiler.limits, compiled.model
             )
         except FileNotFoundError:
             _STATS["misses"] += 1

@@ -192,10 +192,7 @@ class BatchProgram:
     ):
         self.program = program
         self.bus_bytes = limits.bus_bytes
-        code = generate_kernel(
-            program, model.honor_reject, model.quantize_tcam,
-            model.deparse_field_budget,
-        )
+        code = generate_kernel(program, model)
         self.source, self.parse, self.deparse = (
             code.source, code.parse, code.deparse
         )

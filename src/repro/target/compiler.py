@@ -26,7 +26,7 @@ from ..p4.program import P4Program
 from ..p4.table import MatchKind
 from ..p4.validation import validate_program
 from .batch import BatchProgram
-from .limits import ArchLimits, DeviationModel
+from .limits import SPEC_MODEL, ArchLimits, DeviationModel
 from .resources import (
     DeviceCapacity,
     ResourceUsage,
@@ -52,11 +52,12 @@ class Diagnostic:
 class CompiledProgram:
     """The artifact ``load`` installs on a device.
 
-    ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget`` are
-    the artifact's *behavioural model*: the exact datapath semantics the
-    backend generated, including its silent deviations. They are ground
-    truth for differential testing (``silent_deviations`` carries the
-    matching tags) and are deliberately absent from ``diagnostics``.
+    ``model`` is the artifact's *behavioural model*
+    (:class:`~repro.target.limits.DeviationModel`): the exact datapath
+    semantics the backend generated, including its silent deviations.
+    It is ground truth for differential testing (``silent_deviations``
+    carries the matching tags) and is deliberately absent from
+    ``diagnostics``.
 
     ``kernel`` is the artifact's one batch kernel, built with it (by
     :meth:`TargetCompiler.compile`, or by the artifact cache's load,
@@ -65,7 +66,7 @@ class CompiledProgram:
 
     program: P4Program
     target_name: str
-    honor_reject: bool
+    model: DeviationModel = SPEC_MODEL
     diagnostics: list[Diagnostic] = field(default_factory=list)
     silent_deviations: list[str] = field(default_factory=list)
     resources: ResourceUsage = field(default_factory=ResourceUsage)
@@ -73,12 +74,11 @@ class CompiledProgram:
     kernel: BatchProgram | None = field(
         default=None, repr=False, compare=False
     )
-    quantize_tcam: bool = False
-    deparse_field_budget: int | None = None
     #: Lazily-built spec-faithful artifact the reference oracle predicts
-    #: with (:func:`repro.netdebug.oracle.compile_spec`) over this
+    #: with (:func:`repro.netdebug.oracle.compile_spec`) over a deviant
     #: artifact's provisioned program; one per artifact, not pickled
-    #: either.
+    #: either. A spec-model artifact is its own (see
+    #: :func:`repro.netdebug.oracle.build_oracle`).
     spec: object | None = field(
         default=None, repr=False, compare=False
     )
@@ -90,21 +90,14 @@ class TargetCompiler:
     Attributes:
         limits: The target's published :class:`ArchLimits`.
         capacity: Device capacity the estimated resources must fit.
-        honor_reject: Whether the generated datapath implements the
-            parser ``reject`` state. The base compiler and the
-            reference target do; the SDNet-like backend does not.
-        quantize_tcam: Whether the generated datapath quantizes
-            ternary/range patterns to power-of-two boundaries (the
-            Tofino-like backend's TCAM deviation).
-        deparse_field_budget: Header-field budget of the generated
-            deparser, or ``None`` for a spec-faithful deparser. Headers
-            past the budget are silently not deparsed (the Tofino-like
-            backend's second deviation).
+        model: The generated datapath's
+            :class:`~repro.target.limits.DeviationModel`. The base
+            compiler and the reference target generate the spec; the
+            SDNet-like backend drops ``reject``, and the Tofino-like
+            backend quantizes TCAM patterns and budgets the deparser.
     """
 
-    honor_reject: bool = True
-    quantize_tcam: bool = False
-    deparse_field_budget: int | None = None
+    model: DeviationModel = SPEC_MODEL
 
     def __init__(
         self,
@@ -211,11 +204,12 @@ class TargetCompiler:
         return diagnostics
 
     # ------------------------------------------------------------------
-    # Deviations (overridden by deviant backends)
+    # Deviations
     # ------------------------------------------------------------------
     def deviations(self, program: P4Program) -> list[str]:
-        """Silent spec deviations the generated datapath introduces."""
-        return []
+        """Silent spec deviations the generated datapath introduces on
+        ``program``: the tags of :attr:`model`."""
+        return self.model.tags(program)
 
     # ------------------------------------------------------------------
     # Compilation
@@ -243,14 +237,10 @@ class TargetCompiler:
         return CompiledProgram(
             program=program,
             target_name=self.limits.name,
-            honor_reject=self.honor_reject,
+            model=self.model,
             diagnostics=diagnostics,
             silent_deviations=self.deviations(program),
             resources=resources,
             utilization=self.capacity.utilization(resources),
-            kernel=BatchProgram(
-                program, self.limits, DeviationModel.from_compiled(self)
-            ),
-            quantize_tcam=self.quantize_tcam,
-            deparse_field_budget=self.deparse_field_budget,
+            kernel=BatchProgram(program, self.limits, self.model),
         )

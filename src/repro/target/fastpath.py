@@ -36,9 +36,9 @@ table keys and primitive operands — goes through the one expression
 lowering, :class:`repro.p4.expr.Lowering`, which ``compile_expr`` also
 uses. The lowering also records what the batch kernel's schedule needs:
 the metadata fields the code reads and the stages that touch each
-register. ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
-select the target's datapath semantics, including its silent
-deviations. Equivalence with tree-walking interpretation is pinned by
+register. A :class:`~repro.target.limits.DeviationModel` selects the
+target's datapath semantics, including its silent deviations.
+Equivalence with tree-walking interpretation is pinned by
 ``tests/test_target_fastpath_differential.py``,
 ``tests/test_generated_programs.py`` and, for the oracle's predictions,
 ``tests/test_compiled_oracle.py``.
@@ -79,6 +79,7 @@ from ..p4.types import (
 )
 from ..packet.fields import HeaderSpec
 from ..packet.packet import Header, Packet
+from .limits import DeviationModel
 
 __all__ = ["GeneratedKernel", "control_stages", "generate_kernel"]
 
@@ -304,8 +305,8 @@ class _KernelSource:
     def parser(self, program: P4Program, honor_reject: bool) -> None:
         """``parse(wire, metadata) -> (packet, payload, accepted)`` with
         exactly the interpreter's semantics, including the deviant
-        behaviour when ``honor_reject`` is False (reject/verify failures
-        record ``parser_error`` but the packet continues as if
+        behaviour when the model does not honor ``reject`` (reject/verify
+        failures record ``parser_error`` but the packet continues as if
         accepted)."""
         env = program.env
         states = list(program.parser.states.values())
@@ -594,7 +595,7 @@ class _KernelSource:
         """Match every installed entry, read live: the best rank wins,
         rank being (total LPM prefix length, priority) — longest prefix
         first, then priority, the first installed winning ties.
-        ``quantize_tcam`` quantizes ternary masks and range bounds at
+        A quantizing model quantizes ternary masks and range bounds at
         match time, mirroring ``Table.lookup(..., quantize=True)``."""
         env, emit = self.env, self.emit
         inner, body = pad + "    ", pad + "        "
@@ -798,19 +799,17 @@ class GeneratedKernel(NamedTuple):
 
 
 def generate_kernel(
-    program: P4Program,
-    honor_reject: bool,
-    quantize_tcam: bool,
-    deparse_field_budget: int | None,
+    program: P4Program, model: DeviationModel
 ) -> GeneratedKernel:
-    """Lower ``program`` into one generated module, compiled once.
+    """Lower ``program`` into one generated module, compiled once, with
+    ``model``'s datapath semantics.
 
-    An expression, slice or statement the model cannot lower raises its
-    typed error here, at compile time.
+    An expression, slice or statement the lowering cannot handle raises
+    its typed error here, at compile time.
     """
-    source = _KernelSource(program, quantize_tcam)
-    source.parser(program, honor_reject)
-    source.deparser(program, deparse_field_budget)
+    source = _KernelSource(program, model.quantize_tcam)
+    source.parser(program, model.honor_reject)
+    source.deparser(program, model.deparse_field_budget)
     ingress = source.control(program.ingress)
     egress = source.control(program.egress)
     text = source.text()

@@ -17,9 +17,9 @@ __all__ = ["ReferenceCompiler", "make_reference_device"]
 
 
 class ReferenceCompiler(TargetCompiler):
-    """Compiles with reference semantics: ``reject`` fully implemented."""
-
-    honor_reject = True
+    """Compiles with reference semantics (the base compiler's
+    :data:`~repro.target.limits.SPEC_MODEL`): ``reject`` fully
+    implemented."""
 
     def __init__(self) -> None:
         super().__init__(REFERENCE_LIMITS)

@@ -12,29 +12,20 @@ spec oracle exposes it, which is exactly the paper's case study.
 
 from __future__ import annotations
 
-from ..p4.program import P4Program
 from .compiler import TargetCompiler
 from .device import NetworkDevice
-from .limits import SDNET_LIMITS
+from .limits import REJECT_NOT_IMPLEMENTED, SDNET_LIMITS, SDNET_MODEL
 
 __all__ = ["REJECT_NOT_IMPLEMENTED", "SDNetCompiler", "make_sdnet_device"]
-
-#: Ground-truth tag for the silently missing ``reject`` state.
-REJECT_NOT_IMPLEMENTED = "parser-reject-not-implemented"
 
 
 class SDNetCompiler(TargetCompiler):
     """SDNet-like compiler: tighter limits, silently broken ``reject``."""
 
-    honor_reject = False
+    model = SDNET_MODEL
 
     def __init__(self) -> None:
         super().__init__(SDNET_LIMITS)
-
-    def deviations(self, program: P4Program) -> list[str]:
-        if program.parser.can_reach_reject():
-            return [REJECT_NOT_IMPLEMENTED]
-        return []
 
 
 def make_sdnet_device(

@@ -28,11 +28,15 @@ point: with two backends deviating in *different* stages, a 3-way
 
 from __future__ import annotations
 
-from ..p4.program import P4Program
-from ..p4.table import MatchKind
 from .compiler import TargetCompiler
 from .device import NetworkDevice
-from .limits import TOFINO_LIMITS
+from .limits import (
+    DEPARSE_FIELD_BUDGET,
+    DEPARSE_FIELD_BUDGET_EXCEEDED,
+    TCAM_QUANTIZED,
+    TOFINO_LIMITS,
+    TOFINO_MODEL,
+)
 
 __all__ = [
     "TCAM_QUANTIZED",
@@ -41,19 +45,6 @@ __all__ = [
     "TofinoCompiler",
     "make_tofino_device",
 ]
-
-#: Ground-truth tag: ternary/range patterns quantized to power-of-two
-#: boundaries by the per-stage TCAM.
-TCAM_QUANTIZED = "ternary-range-quantized-pow2"
-
-#: Ground-truth tag: headers past the deparser's field budget silently
-#: not serialized.
-DEPARSE_FIELD_BUDGET_EXCEEDED = "deparse-field-budget-exceeded"
-
-#: Header-field budget of the generated deparser. Ethernet (3 fields)
-#: plus IPv4 (13 fields) already exceeds it, so any program that emits
-#: an L3 header forwards truncated packets on this target.
-DEPARSE_FIELD_BUDGET = 14
 
 
 class TofinoCompiler(TargetCompiler):
@@ -65,27 +56,10 @@ class TofinoCompiler(TargetCompiler):
     ``silent_deviations``, never in diagnostics.
     """
 
-    honor_reject = True
-    quantize_tcam = True
-    deparse_field_budget = DEPARSE_FIELD_BUDGET
+    model = TOFINO_MODEL
 
     def __init__(self) -> None:
         super().__init__(TOFINO_LIMITS)
-
-    def deviations(self, program: P4Program) -> list[str]:
-        tags: list[str] = []
-        if any(
-            key.kind in (MatchKind.TERNARY, MatchKind.RANGE)
-            for table in program.all_tables().values()
-            for key in table.keys
-        ):
-            tags.append(TCAM_QUANTIZED)
-        emitted = program.deparser.emit_prefix(
-            program.env, self.deparse_field_budget
-        )
-        if len(emitted) < len(program.deparser.emit_order):
-            tags.append(DEPARSE_FIELD_BUDGET_EXCEEDED)
-        return tags
 
 
 def make_tofino_device(

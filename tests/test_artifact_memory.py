@@ -23,11 +23,19 @@ from repro.netdebug.campaign import (
     run_campaign,
 )
 from repro.netdebug.diffing import baseline_matrix
+from repro.netdebug.generator import StreamSpec
+from repro.netdebug.session import ValidationSession, run_session
 from repro.p4.stdlib import PROGRAMS
+from repro.sim.traffic import build_workload, default_flow
 from repro.target.batch import BatchProgram
 from repro.target.compiler import CompiledProgram
+from repro.target.limits import SPEC_MODEL
 
 COUNTERS = ("hits", "misses", "stores", "memory_hits")
+
+#: Valid and malformed frames: the reject-leak and deparse deviations
+#: both show on them.
+_FRAMES = build_workload("malformed", default_flow(), 16, seed=3).frames
 
 
 @pytest.fixture(autouse=True)
@@ -175,13 +183,12 @@ def test_campaign_tier_never_exceeds_its_capacity(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _spec_compiles(monkeypatch) -> list:
-    """Record every kernel built with ``honor_reject`` (spec kernels
-    among them)."""
+    """Record every kernel built under the spec model."""
     calls: list = []
     real = BatchProgram.__init__
 
     def recording(self, program, limits, model):
-        if model.honor_reject:
+        if model == SPEC_MODEL:
             calls.append(program.name)
         real(self, program, limits, model)
 
@@ -209,9 +216,11 @@ def test_second_campaign_compiles_no_spec_program(monkeypatch):
     compiled_first = len(calls)
     second = run_campaign(matrix, name="spec")
 
-    # At least one spec kernel per artifact (2 programs x 3 targets)
-    # the first time, besides the targets' own compiles; none after.
-    assert compiled_first >= 6
+    # The first time, one spec-model kernel per artifact (2 programs x
+    # 3 targets): a reference artifact's own, which its oracle predicts
+    # with, and one spec kernel kept on each deviant artifact. None
+    # after.
+    assert compiled_first == 6
     assert len(calls) == compiled_first
     assert first.to_json() == second.to_json()
 
@@ -229,27 +238,59 @@ def test_every_shard_over_an_artifact_shares_its_kernel(monkeypatch):
     assert all(len(specs) == 1 for specs in by_artifact.values())
 
 
+@pytest.mark.parametrize("target", ["reference", "sdnet", "tofino"])
+def test_oracle_predicts_with_a_spec_model_kernel(monkeypatch, target):
+    """A reference artifact's oracle predicts with the artifact's own
+    kernel; a deviant artifact's with a spec-model kernel of its own,
+    kept on the artifact."""
+    device = _shard_device("acl_firewall", target, "acl_gate")
+    compiled = device.compiled
+    built = oracle.build_oracle(oracle.StatelessOracle, device)
+    if target == "reference":
+        assert built.spec is compiled
+    else:
+        assert built.spec is compiled.spec
+        assert built.spec.kernel is not compiled.kernel
+    assert built.spec.model == SPEC_MODEL
+
+    kernels = []
+    real = BatchProgram.run_block
+
+    def recording(self, *args, **kwargs):
+        kernels.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchProgram, "run_block", recording)
+    built.expect_all(_FRAMES)
+    assert kernels and set(kernels) == {built.spec.kernel}
+
+
 def test_factory_over_another_program_object_compiles_its_own(
     monkeypatch,
 ):
-    """An oracle factory may build its oracle over a copy of the
-    program: that oracle compiles its own spec artifact and predicts
-    exactly what the shared one does."""
+    """A session's oracle factory may build its oracle over a copy of
+    the device's program: that oracle compiles its own spec artifact
+    and predicts exactly what the shared one does."""
     used = _specs_used(monkeypatch)
-    matrix = baseline_matrix()
-    shared = run_campaign(matrix, name="copy")
-    artifact_specs = {id(spec) for _, spec in used}
-    del used[:]
 
     def copying(program, num_ports=None):
         return oracle.StatelessOracle(copy.deepcopy(program), num_ports)
 
-    copied = run_campaign(matrix, name="copy", oracle_factory=copying)
-    assert copied.to_json() == shared.to_json()
-    assert len(used) == len(matrix.expand())
-    for program, spec in used:
-        assert spec.program is program
-        assert id(spec) not in artifact_specs
+    for target in ("reference", "sdnet", "tofino"):
+        reports = []
+        for factory in (oracle.StatelessOracle, copying):
+            device = _shard_device("strict_parser", target, "")
+            session = ValidationSession(
+                name="copy",
+                streams=[StreamSpec(stream_id=1, packets=list(_FRAMES))],
+                oracle_factory=factory,
+            )
+            reports.append(run_session(device, session).to_dict())
+        (shared_program, shared), (copied_program, copied) = used[-2:]
+        assert reports[0] == reports[1]
+        assert copied.program is copied_program
+        assert copied_program is not shared_program
+        assert copied is not shared
 
 
 def test_reregistered_factory_rebuilds_the_spec_kernel(monkeypatch):

@@ -26,7 +26,6 @@ from repro.netdebug.cluster import (
     run_cluster_campaign,
 )
 from repro.netdebug.controller import NetDebugController
-from repro.netdebug.oracle import ReferenceOracle
 from repro.netdebug.transport import (
     Channel,
     MAX_FRAME_BYTES,
@@ -202,38 +201,27 @@ class TestClusterDeterminism:
             r.verdict for r in recorded.results
         ]
 
-    def test_registered_oracle_factory_travels_by_name(self):
-        # The stateful oracle, passed as a factory over a matrix that
-        # names the stateless one: workers must resolve it by name and
-        # produce the serial run's bytes under that factory.
-        matrix = small_matrix(
+    def test_stateful_oracle_travels_by_name(self):
+        # A matrix naming the stateful oracle: workers must resolve it
+        # by name and produce the serial run's bytes, which grade the
+        # cells differently from the stateless oracle.
+        axes = dict(
             programs=["stateful_firewall"],
             targets=["reference", "sdnet"],
             workloads=["tcp_bidir"],
             count=10,
             setup="",
         )
-        serial = run_campaign(
-            matrix, name="named", oracle_factory=ReferenceOracle
-        )
+        matrix = small_matrix(oracle="stateful", **axes)
+        serial = run_campaign(matrix, name="named")
         clustered = run_cluster_campaign(
             matrix, workers=2, name="named", timeout=300,
-            oracle_factory=ReferenceOracle,
         )
         assert serial.to_json() == clustered.to_json()
-        assert serial.to_json() != run_campaign(
-            matrix, name="named"
-        ).to_json()
-
-    def test_unregistered_oracle_factory_refused(self):
-        def homemade(program, num_ports):
-            return ReferenceOracle(program, num_ports=num_ports)
-
-        with pytest.raises(ClusterError, match="ORACLES"):
-            run_cluster_campaign(
-                small_matrix(programs=["strict_parser"]), workers=1,
-                timeout=60, oracle_factory=homemade,
-            )
+        stateless = run_campaign(small_matrix(**axes), name="named")
+        assert [r.verdict for r in serial.results] != [
+            r.verdict for r in stateless.results
+        ]
 
 
 # ---------------------------------------------------------------------------

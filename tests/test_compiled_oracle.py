@@ -4,7 +4,7 @@
 spec-faithful compiled program run by the batch kernel, one packet as a
 block of one and a whole cell as one block.
 The oracle it replaced ran the tree-walking
-:class:`~repro.p4.interpreter.Interpreter` with ``honor_reject=True``:
+:class:`~repro.p4.interpreter.Interpreter` under the spec model:
 one long-lived interpreter for the stateful oracle, a fresh one per
 packet for the stateless oracle. Those interpreter-backed oracles are
 rebuilt here, and every field of every expectation must match, on every
@@ -62,7 +62,7 @@ class TreeOracle(ReferenceOracle):
 
     def __init__(self, program, num_ports=None):
         super().__init__(program, num_ports)
-        self.interpreter = Interpreter(program, honor_reject=True)
+        self.interpreter = Interpreter(program)
 
     def _process(self, wire, ingress_port, timestamp):
         return self.interpreter.process(
@@ -77,7 +77,7 @@ class StatelessTreeOracle(ReferenceOracle):
     stateful = False
 
     def _process(self, wire, ingress_port, timestamp):
-        return Interpreter(self.program, honor_reject=True).process(
+        return Interpreter(self.program).process(
             wire, ingress_port=ingress_port, timestamp=timestamp
         )
 

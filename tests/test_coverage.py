@@ -3,7 +3,6 @@ wiring, campaign/differential integration and determinism pins."""
 
 import pytest
 
-from repro.baselines.paths import SPEC_MODEL, DeviationModel
 from repro.exceptions import NetDebugError, SimulationError
 from repro.netdebug.campaign import (
     PROVISIONERS,
@@ -32,7 +31,7 @@ def model_for(program_name, target_name, setup=""):
     compiled = device.load(PROGRAMS[program_name]())
     if setup:
         PROVISIONERS[setup](device)
-    return compiled.program, DeviationModel.from_compiled(compiled)
+    return compiled.program, compiled.model
 
 
 class TestCoveringSet:

@@ -75,7 +75,6 @@ from repro.p4.types import TypeEnv
 from repro.packet.headers import ETHERNET, IPV4, UDP, VLAN
 from repro.packet.packet import Header, Packet
 from repro.target.device import NetworkDevice
-from repro.target.limits import DeviationModel
 
 from tests.test_target_batch_differential import (
     COMPILERS,
@@ -599,7 +598,7 @@ def check_recipe(recipe, seed: int) -> int:
             continue
         built += 1
         witnesses, _ = covering_set(
-            device.program, DeviationModel.from_compiled(device.compiled),
+            device.program, device.compiled.model,
             seed=seed, target=target,
         )
         frames = list(witnesses) + traffic

@@ -121,13 +121,12 @@ class TestStep3_SpecCompliantTargetIsClean:
 
     def test_interpreter_verdicts_differ_only_on_malformed(self, workload):
         from repro.p4.interpreter import Interpreter
+        from repro.target.limits import SDNET_MODEL
 
         program = strict_parser()
         for packet, malformed in workload:
-            faithful = Interpreter(program, honor_reject=True).process(
-                packet.pack()
-            )
-            deviant = Interpreter(program, honor_reject=False).process(
+            faithful = Interpreter(program).process(packet.pack())
+            deviant = Interpreter(program, model=SDNET_MODEL).process(
                 packet.pack()
             )
             if malformed:

@@ -29,6 +29,7 @@ from repro.p4.types import (
 )
 from repro.packet.builder import ethernet_frame, udp_packet
 from repro.packet.headers import ETHERNET, ETHERTYPE_IPV4, IPV4, ipv4, mac
+from repro.target.limits import SDNET_MODEL
 
 
 def minimal_program(body_builder=None, name="mini"):
@@ -120,48 +121,38 @@ class TestParsing:
 
 
 class TestRejectDeviation:
-    """The honor_reject=False path models the SDNet bug."""
+    """A model without ``honor_reject`` reproduces the SDNet bug."""
 
     def test_explicit_reject_ignored(self):
         program = strict_parser()
         frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
-        result = Interpreter(program, honor_reject=False).process(
-            frame.pack()
-        )
+        result = Interpreter(program, model=SDNET_MODEL).process(frame.pack())
         assert result.verdict is Verdict.FORWARDED
 
     def test_verify_failure_ignored(self):
         program = strict_parser()
         packet = udp_packet(ipv4("1.1.1.1"), ipv4("2.2.2.2"), 53, 1)
         packet.get("ipv4")["version"] = 9
-        result = Interpreter(program, honor_reject=False).process(
-            packet.pack()
-        )
+        result = Interpreter(program, model=SDNET_MODEL).process(packet.pack())
         assert result.verdict is Verdict.FORWARDED
 
     def test_trace_records_ignored_reject(self):
         program = strict_parser()
         frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
-        result = Interpreter(program, honor_reject=False).process(
-            frame.pack()
-        )
+        result = Interpreter(program, model=SDNET_MODEL).process(frame.pack())
         assert result.trace.of_kind("parser_reject_ignored")
 
     def test_parser_error_metadata_still_set(self):
         program = strict_parser()
         frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
-        result = Interpreter(program, honor_reject=False).process(
-            frame.pack()
-        )
+        result = Interpreter(program, model=SDNET_MODEL).process(frame.pack())
         assert result.metadata["parser_error"] != 0
 
     def test_good_packets_identical_either_way(self):
         program = strict_parser()
         packet = udp_packet(ipv4("1.1.1.1"), ipv4("2.2.2.2"), 53, 1)
         faithful = Interpreter(program).process(packet.pack())
-        deviant = Interpreter(program, honor_reject=False).process(
-            packet.pack()
-        )
+        deviant = Interpreter(program, model=SDNET_MODEL).process(packet.pack())
         assert faithful.packet.pack() == deviant.packet.pack()
 
 

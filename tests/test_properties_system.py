@@ -14,6 +14,7 @@ from repro.p4.interpreter import Interpreter, RuntimeState, Verdict
 from repro.p4.stdlib import ecmp_load_balancer, ipv4_router, strict_parser
 from repro.packet.builder import udp_packet
 from repro.packet.headers import ipv4, mac
+from repro.target.limits import SDNET_MODEL
 
 
 def routed_router():
@@ -100,11 +101,12 @@ class TestRejectPartition:
     @given(udp_args)
     @settings(max_examples=40)
     def test_verdicts_partition_on_honor_reject(self, args):
-        """honor_reject only ever flips PARSER_REJECTED to FORWARDED."""
+        """Not honoring ``reject`` only ever flips PARSER_REJECTED to
+        FORWARDED."""
         wire = build_wire(args)
         program = strict_parser()
-        faithful = Interpreter(program, honor_reject=True).process(wire)
-        deviant = Interpreter(program, honor_reject=False).process(wire)
+        faithful = Interpreter(program).process(wire)
+        deviant = Interpreter(program, model=SDNET_MODEL).process(wire)
         if faithful.verdict is Verdict.PARSER_REJECTED:
             assert deviant.verdict is Verdict.FORWARDED
         else:

@@ -213,8 +213,9 @@ class TestBatchCompatibility:
         )
         report = run_campaign(matrix, workers=1, name="one-block")
         assert report.passed and report.injected == count
-        # Two kernels, the device's and the oracle's spec kernel.
-        assert len({kernel for kernel, _ in blocks}) == 2
+        # One kernel: the reference artifact's, which the device runs
+        # and the oracle predicts with.
+        assert len({kernel for kernel, _ in blocks}) == 1
         assert [n for _, n in blocks] == [count, count]
         assert passes == blocks
 

@@ -1,13 +1,83 @@
 """Compiler tests: limit diagnostics, capacity rejection, deviations."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import CompileError
 from repro.p4.stdlib import PROGRAMS, ipv4_router, l2_switch, strict_parser
 from repro.target.compiler import TargetCompiler
-from repro.target.limits import ArchLimits, SDNET_LIMITS
+from repro.target.limits import (
+    DEPARSE_FIELD_BUDGET_EXCEEDED,
+    REJECT_NOT_IMPLEMENTED,
+    SDNET_LIMITS,
+    SPEC_MODEL,
+    TCAM_QUANTIZED,
+    ArchLimits,
+)
 from repro.target.reference import ReferenceCompiler
-from repro.target.sdnet import REJECT_NOT_IMPLEMENTED, SDNetCompiler
+from repro.target.sdnet import SDNetCompiler
+from repro.target.tofino import TofinoCompiler
+
+COMPILERS = {
+    "reference": ReferenceCompiler,
+    "sdnet": SDNetCompiler,
+    "tofino": TofinoCompiler,
+}
+
+#: The silent deviations each deviant backend declares per stdlib
+#: program, in declaration order; every other cell declares none.
+DECLARED = {
+    "sdnet": {
+        "ipv4_router": [REJECT_NOT_IMPLEMENTED],
+        "strict_parser": [REJECT_NOT_IMPLEMENTED],
+    },
+    "tofino": {
+        "acl_firewall": [TCAM_QUANTIZED, DEPARSE_FIELD_BUDGET_EXCEEDED],
+        **{
+            name: [DEPARSE_FIELD_BUDGET_EXCEEDED]
+            for name in (
+                "ecmp_load_balancer",
+                "int_telemetry",
+                "ipv4_router",
+                "mpls_tunnel",
+                "stateful_firewall",
+                "strict_parser",
+            )
+        },
+    },
+}
+
+#: The DeviationModel field each tag's deviation lives on.
+AXES = {
+    REJECT_NOT_IMPLEMENTED: "honor_reject",
+    TCAM_QUANTIZED: "quantize_tcam",
+    DEPARSE_FIELD_BUDGET_EXCEEDED: "deparse_field_budget",
+}
+
+
+@pytest.mark.parametrize("target", sorted(COMPILERS))
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_declared_deviations_are_the_models_tags(name, target):
+    """Every artifact declares its model's tags, and each declared tag's
+    single-deviation model leaves the spec on that tag's axis alone,
+    with the artifact's setting there."""
+    program = PROGRAMS[name]()
+    compiled = COMPILERS[target]().compile(program)
+    model = compiled.model
+    assert compiled.silent_deviations == model.tags(program)
+    assert compiled.silent_deviations == DECLARED.get(target, {}).get(
+        name, []
+    )
+    for tag in compiled.silent_deviations:
+        only = model.only(tag)
+        moved = {
+            field.name
+            for field in dataclasses.fields(only)
+            if getattr(only, field.name) != getattr(SPEC_MODEL, field.name)
+        }
+        assert moved == {AXES[tag]}
+        assert getattr(only, AXES[tag]) == getattr(model, AXES[tag])
 
 
 class TestReferenceCompiler:
@@ -15,7 +85,7 @@ class TestReferenceCompiler:
         compiler = ReferenceCompiler()
         for factory in PROGRAMS.values():
             compiled = compiler.compile(factory())
-            assert compiled.honor_reject
+            assert compiled.model.honor_reject
             assert compiled.silent_deviations == []
             assert compiled.resources.luts > 0
             assert 0 < max(compiled.utilization.values()) < 1
@@ -38,7 +108,7 @@ class TestSDNetCompiler:
     def test_records_reject_deviation_silently(self):
         compiled = SDNetCompiler().compile(strict_parser())
         assert REJECT_NOT_IMPLEMENTED in compiled.silent_deviations
-        assert not compiled.honor_reject
+        assert not compiled.model.honor_reject
         # The user-visible diagnostics do NOT mention the deviation.
         assert all(
             "reject" not in str(d).lower() for d in compiled.diagnostics

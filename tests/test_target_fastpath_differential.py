@@ -109,12 +109,7 @@ def spec_interpreter(device) -> Interpreter:
     run.
     """
     compiled = device.compiled
-    return Interpreter(
-        compiled.program,
-        honor_reject=compiled.honor_reject,
-        quantize_tcam=compiled.quantize_tcam,
-        deparse_field_budget=compiled.deparse_field_budget,
-    )
+    return Interpreter(compiled.program, model=compiled.model)
 
 
 def run_spec(interpreter: Interpreter, wire: bytes, timestamp=0):
@@ -189,7 +184,7 @@ def test_compiled_matches_spec_interpreter(name):
         program, RuntimeState.for_program(program)
     )
     install_entries(shadow)
-    interpreter = Interpreter(program, honor_reject=True)
+    interpreter = Interpreter(program)
 
     for index, wire in enumerate(workload()):
         # Pin the timestamp: the device clock advances per packet, the

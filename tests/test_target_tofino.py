@@ -81,8 +81,8 @@ class TestTofinoCompiler:
         # The §4 property: ground truth on the artifact, nothing in the
         # user-visible diagnostics.
         assert compiled.diagnostics == []
-        assert compiled.quantize_tcam
-        assert compiled.deparse_field_budget == DEPARSE_FIELD_BUDGET
+        assert compiled.model.quantize_tcam
+        assert compiled.model.deparse_field_budget == DEPARSE_FIELD_BUDGET
 
     def test_short_emit_program_has_no_deparse_tag(self):
         compiled = TofinoCompiler().compile(l2_switch())
