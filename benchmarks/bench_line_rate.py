@@ -96,7 +96,7 @@ def test_compiled_fastpath_speedup(benchmark):
 
     The claim behind the line-rate numbers: injecting through the
     device (the compiled program on the batch kernel, one packet per
-    ``inject``, null-trace fast path) must be at least 3x faster than
+    ``inject``) must be at least 3x faster than
     tree-walking the same 800-packet load through the spec
     :class:`~repro.p4.interpreter.Interpreter`, built with the
     artifact's own deviation settings, with identical verdicts. The two

@@ -46,7 +46,6 @@ from .symbolic import Infeasible, SymbolicState, ValueSet
 __all__ = [
     "MAX_PARSER_PATHS",
     "MAX_CANDIDATES",
-    "DeviationModel",
     "ParserPath",
     "CandidateSpec",
     "PathEnumerator",

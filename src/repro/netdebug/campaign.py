@@ -1468,10 +1468,16 @@ def replay_campaign(
     )
 
 
-# Imported for its registration side effect: the ``coverage`` workload
-# installs itself into :data:`repro.sim.traffic.WORKLOADS` at import
-# time, and pool/cluster workers import THIS module — so every
-# execution path (serial, spawn-started pool, remote cluster worker)
-# sees an identical registry. Must stay at the bottom: coverage
-# resolves scenario axes through this module's TARGETS/PROVISIONERS.
-from . import coverage as _coverage  # noqa: E402,F401
+def _coverage_workload(flow, count, seed, rate_pps, context=None):
+    """The ``coverage`` workload, its module imported on first use."""
+    from .coverage import _coverage_workload as build
+
+    return build(flow, count, seed, rate_pps, context=context)
+
+
+# Registered here because pool and cluster workers import THIS module,
+# so every execution path (serial, spawn-started pool, remote cluster
+# worker) sees one registry. The thunk keeps the package from importing
+# the coverage module at load, which would make ``python -m
+# repro.netdebug.coverage`` run that module twice.
+WORKLOADS["coverage"] = _coverage_workload

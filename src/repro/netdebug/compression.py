@@ -27,9 +27,9 @@ executed end-to-end to compress the matrix:
   doesn't define, a stage fault on a stage the device doesn't have).
   Cells whose fault sets differ only by inert faults merge.
 * **behaviour fingerprint** — every workload packet replayed through
-  the coverage replay (:func:`repro.netdebug.coverage._replay`, a
-  :class:`~repro.netdebug.coverage.TracingInterpreter`) twice, under
-  the spec model and under the target's
+  the coverage replay (:func:`repro.netdebug.coverage._replay`: a
+  fresh :class:`~repro.p4.interpreter.Interpreter` and the path it
+  records) twice, under the spec model and under the target's
   :class:`~repro.target.limits.DeviationModel`, recording path
   signature, egress port and output bytes. Two cells with identical
   fingerprints drive identical behaviour classes *and* identical
@@ -62,13 +62,13 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from ..baselines.paths import SPEC_MODEL, DeviationModel
 from ..bitutils import stable_hash64
 from ..exceptions import NetDebugError
 from ..p4.program import P4Program
 from ..p4.stdlib import PROGRAMS
 from ..sim.traffic import WorkloadContext, build_workload, default_flow
 from ..target.faults import Fault, FaultKind
+from ..target.limits import SPEC_MODEL, DeviationModel
 from .campaign import (
     PROVISIONERS,
     TARGETS,

@@ -8,9 +8,13 @@ with a provable one. The shared symbolic walker
 under a **target's deviation model** — quantized TCAM masks and
 ignored reject states change which paths are feasible — and
 :func:`covering_set` materializes one concrete witness frame per
-class, replaying each witness on a tracing interpreter so the
-:class:`CoverageMap` records the path each packet *actually* covers
-and why every pruned combination was infeasible. The idea follows
+class, replaying each witness on a fresh
+:class:`~repro.p4.interpreter.Interpreter` under the same model. The
+path that interpreter records (parser states and verify/reject
+markers, the verdict, each table's winning entry index) is the
+witness's signature, so the :class:`CoverageMap` records the path each
+packet *actually* covers and why every pruned combination was
+infeasible. The idea follows
 Control Plane Compression (Beckett et al., SIGCOMM 2018): collapse a
 huge behaviour space into a small representative set with a
 machine-checkable map of what each representative stands for.
@@ -24,8 +28,9 @@ re-replays an arbitrary wire set against a map and names the classes
 left unexercised — the check the differential harness and the CI gate
 run.
 
-The ``coverage`` entry registered in
-:data:`repro.sim.traffic.WORKLOADS` derives its packets from the cell
+The ``coverage`` workload (registered in
+:data:`repro.sim.traffic.WORKLOADS` by :mod:`repro.netdebug.campaign`,
+which imports this module on first use) derives its packets from the cell
 under test via :class:`~repro.sim.traffic.WorkloadContext` (campaign
 shards pass their provisioned artifact; standalone callers get a
 throwaway device built from the scenario axes). Packet sets are
@@ -49,12 +54,7 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from ..baselines.paths import (
-    MAX_CANDIDATES,
-    SPEC_MODEL,
-    DeviationModel,
-    PathEnumerator,
-)
+from ..baselines.paths import MAX_CANDIDATES, PathEnumerator
 from ..baselines.symbolic import Infeasible
 from ..bitutils import stable_hash64
 from ..exceptions import (
@@ -65,15 +65,10 @@ from ..exceptions import (
 )
 from ..p4.interpreter import Interpreter, PipelineResult
 from ..p4.program import P4Program
-from ..sim.traffic import (
-    WORKLOADS,
-    FlowSpec,
-    WorkloadBundle,
-    WorkloadContext,
-)
+from ..sim.traffic import FlowSpec, WorkloadBundle, WorkloadContext
+from ..target.limits import SPEC_MODEL, DeviationModel
 
 __all__ = [
-    "TracingInterpreter",
     "CoveredPath",
     "PrunedPath",
     "CoverageMap",
@@ -87,72 +82,22 @@ __all__ = [
 #: every stdlib parser: none selects on payload bytes).
 WITNESS_PAYLOAD_LEN = 16
 
-#: Trace-event kinds that identify a parser path. ``parser_state``
-#: contributes the state name; the rest contribute fixed markers at
-#: their position in the walk.
-_PARSER_MARKERS = {
-    "parser_verify_fail": "!verify",
-    "parser_reject": "!reject",
-    "parser_reject_ignored": "!reject_ignored",
-}
-
-
-class TracingInterpreter(Interpreter):
-    """An interpreter that records which table entry won each lookup.
-
-    The base trace says only hit/miss; the coverage signature needs
-    *which* installed entry matched, so ``apply_table`` pre-runs the
-    (pure) lookup to learn the winning entry's index before delegating
-    to the base implementation. ``table_choices`` accumulates
-    ``(table_name, entry_index)`` per packet — ``None`` for a miss —
-    and resets on every :meth:`process` call.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.table_choices: list[tuple[str, int | None]] = []
-
-    def process(self, wire, ingress_port=0, timestamp=0):
-        self.table_choices = []
-        return super().process(
-            wire, ingress_port=ingress_port, timestamp=timestamp
-        )
-
-    def apply_table(self, control, table_name, ctx, trace):
-        table = control.table(table_name)
-        result = table.lookup(
-            ctx, self.program.env, quantize=self._quantize
-        )
-        index = None
-        if result.entry is not None:
-            for position, entry in enumerate(table.entries):
-                if entry is result.entry:
-                    index = position
-                    break
-        self.table_choices.append((table_name, index))
-        return super().apply_table(control, table_name, ctx, trace)
-
-
-def _signature(
-    result: PipelineResult, choices: list[tuple[str, int | None]]
-) -> str:
+def _signature(interp: Interpreter, result: PipelineResult) -> str:
     """The behaviour-class identity of one replayed packet.
 
-    Parser walk (state names plus verify/reject markers, in trace
-    order) | final verdict | per-table winning entry. Two packets with
-    the same signature took the same feasible path.
+    Parser walk (:attr:`Interpreter.parser_path
+    <repro.p4.interpreter.Interpreter.parser_path>`: state names plus
+    verify/reject markers, in walk order) | final verdict | per-table
+    winning entry (:attr:`~repro.p4.interpreter.Interpreter.table_path`).
+    Two packets with the same signature took the same feasible path.
     """
-    tokens: list[str] = []
-    for event in result.trace.events:
-        if event.kind == "parser_state":
-            tokens.append(event.detail)
-        elif event.kind in _PARSER_MARKERS:
-            tokens.append(_PARSER_MARKERS[event.kind])
     branches = ",".join(
         f"{name}={'miss' if index is None else index}"
-        for name, index in choices
+        for name, index in interp.table_path
     )
-    return "|".join((">".join(tokens), result.verdict.value, branches))
+    return "|".join(
+        (">".join(interp.parser_path), result.verdict.value, branches)
+    )
 
 
 def _replay(
@@ -168,12 +113,12 @@ def _replay(
     class (``!error|…``, with no result) so error-raising paths are
     identifiable (and excludable) rather than crashes.
     """
-    interp = TracingInterpreter(program, model=model)
+    interp = Interpreter(program, model=model)
     try:
         result = interp.process(wire)
     except (P4RuntimeError, PacketError) as exc:
         return f"!error|{exc}", None
-    return _signature(result, interp.table_choices), result
+    return _signature(interp, result), result
 
 
 @dataclass
@@ -451,12 +396,6 @@ def _coverage_workload(
             "scenario count"
         )
     return WorkloadBundle("coverage", frames, coverage=cmap)
-
-
-#: Registered at import time so spawn-started pool/cluster workers —
-#: which import the campaign module, which imports this one — all see
-#: the same registry.
-WORKLOADS["coverage"] = _coverage_workload
 
 
 def verify_report_coverage(report) -> dict[str, list[str]]:

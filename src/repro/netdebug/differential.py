@@ -6,8 +6,8 @@ that compile cleanly and pass every self-test. With three registered
 backends (:data:`repro.netdebug.campaign.TARGETS`) deviating in three
 different ways, this module makes that claim executable:
 
-* :class:`DeviantOracle` — a **tree-walking** interpreter parameterized
-  by a backend's behavioural model
+* :class:`~repro.p4.interpreter.Interpreter` — the **tree-walking**
+  oracle, built with a backend's behavioural model
   (:class:`~repro.target.limits.DeviationModel`). Devices execute
   generated code, so the oracle is an independent implementation
   of the same semantics — a genuine differential counterpart, not a
@@ -60,7 +60,6 @@ from ..target.device import NetworkDevice
 from ..target.limits import SPEC_MODEL
 
 __all__ = [
-    "DeviantOracle",
     "seeded_batch",
     "seeded_bidir_batch",
     "Observation",
@@ -71,39 +70,6 @@ __all__ = [
     "DifferentialRunner",
     "diagnose_report",
 ]
-
-
-class DeviantOracle(Interpreter):
-    """A tree-walking oracle running one backend's behavioural model.
-
-    Under :data:`~repro.target.limits.SPEC_MODEL` this *is* the spec
-    oracle; the model is the base interpreter's own, so there is exactly
-    one tree-walking definition of each deviation — independent of the
-    generated code the devices actually run, which is what makes the
-    comparison a genuine differential.
-    """
-
-    def observe(
-        self,
-        wire: bytes,
-        ingress_port: int = 0,
-        timestamp: int = 0,
-    ) -> "Observation":
-        """Run one frame and project the result onto an observation.
-
-        The oracle object is session-scoped: its registers and counters
-        persist across ``observe`` calls, so feeding it a cell's frames
-        in device arrival order (with each frame's ``ingress_port`` and
-        ``timestamp``) keeps its state in lockstep with the device —
-        which is what lets cross-backend diffs of ``stateful_firewall``
-        attribute register-dependent divergences to deviation tags
-        instead of mispredicting the spec.
-        """
-        return Observation.from_result(
-            self.process(
-                wire, ingress_port=ingress_port, timestamp=timestamp
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -643,7 +609,7 @@ class DifferentialRunner:
             tag: full_model.only(tag) for tag in compiled.silent_deviations
         }
         oracles = {
-            model: DeviantOracle(compiled.program, model=model)
+            model: Interpreter(compiled.program, model=model)
             for model in dict.fromkeys(
                 (SPEC_MODEL, full_model, *tag_models.values())
             )
@@ -654,8 +620,10 @@ class DifferentialRunner:
             # timestamp the device will: state threads identically.
             timestamp = device.clock_cycles
             predictions = {
-                key: oracle.observe(
-                    wire, ingress_port=port, timestamp=timestamp
+                key: Observation.from_result(
+                    oracle.process(
+                        wire, ingress_port=port, timestamp=timestamp
+                    )
                 )
                 for key, oracle in oracles.items()
             }

@@ -41,8 +41,6 @@ from .interpreter import (
     Interpreter,
     PipelineResult,
     RuntimeState,
-    Trace,
-    TraceEvent,
     Verdict,
 )
 from .json_loader import (
@@ -126,8 +124,6 @@ __all__ = [
     "Interpreter",
     "PipelineResult",
     "RuntimeState",
-    "Trace",
-    "TraceEvent",
     "Verdict",
     # dsl
     "ProgramBuilder",

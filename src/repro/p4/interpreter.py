@@ -7,9 +7,12 @@ dropping the packet as the P4₁₆ specification requires. Targets
 the SDNet-like target's missing ``reject`` state is implemented as exactly
 such a deviation.
 
-Every run produces a :class:`Trace` of fine-grained events. The trace is
-what NetDebug's internal tap points observe; external tools only ever see
-the final :class:`PipelineResult`.
+Each run returns a :class:`PipelineResult` and leaves the path it took
+on the interpreter (:attr:`Interpreter.parser_path` and
+:attr:`Interpreter.table_path`), the identity of a behaviour class in
+coverage replay (:mod:`repro.netdebug.coverage`). Internal visibility
+between pipeline stages is the device's business: its hooked schedule
+hands taps :class:`~repro.target.pipeline.PacketSnapshot` objects.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Verdict",
-    "TraceEvent",
-    "Trace",
     "RuntimeState",
     "PipelineResult",
     "Interpreter",
@@ -76,34 +77,6 @@ class Verdict(str, Enum):
     FORWARDED = "forwarded"
     DROPPED = "dropped"
     PARSER_REJECTED = "parser_rejected"
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One step of execution, visible at NetDebug tap points.
-
-    ``kind`` is one of: ``parser_state``, ``parser_extract``,
-    ``parser_verify_fail``, ``parser_accept``, ``parser_reject``,
-    ``table_apply``, ``action``, ``primitive``, ``drop``, ``forward``,
-    ``deparse``.
-    """
-
-    kind: str
-    detail: str
-    stage: str = ""
-
-
-@dataclass
-class Trace:
-    """Ordered record of everything a packet's traversal did."""
-
-    events: list[TraceEvent] = field(default_factory=list)
-
-    def add(self, kind: str, detail: str, stage: str = "") -> None:
-        self.events.append(TraceEvent(kind, detail, stage))
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
 
 
 @dataclass
@@ -141,7 +114,6 @@ class PipelineResult:
     verdict: Verdict
     packet: Packet | None
     metadata: dict[str, int]
-    trace: Trace
 
     @property
     def egress_port(self) -> int | None:
@@ -205,12 +177,19 @@ class Interpreter:
             study discovered), TCAM patterns quantized at match time,
             or a deparse field budget. ``None`` means the spec
             (:data:`~repro.target.limits.SPEC_MODEL`).
+        parser_path: The parser walk of the last :meth:`process` call,
+            in walk order: each visited state's name, plus ``!verify``
+            where a ``verify`` failed and ``!reject`` or
+            ``!reject_ignored`` where the parser rejected (the latter
+            when the model ignores ``reject`` and the walk goes on).
+        table_path: One ``(table name, winning entry index)`` pair per
+            table apply of the last :meth:`process` call, in apply
+            order; the index is ``None`` on a miss.
 
-    Built with a compiled artifact's ``model`` (as
-    :class:`~repro.netdebug.differential.DeviantOracle` does), the
-    interpreter is the one tree-walking definition of that target's
-    deviant datapath, which devices' generated kernels are checked
-    against.
+    Built with a compiled artifact's ``model`` (as the differential
+    runner does, one interpreter per distinct model), the interpreter
+    is the one tree-walking definition of that target's deviant
+    datapath, which devices' generated kernels are checked against.
     """
 
     def __init__(
@@ -232,6 +211,8 @@ class Interpreter:
         self._emit_prefix = program.deparser.emit_prefix(
             program.env, model.deparse_field_budget
         )
+        self.parser_path: list[str] = []
+        self.table_path: list[tuple[str, int | None]] = []
 
     # ------------------------------------------------------------------
     # Entry point
@@ -249,99 +230,78 @@ class Interpreter:
         metadata["ingress_global_timestamp"] = truncate(timestamp, 48)
         for name in self.program.env.metadata:
             metadata.setdefault(name, 0)
-        trace = Trace()
+        self.parser_path = []
+        self.table_path = []
 
-        packet, payload, accepted = self.run_parser(wire, metadata, trace)
+        packet, payload, accepted = self.run_parser(wire, metadata)
         if not accepted:
-            return PipelineResult(Verdict.PARSER_REJECTED, None, metadata, trace)
+            return PipelineResult(Verdict.PARSER_REJECTED, None, metadata)
         packet.payload = payload
 
         ctx = EvalContext(packet, metadata)
         try:
-            self.run_control(self.program.ingress, ctx, trace)
+            self.run_control(self.program.ingress, ctx)
             if not metadata["drop"]:
-                self.run_control(self.program.egress, ctx, trace)
+                self.run_control(self.program.egress, ctx)
         except ExitPipeline:
             pass
 
         if metadata["drop"]:
-            trace.add("drop", "standard_metadata.drop set", stage="egress")
-            return PipelineResult(Verdict.DROPPED, None, metadata, trace)
+            return PipelineResult(Verdict.DROPPED, None, metadata)
 
-        out = self.deparse(packet, trace)
-        trace.add("forward", f"egress_spec={metadata['egress_spec']}",
-                  stage="deparser")
+        out = self.deparse(packet)
         metadata["egress_port"] = metadata["egress_spec"]
-        return PipelineResult(Verdict.FORWARDED, out, metadata, trace)
+        return PipelineResult(Verdict.FORWARDED, out, metadata)
 
     # ------------------------------------------------------------------
     # Parser
     # ------------------------------------------------------------------
     def run_parser(
-        self, wire: bytes, metadata: dict[str, int], trace: Trace
+        self, wire: bytes, metadata: dict[str, int]
     ) -> tuple[Packet, bytes, bool]:
         """Run the parser FSM; returns (packet, payload, accepted)."""
         parser: Parser = self.program.parser
+        path = self.parser_path
         packet = Packet()
         offset = 0
         state_name = parser.start
         steps = 0
 
-        def reject(code: int, why: str) -> tuple[Packet, bytes, bool]:
+        def reject(code: int) -> tuple[Packet, bytes, bool]:
             metadata["parser_error"] = code
             if self.model.honor_reject:
-                trace.add("parser_reject", why, stage="parser")
+                path.append("!reject")
                 return packet, wire[offset:], False
             # SDNet deviation: the reject state is not implemented; the
             # packet continues through the pipeline as if accepted.
-            trace.add(
-                "parser_reject_ignored",
-                f"{why} (target does not implement reject)",
-                stage="parser",
-            )
+            path.append("!reject_ignored")
             return packet, wire[offset:], True
 
         while True:
             if state_name == ACCEPT:
-                trace.add("parser_accept", f"consumed {offset} bytes",
-                          stage="parser")
                 return packet, wire[offset:], True
             if state_name == REJECT:
-                return reject(PARSER_ERROR_REJECT, "explicit reject")
+                return reject(PARSER_ERROR_REJECT)
             steps += 1
             if steps > MAX_PARSER_STEPS:
-                return reject(
-                    PARSER_ERROR_DEPTH_EXCEEDED,
-                    f"parser exceeded {MAX_PARSER_STEPS} states",
-                )
+                return reject(PARSER_ERROR_DEPTH_EXCEEDED)
             state = parser.state(state_name)
-            trace.add("parser_state", state_name, stage="parser")
+            path.append(state_name)
 
             for header_name in state.extracts:
                 spec = self.program.env.header(header_name)
                 if len(wire) - offset < spec.byte_width:
-                    return reject(
-                        PARSER_ERROR_HEADER_TOO_SHORT,
-                        f"truncated {header_name} at offset {offset}",
-                    )
+                    return reject(PARSER_ERROR_HEADER_TOO_SHORT)
                 header = Header.unpack(spec, wire[offset:])
                 packet.append(header)
                 offset += spec.byte_width
-                trace.add("parser_extract", header_name, stage="parser")
 
             ctx = EvalContext(packet, metadata)
             if state.verify is not None:
                 cond, error_code = state.verify
                 if not cond.eval(ctx, self.program.env):
-                    trace.add(
-                        "parser_verify_fail",
-                        f"verify failed in state {state_name}",
-                        stage="parser",
-                    )
-                    result = reject(
-                        error_code or PARSER_ERROR_VERIFY_FAILED,
-                        f"verify failed in {state_name}",
-                    )
+                    path.append("!verify")
+                    result = reject(error_code or PARSER_ERROR_VERIFY_FAILED)
                     if self.model.honor_reject:
                         return result
                     # Deviant target: fall through and keep parsing as if
@@ -364,58 +324,46 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Controls
     # ------------------------------------------------------------------
-    def run_control(
-        self, control: Control, ctx: EvalContext, trace: Trace
-    ) -> None:
-        self.exec_stmt(control, control.body, ctx, trace)
+    def run_control(self, control: Control, ctx: EvalContext) -> None:
+        self.exec_stmt(control, control.body, ctx)
 
     def exec_stmt(
-        self, control: Control, stmt: Stmt | None, ctx: EvalContext,
-        trace: Trace,
+        self, control: Control, stmt: Stmt | None, ctx: EvalContext
     ) -> None:
         if stmt is None:
             return
         env = self.program.env
         if isinstance(stmt, Seq):
             for child in stmt.body:
-                self.exec_stmt(control, child, ctx, trace)
+                self.exec_stmt(control, child, ctx)
             return
         if isinstance(stmt, If):
             branch = stmt.then if stmt.cond.eval(ctx, env) else stmt.otherwise
-            self.exec_stmt(control, branch, ctx, trace)
+            self.exec_stmt(control, branch, ctx)
             return
         if isinstance(stmt, ApplyTable):
-            self.apply_table(control, stmt.table, ctx, trace)
+            self.apply_table(control, stmt.table, ctx)
             return
         if isinstance(stmt, IfHit):
-            hit = self.apply_table(control, stmt.table, ctx, trace)
-            self.exec_stmt(
-                control, stmt.then if hit else stmt.otherwise, ctx, trace
-            )
+            hit = self.apply_table(control, stmt.table, ctx)
+            self.exec_stmt(control, stmt.then if hit else stmt.otherwise, ctx)
             return
         if isinstance(stmt, Call):
             action = control.action(stmt.action)
-            self.run_action(control.name, action, stmt.args, ctx, trace)
+            self.run_action(action, stmt.args, ctx)
             return
         raise P4RuntimeError(f"unknown statement type {type(stmt).__name__}")
 
     def apply_table(
-        self, control: Control, table_name: str, ctx: EvalContext,
-        trace: Trace,
+        self, control: Control, table_name: str, ctx: EvalContext
     ) -> bool:
         table = control.table(table_name)
         result = table.lookup(
             ctx, self.program.env, quantize=self._quantize
         )
-        trace.add(
-            "table_apply",
-            f"{table_name}: {'hit' if result.hit else 'miss'} -> "
-            f"{result.action}",
-            stage=control.name,
-        )
-        action = table.action(result.action)
+        self.table_path.append((table_name, result.index))
         self.run_action(
-            control.name, action, result.action_data, ctx, trace
+            table.action(result.action), result.action_data, ctx
         )
         return result.hit
 
@@ -423,25 +371,17 @@ class Interpreter:
     # Actions and primitives
     # ------------------------------------------------------------------
     def run_action(
-        self,
-        stage: str,
-        action: Action,
-        args: tuple[int, ...],
-        ctx: EvalContext,
-        trace: Trace,
+        self, action: Action, args: tuple[int, ...], ctx: EvalContext
     ) -> None:
         binding = action.bind(args)
-        trace.add("action", action.name, stage=stage)
         for primitive in action.body:
-            self.run_primitive(stage, primitive, binding, ctx, trace)
+            self.run_primitive(primitive, binding, ctx)
 
     def run_primitive(
         self,
-        stage: str,
         primitive: Primitive,
         binding: dict[str, int],
         ctx: EvalContext,
-        trace: Trace,
     ) -> None:
         env = self.program.env
         packet, metadata = ctx.packet, ctx.metadata
@@ -457,22 +397,11 @@ class Interpreter:
                     f"write to field of invalid header {primitive.header!r}"
                 )
             header[primitive.field] = truncate(value, width)
-            trace.add(
-                "primitive",
-                f"set {primitive.header}.{primitive.field}="
-                f"{truncate(value, width):#x}",
-                stage=stage,
-            )
             return
         if isinstance(primitive, SetMeta):
             value = bind_expr(primitive.value, binding).eval(ctx, env)
             width = env.metadata_width(primitive.name)
             metadata[primitive.name] = truncate(value, width)
-            trace.add(
-                "primitive",
-                f"set meta {primitive.name}={metadata[primitive.name]:#x}",
-                stage=stage,
-            )
             return
         if isinstance(primitive, AddHeader):
             spec = env.header(primitive.header)
@@ -481,25 +410,19 @@ class Interpreter:
                 existing.valid = True
             else:
                 packet.push(Header(spec), after=primitive.after)
-            trace.add("primitive", f"add_header {primitive.header}",
-                      stage=stage)
             return
         if isinstance(primitive, RemoveHeader):
             header = packet.get_or_none(primitive.header)
             if header is not None:
                 header.valid = False
-            trace.add("primitive", f"remove_header {primitive.header}",
-                      stage=stage)
             return
         if isinstance(primitive, Drop):
             metadata["drop"] = 1
-            trace.add("primitive", "drop", stage=stage)
             return
         if isinstance(primitive, Forward):
             port = bind_expr(primitive.port, binding).eval(ctx, env)
             metadata["egress_spec"] = truncate(port, 9)
             metadata["drop"] = 0
-            trace.add("primitive", f"forward port={port}", stage=stage)
             return
         if isinstance(primitive, CountPacket):
             index = bind_expr(primitive.index, binding).eval(ctx, env)
@@ -514,8 +437,6 @@ class Interpreter:
                     f"range [0, {len(cells)})"
                 )
             cells[index] += 1
-            trace.add("primitive", f"count {primitive.name}[{index}]",
-                      stage=stage)
             return
         if isinstance(primitive, RegisterWrite):
             index = bind_expr(primitive.index, binding).eval(ctx, env)
@@ -532,11 +453,6 @@ class Interpreter:
                 )
             width = self.state.register_widths[primitive.name]
             cells[index] = truncate(value, width)
-            trace.add(
-                "primitive",
-                f"reg_write {primitive.name}[{index}]={cells[index]:#x}",
-                stage=stage,
-            )
             return
         if isinstance(primitive, RegisterRead):
             index = bind_expr(primitive.index, binding).eval(ctx, env)
@@ -552,11 +468,6 @@ class Interpreter:
                 )
             width = env.metadata_width(primitive.into)
             metadata[primitive.into] = truncate(cells[index], width)
-            trace.add(
-                "primitive",
-                f"reg_read {primitive.name}[{index}] -> {primitive.into}",
-                stage=stage,
-            )
             return
         if isinstance(primitive, HashField):
             values = tuple(
@@ -567,10 +478,8 @@ class Interpreter:
             metadata[primitive.into] = truncate(
                 stable_hash(values, primitive.modulo), width
             )
-            trace.add("primitive", f"hash -> {primitive.into}", stage=stage)
             return
         if isinstance(primitive, Exit):
-            trace.add("primitive", "exit", stage=stage)
             raise ExitPipeline()
         raise P4RuntimeError(
             f"unknown primitive {type(primitive).__name__}"
@@ -579,7 +488,7 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Deparser
     # ------------------------------------------------------------------
-    def deparse(self, packet: Packet, trace: Trace) -> Packet:
+    def deparse(self, packet: Packet) -> Packet:
         """Re-serialize per the deparser's emit order.
 
         A model's deparse field budget restricts emission to the
@@ -590,7 +499,6 @@ class Interpreter:
             header = packet.get_or_none(name)
             if header is not None and header.valid:
                 emitted.append(header)
-                trace.add("deparse", name, stage="deparser")
         out = Packet(
             headers=[h.copy() for h in emitted],
             payload=packet.payload,

@@ -87,12 +87,16 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of a table lookup."""
+    """Outcome of a table lookup.
+
+    ``index`` is the winning entry's position in :attr:`Table.entries`
+    (``None`` on a miss).
+    """
 
     hit: bool
     action: str
     action_data: tuple[int, ...]
-    entry: TableEntry | None = None
+    index: int | None = None
 
 
 def _key_matches(
@@ -231,9 +235,9 @@ class Table:
         """
         values = tuple(key.expr.eval(ctx, env) for key in self.keys)
         widths = tuple(key.expr.width(env) for key in self.keys)
-        best: TableEntry | None = None
+        best: int | None = None  # the winning entry's index
         best_rank: tuple[int, int] = (-1, -1)
-        for entry in self.entries:
+        for index, entry in enumerate(self.entries):
             if not all(
                 _key_matches(key.kind, pattern, value, width, quantize)
                 for key, pattern, value, width in zip(
@@ -249,7 +253,7 @@ class Table:
             )
             rank = (prefix_total, entry.priority)
             if best is None or rank > best_rank:
-                best = entry
+                best = index
                 best_rank = rank
         if best is None:
             return MatchResult(
@@ -257,9 +261,10 @@ class Table:
                 action=self.default_action,
                 action_data=self.default_action_data,
             )
+        entry = self.entries[best]
         return MatchResult(
             hit=True,
-            action=best.action,
-            action_data=best.action_data,
-            entry=best,
+            action=entry.action,
+            action_data=entry.action_data,
+            index=best,
         )

@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from ..bitutils import mask
 from ..exceptions import TargetError
-from ..p4.interpreter import PipelineResult, Trace, Verdict
+from ..p4.interpreter import PipelineResult, Verdict
 from ..p4.program import P4Program
 from ..p4.types import standard_metadata_defaults
 from .fastpath import generate_kernel
@@ -181,7 +181,6 @@ class BatchProgram:
         "_egress_barrier",
         "_deparse_barrier",
         "_forwarded",
-        "_null_trace",
     )
 
     def __init__(
@@ -244,10 +243,6 @@ class BatchProgram:
         self._egress_barrier = _traversal(stages[:egress_0])
         self._deparse_barrier = _traversal(stages[:deparser])
         self._forwarded = _traversal(stages)
-        # Kernel runs never trace (the null-trace fast path), and no
-        # consumer mutates a TargetRun's trace, so one shared instance
-        # per kernel replaces a per-packet allocation.
-        self._null_trace = Trace()
 
         # Stage-major execution is valid only when no register couples
         # two stages (see the module docstring).
@@ -365,7 +360,6 @@ class BatchProgram:
         n = len(wires)
         parse = self.parse
         template = self._template
-        null_trace = self._null_trace
         bus = self.bus_bytes
         rejected_names, rejected_fixed, rejected_words = self._rejected
 
@@ -399,8 +393,7 @@ class BatchProgram:
                     ts_list[i],
                     TargetRun(
                         PipelineResult(
-                            Verdict.PARSER_REJECTED, None, metadata,
-                            null_trace,
+                            Verdict.PARSER_REJECTED, None, metadata
                         ),
                         rejected_names,
                         "parser",
@@ -430,9 +423,7 @@ class BatchProgram:
                     outs[i] = (
                         ts_list[i],
                         TargetRun(
-                            PipelineResult(
-                                Verdict.DROPPED, None, metas[i], null_trace,
-                            ),
+                            PipelineResult(Verdict.DROPPED, None, metas[i]),
                             names,
                             drop_stage[i] or last,
                             fixed + words * word[i],
@@ -458,9 +449,7 @@ class BatchProgram:
                 outs[i] = (
                     ts_list[i],
                     TargetRun(
-                        PipelineResult(
-                            Verdict.DROPPED, None, metas[i], null_trace,
-                        ),
+                        PipelineResult(Verdict.DROPPED, None, metas[i]),
                         names,
                         drop_stage[i] or last,
                         fixed + words * word[i],
@@ -485,10 +474,7 @@ class BatchProgram:
             outs[i] = (
                 ts_list[i],
                 TargetRun(
-                    PipelineResult(
-                        Verdict.FORWARDED, out_packet, metadata,
-                        null_trace,
-                    ),
+                    PipelineResult(Verdict.FORWARDED, out_packet, metadata),
                     names,
                     None,
                     fixed + words * word[i],
@@ -519,7 +505,6 @@ class BatchProgram:
             frozen = injector.frozen_counters()
         else:
             stuck = frozen = _EMPTY_SET
-        null_trace = self._null_trace
         size = len(wire)
         w = _frame_cycles(size, self.bus_bytes)
         metadata = dict(self._template)
@@ -534,9 +519,7 @@ class BatchProgram:
             # parsed representation does not exist, so the run ends as
             # a parser rejection without traversing anything.
             return TargetRun(
-                PipelineResult(
-                    Verdict.PARSER_REJECTED, None, metadata, null_trace
-                ),
+                PipelineResult(Verdict.PARSER_REJECTED, None, metadata),
                 [], "parser", w, injected_at,
             )
 
@@ -630,11 +613,9 @@ class BatchProgram:
                 break
 
         if verdict is None:
-            result = PipelineResult(
-                Verdict.FORWARDED, out_packet, metadata, null_trace
-            )
+            result = PipelineResult(Verdict.FORWARDED, out_packet, metadata)
         else:
-            result = PipelineResult(verdict, None, metadata, null_trace)
+            result = PipelineResult(verdict, None, metadata)
         return TargetRun(
             result, traversed, died_at, cycles, injected_at, output_wire
         )

@@ -2,9 +2,9 @@
 execution.
 
 The spec-faithful interpreter (:mod:`repro.p4.interpreter`) walks the
-expression/statement trees for every packet, allocating a
-:class:`~repro.p4.interpreter.Trace` and formatting event strings as it
-goes. That is the right tool for defining semantics; it is the wrong
+expression/statement trees for every packet, dispatching on node types
+and recording the path it took as it goes. That is the right tool for
+defining semantics; it is the wrong
 tool for driving line-rate experiments. :func:`generate_kernel` lowers a
 program **once** into one Python module — generated source, ``exec``'d
 with a single ``compile()`` per artifact — which the batch kernel's
@@ -27,9 +27,9 @@ module holds:
   call instead (highest priority wins, first installed wins ties);
 * **the deparser** (``deparse``) — the (budgeted) emit order with one
   lookup per header;
-* **no tracing at all** — the null-trace fast path. Taps and checkers
-  observe packets between stages (:mod:`repro.target.pipeline`), never
-  through TraceEvents, so nothing is lost.
+* **no path record** — the kernel returns results only. Taps and
+  checkers observe packets between stages (:mod:`repro.target.pipeline`),
+  so nothing is lost.
 
 Every expression — select keys, verify conditions, branch conditions,
 table keys and primitive operands — goes through the one expression

@@ -1,6 +1,11 @@
 """Coverage-guided packet generation: covering sets, maps, workload
 wiring, campaign/differential integration and determinism pins."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import NetDebugError, SimulationError
@@ -13,6 +18,7 @@ from repro.netdebug.campaign import (
 )
 from repro.netdebug.coverage import (
     CoverageMap,
+    _replay,
     covering_set,
     verify_coverage,
     verify_report_coverage,
@@ -20,6 +26,7 @@ from repro.netdebug.coverage import (
 from repro.netdebug.differential import DifferentialCase, DifferentialRunner
 from repro.netdebug.diffing import baseline_coverage_matrix
 from repro.p4.stdlib import PROGRAMS, acl_firewall, strict_parser
+from repro.p4.table import Table
 from repro.sim.traffic import WorkloadContext, build_workload, default_flow
 
 ALL_TARGETS = sorted(TARGETS)
@@ -104,6 +111,44 @@ class TestCoveringSet:
         missing = verify_coverage(program, model, wires, cmap)
         assert len(missing) == 1
         assert missing[0] in cmap.signatures()
+
+
+class TestReplay:
+    def test_one_table_lookup_per_table_apply(self, monkeypatch):
+        """A replay learns each winning entry from the lookup that
+        selects the action; it never looks a table up twice."""
+        program, model = model_for("acl_firewall", "reference", "acl_gate")
+        wires, _ = covering_set(program, model, seed=2018)
+        lookups = []
+        real = Table.lookup
+
+        def counting(self, *args, **kwargs):
+            lookups.append(self.name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Table, "lookup", counting)
+        applies = 0
+        for wire in wires:
+            signature, _ = _replay(program, model, wire)
+            branches = signature.split("|")[2]
+            applies += len(branches.split(",")) if branches else 0
+        assert applies > 0
+        assert len(lookups) == applies
+
+    def test_cli_loads_its_module_once(self):
+        """``python -m repro.netdebug.coverage`` runs without runpy's
+        double-import RuntimeWarning: loading the package does not
+        import the coverage module."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.netdebug.coverage", "--programs", "strict_parser",
+             "--targets", "reference"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "1 cells" in out.stdout
 
 
 class TestCoverageWorkload:

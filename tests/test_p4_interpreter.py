@@ -29,7 +29,8 @@ from repro.p4.types import (
 )
 from repro.packet.builder import ethernet_frame, udp_packet
 from repro.packet.headers import ETHERNET, ETHERTYPE_IPV4, IPV4, ipv4, mac
-from repro.target.limits import SDNET_MODEL
+from repro.p4.table import KeyPattern, TableEntry
+from repro.target.limits import SDNET_MODEL, SPEC_MODEL
 
 
 def minimal_program(body_builder=None, name="mini"):
@@ -100,15 +101,6 @@ class TestParsing:
         assert result.verdict is Verdict.FORWARDED
         assert not result.packet.has("ipv4")
 
-    def test_parser_trace_events(self):
-        program = strict_parser()
-        packet = udp_packet(ipv4("1.1.1.1"), ipv4("2.2.2.2"), 53, 1)
-        result = run(program, packet.pack())
-        kinds = [e.kind for e in result.trace.events]
-        assert "parser_state" in kinds
-        assert "parser_extract" in kinds
-        assert "parser_accept" in kinds
-
     def test_cyclic_parser_terminates(self):
         b = ProgramBuilder("cyc")
         b.header(ETHERNET)
@@ -136,12 +128,6 @@ class TestRejectDeviation:
         result = Interpreter(program, model=SDNET_MODEL).process(packet.pack())
         assert result.verdict is Verdict.FORWARDED
 
-    def test_trace_records_ignored_reject(self):
-        program = strict_parser()
-        frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
-        result = Interpreter(program, model=SDNET_MODEL).process(frame.pack())
-        assert result.trace.of_kind("parser_reject_ignored")
-
     def test_parser_error_metadata_still_set(self):
         program = strict_parser()
         frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
@@ -154,6 +140,99 @@ class TestRejectDeviation:
         faithful = Interpreter(program).process(packet.pack())
         deviant = Interpreter(program, model=SDNET_MODEL).process(packet.pack())
         assert faithful.packet.pack() == deviant.packet.pack()
+
+
+def strict_parser_wire(kind):
+    """A strict_parser frame that accepts, hits the explicit reject
+    (unknown EtherType) or fails the IPv4 verify (version 7)."""
+    if kind == "reject":
+        return ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30).pack()
+    packet = udp_packet(ipv4("1.1.1.1"), ipv4("2.2.2.2"), 53, 1)
+    if kind == "verify":
+        packet.get("ipv4")["version"] = 7
+    return packet.pack()
+
+
+class TestPathRecord:
+    """The interpreter records the path of its last ``process`` call."""
+
+    @pytest.mark.parametrize(
+        "model, kind, parser_path, verdict",
+        [
+            (SPEC_MODEL, "accept", ["start", "parse_ipv4"],
+             Verdict.FORWARDED),
+            (SPEC_MODEL, "reject", ["start", "!reject"],
+             Verdict.PARSER_REJECTED),
+            (SPEC_MODEL, "verify",
+             ["start", "parse_ipv4", "!verify", "!reject"],
+             Verdict.PARSER_REJECTED),
+            (SDNET_MODEL, "accept", ["start", "parse_ipv4"],
+             Verdict.FORWARDED),
+            (SDNET_MODEL, "reject", ["start", "!reject_ignored"],
+             Verdict.FORWARDED),
+            (SDNET_MODEL, "verify",
+             ["start", "parse_ipv4", "!verify", "!reject_ignored"],
+             Verdict.FORWARDED),
+        ],
+        ids=["spec-accept", "spec-reject", "spec-verify",
+             "sdnet-accept", "sdnet-reject", "sdnet-verify"],
+    )
+    def test_strict_parser_paths(self, model, kind, parser_path, verdict):
+        interp = Interpreter(strict_parser(), model=model)
+        result = interp.process(strict_parser_wire(kind))
+        assert interp.parser_path == parser_path
+        assert interp.table_path == []
+        assert result.verdict is verdict
+
+    @pytest.mark.parametrize(
+        "model, parser_path",
+        [
+            (SPEC_MODEL, ["start", "!verify", "!reject"]),
+            (SDNET_MODEL, ["start", "!verify", "!reject_ignored", "next"]),
+        ],
+        ids=["spec", "sdnet"],
+    )
+    def test_ignored_verify_keeps_walking(self, model, parser_path):
+        b = ProgramBuilder("verify_then_next")
+        b.header(ETHERNET)
+        b.parser_state("start", extracts=["ethernet"]).verify(
+            fld("ethernet", "ether_type").eq(ETHERTYPE_IPV4),
+            PARSER_ERROR_VERIFY_FAILED,
+        ).goto("next")
+        b.parser_state("next").accept()
+        b.ingress.action("out", [], [Forward(Const(1, 9))])
+        b.ingress.call("out")
+        b.emit("ethernet")
+        interp = Interpreter(b.build(), model=model)
+        interp.process(ethernet_frame(1, 2, 0xBEEF).pack())
+        assert interp.parser_path == parser_path
+
+    def test_table_path_records_winning_entry_index(self):
+        program = ipv4_router()
+        routes = program.ingress.table("ipv4_lpm")
+        for prefix, length, port in (
+            ("10.0.0.0", 8, 1), ("10.1.0.0", 16, 2), ("11.0.0.0", 8, 3),
+        ):
+            routes.insert(
+                TableEntry(
+                    (KeyPattern.lpm(ipv4(prefix), length),), "route",
+                    (mac("00:00:00:00:00:01"), port),
+                )
+            )
+        interp = Interpreter(program)
+        cases = (("10.1.2.3", 1), ("10.9.9.9", 0), ("11.0.0.1", 2),
+                 ("12.0.0.1", None))
+        for dst, index in cases:
+            interp.process(
+                udp_packet(ipv4(dst), ipv4("1.1.1.1"), 1, 2).pack()
+            )
+            assert interp.table_path == [("ipv4_lpm", index)]
+
+    def test_path_resets_on_every_process(self):
+        interp = Interpreter(strict_parser())
+        interp.process(strict_parser_wire("verify"))
+        interp.process(strict_parser_wire("accept"))
+        assert interp.parser_path == ["start", "parse_ipv4"]
 
 
 class TestPrimitives:

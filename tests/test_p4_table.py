@@ -287,3 +287,47 @@ class TestMultiKey:
         ctx = make_ctx(5)
         ctx.metadata["ingress_port"] = 1
         assert not table.lookup(ctx, env).hit
+
+
+class TestMatchIndex:
+    @given(
+        st.integers(min_value=0, max_value=0xFF),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=0xFF),
+                st.integers(min_value=0, max_value=0xFF),
+                st.integers(min_value=0, max_value=2),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_index_is_the_winning_entrys_position(
+        self, dst, patterns, reinsert_first
+    ):
+        """``MatchResult.index`` is the position of the naive model's
+        winner: the highest priority among matching entries, the first
+        installed on a tie, also with one entry object installed
+        twice."""
+        env = TypeEnv()
+        env.declare_header(IPV4)
+        table = make_table(MatchKind.TERNARY, size=32)
+        for value, mask, priority in patterns:
+            table.insert(
+                TableEntry(
+                    (KeyPattern.ternary(value, mask),), "fwd", (1,),
+                    priority=priority,
+                )
+            )
+        if reinsert_first and table.entries:
+            table.insert(table.entries[0])
+        result = table.lookup(make_ctx(dst), env)
+        best = None
+        for position, entry in enumerate(table.entries):
+            (pattern,) = entry.patterns
+            if dst & pattern.mask != pattern.value & pattern.mask:
+                continue
+            if best is None or entry.priority > table.entries[best].priority:
+                best = position
+        assert result.index == best
+        assert result.hit is (best is not None)

@@ -168,7 +168,7 @@ class TestRateGuards:
 
 class TestWorkloadRegistry:
     def test_known_workloads_materialize(self):
-        import repro.netdebug.coverage  # noqa: F401  (registers "coverage")
+        import repro.netdebug.campaign  # noqa: F401  (registers "coverage")
         from repro.sim.traffic import WORKLOADS, build_workload
 
         assert set(WORKLOADS) == {
